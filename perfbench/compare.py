@@ -1,13 +1,13 @@
 """Compare two checkouts with the same benchmark code.
 
     python3 perfbench/compare.py --parent DIR --change DIR [--pairs 10]
-        [--workload NAME ...] [--seconds S] [--first-seed N] [--trace 1]
+        [--workload NAME ...] [--trace 1]
 
-Runs this copy of perfbench/run.py in each checkout, alternating which side
-goes first, for at least ten parent/change pairs; pair i uses seed
-first-seed + i on both sides.  For each workload and metric it prints the
-median and quartiles of each side, the change's win share (ties count for
-neither side) and a verdict:
+Runs this copy of perfbench/run.py in each checkout for BENCHMARK.json's
+run_seconds, alternating which side goes first, for at least ten
+parent/change pairs; pair i uses seed FIRST_SEED + i on both sides.  For
+each workload and metric it prints the median and quartiles of each side,
+the change's win share (ties count for neither side) and a verdict:
 
 - improved: the change wins at least nine tenths of the pairs and the
   medians differ by more than the parent's quartile spread;
@@ -32,6 +32,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 RUN = os.path.join(HERE, "run.py")
+FIRST_SEED = 1
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -86,12 +87,11 @@ def main() -> int:
     parser.add_argument("--change", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     if args.pairs < 10:
         parser.error("at least ten pairs are needed to claim a difference")
+    seconds = spec["run_seconds"]
     metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
@@ -101,8 +101,8 @@ def main() -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
-                runs[side].append(run_once(checkout, workload, args.first_seed + i, args.seconds, args.trace))
-        print(f"== {workload}: {args.pairs} pairs, seeds {args.first_seed}..{args.first_seed + args.pairs - 1}")
+                runs[side].append(run_once(checkout, workload, FIRST_SEED + i, seconds, args.trace))
+        print(f"== {workload}: {args.pairs} pairs, seeds {FIRST_SEED}..{FIRST_SEED + args.pairs - 1}")
         bad = {side: sum(not r.get("correct") for r in rs) for side, rs in runs.items()}
         if any(bad.values()):
             print(f"   runs with failures or errors: {bad}; metrics not judged")

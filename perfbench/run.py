@@ -5,7 +5,8 @@
 
 Run from the root of a checkout (the directory holding ``src/permutree``).
 It measures set-up time (importing ``permutree`` and ``permutree.cli``) in
-several fresh interpreters, then runs the workload in one fresh subprocess
+several fresh interpreters, scaled to the reference speed as worker.py
+describes, then runs the workload in one fresh subprocess
 (perfbench/worker.py) and prints, as the last line of stdout, one JSON
 object with ``correct``, ``attempted``, ``failed`` and ``metrics``: the
 end-to-end metrics with ``--trace 0``, the per-layer metrics with
@@ -28,26 +29,35 @@ sys.path.insert(0, HERE)
 
 from workloads import WORKLOADS  # noqa: E402
 
-SETUP_PROBES = 7
+# A probe takes about 0.1 s; over ten seeds the median of 20 spread at most 0.11.
+SETUP_PROBES = 20
 WORKER_TIMEOUT_S = 170
+# Each probe times the import, then runs worker.calibrate() in the same
+# interpreter, so its import time can be scaled to the reference speed.
 PROBE = (
     "import sys, time\n"
     "sys.path.insert(0, 'src')\n"
     "start = time.perf_counter()\n"
     "import permutree, permutree.cli\n"
-    "print(time.perf_counter() - start)\n"
+    "elapsed = time.perf_counter() - start\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from worker import CAL_REF_S, calibrate\n"
+    "print(elapsed, elapsed * CAL_REF_S / calibrate())\n"
 )
 
 
-def measure_setup() -> float:
-    """Median import time over fresh interpreters, after one that compiles bytecode."""
-    samples = []
+def measure_setup() -> tuple[float, float]:
+    """Median import time over fresh interpreters, after one that compiles
+    bytecode: scaled to the reference speed, and as measured."""
+    scaled, raw = [], []
     for index in range(SETUP_PROBES + 1):
-        done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
-                              timeout=60, check=True)
+        done = subprocess.run([sys.executable, "-c", PROBE, HERE], capture_output=True,
+                              text=True, timeout=60, check=True)
         if index:
-            samples.append(float(done.stdout))
-    return statistics.median(samples)
+            measured, at_ref = map(float, done.stdout.split())
+            raw.append(measured)
+            scaled.append(at_ref)
+    return statistics.median(scaled), statistics.median(raw)
 
 
 def main() -> int:
@@ -63,7 +73,7 @@ def main() -> int:
               file=sys.stderr)
         return 2
 
-    setup_s = measure_setup() if not args.trace else None
+    setup = measure_setup() if not args.trace else None
     record = os.path.join(".perfbench-out", f"{args.workload}-seed{args.seed}-trace{args.trace}.json")
     command = [sys.executable, os.path.join(HERE, "worker.py"), "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds),
@@ -78,8 +88,9 @@ def main() -> int:
         print(f"error: the workload exited with {done.returncode}", file=sys.stderr)
         return 1
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    if setup_s is not None:
-        result["metrics"]["setup_s"] = {"value": setup_s, "unit": "s"}
+    if setup is not None:
+        result["metrics"]["setup_s"] = {"value": setup[0], "unit": "s"}
+        result["info"]["setup_raw_s"] = setup[1]
     print(json.dumps({"info": result.pop("info")}))
     print(json.dumps(result))
     return 0

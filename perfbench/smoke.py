@@ -18,7 +18,7 @@ sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from check import Checker, avoids, pattern_regex  # noqa: E402
-from worker import run_op  # noqa: E402
+from worker import Meter, run_op  # noqa: E402
 from workloads import count_tree_ops, sort_cli_ops, verify_ops  # noqa: E402
 
 
@@ -64,7 +64,7 @@ def main() -> int:
         checker = Checker()
         rejected = total = 0
         for op in ops:
-            code, out, _, crash = run_op(cli_main, op.argv)
+            code, out, _, crash = run_op(cli_main, op.argv, Meter(inside=False))
             reason = crash or checker.check(op, code, out)
             if reason is not None:
                 print(f"{workload}: clean output rejected: {' '.join(op.argv)[:80]}: {reason}")

@@ -9,10 +9,19 @@ region.
 
 The operation list is run in whole passes, as many as ``PASS_SECONDS`` in
 workloads.py gives for ``--seconds``, so the work in a run is fixed by its
-arguments.  Each op's time
-is its fastest over the passes, which filters out bursts of contention from
-other tenants of the machine.  With ``--trace 1`` one untraced pass runs as
-the reference for the tracing overhead, then one traced pass.
+arguments.  With ``--trace 1`` one untraced pass runs as the reference for
+the tracing overhead, then one traced pass.
+
+The machine's speed swings by up to 2x within a second under load from
+other tenants, so a ``Meter`` times a fixed calibration (``calibrate``, the
+checker's own pure-Python primitives, no package code) before and after
+each op and, by SIGALRM every ``SAMPLE_S`` seconds, during it.  The op's
+time, less the time spent in those samples, is scaled to the reference
+speed: ``elapsed * CAL_REF_S * mean(1 / sample)``.  Each op's end-to-end
+time is then its fastest scaled time over the passes.  The traced pass
+samples only before and after each op, so that no sample lands in a
+layer's self time.  The raw times are kept in the record and the context
+line.
 
 The last line of stdout is one JSON object: correct, attempted, failed,
 metrics and info.  A full record (per-op times, failures, per-function
@@ -26,17 +35,70 @@ import gc
 import json
 import os
 import platform
+import random
 import resource
+import signal
 import statistics
 import sys
 import time
 import traceback
 
-from check import Checker
+from check import Checker, avoids, evaluate, inversion_count
 from workloads import PASS_SECONDS, build_ops
 
 # suites timed on their own by the verify.suite_*_s metrics; the rest are "other"
 NAMED_SUITES = ("prefix", "csorting", "networks", "theorem2")
+
+# Fixed calibration inputs, and the time calibrate() takes on the reference
+# machine (2 cores, Python 3.11.7) when it runs at its quiet speed, so that
+# scaled times read as seconds at that speed.
+CAL_PERMS = [tuple(random.Random(i).sample(range(1, 10), 9)) for i in range(300)]
+CAL_WORD = [1, 2, 3, 4, 5, 6, 7, 8] * 2
+CAL_REF_S = 0.0046
+SAMPLE_S = 0.5  # a sample takes about 15 ms, so sampling costs an op about 3%
+
+
+def calibrate() -> float:
+    """Seconds for a fixed slice of pure-Python work: fastest of three."""
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        for pi in CAL_PERMS:
+            avoids(pi, {3, 5}, {7})
+            inversion_count(pi)
+            evaluate(CAL_WORD, 9)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class Meter:
+    """Samples the machine's speed around and, with ``inside``, during each op."""
+
+    def __init__(self, inside: bool):
+        self.inside = inside
+        self.samples: list[float] = []
+        self.spent = 0.0  # seconds spent sampling while the op was timed
+        signal.signal(signal.SIGALRM, self._tick)
+
+    def _tick(self, signum, frame) -> None:
+        start = time.perf_counter()
+        self.samples.append(calibrate())
+        self.spent += time.perf_counter() - start
+
+    def begin(self) -> None:
+        self.samples, self.spent = [calibrate()], 0.0
+
+    def arm(self) -> None:
+        if self.inside:
+            signal.setitimer(signal.ITIMER_REAL, SAMPLE_S, SAMPLE_S)
+
+    def disarm(self) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+
+    def end(self) -> float:
+        """The factor that scales the op's time to the reference speed."""
+        self.samples.append(calibrate())
+        return CAL_REF_S * statistics.mean(1 / sample for sample in self.samples)
 
 
 class Sink:
@@ -57,65 +119,76 @@ class Sink:
         return self.parts[0] if len(self.parts) == 1 else "".join(self.parts)
 
 
-def run_op(main, argv) -> tuple[int, str, float, str | None]:
+def run_op(main, argv, meter: Meter) -> tuple[int, str, float, str | None]:
     out, err = Sink(), Sink()
     crash = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         start = time.perf_counter()
+        meter.arm()
         try:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 2
         except Exception:  # a crash is a failed op, reported with its traceback
             code, crash = -1, traceback.format_exc(limit=3)
-        elapsed = time.perf_counter() - start
+        finally:
+            meter.disarm()
+        elapsed = time.perf_counter() - start - meter.spent
     return code, out.value(), elapsed, crash
 
 
 class Run:
     def __init__(self, main, ops, checker):
         self.main, self.ops, self.checker = main, ops, checker
-        self.passes: list[list[float]] = []  # op seconds, per pass
+        self.passes: list[list[float]] = []  # op seconds at the reference speed, per pass
+        self.raw_passes: list[list[float]] = []  # op seconds as measured, per pass
         self.failures: list[dict] = []
         self.attempted = 0
         self.out_chars = 0
 
     def one_pass(self, tracer=None) -> None:
-        times = []
+        times, scaled = [], []
+        meter = Meter(inside=tracer is None)
         for index, op in enumerate(self.ops):
             gc.collect()
+            meter.begin()
             if tracer is not None:
                 tracer.begin_op(self.attempted)
-            code, out, elapsed, crash = run_op(self.main, op.argv)
+            code, out, elapsed, crash = run_op(self.main, op.argv, meter)
             if tracer is not None:
                 tracer.end_op(elapsed)
             self.attempted += 1
             self.out_chars += len(out)
             times.append(elapsed)
+            scaled.append(elapsed * meter.end())
             reason = crash or self.checker.check(op, code, out)
             del out
             if reason is not None:
                 self.failures.append({"op": index, "argv": list(op.argv)[:6], "reason": reason[:500]})
-        self.passes.append(times)
+        self.raw_passes.append(times)
+        self.passes.append(scaled)
 
 
-def best_times(run: Run) -> list[float]:
-    """Each op's fastest time over the run's passes."""
-    return [min(times) for times in zip(*run.passes)]
+def best_times(passes) -> list[float]:
+    """Each op's fastest time over the passes."""
+    return [min(times) for times in zip(*passes)]
+
+
+def p90(times) -> float:
+    return statistics.quantiles(times, n=10, method="inclusive")[8] if len(times) > 1 else times[0]
 
 
 def end_to_end(run: Run) -> dict:
-    best = best_times(run)
-    p90 = statistics.quantiles(best, n=10, method="inclusive")[8] if len(best) > 1 else best[0]
+    best = best_times(run.passes)
     return {
-        "wall_s": (sum(best), "s"),
-        "op_p90_ms": (p90 * 1e3, "ms"),
+        "wall_ref_s": (sum(best), "s"),
+        "op_p90_ref_ms": (p90(best) * 1e3, "ms"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
 
 
 def suite_times(ops, times) -> dict:
-    """Seconds per suite from one pass of verify-all; zero on other workloads."""
+    """Seconds per suite from one pass of verify-all (scaled); zero on other workloads."""
     totals = dict.fromkeys(NAMED_SUITES + ("other",), 0.0)
     for op, elapsed in zip(ops, times):
         if op.cmd == "verify":
@@ -167,7 +240,9 @@ def per_layer(run: Run, tracer, cache_before, cache_after) -> dict:
         "trees.lexmin_word.calls": (calls("trees.lexmin_word"), "count"),
         "trees.render_s": (total("trees.export_tree_dot"), "s"),
         "cli.out_bytes": (run.out_chars / len(run.passes), "bytes"),
-        "trace.overhead_ratio": (sum(run.passes[1]) / sum(run.passes[0]), "ratio"),
+        # median over ops, so one burst on a long op cannot set the figure
+        "trace.overhead_ratio": (statistics.median(
+            traced / untraced for untraced, traced in zip(*run.passes)), "ratio"),
     })
     metrics.update(suite_times(run.ops, run.passes[0]))
     return metrics
@@ -198,6 +273,7 @@ def main() -> int:
         cache_before = cache.cache_info()
         tracer = Tracer(permutree)
         tracer.install()
+        run.main = permutree.cli.main  # the wrapper, so each op is a cli.main span
         run.one_pass(tracer)
         metrics = per_layer(run, tracer, cache_before, cache.cache_info())
         record["functions"] = {
@@ -216,7 +292,9 @@ def main() -> int:
         "platform": platform.platform(), "passes": len(run.passes),
         "percentile_samples": len(ops),
         # reported without a bound: its spread over ten seeds exceeded 0.25
-        "op_p50_ms": statistics.median(best_times(run)) * 1e3,
+        "op_p50_ref_ms": statistics.median(best_times(run.passes)) * 1e3,
+        "wall_raw_s": sum(best_times(run.raw_passes)),
+        "op_p90_raw_ms": p90(best_times(run.raw_passes)) * 1e3,
         "failures": run.failures[:10],
     }
     result = {
@@ -227,7 +305,8 @@ def main() -> int:
         "info": info,
     }
     if args.record:
-        record.update(result, ops=[list(op.argv) for op in ops], op_seconds=run.passes)
+        record.update(result, ops=[list(op.argv) for op in ops], op_seconds=run.raw_passes,
+                      op_seconds_ref=run.passes)
         os.makedirs(os.path.dirname(args.record) or ".", exist_ok=True)
         with open(args.record, "w") as fh:
             json.dump(record, fh)
