@@ -18,6 +18,7 @@ never materialized as a table.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,10 +28,9 @@ from .core import (
     Permutation,
     Word,
     all_reduced_words,
-    contains_pattern,
-    left_inversions,
-    left_multiply,
+    is_minimal,
     ninv_stats,
+    walk_reduced_words,
 )
 
 
@@ -161,6 +161,12 @@ def step_product(product: ProductState, letter: int) -> ProductState:
     )
 
 
+def step_alive(product: ProductState, letter: int) -> ProductState | None:
+    """step_product, or None when the step kills a component."""
+    nxt = step_product(product, letter)
+    return None if classify(nxt) is Status.DEAD else nxt
+
+
 def run_product(orientation: Orientation, word: Word) -> ProductState:
     """Component-wise run; the word is accepted iff no component dies."""
     product = initial_product(orientation)
@@ -188,39 +194,14 @@ def exists_accepted(pi: Permutation, orientation: Orientation, *, enumerate_all:
     two routes.  Non-disjoint orientations have no shortcut and are always
     searched.
 
-    The search walks the left-descent tree that generates exactly the
-    reduced expressions, threading the product state along.  Dead subtrees
-    are cut (dead is absorbing, so nothing down there can be accepted), and
-    since the remainder of the search depends only on the pair (residual
-    permutation, product state), results are memoized on that pair.
+    The search walks the left-descent tree of the reduced expressions,
+    threading the product state along and cutting dead subtrees (dead is
+    absorbing, so nothing down there can be accepted).
     """
     if not enumerate_all and orientation.is_disjoint:
-        return all(
-            not contains_pattern(pi, j, Kind.UP) for j in orientation.u
-        ) and all(not contains_pattern(pi, j, Kind.DOWN) for j in orientation.d)
-
-    memo: dict[tuple[tuple[int, ...], tuple[AutomatonState, ...]], bool] = {}
-
-    def search(p: Permutation, product: ProductState) -> bool:
-        descents = left_inversions(p)
-        if not descents:
-            return True
-        key = (p.entries, product.states)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        found = False
-        for letter in descents:
-            nxt = step_product(product, letter)
-            if classify(nxt) is Status.DEAD:
-                continue
-            if search(left_multiply(letter, p), nxt):
-                found = True
-                break
-        memo[key] = found
-        return found
-
-    return search(pi, initial_product(orientation))
+        return is_minimal(pi, orientation)
+    words = walk_reduced_words(pi, state=initial_product(orientation), advance=step_alive)
+    return next(words, None) is not None
 
 
 def exists_accepted_single(pi: Permutation, kind: Kind, j: int) -> bool:
@@ -343,17 +324,10 @@ def export_dot_product(orientation: Orientation, n: int, reachable_only: bool = 
             for kind, values in ((Kind.UP, orientation.u), (Kind.DOWN, orientation.d))
             for j in sorted(values)
         ]
-        nodes = []
-
-        def fill(prefix: tuple[AutomatonState, ...], rest: list[list[AutomatonState]]):
-            if not rest:
-                nodes.append(ProductState(prefix, orientation))
-                return
-            for state in rest[0]:
-                fill(prefix + (state,), rest[1:])
-
-        fill((), components)
-        nodes.sort(key=product_sort_key)
+        nodes = sorted(
+            (ProductState(states, orientation) for states in itertools.product(*components)),
+            key=product_sort_key,
+        )
 
     name = "_".join(
         ["P"]

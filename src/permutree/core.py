@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Hashable, Iterator
 
 
 class Kind(Enum):
@@ -63,12 +63,6 @@ class Permutation:
     def position_of(self, value: int) -> int:
         """pi^{-1}(value), 1-indexed."""
         return self.entries.index(value) + 1
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.n
-        for pos, val in enumerate(self.entries, start=1):
-            inv[val - 1] = pos
-        return Permutation(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.entries, start=1))
@@ -281,6 +275,13 @@ def contains_pattern(pi: Permutation, j: int, kind: Kind) -> bool:
     return False
 
 
+def is_minimal(pi: Permutation, orientation: Orientation) -> bool:
+    """Subword-avoidance test: no jki for j in u, no kij for j in d."""
+    return all(not contains_pattern(pi, j, Kind.UP) for j in orientation.u) and all(
+        not contains_pattern(pi, j, Kind.DOWN) for j in orientation.d
+    )
+
+
 def pattern_witness(pi: Permutation, j: int, kind: Kind) -> tuple[int, int, int] | None:
     """Positions (p, q, r) of one jki (UP) / kij (DOWN) occurrence, or None."""
     if not 2 <= j <= pi.n - 1:
@@ -360,26 +361,71 @@ def is_reduced(word: Word) -> bool:
     return len(word) == evaluate(word).length()
 
 
-def iter_reduced_words(pi: Permutation) -> Iterator[Word]:
-    """Yield every reduced expression of pi, in ascending first-letter order.
+def walk_reduced_words(
+    pi: Permutation,
+    key: Callable[[int], int] | None = None,
+    state: Hashable = (),
+    advance: Callable[[Hashable, int], Hashable | None] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Yield the letters of pi's reduced expressions, depth first.
 
-    Peels left descents: every reduced expression starts with a letter l
-    such that is_left_inversion(pi, l).  Memory per yielded word is O(length);
-    nothing is cached.
+    A reduced expression of p starts with a left descent l of p and goes on
+    with one of s_l * p; the children of a node are tried in ascending order
+    of l, or of key(l).  With advance, the child reached by l carries
+    advance(state, l), and the branch is cut where that is None.  Below a
+    node the walk depends only on (its entries, its state), so a pair whose
+    subtree yielded nothing is skipped when met again.  The stack is
+    explicit: no recursion limit bounds the length of pi.
     """
-    n = pi.n
 
-    def rec(p: Permutation) -> Iterator[tuple[int, ...]]:
+    def frame(p: Permutation, s: Hashable) -> list | None:
+        # [permutation, state, untried letters, words yielded before it]; None for a leaf
         descents = left_inversions(p)
         if not descents:
-            yield ()
-            return
-        for letter in descents:
-            for rest in rec(left_multiply(letter, p)):
-                yield (letter,) + rest
+            return None
+        return [p, s, iter(descents if key is None else sorted(descents, key=key)), yields]
 
-    for seq in rec(pi):
-        yield Word(seq, n)
+    yields = 0
+    root = frame(pi, state)
+    if root is None:
+        yield ()
+        return
+    failed: set[tuple[tuple[int, ...], Hashable]] = set()
+    path: list[int] = []
+    stack = [root]
+    while True:
+        p, current, todo, before = stack[-1]
+        for letter in todo:
+            nxt = current if advance is None else advance(current, letter)
+            if nxt is None:
+                continue
+            child = left_multiply(letter, p)
+            if failed and (child.entries, nxt) in failed:
+                continue
+            below = frame(child, nxt)
+            if below is None:
+                yields += 1
+                yield (*path, letter)
+                continue
+            path.append(letter)
+            stack.append(below)
+            break
+        else:
+            stack.pop()
+            if not stack:
+                return
+            path.pop()
+            if yields == before:
+                failed.add((p.entries, current))
+
+
+def iter_reduced_words(pi: Permutation) -> Iterator[Word]:
+    """Yield every reduced expression of pi, in lexicographic order.
+
+    Memory per yielded word is O(length); nothing is cached.
+    """
+    for letters in walk_reduced_words(pi):
+        yield Word(letters, pi.n)
 
 
 @lru_cache(maxsize=8)
@@ -397,22 +443,22 @@ def all_reduced_words(pi: Permutation) -> frozenset[Word]:
 
 
 def stack_sort(pi: Permutation) -> Permutation:
-    """One pass of stack sorting: S(t n r) = S(t) S(r) n, recursively.
+    """One pass of stack sorting, S(t n r) = S(t) S(r) n: each value pops the
+    smaller values on top of the stack to the output, then is pushed.
 
     pi is stack-sortable iff the result is the identity.
 
     >>> str(stack_sort(Permutation.from_text("231")))
     '213'
     """
-
-    def rec(seq: tuple[int, ...]) -> tuple[int, ...]:
-        if not seq:
-            return ()
-        top = max(seq)
-        cut = seq.index(top)
-        return rec(seq[:cut]) + rec(seq[cut + 1 :]) + (top,)
-
-    return Permutation(rec(pi.entries))
+    stack: list[int] = []
+    out: list[int] = []
+    for value in pi.entries:
+        while stack and stack[-1] < value:
+            out.append(stack.pop())
+        stack.append(value)
+    out.extend(reversed(stack))
+    return Permutation(tuple(out))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

@@ -8,6 +8,7 @@ carried around explicitly and group-element equality is never used.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -17,11 +18,10 @@ from .core import (
     Permutation,
     Word,
     all_permutations,
-    is_left_inversion,
-    left_multiply,
+    is_minimal,
 )
 from .automata import exists_accepted, exists_accepted_single, product_accepts
-from .sorting import greedy_subword, is_minimal
+from .sorting import _greedy_extract, greedy_subword
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,8 @@ def c_sorting_word(pi: Permutation, c: CoxeterWord) -> Word:
 
 def c_factorization(pi: Permutation, c: CoxeterWord) -> CFactorization:
     """Which letters of each successive copy of c the greedy extraction takes."""
-    residual = pi
-    blocks: list[frozenset[int]] = []
-    while not residual.is_identity():
-        taken = set()
-        for letter in c.word:
-            if is_left_inversion(residual, letter):
-                taken.add(letter)
-                residual = left_multiply(letter, residual)
-        blocks.append(frozenset(taken))
-    return CFactorization(tuple(blocks))
+    passes, _ = _greedy_extract(pi, c.word, cycle=True)
+    return CFactorization(tuple(frozenset(taken) for taken in passes))
 
 
 def is_c_sortable(pi: Permutation, c: CoxeterWord) -> bool:
@@ -120,9 +112,7 @@ class EquivalenceReport:
 
     def to_json_lines(self) -> str:
         return "\n".join(
-            f'{{"pi": "{pi}", "conditions": {list(conditions)!r}}}'.replace("True", "true").replace(
-                "False", "false"
-            )
+            json.dumps({"pi": str(pi), "conditions": list(conditions)})
             for pi, conditions in self.violations
         )
 

@@ -19,6 +19,7 @@ remainder, never an exception.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -28,13 +29,13 @@ from .core import (
     Orientation,
     Permutation,
     Word,
-    contains_pattern,
     is_left_inversion,
+    is_minimal,
     left_inversions,
     left_multiply,
     pattern_witness,
 )
-from .automata import Status, classify, initial_state, run_product, step
+from .automata import initial_state, product_accepts, step
 
 
 @dataclass(frozen=True)
@@ -312,13 +313,6 @@ def permutree_sort(
     return SortTrace(tuple(steps), Word(tuple(taken), n), pi, u, d)
 
 
-def is_minimal(pi: Permutation, orientation: Orientation) -> bool:
-    """Subword-avoidance test: no jki for j in u, no kij for j in d."""
-    return all(not contains_pattern(pi, j, Kind.UP) for j in orientation.u) and all(
-        not contains_pattern(pi, j, Kind.DOWN) for j in orientation.d
-    )
-
-
 def minimality_witness(
     pi: Permutation, orientation: Orientation
 ) -> tuple[int, Kind, tuple[int, int, int]] | None:
@@ -331,26 +325,27 @@ def minimality_witness(
     return None
 
 
-def _greedy_extract(pi: Permutation, template: Word, cycle: bool) -> tuple[Word, Permutation]:
+def _greedy_extract(pi: Permutation, template: Word, cycle: bool) -> tuple[list, Permutation]:
     """Scan the template, taking each letter that shortens the residual.
 
-    With cycle the template is repeated until a full pass takes nothing
-    (which for a residual other than the identity means it is stuck).
-    Returns the taken word and the final residual.
+    With cycle the template is repeated until the residual is sorted or a
+    full pass takes nothing (stuck).  Returns the letters taken in each pass
+    that took any, and the final residual.
     """
     residual = pi
-    taken: list[int] = []
-    while True:
-        progressed = False
+    passes: list[tuple[int, ...]] = []
+    while not residual.is_identity():
+        taken = []
         for letter in template:
-            if residual.is_identity():
-                break
             if is_left_inversion(residual, letter):
                 taken.append(letter)
                 residual = left_multiply(letter, residual)
-                progressed = True
-        if not cycle or residual.is_identity() or not progressed:
-            return Word(tuple(taken), pi.n), residual
+        if not taken:
+            break
+        passes.append(tuple(taken))
+        if not cycle:
+            break
+    return passes, residual
 
 
 def greedy_subword(pi: Permutation, template: Word, repeat: bool) -> Word | None:
@@ -366,9 +361,8 @@ def greedy_subword(pi: Permutation, template: Word, repeat: bool) -> Word | None
         missing = set(range(1, pi.n)) - set(template)
         if missing:
             raise ValueError(f"template must contain every generator, missing {sorted(missing)}")
-        word, _ = _greedy_extract(pi, template, cycle=True)
-        return word
-    word, residual = _greedy_extract(pi, template, cycle=False)
+    passes, residual = _greedy_extract(pi, template, cycle=repeat)
+    word = Word(tuple(itertools.chain(*passes)), pi.n)
     return word if residual.is_identity() else None
 
 
@@ -380,8 +374,9 @@ def network_mismatch(template: Word, orientation: Orientation, pi: Permutation) 
     network answers yes iff the extraction terminates with a reduced
     expression of pi accepted by the intersection automaton.
     """
-    word, residual = _greedy_extract(pi, template, cycle=True)
-    decided = residual.is_identity() and classify(run_product(orientation, word)) is not Status.DEAD
+    passes, residual = _greedy_extract(pi, template, cycle=True)
+    word = Word(tuple(itertools.chain(*passes)), pi.n)
+    decided = residual.is_identity() and product_accepts(orientation, word)
     return decided != is_minimal(pi, orientation)
 
 

@@ -17,12 +17,12 @@ from .core import (
     Word,
     all_permutations,
     evaluate,
-    left_inversions,
-    left_multiply,
+    is_minimal,
     right_multiply,
+    walk_reduced_words,
 )
-from .automata import ProductState, Status, classify, initial_product, step_product
-from .sorting import PriorityOrder, is_minimal
+from .automata import initial_product, step_alive
+from .sorting import PriorityOrder
 
 # tree edge colors by letter, cycling beyond the palette
 EDGE_COLORS = ("blue", "red", "green", "orange", "purple", "brown", "cyan", "magenta")
@@ -43,22 +43,9 @@ def lexmin_word(
     """
     if priority is None:
         priority = PriorityOrder.natural(pi.n)
-
-    def dfs(p: Permutation, product: ProductState) -> tuple[int, ...] | None:
-        descents = left_inversions(p)
-        if not descents:
-            return ()
-        for letter in sorted(descents, key=priority.key):
-            nxt = step_product(product, letter)
-            if classify(nxt) is Status.DEAD:
-                continue
-            rest = dfs(left_multiply(letter, p), nxt)
-            if rest is not None:
-                return (letter,) + rest
-        return None
-
-    seq = dfs(pi, initial_product(orientation))
-    return Word(seq, pi.n) if seq is not None else None
+    words = walk_reduced_words(pi, priority.key, initial_product(orientation), step_alive)
+    letters = next(words, None)
+    return Word(letters, pi.n) if letters is not None else None
 
 
 @dataclass(frozen=True)

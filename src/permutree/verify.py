@@ -23,6 +23,7 @@ from .core import (
     all_reduced_words,
     contains_pattern,
     evaluate,
+    is_minimal,
     stack_sort,
 )
 from .automata import (
@@ -31,8 +32,9 @@ from .automata import (
     classify,
     exists_accepted,
     expected_final_column,
+    initial_product,
     run,
-    run_product,
+    step_product,
 )
 from .coxeter import (
     CoxeterWord,
@@ -44,7 +46,6 @@ from .coxeter import (
 from .sorting import (
     PriorityOrder,
     check_sorting_network,
-    is_minimal,
     network_mismatch,
     permutree_sort,
     sort_single,
@@ -419,11 +420,14 @@ def check_prefix_closure(max_n: int, extra_priorities: int = 3, seed: int = 2026
         for orientation in orientations:
             for pi in all_permutations(n):
                 for word in all_reduced_words(pi):
-                    if classify(run_product(orientation, word)) is Status.DEAD:
+                    # one run per word; statuses[cut] is the status after cut letters
+                    start = initial_product(orientation)
+                    runs = itertools.accumulate(word, step_product, initial=start)
+                    statuses = [classify(product) for product in runs]
+                    if statuses[-1] is Status.DEAD:
                         continue
-                    for cut in range(len(word)):
-                        prefix = Word(word.letters[:cut], n)
-                        if classify(run_product(orientation, prefix)) is Status.DEAD:
+                    for status in statuses[:-1]:
+                        if status is Status.DEAD:
                             violations.append(
                                 f"n={n} {orientation} accepted word {word} has dead prefix"
                             )

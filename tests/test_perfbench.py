@@ -1,0 +1,60 @@
+"""The benchmark's traced mode still finds every package name it wraps.
+
+perfbench/tracer.py binds functions of the package from outside (among
+them a private extractor, a generator function and an lru_cache), so a
+rename inside the package breaks traced runs with an AttributeError or a
+KeyError.  This runs one untraced and one traced pass over a few tiny
+commands in a fresh interpreter, as perfbench/worker.py does.
+"""
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import permutree, permutree.cli
+from check import Checker
+from tracer import Tracer
+from worker import Run, per_layer
+from workloads import Op
+
+none = frozenset()
+tree = {{"n": 4, "u": frozenset({{2}}), "d": frozenset({{3}}), "priority": (3, 1, 2), "output": "dot"}}
+ops = [
+    Op(("verify", "--suite", "tables"), "verify", {{"suite": "tables"}}),
+    # S_2..S_4 overflow the 8-entry reduced-word cache, so the traced pass enumerates too
+    Op(("verify", "--suite", "theorem1", "--n", "4"), "verify", {{"suite": "theorem1"}}),
+    Op(("count", "--n", "5", "--u=", "--d="), "count", {{"n": 5, "u": none, "d": none}}),
+    Op(("tree", "--n", "4", "--u=2", "--d=3", "--priority=3,1,2"), "tree", tree),
+]
+run = Run(permutree.cli.main, ops, Checker())
+run.one_pass()
+cache = permutree.core.all_reduced_words
+before = cache.cache_info()
+tracer = Tracer(permutree)
+tracer.install()
+run.main = permutree.cli.main
+run.one_pass(tracer)
+metrics = per_layer(run, tracer, before, cache.cache_info())
+print(json.dumps({{"failures": run.failures, "metrics": {{k: v[0] for k, v in metrics.items()}}}}))
+"""
+
+
+def test_traced_pass_reports_every_per_layer_metric():
+    script = SCRIPT.format(perfbench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failures"] == []
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert sorted(set(declared) - set(result["metrics"])) == []
+    # the wrappers saw calls made inside the package
+    metrics = result["metrics"]
+    assert metrics["core.reduced_words"] > 0
+    assert metrics["trees.lexmin_word.calls"] > 0
