@@ -22,10 +22,7 @@ from .core import (
     stack_sort,
 )
 from .automata import (
-    AutomatonState,
-    ProductState,
     Status,
-    accepted_final_state,
     accepts,
     classify,
     exists_accepted,
@@ -34,7 +31,6 @@ from .automata import (
     initial_state,
     product_accepts,
     run,
-    run_product,
     step,
 )
 from .sorting import (

@@ -12,15 +12,24 @@ the final column has no reachable dead state and accepts everything.  The
 DOWN automaton is the mirror image: parameters run from j down to 1, the
 letter m falls ill, the letter m-1 advances downwards or kills.
 
-A word is accepted iff its final state is healthy or ill.  The product of
-several automata is executed lazily as a tuple of component states and is
-never materialized as a table.
+A word is accepted iff its final state is healthy or ill.
+
+Each automaton (kind, j, n) is compiled once into an integer transition
+table.  The state in column m with status s has the code 3*|m - j| + s,
+where s is 0 healthy, 1 ill, 2 dead: a code's status is code % 3, and code
+order runs column by column away from j, healthy before ill before dead.
+The boundary column comes last and has no dead state, so the codes of an
+automaton are 0 .. 3*columns - 2.  The intersection of several automata
+runs lazily: a product state is the tuple of its component codes, stepped
+through the component tables, and the product's own table (as many states
+as the product of the component sizes) is never built.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
 from enum import Enum
+from operator import getitem
 
 from .core import (
     Kind,
@@ -43,144 +52,126 @@ class Status(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class AutomatonState:
-    """Position inside one UP or DOWN automaton.
+STATUSES = (Status.HEALTHY, Status.ILL, Status.DEAD)  # the status of code c is STATUSES[c % 3]
 
-    j0 is the defining parameter of the automaton, param the current column.
-    """
-
-    kind: Kind
-    param: int
-    status: Status
-    j0: int
-    n: int
-
-    def __post_init__(self):
-        lo, hi = (self.j0, self.n) if self.kind is Kind.UP else (1, self.j0)
-        if not lo <= self.param <= hi:
-            raise ValueError(f"param {self.param} outside [{lo}, {hi}]")
-        at_boundary = self.param == (self.n if self.kind is Kind.UP else 1)
-        if self.status is Status.DEAD and at_boundary:
-            raise ValueError("the boundary column has no dead state")
-
-    @property
-    def accepting(self) -> bool:
-        return self.status is not Status.DEAD
+# table[letter][code] is the target code; table[0] is empty, as 0 is no letter
+Table = tuple[tuple[int, ...], ...]
+# rows[letter][i] is the row table[letter] of the i-th component of a product
+ProductTable = tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def initial_state(kind: Kind, j: int, n: int) -> AutomatonState:
+def state_count(kind: Kind, j: int, n: int) -> int:
+    """Three states per column, less the boundary column's dead state."""
+    return 3 * (n - j + 1 if kind is Kind.UP else j) - 1
+
+
+def label(kind: Kind, j: int, code: int) -> tuple[int, Status]:
+    """The (column, status) of a code of the automaton with parameter j."""
+    offset = code // 3
+    return (j + offset if kind is Kind.UP else j - offset), STATUSES[code % 3]
+
+
+def initial_state(kind: Kind, j: int, n: int) -> int:
     """Healthy start state; j = n (UP) and j = 1 (DOWN) are the accept-all boundaries."""
     if not 1 <= j <= n:
         raise ValueError(f"j must lie in 1..{n}, got {j}")
-    return AutomatonState(kind, j, Status.HEALTHY, j, n)
+    return 0
 
 
-def step(state: AutomatonState, letter: int) -> AutomatonState:
-    """One transition; any letter not drawn in the diagram loops."""
-    if not 1 <= letter <= state.n - 1:
-        raise ValueError(f"letter {letter} out of range 1..{state.n - 1}")
-    kind, m, status = state.kind, state.param, state.status
-    if status is Status.DEAD:
-        return state
-    if kind is Kind.UP:
-        if status is Status.HEALTHY:
-            if letter == m - 1:
-                return AutomatonState(kind, m, Status.ILL, state.j0, state.n)
-            if letter == m and m < state.n:
-                return AutomatonState(kind, m + 1, Status.HEALTHY, state.j0, state.n)
-        elif letter == m and m < state.n:
-            return AutomatonState(kind, m, Status.DEAD, state.j0, state.n)
-        return state
-    if status is Status.HEALTHY:
-        if letter == m:
-            return AutomatonState(kind, m, Status.ILL, state.j0, state.n)
-        if letter == m - 1 and m > 1:
-            return AutomatonState(kind, m - 1, Status.HEALTHY, state.j0, state.n)
-    elif letter == m - 1 and m > 1:
-        return AutomatonState(kind, m, Status.DEAD, state.j0, state.n)
-    return state
+@functools.lru_cache(maxsize=256)
+def table(kind: Kind, j: int, n: int) -> Table:
+    """The transition table of one automaton; any letter not drawn loops.
+
+    In column m the letter m-1 (UP) or m (DOWN) makes healthy ill, and the
+    letter m (UP) or m-1 (DOWN) advances healthy one column on and kills
+    ill.  At the boundary column that letter is n or 0, which is no letter.
+    The table has about 3n^2 entries; 256 tables cover every automaton up
+    to n = 15.
+    """
+    size = state_count(kind, j, n)
+    loops = list(range(size))
+    rows = [loops.copy() for _ in range(n)]  # copies share the int objects; rows[0] is dropped
+    for healthy in range(initial_state(kind, j, n), size, 3):
+        m = label(kind, j, healthy)[0]
+        ill, advance = (m - 1, m) if kind is Kind.UP else (m, m - 1)
+        if 1 <= ill < n:
+            rows[ill][healthy] = healthy + 1
+        if 1 <= advance < n:
+            rows[advance][healthy] = healthy + 3
+            rows[advance][healthy + 1] = healthy + 2
+    return ((),) + tuple(map(tuple, rows[1:]))
 
 
-def run(kind: Kind, j: int, n: int, word: Word) -> AutomatonState:
-    """Fold step over the word from the start state.
+def step(delta: Table, code: int, letter: int) -> int:
+    """One transition of the automaton whose table is delta."""
+    return delta[letter][code]
+
+
+def run(kind: Kind, j: int, n: int, word: Word) -> int:
+    """Fold step over the word from the start state; returns the final code.
 
     The machine is a plain DFA: it reads any word, reduced or not;
     reducedness is the caller's concern.
     """
-    state = initial_state(kind, j, n)
+    delta = table(kind, j, n)
+    code = initial_state(kind, j, n)
     for letter in word:
-        state = step(state, letter)
-    return state
+        code = step(delta, code, letter)
+    return code
 
 
 def accepts(kind: Kind, j: int, n: int, word: Word) -> bool:
-    return run(kind, j, n, word).accepting
+    return STATUSES[run(kind, j, n, word) % 3] is not Status.DEAD
 
 
-@dataclass(frozen=True)
-class ProductState:
-    """Lazy intersection state: one component per element of u, then d.
+def components(orientation: Orientation) -> list[tuple[Kind, int]]:
+    """The (kind, j) of each product component: u ascending, then d ascending.
 
-    Components are ordered u ascending then d ascending; u and d may
-    intersect, in which case the shared parameter appears once per side.
+    u and d may intersect, in which case the shared parameter appears once
+    per side.
     """
-
-    states: tuple[AutomatonState, ...]
-    orientation: Orientation
-
-    def state_for(self, kind: Kind, j: int) -> AutomatonState:
-        for state in self.states:
-            if state.kind is kind and state.j0 == j:
-                return state
-        raise KeyError((kind, j))
+    return [(Kind.UP, j) for j in sorted(orientation.u)] + [
+        (Kind.DOWN, j) for j in sorted(orientation.d)
+    ]
 
 
-def classify(product: ProductState) -> Status:
+@functools.lru_cache(maxsize=256)
+def product_table(orientation: Orientation) -> ProductTable:
+    deltas = [table(kind, j, orientation.n) for kind, j in components(orientation)]
+    return tuple(tuple(delta[letter] for delta in deltas) for letter in range(orientation.n))
+
+
+def initial_product(orientation: Orientation) -> tuple[int, ...]:
+    """Every component starts at its initial state, code 0."""
+    return (0,) * (len(orientation.u) + len(orientation.d))
+
+
+def classify(product: tuple[int, ...]) -> Status:
     """Dead if any component is dead, else ill if any is ill, else healthy."""
-    statuses = {state.status for state in product.states}
-    if Status.DEAD in statuses:
-        return Status.DEAD
-    if Status.ILL in statuses:
-        return Status.ILL
-    return Status.HEALTHY
+    worst = 0
+    for code in product:  # a plain loop: several times faster than max() on this hot path
+        if code % 3 > worst:
+            worst = code % 3
+    return STATUSES[worst]
 
 
-def initial_product(orientation: Orientation) -> ProductState:
-    states = tuple(
-        initial_state(kind, j, orientation.n)
-        for kind, values in ((Kind.UP, orientation.u), (Kind.DOWN, orientation.d))
-        for j in sorted(values)
-    )
-    return ProductState(states, orientation)
+def step_product(rows: ProductTable, product: tuple[int, ...], letter: int) -> tuple[int, ...]:
+    return tuple(map(getitem, rows[letter], product))
 
 
-def step_product(product: ProductState, letter: int) -> ProductState:
-    return ProductState(
-        tuple(step(state, letter) for state in product.states), product.orientation
-    )
-
-
-def step_alive(product: ProductState, letter: int) -> ProductState | None:
+def step_alive(rows: ProductTable, product: tuple[int, ...], letter: int) -> tuple[int, ...] | None:
     """step_product, or None when the step kills a component."""
-    nxt = step_product(product, letter)
+    nxt = step_product(rows, product, letter)
     return None if classify(nxt) is Status.DEAD else nxt
-
-
-def run_product(orientation: Orientation, word: Word) -> ProductState:
-    """Component-wise run; the word is accepted iff no component dies."""
-    product = initial_product(orientation)
-    for letter in word:
-        product = step_product(product, letter)
-    return product
 
 
 def product_accepts(orientation: Orientation, word: Word) -> bool:
     # dead is absorbing, so stop at the first death
+    rows = product_table(orientation)
     product = initial_product(orientation)
     for letter in word:
-        product = step_product(product, letter)
-        if classify(product) is Status.DEAD:
+        product = step_alive(rows, product, letter)
+        if product is None:
             return False
     return True
 
@@ -200,7 +191,8 @@ def exists_accepted(pi: Permutation, orientation: Orientation, *, enumerate_all:
     """
     if not enumerate_all and orientation.is_disjoint:
         return is_minimal(pi, orientation)
-    words = walk_reduced_words(pi, state=initial_product(orientation), advance=step_alive)
+    advance = functools.partial(step_alive, product_table(orientation))
+    words = walk_reduced_words(pi, state=initial_product(orientation), advance=advance)
     return next(words, None) is not None
 
 
@@ -210,25 +202,6 @@ def exists_accepted_single(pi: Permutation, kind: Kind, j: int) -> bool:
     Unlike Orientation, j may take the boundary values 1 and n.
     """
     return any(accepts(kind, j, pi.n, word) for word in all_reduced_words(pi))
-
-
-def accepted_final_state(pi: Permutation, kind: Kind, j: int) -> AutomatonState | None:
-    """The common final state of all accepted reduced expressions of pi.
-
-    None when no reduced expression is accepted.  All accepted expressions
-    end at one state; that is re-proved exhaustively by the test suite, and
-    asserted here.
-    """
-    final: AutomatonState | None = None
-    for word in all_reduced_words(pi):
-        state = run(kind, j, pi.n, word)
-        if state.accepting:
-            if final is not None and state != final:
-                raise AssertionError(
-                    f"accepted reduced expressions of {pi} end at distinct states"
-                )
-            final = state
-    return final
 
 
 def expected_final_column(pi: Permutation, kind: Kind, j: int) -> int:
@@ -241,24 +214,9 @@ def expected_final_column(pi: Permutation, kind: Kind, j: int) -> int:
     return j + below if kind is Kind.UP else j - above
 
 
-def _state_columns(kind: Kind, j: int, n: int) -> list[int]:
-    return list(range(j, n + 1)) if kind is Kind.UP else list(range(j, 0, -1))
-
-
-def _node_name(state: AutomatonState) -> str:
-    tag = "U" if state.kind is Kind.UP else "D"
-    return f"{tag}{state.j0}_{state.param}_{state.status}"
-
-
-def _column_states(kind: Kind, j: int, n: int) -> list[AutomatonState]:
-    boundary = n if kind is Kind.UP else 1
-    states = []
-    for m in _state_columns(kind, j, n):
-        states.append(AutomatonState(kind, m, Status.HEALTHY, j, n))
-        states.append(AutomatonState(kind, m, Status.ILL, j, n))
-        if m != boundary:
-            states.append(AutomatonState(kind, m, Status.DEAD, j, n))
-    return states
+def _node_name(kind: Kind, j: int, code: int) -> str:
+    column, status = label(kind, j, code)
+    return f"{'U' if kind is Kind.UP else 'D'}{j}_{column}_{status}"
 
 
 def export_dot(kind: Kind, j: int, n: int) -> str:
@@ -267,29 +225,24 @@ def export_dot(kind: Kind, j: int, n: int) -> str:
     Accepting states are double circles; loops are omitted, matching the
     convention that missing transitions loop.
     """
-    if not 1 <= j <= n:
-        raise ValueError(f"j must lie in 1..{n}, got {j}")
-    states = _column_states(kind, j, n)
+    delta = table(kind, j, n)
+    codes = range(state_count(kind, j, n))
     tag = "U" if kind is Kind.UP else "D"
     lines = [f'digraph "{tag}{j}_n{n}" {{', "  rankdir=LR;"]
     lines.append('  start [shape=none, label=""];')
-    for state in states:
-        shape = "doublecircle" if state.accepting else "circle"
-        lines.append(f'  {_node_name(state)} [shape={shape}];')
-    lines.append(f"  start -> {_node_name(initial_state(kind, j, n))};")
-    for state in states:
+    for code in codes:
+        shape = "circle" if label(kind, j, code)[1] is Status.DEAD else "doublecircle"
+        lines.append(f"  {_node_name(kind, j, code)} [shape={shape}];")
+    lines.append(f"  start -> {_node_name(kind, j, initial_state(kind, j, n))};")
+    for code in codes:
         for letter in range(1, n):
-            target = step(state, letter)
-            if target != state:
+            target = step(delta, code, letter)
+            if target != code:
                 lines.append(
-                    f'  {_node_name(state)} -> {_node_name(target)} [label="s{letter}"];'
+                    f'  {_node_name(kind, j, code)} -> {_node_name(kind, j, target)} [label="s{letter}"];'
                 )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _product_name(product: ProductState) -> str:
-    return "__".join(_node_name(state) for state in product.states)
 
 
 def export_dot_product(orientation: Orientation, n: int, reachable_only: bool = False) -> str:
@@ -297,13 +250,20 @@ def export_dot_product(orientation: Orientation, n: int, reachable_only: bool = 
 
     With reachable_only the graph is restricted to the states reachable
     from the start tuple; otherwise the full cartesian product is drawn.
+    Nodes are sorted by the (column, status name) of each component.
     """
     if orientation.n != n:
         raise ValueError("orientation degree does not match n")
+    parts = components(orientation)
+    rows = product_table(orientation)
     start = initial_product(orientation)
 
-    def product_sort_key(product: ProductState):
-        return tuple((s.param, s.status.value) for s in product.states)
+    def product_sort_key(product: tuple[int, ...]):
+        labels = (label(kind, j, code) for (kind, j), code in zip(parts, product))
+        return tuple((column, status.value) for column, status in labels)
+
+    def product_name(product: tuple[int, ...]) -> str:
+        return "__".join(_node_name(kind, j, code) for (kind, j), code in zip(parts, product))
 
     if reachable_only:
         seen = {start}
@@ -312,22 +272,15 @@ def export_dot_product(orientation: Orientation, n: int, reachable_only: bool = 
             nxt = []
             for product in frontier:
                 for letter in range(1, n):
-                    target = step_product(product, letter)
+                    target = step_product(rows, product, letter)
                     if target not in seen:
                         seen.add(target)
                         nxt.append(target)
             frontier = sorted(nxt, key=product_sort_key)
         nodes = sorted(seen, key=product_sort_key)
     else:
-        components = [
-            _column_states(kind, j, n)
-            for kind, values in ((Kind.UP, orientation.u), (Kind.DOWN, orientation.d))
-            for j in sorted(values)
-        ]
-        nodes = sorted(
-            (ProductState(states, orientation) for states in itertools.product(*components)),
-            key=product_sort_key,
-        )
+        codes = [range(state_count(kind, j, n)) for kind, j in parts]
+        nodes = sorted(itertools.product(*codes), key=product_sort_key)
 
     name = "_".join(
         ["P"]
@@ -339,14 +292,14 @@ def export_dot_product(orientation: Orientation, n: int, reachable_only: bool = 
     node_set = set(nodes)
     for product in nodes:
         shape = "doublecircle" if classify(product) is not Status.DEAD else "circle"
-        lines.append(f'  "{_product_name(product)}" [shape={shape}];')
-    lines.append(f'  start -> "{_product_name(start)}";')
+        lines.append(f'  "{product_name(product)}" [shape={shape}];')
+    lines.append(f'  start -> "{product_name(start)}";')
     for product in nodes:
         for letter in range(1, n):
-            target = step_product(product, letter)
+            target = step_product(rows, product, letter)
             if target != product and target in node_set:
                 lines.append(
-                    f'  "{_product_name(product)}" -> "{_product_name(target)}" [label="s{letter}"];'
+                    f'  "{product_name(product)}" -> "{product_name(target)}" [label="s{letter}"];'
                 )
     lines.append("}")
     return "\n".join(lines) + "\n"

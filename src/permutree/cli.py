@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .core import Kind, Orientation, Permutation, Word
-from .automata import export_dot, export_dot_product
+from .automata import components, export_dot, export_dot_product, state_count
 from .sorting import (
     PriorityOrder,
     check_sorting_network,
@@ -25,6 +26,16 @@ from .verify import SUITES, disjoint_orientations, run_suite
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
+
+# Largest inputs the commands accept.  count, tree and network enumerate
+# S_n, so one more n multiplies their work by n or more; an automaton's
+# table has about 3n^2 entries; a product is drawn state by state.
+MAX_COUNT_ALL_N = 7  # count over every disjoint orientation
+MAX_COUNT_N = 10  # count for one orientation
+MAX_TREE_N = 7
+MAX_NETWORK_N = 8
+MAX_AUTOMATON_N = 1000
+MAX_PRODUCT_STATES = 100_000
 
 
 class UsageError(Exception):
@@ -55,6 +66,11 @@ def _parse_permutation(text: str, n: int) -> Permutation:
     if pi.n != n:
         raise UsageError(f"permutation {text!r} has degree {pi.n}, expected {n}")
     return pi
+
+
+def _require_at_most(n: int, cap: int, what: str) -> None:
+    if n > cap:
+        raise UsageError(f"{what} is capped at n={cap}; beyond that it is not worth the wait")
 
 
 def _parse_priority(text: str | None, n: int) -> PriorityOrder:
@@ -116,6 +132,7 @@ def cmd_check(args) -> int:
 def cmd_count(args) -> int:
     n = args.n
     if args.u is None and args.d is None:
+        _require_at_most(n, MAX_COUNT_ALL_N, "count over every orientation")
         rows = []
         for orientation in disjoint_orientations(n):
             rows.append(
@@ -139,6 +156,7 @@ def cmd_count(args) -> int:
         orientation.require_disjoint()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    _require_at_most(n, MAX_COUNT_N, "count")
     count = count_minimal(n, orientation)
     if args.output == "json":
         print(json.dumps({"n": n, "u": sorted(orientation.u), "d": sorted(orientation.d), "count": count}))
@@ -148,8 +166,14 @@ def cmd_count(args) -> int:
 
 
 def cmd_automaton(args) -> int:
+    _require_at_most(args.n, MAX_AUTOMATON_N, "automaton")
     if args.product:
         orientation = _parse_orientation(args, args.n)
+        states = math.prod(state_count(kind, j, args.n) for kind, j in components(orientation))
+        if states > MAX_PRODUCT_STATES:
+            raise UsageError(
+                f"the product has {states} states, more than the cap of {MAX_PRODUCT_STATES}"
+            )
         print(export_dot_product(orientation, args.n, reachable_only=args.reachable_only), end="")
         return 0
     if args.kind is None or args.j is None:
@@ -168,6 +192,7 @@ def cmd_tree(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     priority = _parse_priority(args.priority, args.n)
+    _require_at_most(args.n, MAX_TREE_N, "tree")
     tree = generating_tree(args.n, orientation, priority)
     if args.output == "json":
         print(tree.to_json())
@@ -184,6 +209,7 @@ def cmd_network(args) -> int:
         raise UsageError("the candidate generator is defined only for a single automaton")
     kind = Kind.UP if u else Kind.DOWN
     j = next(iter(u or d))
+    _require_at_most(args.n, MAX_NETWORK_N, "network")
     extension = Word.from_text(args.extend, args.n) if args.extend is not None else None
     template = network_candidate(kind, j, args.n, extension)
     counterexample = check_sorting_network(template, orientation, args.n)

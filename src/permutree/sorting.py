@@ -35,7 +35,7 @@ from .core import (
     left_multiply,
     pattern_witness,
 )
-from .automata import initial_state, product_accepts, step
+from .automata import initial_state, label, product_accepts, step, table
 
 
 @dataclass(frozen=True)
@@ -407,15 +407,18 @@ def network_candidate(kind: Kind, j: int, n: int, extension: Word | None = None)
     if not 2 <= j <= n - 1:
         raise ValueError(f"j must lie in 2..{n - 1}, got {j}")
     letters: list[int] = []
-    state = initial_state(kind, j, n)
+    delta = table(kind, j, n)
+    code = initial_state(kind, j, n)
+    column = label(kind, j, code)[0]
     boundary = n if kind is Kind.UP else 1
-    while state.param != boundary:
-        advancing = state.param if kind is Kind.UP else state.param - 1
-        ill_making = state.param - 1 if kind is Kind.UP else state.param
+    while column != boundary:
+        advancing = column if kind is Kind.UP else column - 1
+        ill_making = column - 1 if kind is Kind.UP else column
         loops = [l for l in range(1, n) if l not in (advancing, ill_making)]
         letters.extend(loops * len(loops))
         letters.append(advancing)
-        state = step(state, advancing)
+        code = step(delta, code, advancing)
+        column = label(kind, j, code)[0]
     if extension is None:
         extension = Word(tuple(range(n - 1, 0, -1)), n)
     letters.extend(extension)

@@ -8,6 +8,7 @@ letter.  Prefix closure of that word set is what makes this a tree.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .core import (
     right_multiply,
     walk_reduced_words,
 )
-from .automata import initial_product, step_alive
+from .automata import initial_product, product_table, step_alive
 from .sorting import PriorityOrder
 
 # tree edge colors by letter, cycling beyond the palette
@@ -43,7 +44,8 @@ def lexmin_word(
     """
     if priority is None:
         priority = PriorityOrder.natural(pi.n)
-    words = walk_reduced_words(pi, priority.key, initial_product(orientation), step_alive)
+    advance = functools.partial(step_alive, product_table(orientation))
+    words = walk_reduced_words(pi, priority.key, initial_product(orientation), advance)
     letters = next(words, None)
     return Word(letters, pi.n) if letters is not None else None
 

@@ -10,6 +10,7 @@ assert on.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Callable, Iterator
@@ -33,6 +34,8 @@ from .automata import (
     exists_accepted,
     expected_final_column,
     initial_product,
+    label,
+    product_table,
     run,
     step_product,
 )
@@ -245,8 +248,8 @@ def check_end_state_stats() -> Violations:
             violations.append(f"{text}: {len(words)} reduced expressions, expected {total}")
         got: dict[tuple[str, int], int] = {}
         for word in words:
-            state = run(Kind.UP, j, pi.n, word)
-            key = (state.status.value, state.param)
+            column, status = label(Kind.UP, j, run(Kind.UP, j, pi.n, word))
+            key = (status.value, column)
             got[key] = got.get(key, 0) + 1
         if got != want:
             violations.append(f"{text}: final-state counts {got} != {want}")
@@ -264,13 +267,14 @@ def check_unique_final_state(max_n: int) -> Violations:
             words = all_reduced_words(pi)
             for j in range(2, n):
                 for kind in (Kind.UP, Kind.DOWN):
-                    finals = [run(kind, j, n, w) for w in words]
-                    accepted = {s for s in finals if s.accepting}
+                    # (column, status) labels of the final states
+                    finals = [label(kind, j, run(kind, j, n, w)) for w in words]
+                    accepted = {s for s in finals if s[1] is not Status.DEAD}
                     if len(accepted) > 1:
                         violations.append(f"n={n} pi={pi} j={j} {kind.value}: {accepted}")
                         continue
                     column = expected_final_column(pi, kind, j)
-                    if any(s.param != column for s in accepted):
+                    if any(s[0] != column for s in accepted):
                         violations.append(
                             f"n={n} pi={pi} j={j} {kind.value}: column != {column}"
                         )
@@ -280,7 +284,7 @@ def check_unique_final_state(max_n: int) -> Violations:
                     # inner == 0: every reduced expression ends at one common state;
                     # otherwise accepted ones share a single ill state.
                     if outer == 0:
-                        if len(set(finals)) != 1 or finals[0].status is not Status.HEALTHY:
+                        if len(set(finals)) != 1 or finals[0][1] is not Status.HEALTHY:
                             violations.append(
                                 f"n={n} pi={pi} j={j} {kind.value}: healthy case violated"
                             )
@@ -289,7 +293,7 @@ def check_unique_final_state(max_n: int) -> Violations:
                             violations.append(
                                 f"n={n} pi={pi} j={j} {kind.value}: common-state case violated"
                             )
-                    elif accepted and next(iter(accepted)).status is not Status.ILL:
+                    elif accepted and next(iter(accepted))[1] is not Status.ILL:
                         violations.append(
                             f"n={n} pi={pi} j={j} {kind.value}: accepted state not ill"
                         )
@@ -417,12 +421,16 @@ def check_prefix_closure(max_n: int, extra_priorities: int = 3, seed: int = 2026
             PriorityOrder.shuffled(n, rng) for _ in range(extra_priorities)
         ]
         orientations = list(disjoint_orientations(n))
-        for orientation in orientations:
-            for pi in all_permutations(n):
-                for word in all_reduced_words(pi):
+        steppers = [
+            (o, functools.partial(step_product, product_table(o)), initial_product(o))
+            for o in orientations
+        ]
+        for pi in all_permutations(n):
+            words = all_reduced_words(pi)
+            for orientation, advance, start in steppers:
+                for word in words:
                     # one run per word; statuses[cut] is the status after cut letters
-                    start = initial_product(orientation)
-                    runs = itertools.accumulate(word, step_product, initial=start)
+                    runs = itertools.accumulate(word, advance, initial=start)
                     statuses = [classify(product) for product in runs]
                     if statuses[-1] is Status.DEAD:
                         continue

@@ -1,3 +1,6 @@
+import functools
+from dataclasses import dataclass
+
 import pytest
 
 from permutree.core import (
@@ -12,69 +15,147 @@ from permutree.core import (
     left_multiply,
 )
 from permutree.automata import (
-    AutomatonState,
     Status,
-    accepted_final_state,
     accepts,
     classify,
+    components,
     exists_accepted,
     exists_accepted_single,
     expected_final_column,
     export_dot,
     export_dot_product,
-    initial_state,
     initial_product,
+    initial_state,
+    label,
+    product_accepts,
+    product_table,
     run,
-    run_product,
+    state_count,
     step,
     step_product,
+    table,
 )
 
 P = Permutation.from_text
 
 
-def up(param, status, j0, n):
-    return AutomatonState(Kind.UP, param, status, j0, n)
+# -- oracle: the dataclass automaton the integer tables replaced ---------------
+
+
+@dataclass(frozen=True)
+class OracleState:
+    """Position inside one UP or DOWN automaton.
+
+    j0 is the defining parameter of the automaton, param the current column.
+    """
+
+    kind: Kind
+    param: int
+    status: Status
+    j0: int
+    n: int
+
+    def __post_init__(self):
+        lo, hi = (self.j0, self.n) if self.kind is Kind.UP else (1, self.j0)
+        if not lo <= self.param <= hi:
+            raise ValueError(f"param {self.param} outside [{lo}, {hi}]")
+        at_boundary = self.param == (self.n if self.kind is Kind.UP else 1)
+        if self.status is Status.DEAD and at_boundary:
+            raise ValueError("the boundary column has no dead state")
+
+
+def oracle_step(state, letter):
+    kind, m, status = state.kind, state.param, state.status
+    if status is Status.DEAD:
+        return state
+    if kind is Kind.UP:
+        if status is Status.HEALTHY:
+            if letter == m - 1:
+                return OracleState(kind, m, Status.ILL, state.j0, state.n)
+            if letter == m and m < state.n:
+                return OracleState(kind, m + 1, Status.HEALTHY, state.j0, state.n)
+        elif letter == m and m < state.n:
+            return OracleState(kind, m, Status.DEAD, state.j0, state.n)
+        return state
+    if status is Status.HEALTHY:
+        if letter == m:
+            return OracleState(kind, m, Status.ILL, state.j0, state.n)
+        if letter == m - 1 and m > 1:
+            return OracleState(kind, m - 1, Status.HEALTHY, state.j0, state.n)
+    elif letter == m - 1 and m > 1:
+        return OracleState(kind, m, Status.DEAD, state.j0, state.n)
+    return state
+
+
+def oracle_states(kind, j, n):
+    """Column by column away from j, healthy, ill, dead; no dead boundary state."""
+    columns = range(j, n + 1) if kind is Kind.UP else range(j, 0, -1)
+    boundary = n if kind is Kind.UP else 1
+    return [
+        OracleState(kind, m, status, j, n)
+        for m in columns
+        for status in Status
+        if not (m == boundary and status is Status.DEAD)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_table_matches_oracle(n):
+    for kind in (Kind.UP, Kind.DOWN):
+        boundary = n if kind is Kind.UP else 1
+        for j in range(1, n + 1):
+            delta = table(kind, j, n)
+            size = state_count(kind, j, n)
+            # codes 0..size-1 are the oracle's states in its order
+            states = [OracleState(kind, *label(kind, j, code), j, n) for code in range(size)]
+            assert states == oracle_states(kind, j, n)
+            assert states[initial_state(kind, j, n)] == OracleState(kind, j, Status.HEALTHY, j, n)
+            assert len(delta) == n and delta[0] == ()
+            for code, state in enumerate(states):
+                for letter in range(1, n):
+                    target = step(delta, code, letter)
+                    assert 0 <= target < size
+                    assert label(kind, j, target) != (boundary, Status.DEAD)
+                    assert states[target] == oracle_step(state, letter)
+                    if state.status is Status.DEAD:
+                        assert target == code
+
+
+# -- the single automaton -------------------------------------------------------
 
 
 def test_initial_state():
     s = initial_state(Kind.UP, 2, 4)
-    assert s.param == 2 and s.status is Status.HEALTHY
-    assert initial_state(Kind.DOWN, 4, 5).param == 4
-    boundary = initial_state(Kind.UP, 4, 4)
-    assert boundary.accepting
+    assert label(Kind.UP, 2, s) == (2, Status.HEALTHY)
+    assert label(Kind.DOWN, 4, initial_state(Kind.DOWN, 4, 5)) == (4, Status.HEALTHY)
+    assert accepts(Kind.UP, 4, 4, Word((), 4))
     with pytest.raises(ValueError):
         initial_state(Kind.UP, 5, 4)
-
-
-def test_state_invariants():
     with pytest.raises(ValueError):
-        AutomatonState(Kind.UP, 4, Status.DEAD, 2, 4)  # no dead state at the boundary
-    with pytest.raises(ValueError):
-        AutomatonState(Kind.UP, 1, Status.HEALTHY, 2, 4)  # param below j0
-    with pytest.raises(ValueError):
-        AutomatonState(Kind.DOWN, 3, Status.HEALTHY, 2, 4)  # param above j0
+        table(Kind.DOWN, 0, 4)
 
 
 def test_step_up():
-    h4 = up(4, Status.HEALTHY, 4, 6)
-    assert step(h4, 3) == up(4, Status.ILL, 4, 6)
-    assert step(h4, 4) == up(5, Status.HEALTHY, 4, 6)
-    assert step(h4, 1) == h4
-    ill = up(4, Status.ILL, 4, 6)
-    assert step(ill, 1) == ill
-    assert step(ill, 4) == up(4, Status.DEAD, 4, 6)
-    dead = up(4, Status.DEAD, 4, 6)
-    assert step(dead, 3) == dead
+    delta = table(Kind.UP, 4, 6)
+    h4 = initial_state(Kind.UP, 4, 6)
+    ill = step(delta, h4, 3)
+    assert label(Kind.UP, 4, ill) == (4, Status.ILL)
+    assert label(Kind.UP, 4, step(delta, h4, 4)) == (5, Status.HEALTHY)
+    assert step(delta, h4, 1) == h4
+    assert step(delta, ill, 1) == ill
+    dead = step(delta, ill, 4)
+    assert label(Kind.UP, 4, dead) == (4, Status.DEAD)
+    assert step(delta, dead, 3) == dead
 
 
 def test_step_down():
-    h = AutomatonState(Kind.DOWN, 4, Status.HEALTHY, 4, 6)
-    assert step(h, 4) == AutomatonState(Kind.DOWN, 4, Status.ILL, 4, 6)
-    assert step(h, 3) == AutomatonState(Kind.DOWN, 3, Status.HEALTHY, 4, 6)
-    assert step(h, 2) == h
-    ill = AutomatonState(Kind.DOWN, 4, Status.ILL, 4, 6)
-    assert step(ill, 3) == AutomatonState(Kind.DOWN, 4, Status.DEAD, 4, 6)
+    delta = table(Kind.DOWN, 4, 6)
+    h = initial_state(Kind.DOWN, 4, 6)
+    ill = step(delta, h, 4)
+    assert label(Kind.DOWN, 4, ill) == (4, Status.ILL)
+    assert label(Kind.DOWN, 4, step(delta, h, 3)) == (3, Status.HEALTHY)
+    assert step(delta, h, 2) == h
+    assert label(Kind.DOWN, 4, step(delta, ill, 3)) == (4, Status.DEAD)
 
 
 def test_boundary_automata_accept_everything():
@@ -85,31 +166,36 @@ def test_boundary_automata_accept_everything():
 
 
 def test_run_examples():
-    assert run(Kind.UP, 4, 6, Word((3, 5, 2, 1, 3), 6)) == up(4, Status.ILL, 4, 6)
+    assert label(Kind.UP, 4, run(Kind.UP, 4, 6, Word((3, 5, 2, 1, 3), 6))) == (4, Status.ILL)
     for j, n in [(2, 4), (3, 5), (4, 5)]:
         assert not accepts(Kind.UP, j, n, Word((j - 1, j, j - 1), n))
         assert accepts(Kind.UP, j, n, Word((j, j - 1, j), n))
-    assert run(Kind.UP, 2, 4, Word((), 4)) == up(2, Status.HEALTHY, 2, 4)
+    assert run(Kind.UP, 2, 4, Word((), 4)) == initial_state(Kind.UP, 2, 4)
+
+
+# -- the product ------------------------------------------------------------------
 
 
 def test_classify():
     o = Orientation({2}, {3}, 5)
+    rows = product_table(o)
     start = initial_product(o)
     assert classify(start) is Status.HEALTHY
-    assert start.state_for(Kind.UP, 2).param == 2
-    ill_one = step_product(start, 1)  # s1 makes the up component at 2 ill
+    assert components(o) == [(Kind.UP, 2), (Kind.DOWN, 3)]
+    assert label(Kind.UP, 2, start[0]) == (2, Status.HEALTHY)
+    ill_one = step_product(rows, start, 1)  # s1 makes the up component at 2 ill
     assert classify(ill_one) is Status.ILL
-    dead = step_product(ill_one, 2)
+    dead = step_product(rows, ill_one, 2)
     assert classify(dead) is Status.DEAD
     # dead absorbs regardless of what the other component does
-    assert classify(step_product(dead, 3)) is Status.DEAD
+    assert classify(step_product(rows, dead, 3)) is Status.DEAD
 
 
 def test_run_product_conflicting_sides():
     for j, n in [(2, 4), (3, 5)]:
         o = Orientation({j}, {j}, n)
-        assert classify(run_product(o, Word((j - 1, j, j - 1), n))) is Status.DEAD
-        assert classify(run_product(o, Word((j, j - 1, j), n))) is Status.DEAD
+        assert not product_accepts(o, Word((j - 1, j, j - 1), n))
+        assert not product_accepts(o, Word((j, j - 1, j), n))
         # each side alone accepts one of the two expressions
         assert accepts(Kind.DOWN, j, n, Word((j - 1, j, j - 1), n))
         assert accepts(Kind.UP, j, n, Word((j, j - 1, j), n))
@@ -117,8 +203,9 @@ def test_run_product_conflicting_sides():
 
 def test_empty_product_accepts_everything():
     o = Orientation(frozenset(), frozenset(), 4)
+    advance = functools.partial(step_product, product_table(o))
     for word in all_reduced_words(P("4231")):
-        assert classify(run_product(o, word)) is Status.HEALTHY
+        assert classify(functools.reduce(advance, word, initial_product(o))) is Status.HEALTHY
 
 
 def test_exists_accepted():
@@ -129,13 +216,6 @@ def test_exists_accepted():
     # overlapping sides: no reduced expression satisfies both automata
     pi = evaluate(Word((1, 2, 1), 4))
     assert not exists_accepted(pi, Orientation({2}, {2}, 4))
-
-
-def test_accepted_final_state_examples():
-    assert accepted_final_state(P("4312"), Kind.UP, 2) == up(4, Status.HEALTHY, 2, 4)
-    assert accepted_final_state(P("43215"), Kind.UP, 4) == up(4, Status.ILL, 4, 5)
-    assert accepted_final_state(P("4321"), Kind.UP, 2) == up(4, Status.ILL, 2, 4)
-    assert accepted_final_state(P("4231"), Kind.UP, 2) is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -154,11 +234,11 @@ def test_unique_final_state_and_column(n):
         words = all_reduced_words(pi)
         for j in range(2, n):
             for kind in (Kind.UP, Kind.DOWN):
-                finals = {run(kind, j, n, w) for w in words}
-                accepted = {s for s in finals if s.accepting}
+                finals = {label(kind, j, run(kind, j, n, w)) for w in words}
+                accepted = {s for s in finals if s[1] is not Status.DEAD}
                 assert len(accepted) <= 1
-                for state in accepted:
-                    assert state.param == expected_final_column(pi, kind, j)
+                for column, _ in accepted:
+                    assert column == expected_final_column(pi, kind, j)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -168,11 +248,12 @@ def test_dead_is_absorbing_along_runs(n):
             Orientation({2}, frozenset(), n),
             Orientation({2}, {n - 1} if n > 3 else frozenset(), n),
         ]:
+            rows = product_table(orientation)
             for word in all_reduced_words(pi):
                 product = initial_product(orientation)
                 seen_dead = False
                 for letter in word:
-                    product = step_product(product, letter)
+                    product = step_product(rows, product, letter)
                     if classify(product) is Status.DEAD:
                         seen_dead = True
                     elif seen_dead:

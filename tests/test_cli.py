@@ -171,6 +171,33 @@ def test_verify_refuses_oversized_bound(capsys):
     assert "capped" in err
 
 
+CAPPED = "is capped at n={}; beyond that it is not worth the wait"
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("count", "--n", "8"), "count over every orientation " + CAPPED.format(7)),
+        (("count", "--n", "11", "--u", "2"), "count " + CAPPED.format(10)),
+        (("count", "--n", "11", "--u", "", "--d", ""), "count " + CAPPED.format(10)),
+        (("tree", "--n", "8", "--u", "2"), "tree " + CAPPED.format(7)),
+        (("network", "--n", "9", "--u", "2"), "network " + CAPPED.format(8)),
+        (("automaton", "--kind", "U", "--j", "2", "--n", "1001"), "automaton " + CAPPED.format(1000)),
+        (
+            ("automaton", "--product", "--n", "12", "--u", "2,3,4,5", "--d", "7,8,9,10"),
+            "the product has 192476776960 states, more than the cap of 100000",
+        ),
+        (
+            ("automaton", "--product", "--n", "10", "--u", "2,6,9", "--d", "2,4", "--reachable-only"),
+            "the product has 100100 states, more than the cap of 100000",
+        ),
+    ],
+)
+def test_oversized_inputs_are_refused(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "nonsense"])

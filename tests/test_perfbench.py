@@ -58,3 +58,8 @@ def test_traced_pass_reports_every_per_layer_metric():
     metrics = result["metrics"]
     assert metrics["core.reduced_words"] > 0
     assert metrics["trees.lexmin_word.calls"] > 0
+    # single runs and product stepping still go through the names the tracer wraps
+    assert metrics["automata.step.calls"] > 0
+    assert metrics["automata.step_product.calls"] > 0
+    assert metrics["automata.classify.calls"] > 0
+    assert metrics["automata.dead_ratio"] > 0

@@ -11,7 +11,7 @@ from permutree.core import (
     identity,
     is_reduced,
 )
-from permutree.automata import Status, accepts, classify, run_product
+from permutree.automata import accepts, product_accepts
 from permutree.sorting import (
     PriorityOrder,
     check_sorting_network,
@@ -180,7 +180,7 @@ def test_product_sort_accepted_and_decides_minimality(n):
         for pi in all_permutations(n):
             trace = permutree_sort(pi, orientation)
             assert is_reduced(trace.word)
-            assert classify(run_product(orientation, trace.word)) is not Status.DEAD
+            assert product_accepts(orientation, trace.word)
             assert trace.success == is_minimal(pi, orientation)
             assert trace.success == (evaluate(trace.word) == pi)
 
@@ -192,7 +192,7 @@ def test_product_sort_prefixes_accepted(n):
             trace = permutree_sort(pi, orientation)
             for cut in range(len(trace.word) + 1):
                 prefix = Word(trace.word.letters[:cut], n)
-                assert classify(run_product(orientation, prefix)) is not Status.DEAD
+                assert product_accepts(orientation, prefix)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

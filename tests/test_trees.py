@@ -12,7 +12,7 @@ from permutree.core import (
     evaluate,
     identity,
 )
-from permutree.automata import Status, classify, run_product
+from permutree.automata import product_accepts
 from permutree.sorting import PriorityOrder, is_minimal
 from permutree.trees import (
     count_minimal,
@@ -82,7 +82,7 @@ def test_lexmin_word_matches_enumeration():
             accepted = [
                 w
                 for w in all_reduced_words(pi)
-                if classify(run_product(orientation, w)) is not Status.DEAD
+                if product_accepts(orientation, w)
             ]
             expected = (
                 min(accepted, key=lambda w: tuple(priority.key(l) for l in w))

@@ -30,6 +30,7 @@ from permutree.automata import (
     exists_accepted,
     initial_product,
     product_accepts,
+    product_table,
     step_product,
 )
 from permutree.coxeter import all_coxeter_words, c_factorization
@@ -62,19 +63,20 @@ def oracle_reduced_words(pi):
 
 
 def oracle_exists_accepted(pi, orientation):
+    rows = product_table(orientation)
     memo = {}
 
     def search(p, product):
         descents = left_inversions(p)
         if not descents:
             return True
-        key = (p.entries, product.states)
+        key = (p.entries, product)
         cached = memo.get(key)
         if cached is not None:
             return cached
         found = False
         for letter in descents:
-            nxt = step_product(product, letter)
+            nxt = step_product(rows, product, letter)
             if classify(nxt) is Status.DEAD:
                 continue
             if search(left_multiply(letter, p), nxt):
@@ -87,12 +89,14 @@ def oracle_exists_accepted(pi, orientation):
 
 
 def oracle_lexmin_word(pi, orientation, priority):
+    rows = product_table(orientation)
+
     def dfs(p, product):
         descents = left_inversions(p)
         if not descents:
             return ()
         for letter in sorted(descents, key=priority.key):
-            nxt = step_product(product, letter)
+            nxt = step_product(rows, product, letter)
             if classify(nxt) is Status.DEAD:
                 continue
             rest = dfs(left_multiply(letter, p), nxt)
