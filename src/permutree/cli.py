@@ -29,13 +29,17 @@ MATH_FAILURE = 1
 
 # Largest inputs the commands accept.  count, tree and network enumerate
 # S_n, so one more n multiplies their work by n or more; an automaton's
-# table has about 3n^2 entries; a product is drawn state by state.
+# table has about 3n^2 entries; a product is drawn state by state.  A sort
+# takes about n^2 steps of O(n) work each, and its text table has about n^4
+# characters (450 MB at n = 200, 1.1 GB at n = 250).
 MAX_COUNT_ALL_N = 7  # count over every disjoint orientation
 MAX_COUNT_N = 10  # count for one orientation
 MAX_TREE_N = 7
 MAX_NETWORK_N = 8
 MAX_AUTOMATON_N = 1000
 MAX_PRODUCT_STATES = 100_000
+MAX_SORT_N = 400
+MAX_SORT_TEXT_N = 200  # sort --output text
 
 
 class UsageError(Exception):
@@ -91,6 +95,9 @@ def cmd_sort(args) -> int:
         orientation.require_disjoint()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.output == "text":
+        _require_at_most(args.n, MAX_SORT_TEXT_N, "sort --output text")
+    _require_at_most(args.n, MAX_SORT_N, "sort")
     pi = _parse_permutation(args.permutation, args.n)
     priority = _parse_priority(args.priority, args.n)
     trace = permutree_sort(pi, orientation, priority)

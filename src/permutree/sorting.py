@@ -106,42 +106,56 @@ class SortTrace:
         return self.result.is_identity()
 
     def to_table(self) -> str:
+        """The trace as an aligned text table, one line per row.
+
+        A header (pi | w | j | l for the single-automaton sort, pi | w | u |
+        d | l | k for the (u, d) sort) and a rule of dashes come first, then
+        one row per step, whose w cell is the word applied before that step
+        ("e" when empty), and, when the sort succeeded, a final row with the
+        identity and the whole word.  Cells are padded to their column's
+        width and each line is stripped of trailing spaces.  Since the w
+        column is as wide as the final word, the output has about
+        rows x len(final word) characters, which grows as n^4 for a sort of
+        length about n^2; the rendering takes time and memory linear in it.
+        """
         single = self.kind is not None
         header = ["pi", "w", "j", "l"] if single else ["pi", "w", "u", "d", "l", "k"]
-        rows = [header]
-        taken: list[int] = []
+        # Every step's w cell is a prefix of one string, so a row keeps the
+        # string and the end of its prefix, (text, end), and the cell,
+        # text[:end] or "e" when end is 0, is sliced only when the row's line
+        # is built; formatting every cell from its letters would take time
+        # quadratic in the row count.
+        word = ".".join(f"s{s.letter}" for s in self.steps if s.applied)
+        rows = [(header, "w", 1)]
+        end = 0
         for s in self.steps:
-            word_cell = _word_cell(taken)
             if single:
                 param = next(iter(s.u if self.kind is Kind.UP else s.d))
-                rows.append([str(s.pi), word_cell, str(param), str(s.letter)])
+                cells = [str(s.pi), "", str(param), str(s.letter)]
             else:
-                rows.append(
-                    [
-                        str(s.pi),
-                        word_cell,
-                        _set_cell(s.u),
-                        _set_cell(s.d),
-                        str(s.letter),
-                        _checks_cell(s.checks),
-                    ]
-                )
+                cells = [
+                    str(s.pi), "", _set_cell(s.u), _set_cell(s.d), str(s.letter), _checks_cell(s.checks)
+                ]
+            rows.append((cells, word, end))
             if s.applied:
-                taken.append(s.letter)
+                end += len(f"s{s.letter}") + (end > 0)  # a "." before all but the first
         if self.success:
             final_word = _word_cell(list(self.word))
             if single:
                 param = next(iter(self.final_u if self.kind is Kind.UP else self.final_d))
-                rows.append([str(self.result), final_word, str(param), ""])
+                rows.append(([str(self.result), "", str(param), ""], final_word, len(final_word)))
             else:
-                rows.append([str(self.result), final_word, "", "", "", ""])
-        widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
+                rows.append(([str(self.result), "", "", "", "", ""], final_word, len(final_word)))
+        widths = [max(map(len, column)) for column in zip(*(cells for cells, _, _ in rows))]
+        widths[1] = max(end for _, _, end in rows)
         lines = []
-        for i, row in enumerate(rows):
+        for i, (cells, text, end) in enumerate(rows):
+            row = [cells[0], text[:end] or "e", *cells[2:]]
             lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
             if i == 0:
                 lines.append("-+-".join("-" * w for w in widths))
-        return "\n".join(lines) + "\n"
+        lines.append("")
+        return "\n".join(lines)
 
     def to_json(self) -> str:
         payload = {

@@ -24,12 +24,17 @@ from workloads import Op
 
 none = frozenset()
 tree = {{"n": 4, "u": frozenset({{2}}), "d": frozenset({{3}}), "priority": (3, 1, 2), "output": "dot"}}
+sort = {{"n": 6, "u": none, "d": none, "pi": (3, 6, 1, 5, 2, 4), "priority": (2, 5, 1, 4, 3)}}
+sort_argv = ("sort", "--n", "6", "--u=", "--d=", "--priority=2,5,1,4,3", "--output")
 ops = [
     Op(("verify", "--suite", "tables"), "verify", {{"suite": "tables"}}),
     # S_2..S_4 overflow the 8-entry reduced-word cache, so the traced pass enumerates too
     Op(("verify", "--suite", "theorem1", "--n", "4"), "verify", {{"suite": "theorem1"}}),
     Op(("count", "--n", "5", "--u=", "--d="), "count", {{"n": 5, "u": none, "d": none}}),
     Op(("tree", "--n", "4", "--u=2", "--d=3", "--priority=3,1,2"), "tree", tree),
+    # the checker compares a text sort with the JSON sort of the same input just before it
+    Op((*sort_argv, "json", "3,6,1,5,2,4"), "sort", {{**sort, "output": "json"}}),
+    Op((*sort_argv, "text", "3,6,1,5,2,4"), "sort", {{**sort, "output": "text"}}),
 ]
 run = Run(permutree.cli.main, ops, Checker())
 run.one_pass()
@@ -63,3 +68,7 @@ def test_traced_pass_reports_every_per_layer_metric():
     assert metrics["automata.step_product.calls"] > 0
     assert metrics["automata.classify.calls"] > 0
     assert metrics["automata.dead_ratio"] > 0
+    # the sort loop and the table rendering still go through the names the tracer wraps
+    assert metrics["sorting.render_s"] > 0
+    assert metrics["sorting.trace_rows"] > 0
+    assert metrics["sorting.pick.calls"] > 0

@@ -1,3 +1,7 @@
+import os
+import random
+import tracemalloc
+
 import pytest
 
 from permutree.core import (
@@ -27,6 +31,10 @@ from permutree.sorting import (
 )
 
 P = Permutation.from_text
+
+SLOW_DEGREE = pytest.param(
+    6, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
+)
 
 
 def orientations(n, disjoint=True):
@@ -327,3 +335,121 @@ def test_trace_json_round_trip():
     assert payload["success"] is True
     assert payload["word"] == [1, 2, 1]
     assert payload["steps"][1]["checks"] == [[3, True]]
+
+
+# -- the trace table against the row-by-row rendering it replaced -----------
+
+
+def oracle_word_cell(letters):
+    return ".".join(f"s{l}" for l in letters) if letters else "e"
+
+
+def oracle_table(trace):
+    """SortTrace.to_table as it was: every row's w cell formatted from scratch."""
+    single = trace.kind is not None
+    header = ["pi", "w", "j", "l"] if single else ["pi", "w", "u", "d", "l", "k"]
+    rows = [header]
+    taken = []
+    for s in trace.steps:
+        word_cell = oracle_word_cell(taken)
+        if single:
+            param = next(iter(s.u if trace.kind is Kind.UP else s.d))
+            rows.append([str(s.pi), word_cell, str(param), str(s.letter)])
+        else:
+            rows.append(
+                [
+                    str(s.pi),
+                    word_cell,
+                    "{" + ",".join(str(v) for v in sorted(s.u)) + "}",
+                    "{" + ",".join(str(v) for v in sorted(s.d)) + "}",
+                    str(s.letter),
+                    ", ".join(str(k) if ok else f"x{k}" for k, ok in s.checks) if s.checks else ".",
+                ]
+            )
+        if s.applied:
+            taken.append(s.letter)
+    if trace.success:
+        final_word = oracle_word_cell(list(trace.word))
+        if single:
+            param = next(iter(trace.final_u if trace.kind is Kind.UP else trace.final_d))
+            rows.append([str(trace.result), final_word, str(param), ""])
+        else:
+            rows.append([str(trace.result), final_word, "", "", "", ""])
+    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
+    lines = []
+    for i, row in enumerate(rows):
+        lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        if i == 0:
+            lines.append("-+-".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
+
+
+def assert_tables_match_oracle(traces):
+    mismatches = [trace for trace in traces if trace.to_table() != oracle_table(trace)]
+    assert not mismatches, mismatches[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, SLOW_DEGREE])
+def test_product_sort_table_matches_oracle(n):
+    every = orientations(n) if n > 1 else [Orientation(frozenset(), frozenset(), 1)]
+    traces = [permutree_sort(pi, o) for o in every for pi in all_permutations(n)]
+    if n >= 4:
+        # stuck sorts end in rows that were considered and not applied
+        assert any(not s.applied for trace in traces for s in trace.steps)
+    assert_tables_match_oracle(traces)
+
+
+def test_product_sort_table_matches_oracle_degree_6_partitions():
+    n = 6
+    every = [Orientation(set(), set(), n), Orientation({2, 4}, {3, 5}, n), Orientation({3, 5}, {2, 4}, n)]
+    assert_tables_match_oracle(permutree_sort(pi, o) for o in every for pi in all_permutations(n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_single_sort_table_matches_oracle(n):
+    assert_tables_match_oracle(
+        sort_single(pi, j, kind)
+        for pi in all_permutations(n)
+        for j in range(2, n)
+        for kind in (Kind.UP, Kind.DOWN)
+    )
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_seeded_sort_tables_match_oracle(n):
+    rng = random.Random(20261018 + n)
+    traces = []
+    for _ in range(6):
+        entries = list(range(1, n + 1))
+        rng.shuffle(entries)
+        pi = Permutation(tuple(entries))
+        sparse = rng.sample(range(2, n), 4)
+        parity = rng.randrange(2)
+        up = {j for j in range(2, n) if j % 2 == parity}
+        for orientation in (
+            Orientation(set(), set(), n),
+            Orientation(set(sparse[:2]), set(sparse[2:]), n),
+            Orientation(up, set(range(2, n)) - up, n),
+        ):
+            traces.append(permutree_sort(pi, orientation, PriorityOrder.shuffled(n, rng)))
+    assert any(trace.success for trace in traces)
+    assert any(not trace.success for trace in traces)
+    assert_tables_match_oracle(traces)
+
+
+def test_table_memory_is_linear_in_its_size():
+    # The table has about rows x len(final word) characters; building every
+    # row's w cell from scratch, or copying the joined table once more, shows
+    # up as a peak well above twice its size (3.6x for the old rendering).
+    n = 80
+    entries = list(range(1, n + 1))
+    random.Random(80).shuffle(entries)
+    trace = permutree_sort(Permutation(tuple(entries)), Orientation(set(), set(), n))
+    tracemalloc.start()
+    try:
+        table = trace.to_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) > 5_000_000
+    assert peak <= 2.5 * len(table), peak / len(table)
