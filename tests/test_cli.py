@@ -182,9 +182,6 @@ CAPPED = "is capped at n={}; beyond that it is not worth the wait"
         (("count", "--n", "11", "--u", "", "--d", ""), "count " + CAPPED.format(10)),
         (("tree", "--n", "8", "--u", "2"), "tree " + CAPPED.format(7)),
         (("network", "--n", "9", "--u", "2"), "network " + CAPPED.format(8)),
-        (("sort", "--n", "201", "1"), "sort --output text " + CAPPED.format(200)),
-        (("sort", "--n", "401", "--output", "json", "1"), "sort " + CAPPED.format(400)),
-        (("sort", "--n", "401", "--output", "text", "1"), "sort --output text " + CAPPED.format(200)),
         (("automaton", "--kind", "U", "--j", "2", "--n", "1001"), "automaton " + CAPPED.format(1000)),
         (
             ("automaton", "--product", "--n", "12", "--u", "2,3,4,5", "--d", "7,8,9,10"),
@@ -194,6 +191,9 @@ CAPPED = "is capped at n={}; beyond that it is not worth the wait"
             ("automaton", "--product", "--n", "10", "--u", "2,6,9", "--d", "2,4", "--reachable-only"),
             "the product has 100100 states, more than the cap of 100000",
         ),
+        (("sort", "--n", "201", "1"), "sort --output text " + CAPPED.format(200)),
+        (("sort", "--n", "401", "--output", "json", "1"), "sort " + CAPPED.format(400)),
+        (("sort", "--n", "401", "--output", "text", "1"), "sort --output text " + CAPPED.format(200)),
     ],
 )
 def test_oversized_inputs_are_refused(capsys, argv, reason):
