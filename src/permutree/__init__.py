@@ -1,7 +1,6 @@
 """Permutree sorting of permutations and the automata behind it."""
 
 from .core import (
-    InversionPair,
     Kind,
     Orientation,
     Permutation,
@@ -11,10 +10,7 @@ from .core import (
     contains_pattern,
     evaluate,
     identity,
-    inversion_set,
-    is_aligned,
     is_left_inversion,
-    is_reduced,
     iter_reduced_words,
     left_multiply,
     ninv_stats,

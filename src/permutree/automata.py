@@ -37,7 +37,6 @@ from .core import (
     Permutation,
     Word,
     all_reduced_words,
-    is_minimal,
     ninv_stats,
     walk_reduced_words,
 )
@@ -176,21 +175,17 @@ def product_accepts(orientation: Orientation, word: Word) -> bool:
     return True
 
 
-def exists_accepted(pi: Permutation, orientation: Orientation, *, enumerate_all: bool = False) -> bool:
+def exists_accepted(pi: Permutation, orientation: Orientation) -> bool:
     """Does some reduced expression of pi pass every automaton of the orientation?
 
-    For disjoint u, d this is equivalent to plain subword avoidance, so the
-    O(n) predicate answers unless enumerate_all forces the search over the
-    reduced expressions themselves.  Verification suites always compare the
-    two routes.  Non-disjoint orientations have no shortcut and are always
-    searched.
+    Always a search over the reduced expressions themselves, for any u and d.
+    For disjoint u, d the answer equals core.is_minimal, the O(n) subword
+    test; the verification suites compare the two routes.
 
     The search walks the left-descent tree of the reduced expressions,
     threading the product state along and cutting dead subtrees (dead is
     absorbing, so nothing down there can be accepted).
     """
-    if not enumerate_all and orientation.is_disjoint:
-        return is_minimal(pi, orientation)
     advance = functools.partial(step_alive, product_table(orientation))
     words = walk_reduced_words(pi, state=initial_product(orientation), advance=advance)
     return next(words, None) is not None
@@ -245,15 +240,14 @@ def export_dot(kind: Kind, j: int, n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_dot_product(orientation: Orientation, n: int, reachable_only: bool = False) -> str:
+def export_dot_product(orientation: Orientation, reachable_only: bool = False) -> str:
     """Deterministic DOT rendering of the intersection automaton.
 
     With reachable_only the graph is restricted to the states reachable
     from the start tuple; otherwise the full cartesian product is drawn.
     Nodes are sorted by the (column, status name) of each component.
     """
-    if orientation.n != n:
-        raise ValueError("orientation degree does not match n")
+    n = orientation.n
     parts = components(orientation)
     rows = product_table(orientation)
     start = initial_product(orientation)

@@ -22,7 +22,7 @@ from .sorting import (
     permutree_sort,
 )
 from .trees import count_minimal, export_tree_dot, generating_tree, weak_order_hasse
-from .verify import SUITES, disjoint_orientations, run_suite
+from .verify import SUITES, disjoint_orientations, run_suite, suite_bound
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
@@ -55,11 +55,14 @@ def _parse_set(text: str | None) -> frozenset[int]:
         raise UsageError(f"cannot parse set from {text!r}") from exc
 
 
-def _parse_orientation(args, n: int) -> Orientation:
+def _parse_orientation(args, n: int, disjoint: bool = False) -> Orientation:
     try:
-        return Orientation(_parse_set(args.u), _parse_set(args.d), n)
+        orientation = Orientation(_parse_set(args.u), _parse_set(args.d), n)
+        if disjoint:
+            orientation.require_disjoint()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return orientation
 
 
 def _parse_permutation(text: str, n: int) -> Permutation:
@@ -90,11 +93,7 @@ def _parse_priority(text: str | None, n: int) -> PriorityOrder:
 
 
 def cmd_sort(args) -> int:
-    orientation = _parse_orientation(args, args.n)
-    try:
-        orientation.require_disjoint()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    orientation = _parse_orientation(args, args.n, disjoint=True)
     if args.output == "text":
         _require_at_most(args.n, MAX_SORT_TEXT_N, "sort --output text")
     _require_at_most(args.n, MAX_SORT_N, "sort")
@@ -158,11 +157,7 @@ def cmd_count(args) -> int:
                 d = "{" + ",".join(map(str, row["d"])) + "}"
                 print(f"u={u} d={d} count={row['count']}")
         return 0
-    orientation = _parse_orientation(args, n)
-    try:
-        orientation.require_disjoint()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    orientation = _parse_orientation(args, n, disjoint=True)
     _require_at_most(n, MAX_COUNT_N, "count")
     count = count_minimal(n, orientation)
     if args.output == "json":
@@ -181,7 +176,7 @@ def cmd_automaton(args) -> int:
             raise UsageError(
                 f"the product has {states} states, more than the cap of {MAX_PRODUCT_STATES}"
             )
-        print(export_dot_product(orientation, args.n, reachable_only=args.reachable_only), end="")
+        print(export_dot_product(orientation, reachable_only=args.reachable_only), end="")
         return 0
     if args.kind is None or args.j is None:
         raise UsageError("either --product or both --kind and --j are required")
@@ -193,11 +188,7 @@ def cmd_automaton(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    orientation = _parse_orientation(args, args.n)
-    try:
-        orientation.require_disjoint()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    orientation = _parse_orientation(args, args.n, disjoint=True)
     priority = _parse_priority(args.priority, args.n)
     _require_at_most(args.n, MAX_TREE_N, "tree")
     tree = generating_tree(args.n, orientation, priority)
@@ -240,12 +231,14 @@ def cmd_network(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    try:
+        for name in names:  # refuse an oversized bound before any suite runs
+            suite_bound(name, args.n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     failures = 0
     for name in names:
-        try:
-            violations = run_suite(name, args.n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        violations = run_suite(name, args.n)
         if name == "networks" and not violations:
             print("networks: no valid network among 768 reduced words of 54321; "
                   "known good templates confirmed")
@@ -338,6 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.n is not None and args.n < 1:
+            raise UsageError(f"--n must be at least 1, got {args.n}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,10 +35,6 @@ class Kind(Enum):
     DOWN = "down"
 
 
-# An inversion (high, low): high > low and high appears before low.
-InversionPair = tuple[int, int]
-
-
 @dataclass(frozen=True)
 class Permutation:
     """A permutation in one-line notation, e.g. ``Permutation((3, 4, 2, 1))``."""
@@ -60,10 +56,6 @@ class Permutation:
         """pi(position), 1-indexed."""
         return self.entries[position - 1]
 
-    def position_of(self, value: int) -> int:
-        """pi^{-1}(value), 1-indexed."""
-        return self.entries.index(value) + 1
-
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.entries, start=1))
 
@@ -73,7 +65,8 @@ class Permutation:
         >>> Permutation((4, 3, 2, 1)).length()
         6
         """
-        return len(inversion_set(self))
+        entries = self.entries
+        return sum(high > low for i, high in enumerate(entries) for low in entries[i + 1 :])
 
     def __str__(self) -> str:
         if self.n <= 9:
@@ -210,21 +203,6 @@ def right_multiply(pi: Permutation, letter: int) -> Permutation:
     return Permutation(tuple(entries))
 
 
-def inversion_set(pi: Permutation) -> frozenset[InversionPair]:
-    """All pairs (high, low) with high > low and high before low.
-
-    >>> sorted(inversion_set(Permutation.from_text("32145")))
-    [(2, 1), (3, 1), (3, 2)]
-    """
-    entries = pi.entries
-    return frozenset(
-        (entries[p], entries[q])
-        for p in range(pi.n)
-        for q in range(p + 1, pi.n)
-        if entries[p] > entries[q]
-    )
-
-
 def is_left_inversion(pi: Permutation, letter: int) -> bool:
     """True iff the values letter and letter+1 are reversed in pi.
 
@@ -246,7 +224,8 @@ def contains_pattern(pi: Permutation, j: int, kind: Kind) -> bool:
     """Does pi contain a subword jki (UP) or kij (DOWN) with i < j < k?
 
     The value j is fixed; i and k range over all values below and above it.
-    Single scan around the position of j.
+    Single scan of j's side (after j for UP, before j for DOWN) for a value
+    above j, then one below it.
 
     >>> contains_pattern(Permutation.from_text("42135"), 3, Kind.DOWN)
     True
@@ -255,22 +234,13 @@ def contains_pattern(pi: Permutation, j: int, kind: Kind) -> bool:
     """
     if not 2 <= j <= pi.n - 1:
         raise ValueError(f"j must lie in 2..{pi.n - 1}, got {j}")
-    pos_j = pi.entries.index(j)
-    if kind is Kind.UP:
-        # after j: some value above j, then some value below j
-        seen_high = False
-        for val in pi.entries[pos_j + 1 :]:
-            if val > j:
-                seen_high = True
-            elif val < j and seen_high:
-                return True
-        return False
-    # before j: some value above j, then some value below j
+    entries = pi.entries
+    pos_j = entries.index(j)
     seen_high = False
-    for val in pi.entries[:pos_j]:
+    for val in entries[pos_j + 1 :] if kind is Kind.UP else entries[:pos_j]:
         if val > j:
             seen_high = True
-        elif val < j and seen_high:
+        elif seen_high:  # j is not on its own side, so val < j
             return True
     return False
 
@@ -283,47 +253,24 @@ def is_minimal(pi: Permutation, orientation: Orientation) -> bool:
 
 
 def pattern_witness(pi: Permutation, j: int, kind: Kind) -> tuple[int, int, int] | None:
-    """Positions (p, q, r) of one jki (UP) / kij (DOWN) occurrence, or None."""
+    """Positions (p, q, r) of one jki (UP) / kij (DOWN) occurrence, or None.
+
+    The scan is contains_pattern's; k is the first value above j on j's
+    side and i the first value below j after k.
+    """
     if not 2 <= j <= pi.n - 1:
         raise ValueError(f"j must lie in 2..{pi.n - 1}, got {j}")
-    pos_j = pi.entries.index(j) + 1
-    if kind is Kind.UP:
-        high_pos = None
-        for pos in range(pos_j + 1, pi.n + 1):
-            val = pi.value_at(pos)
-            if val > j and high_pos is None:
-                high_pos = pos
-            elif val < j and high_pos is not None:
-                return (pos_j, high_pos, pos)
-        return None
-    high_pos = None
-    for pos in range(1, pos_j):
-        val = pi.value_at(pos)
-        if val > j and high_pos is None:
-            high_pos = pos
-        elif val < j and high_pos is not None:
-            return (high_pos, pos, pos_j)
+    entries = pi.entries
+    pos_j = entries.index(j)
+    high = None
+    for val in entries[pos_j + 1 :] if kind is Kind.UP else entries[:pos_j]:
+        if val > j:
+            if high is None:
+                high = val
+        elif high is not None:
+            found = (entries.index(high) + 1, entries.index(val) + 1)
+            return (pos_j + 1, *found) if kind is Kind.UP else (*found, pos_j + 1)
     return None
-
-
-def is_aligned(pi: Permutation, orientation: Orientation) -> bool:
-    """Alignment condition on the inversion set.
-
-    For i < j < k with j in u: (k, i) inverted implies (k, j) inverted.
-    For i < j < k with j in d: (k, i) inverted implies (j, i) inverted.
-    """
-    inv = inversion_set(pi)
-    for j in orientation.u:
-        for k in range(j + 1, pi.n + 1):
-            for i in range(1, j):
-                if (k, i) in inv and (k, j) not in inv:
-                    return False
-    for j in orientation.d:
-        for k in range(j + 1, pi.n + 1):
-            for i in range(1, j):
-                if (k, i) in inv and (j, i) not in inv:
-                    return False
-    return True
 
 
 def ninv_stats(pi: Permutation, j: int) -> tuple[int, int]:
@@ -354,11 +301,6 @@ def evaluate(word: Word) -> Permutation:
     for letter in word:
         pi = right_multiply(pi, letter)
     return pi
-
-
-def is_reduced(word: Word) -> bool:
-    """True iff the word has minimal length among expressions of its product."""
-    return len(word) == evaluate(word).length()
 
 
 def walk_reduced_words(

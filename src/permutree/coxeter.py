@@ -8,7 +8,6 @@ carried around explicitly and group-element equality is never used.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -110,12 +109,6 @@ class EquivalenceReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json_lines(self) -> str:
-        return "\n".join(
-            json.dumps({"pi": str(pi), "conditions": list(conditions)})
-            for pi, conditions in self.violations
-        )
-
 
 def verify_csorting_equivalences(n: int, c: CoxeterWord) -> EquivalenceReport:
     """Evaluate all five conditions on every permutation of S_n.
@@ -130,7 +123,7 @@ def verify_csorting_equivalences(n: int, c: CoxeterWord) -> EquivalenceReport:
         conditions = (
             is_c_sortable(pi, c),
             product_accepts(orientation, c_sorting_word(pi, c)),
-            exists_accepted(pi, orientation, enumerate_all=True),
+            exists_accepted(pi, orientation),
             all(exists_accepted_single(pi, Kind.UP, j) for j in orientation.u)
             and all(exists_accepted_single(pi, Kind.DOWN, j) for j in orientation.d),
             is_minimal(pi, orientation),

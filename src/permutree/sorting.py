@@ -22,13 +22,14 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     Kind,
     Orientation,
     Permutation,
     Word,
+    all_permutations,
     is_left_inversion,
     is_minimal,
     left_inversions,
@@ -43,19 +44,21 @@ class PriorityOrder:
     """A total order on the generator indices 1..n-1; earlier means preferred."""
 
     order: tuple[int, ...]
+    rank: dict[int, int] = field(init=False, compare=False, repr=False)  # letter -> index in order
 
     def __post_init__(self):
         order = tuple(self.order)
         object.__setattr__(self, "order", order)
         if sorted(order) != list(range(1, len(order) + 1)):
             raise ValueError(f"not an ordering of 1..{len(order)}: {order!r}")
+        object.__setattr__(self, "rank", {letter: i for i, letter in enumerate(order)})
 
     @property
     def n(self) -> int:
         return len(self.order) + 1
 
     def key(self, letter: int) -> int:
-        return self.order.index(letter)
+        return self.rank[letter]
 
     def pick(self, candidates) -> int | None:
         candidates = list(candidates)
@@ -400,8 +403,6 @@ def check_sorting_network(template: Word, orientation: Orientation, n: int) -> P
     None means the template is a valid sorting network for the orientation:
     its greedy extraction decides minimality for every permutation of S_n.
     """
-    from .core import all_permutations
-
     if template.n != n or orientation.n != n:
         raise ValueError("template, orientation, and n must agree on the degree")
     for pi in all_permutations(n):

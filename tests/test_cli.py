@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from permutree import verify
 from permutree.cli import main
 
 
@@ -199,6 +200,40 @@ CAPPED = "is capped at n={}; beyond that it is not worth the wait"
 def test_oversized_inputs_are_refused(capsys, argv, reason):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "0"),
+        ("count", "--n", "-3"),
+        ("count", "--n", "0", "--u", "2"),
+        ("tree", "--n", "0"),
+        ("sort", "--n", "0", "1"),
+        ("check", "--n", "0", "1"),
+        ("automaton", "--kind", "U", "--j", "1", "--n", "0"),
+        ("network", "--n", "0", "--u", "2"),
+        ("verify", "--suite", "theorem1", "--n", "0"),
+    ],
+)
+def test_degrees_below_one_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    n = argv[argv.index("--n") + 1]
+    assert (code, out, err) == (2, "", f"error: --n must be at least 1, got {n}\n")
+
+
+def test_count_of_degree_one(capsys):
+    assert run_cli(capsys, "count", "--n", "1") == (0, "u={} d={} count=1\n", "")
+    assert run_cli(capsys, "count", "--n", "1", "--u=") == (0, "1\n", "")
+
+
+def test_verify_refuses_an_oversized_bound_before_running_any_suite(capsys, monkeypatch):
+    called = []
+    for name, (_, *bounds) in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, name, (lambda *a, name=name: called.append(name) or [], *bounds))
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", "6")
+    capped = "suite csorting is capped at n=5; enumerating all reduced expressions beyond that is not worth the wait"
+    assert (code, out, err, called) == (2, "", f"error: {capped}\n", [])
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -13,10 +13,7 @@ from permutree.core import (
     contains_pattern,
     evaluate,
     identity,
-    inversion_set,
-    is_aligned,
     is_left_inversion,
-    is_reduced,
     iter_reduced_words,
     left_inversions,
     left_multiply,
@@ -35,6 +32,91 @@ import os
 SLOW_DEGREE = pytest.param(
     6, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
 )
+
+
+# -- oracles: library functions that moved here, and the parent's two-loop scans
+
+
+def inversion_set(pi):
+    """All pairs (high, low) with high > low and high before low."""
+    entries = pi.entries
+    return frozenset(
+        (entries[p], entries[q])
+        for p in range(pi.n)
+        for q in range(p + 1, pi.n)
+        if entries[p] > entries[q]
+    )
+
+
+def is_aligned(pi, orientation):
+    """Alignment condition on the inversion set (Pilaud-Pons, Permutrees).
+
+    For i < j < k with j in u: (k, i) inverted implies (k, j) inverted.
+    For i < j < k with j in d: (k, i) inverted implies (j, i) inverted.
+    """
+    inv = inversion_set(pi)
+    for j in orientation.u:
+        for k in range(j + 1, pi.n + 1):
+            for i in range(1, j):
+                if (k, i) in inv and (k, j) not in inv:
+                    return False
+    for j in orientation.d:
+        for k in range(j + 1, pi.n + 1):
+            for i in range(1, j):
+                if (k, i) in inv and (j, i) not in inv:
+                    return False
+    return True
+
+
+def is_reduced(word):
+    """True iff the word has minimal length among expressions of its product."""
+    return len(word) == evaluate(word).length()
+
+
+def oracle_contains_pattern(pi, j, kind):
+    if not 2 <= j <= pi.n - 1:
+        raise ValueError(f"j must lie in 2..{pi.n - 1}, got {j}")
+    pos_j = pi.entries.index(j)
+    if kind is Kind.UP:
+        # after j: some value above j, then some value below j
+        seen_high = False
+        for val in pi.entries[pos_j + 1 :]:
+            if val > j:
+                seen_high = True
+            elif val < j and seen_high:
+                return True
+        return False
+    # before j: some value above j, then some value below j
+    seen_high = False
+    for val in pi.entries[:pos_j]:
+        if val > j:
+            seen_high = True
+        elif val < j and seen_high:
+            return True
+    return False
+
+
+def oracle_pattern_witness(pi, j, kind):
+    if not 2 <= j <= pi.n - 1:
+        raise ValueError(f"j must lie in 2..{pi.n - 1}, got {j}")
+    pos_j = pi.entries.index(j) + 1
+    if kind is Kind.UP:
+        high_pos = None
+        for pos in range(pos_j + 1, pi.n + 1):
+            val = pi.value_at(pos)
+            if val > j and high_pos is None:
+                high_pos = pos
+            elif val < j and high_pos is not None:
+                return (pos_j, high_pos, pos)
+        return None
+    high_pos = None
+    for pos in range(1, pos_j):
+        val = pi.value_at(pos)
+        if val > j and high_pos is None:
+            high_pos = pos
+        elif val < j and high_pos is not None:
+            return (high_pos, pos, pos_j)
+    return None
 
 
 def brute_contains(pi, j, kind):
@@ -142,6 +224,15 @@ def test_pattern_witness_positions():
                         assert values[0] == j and values[1] > j and values[2] < j
                     else:
                         assert values[0] > j and values[1] < j and values[2] == j
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_folded_scans_match_the_two_loop_oracles(n):
+    for pi in all_permutations(n):
+        for j in range(2, n):
+            for kind in (Kind.UP, Kind.DOWN):
+                assert contains_pattern(pi, j, kind) == oracle_contains_pattern(pi, j, kind)
+                assert pattern_witness(pi, j, kind) == oracle_pattern_witness(pi, j, kind)
 
 
 def test_is_aligned():

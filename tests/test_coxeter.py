@@ -4,7 +4,6 @@ from permutree.core import Kind, Permutation, Word, all_permutations, evaluate, 
 from permutree.automata import accepts
 from permutree.coxeter import (
     CoxeterWord,
-    EquivalenceReport,
     all_coxeter_words,
     c_factorization,
     c_sorting_word,
@@ -112,22 +111,6 @@ def test_equivalences_and_catalan_counts(n):
         report = verify_csorting_equivalences(n, c)
         assert report.ok, report.violations
         assert report.sortable_count == catalan(n)
-
-
-def test_equivalence_report_json():
-    report = verify_csorting_equivalences(3, CoxeterWord(Word((1, 2), 3)))
-    assert report.to_json_lines() == ""
-    report = EquivalenceReport(
-        (
-            (P("4213"), (True, False, True, True, True)),
-            (P("21"), (False, False, False, False, True)),
-        ),
-        3,
-    )
-    assert report.to_json_lines() == (
-        '{"pi": "4213", "conditions": [true, false, true, true, true]}\n'
-        '{"pi": "21", "conditions": [false, false, false, false, true]}'
-    )
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
