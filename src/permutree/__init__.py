@@ -33,7 +33,6 @@ from .sorting import (
     PriorityOrder,
     SortTrace,
     check_sorting_network,
-    greedy_subword,
     is_minimal,
     move_d,
     move_u,

@@ -261,26 +261,20 @@ def export_dot_product(orientation: Orientation, reachable_only: bool = False) -
 
     if reachable_only:
         seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for product in frontier:
-                for letter in range(1, n):
-                    target = step_product(rows, product, letter)
-                    if target not in seen:
-                        seen.add(target)
-                        nxt.append(target)
-            frontier = sorted(nxt, key=product_sort_key)
+        todo = [start]
+        while todo:
+            product = todo.pop()
+            for letter in range(1, n):
+                target = step_product(rows, product, letter)
+                if target not in seen:
+                    seen.add(target)
+                    todo.append(target)
         nodes = sorted(seen, key=product_sort_key)
     else:
         codes = [range(state_count(kind, j, n)) for kind, j in parts]
         nodes = sorted(itertools.product(*codes), key=product_sort_key)
 
-    name = "_".join(
-        ["P"]
-        + [f"u{j}" for j in sorted(orientation.u)]
-        + [f"d{j}" for j in sorted(orientation.d)]
-    )
+    name = "_".join(["P"] + [f"{'u' if kind is Kind.UP else 'd'}{j}" for kind, j in parts])
     lines = [f'digraph "{name}_n{n}" {{', "  rankdir=LR;"]
     lines.append('  start [shape=none, label=""];')
     node_set = set(nodes)

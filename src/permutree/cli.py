@@ -210,7 +210,7 @@ def cmd_network(args) -> int:
     _require_at_most(args.n, MAX_NETWORK_N, "network")
     extension = Word.from_text(args.extend, args.n) if args.extend is not None else None
     template = network_candidate(kind, j, args.n, extension)
-    counterexample = check_sorting_network(template, orientation, args.n)
+    counterexample = check_sorting_network(template, orientation)
     verdict = "valid" if counterexample is None else f"refuted by {counterexample}"
     if args.output == "json":
         print(
@@ -320,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="bound for suites that take one (default 5, opt-in 6 where supported)",
     )
-    p_verify.add_argument("--u", help=argparse.SUPPRESS)
-    p_verify.add_argument("--d", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -153,9 +153,8 @@ class Orientation:
         allowed = set(range(2, self.n))
         for name, values in (("u", u), ("d", d)):
             if not values <= allowed:
-                raise ValueError(
-                    f"{name} must be a subset of {{2,..,{self.n - 1}}}, got {sorted(values)}"
-                )
+                shown = f"{{2,..,{self.n - 1}}}" if self.n > 3 else "{2}" if self.n == 3 else "{}"
+                raise ValueError(f"{name} must be a subset of {shown}, got {sorted(values)}")
 
     @property
     def is_disjoint(self) -> bool:

@@ -12,15 +12,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (
-    Kind,
     Orientation,
     Permutation,
     Word,
     all_permutations,
     is_minimal,
 )
-from .automata import exists_accepted, exists_accepted_single, product_accepts
-from .sorting import _greedy_extract, greedy_subword
+from .automata import components, exists_accepted, exists_accepted_single, product_accepts
+from .sorting import _greedy_extract
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,14 @@ def orientation_of(c: CoxeterWord) -> Orientation:
 
 def c_sorting_word(pi: Permutation, c: CoxeterWord) -> Word:
     """The greedy reduced expression of pi inside c repeated forever."""
-    word = greedy_subword(pi, c.word, repeat=True)
-    assert word is not None
-    return word
+    passes, residual = _greedy_extract(pi, c.word)
+    assert residual.is_identity()  # c holds every generator, so no pass is stuck
+    return Word(tuple(itertools.chain(*passes)), pi.n)
 
 
 def c_factorization(pi: Permutation, c: CoxeterWord) -> CFactorization:
     """Which letters of each successive copy of c the greedy extraction takes."""
-    passes, _ = _greedy_extract(pi, c.word, cycle=True)
+    passes, _ = _greedy_extract(pi, c.word)
     return CFactorization(tuple(frozenset(taken) for taken in passes))
 
 
@@ -105,10 +104,6 @@ class EquivalenceReport:
     violations: tuple[tuple[Permutation, tuple[bool, bool, bool, bool, bool]], ...]
     sortable_count: int
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def verify_csorting_equivalences(n: int, c: CoxeterWord) -> EquivalenceReport:
     """Evaluate all five conditions on every permutation of S_n.
@@ -124,8 +119,7 @@ def verify_csorting_equivalences(n: int, c: CoxeterWord) -> EquivalenceReport:
             is_c_sortable(pi, c),
             product_accepts(orientation, c_sorting_word(pi, c)),
             exists_accepted(pi, orientation),
-            all(exists_accepted_single(pi, Kind.UP, j) for j in orientation.u)
-            and all(exists_accepted_single(pi, Kind.DOWN, j) for j in orientation.d),
+            all(exists_accepted_single(pi, kind, j) for kind, j in components(orientation)),
             is_minimal(pi, orientation),
         )
         if all(conditions):

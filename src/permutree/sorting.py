@@ -5,8 +5,8 @@ Two algorithms, both of which try to write a permutation as a product of
 simple transpositions while virtually walking the acceptance automata:
 
 - single-automaton sorting: sort while refusing the one swap that would
-  fall ill, entering the ill row at most once, then finish inside the two
-  value blocks the ill row still allows;
+  fall ill, entering the ill row at most once, then finish with every
+  letter except the one the ill row forbids;
 - pair-of-sets sorting: the generalisation driven by an orientation (u, d),
   which moves the sets along as the automata advance and checks prefix
   fixedness before sacrificing a component.
@@ -36,7 +36,7 @@ from .core import (
     left_multiply,
     pattern_witness,
 )
-from .automata import initial_state, label, product_accepts, step, table
+from .automata import components, initial_state, label, product_accepts, step, table
 
 
 @dataclass(frozen=True)
@@ -142,13 +142,12 @@ class SortTrace:
             rows.append((cells, word, end))
             if s.applied:
                 end += len(f"s{s.letter}") + (end > 0)  # a "." before all but the first
-        if self.success:
-            final_word = _word_cell(list(self.word))
+        if self.success:  # the applied letters are the whole word
             if single:
                 param = next(iter(self.final_u if self.kind is Kind.UP else self.final_d))
-                rows.append(([str(self.result), "", str(param), ""], final_word, len(final_word)))
+                rows.append(([str(self.result), "", str(param), ""], word, end))
             else:
-                rows.append(([str(self.result), "", "", "", "", ""], final_word, len(final_word)))
+                rows.append(([str(self.result), "", "", "", "", ""], word, end))
         widths = [max(map(len, column)) for column in zip(*(cells for cells, _, _ in rows))]
         widths[1] = max(end for _, _, end in rows)
         lines = []
@@ -179,10 +178,6 @@ class SortTrace:
             "success": self.success,
         }
         return json.dumps(payload, sort_keys=True)
-
-
-def _word_cell(letters: list[int]) -> str:
-    return ".".join(f"s{l}" for l in letters) if letters else "e"
 
 
 def _set_cell(values: frozenset[int]) -> str:
@@ -216,23 +211,19 @@ def _fixes_prefix(pi: Permutation, k: int) -> bool:
     return max(pi.entries[:k]) == k
 
 
-def sort_single(
-    pi: Permutation, j: int, kind: Kind, priority: PriorityOrder | None = None
-) -> SortTrace:
+def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
     """Sorting driven by a single automaton with start parameter j.
 
-    Phase one takes any available swap except the one that would fall ill,
-    moving the parameter along whenever the advancing letter is used.  Once
-    only the ill-making swap remains it is taken, after which the two value
-    blocks the ill row permits are sorted independently.  The returned word
-    is always accepted by the automaton; the sort reaches the identity iff
-    pi avoids the corresponding subword pattern.
+    Each step takes the least available letter.  Phase one refuses only the
+    swap that would fall ill, moving the parameter along whenever the
+    advancing letter is used.  Once only the ill-making swap remains it is
+    taken; the finish then takes every letter except the one the ill row
+    forbids.  The returned word is always accepted by the automaton; the
+    sort reaches the identity iff pi avoids the corresponding subword pattern.
     """
     n = pi.n
     if not 2 <= j <= n - 1:
         raise ValueError(f"j must lie in 2..{n - 1}, got {j}")
-    if priority is None:
-        priority = PriorityOrder.natural(n)
     up = kind is Kind.UP
     param = j
     steps: list[TraceStep] = []
@@ -247,7 +238,7 @@ def sort_single(
 
     while True:
         forbidden = param - 1 if up else param
-        letter = priority.pick(l for l in left_inversions(pi) if l != forbidden)
+        letter = min((l for l in left_inversions(pi) if l != forbidden), default=None)
         if letter is None:
             break
         record(letter, "healthy")
@@ -259,15 +250,14 @@ def sort_single(
     ill_letter = param - 1 if up else param
     if 1 <= ill_letter <= n - 1 and is_left_inversion(pi, ill_letter):
         record(ill_letter, "ill")
-        # the ill row forbids exactly one letter; sort the two blocks it splits
+        # the ill row forbids one letter, cut; a letter below it never changes a
+        # descent above it, so the least letter sorts the lower value block first
         cut = param if up else param - 1
-        for block in (range(1, cut), range(cut + 1, n)):
-            allowed = set(block)
-            while True:
-                letter = priority.pick(l for l in left_inversions(pi) if l in allowed)
-                if letter is None:
-                    break
-                record(letter, "block")
+        while True:
+            letter = min((l for l in left_inversions(pi) if l != cut), default=None)
+            if letter is None:
+                break
+            record(letter, "block")
 
     final_sets = (frozenset({param}), frozenset()) if up else (frozenset(), frozenset({param}))
     return SortTrace(tuple(steps), Word(tuple(taken), n), pi, final_sets[0], final_sets[1], kind)
@@ -334,21 +324,23 @@ def minimality_witness(
     pi: Permutation, orientation: Orientation
 ) -> tuple[int, Kind, tuple[int, int, int]] | None:
     """A violating (j, kind, positions) triple, or None when minimal."""
-    for kind, values in ((Kind.UP, orientation.u), (Kind.DOWN, orientation.d)):
-        for j in sorted(values):
-            witness = pattern_witness(pi, j, kind)
-            if witness is not None:
-                return (j, kind, witness)
+    for kind, j in components(orientation):
+        witness = pattern_witness(pi, j, kind)
+        if witness is not None:
+            return (j, kind, witness)
     return None
 
 
-def _greedy_extract(pi: Permutation, template: Word, cycle: bool) -> tuple[list, Permutation]:
+def _greedy_extract(pi: Permutation, template: Word) -> tuple[list, Permutation]:
     """Scan the template, taking each letter that shortens the residual.
 
-    With cycle the template is repeated until the residual is sorted or a
-    full pass takes nothing (stuck).  Returns the letters taken in each pass
-    that took any, and the final residual.
+    The template is repeated until the residual is sorted or a full pass
+    takes nothing (stuck), which cannot happen when the template holds
+    every generator.  Returns the letters taken in each pass that took any,
+    and the final residual.
     """
+    if template.n != pi.n:
+        raise ValueError("template degree does not match permutation")
     residual = pi
     passes: list[tuple[int, ...]] = []
     while not residual.is_identity():
@@ -360,27 +352,7 @@ def _greedy_extract(pi: Permutation, template: Word, cycle: bool) -> tuple[list,
         if not taken:
             break
         passes.append(tuple(taken))
-        if not cycle:
-            break
     return passes, residual
-
-
-def greedy_subword(pi: Permutation, template: Word, repeat: bool) -> Word | None:
-    """Greedy extraction of a reduced expression of pi from the template.
-
-    repeat=False scans once and returns the word only if the residual is
-    sorted.  repeat=True cycles through the template until the residual is
-    sorted, which requires every generator to occur in the template.
-    """
-    if template.n != pi.n:
-        raise ValueError("template degree does not match permutation")
-    if repeat:
-        missing = set(range(1, pi.n)) - set(template)
-        if missing:
-            raise ValueError(f"template must contain every generator, missing {sorted(missing)}")
-    passes, residual = _greedy_extract(pi, template, cycle=repeat)
-    word = Word(tuple(itertools.chain(*passes)), pi.n)
-    return word if residual.is_identity() else None
 
 
 def network_mismatch(template: Word, orientation: Orientation, pi: Permutation) -> bool:
@@ -391,21 +363,21 @@ def network_mismatch(template: Word, orientation: Orientation, pi: Permutation) 
     network answers yes iff the extraction terminates with a reduced
     expression of pi accepted by the intersection automaton.
     """
-    passes, residual = _greedy_extract(pi, template, cycle=True)
+    passes, residual = _greedy_extract(pi, template)
     word = Word(tuple(itertools.chain(*passes)), pi.n)
     decided = residual.is_identity() and product_accepts(orientation, word)
     return decided != is_minimal(pi, orientation)
 
 
-def check_sorting_network(template: Word, orientation: Orientation, n: int) -> Permutation | None:
+def check_sorting_network(template: Word, orientation: Orientation) -> Permutation | None:
     """First permutation (lexicographically) refuting the template, or None.
 
     None means the template is a valid sorting network for the orientation:
     its greedy extraction decides minimality for every permutation of S_n.
     """
-    if template.n != n or orientation.n != n:
-        raise ValueError("template, orientation, and n must agree on the degree")
-    for pi in all_permutations(n):
+    if template.n != orientation.n:
+        raise ValueError("template and orientation must agree on the degree")
+    for pi in all_permutations(orientation.n):
         if network_mismatch(template, orientation, pi):
             return pi
     return None

@@ -6,6 +6,7 @@ they complete, or via the command line: `permutree verify --suite all`.
 Every criterion is exact (zero tolerance); the stated bounds are the ones
 enforced here.
 """
+from permutree import core, verify
 from permutree.core import Permutation, Word
 from permutree.coxeter import (
     CoxeterWord,
@@ -138,6 +139,22 @@ def test_criterion_08_sorting_networks():
 
 def test_criterion_09_stack_sorting():
     report("9 stack-sorting equivalences and Catalan counts (n<=7)", check_stack_sort(7))
+
+
+def test_stack_sort_suite_scans_231_independently(monkeypatch):
+    # a wrong minimality test, or a wrong subword scan under it, leaves the
+    # suite's own 231 scan alone, so avoid and minimal disagree on 231-containers
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "is_minimal", lambda pi, orientation: True)
+        wrong_minimal = check_stack_sort(4)
+    with monkeypatch.context() as patch:
+        for module in (core, verify):
+            patch.setattr(module, "contains_pattern", lambda pi, j, kind: False)
+        wrong_scan = check_stack_sort(4)
+    for violations in (wrong_minimal, wrong_scan):
+        # 231 itself and the ten 231-containers of S_4
+        assert len(violations) == 11, violations
+        assert all("stack=False avoid=False minimal=True" in line for line in violations)
 
 
 def test_criterion_10_prefix_closure():

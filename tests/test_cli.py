@@ -222,6 +222,21 @@ def test_degrees_below_one_are_refused(capsys, argv):
     assert (code, out, err) == (2, "", f"error: --n must be at least 1, got {n}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, allowed, given",
+    [
+        (("count", "--n", "2", "--u", "2"), "u must be a subset of {}", "[2]"),
+        (("sort", "--n", "2", "--d", "1", "21"), "d must be a subset of {}", "[1]"),
+        (("count", "--n", "1", "--d", "1"), "d must be a subset of {}", "[1]"),
+        (("count", "--n", "3", "--u", "3"), "u must be a subset of {2}", "[3]"),
+        (("check", "--n", "4", "--d", "2,4", "1234"), "d must be a subset of {2,..,3}", "[2, 4]"),
+    ],
+)
+def test_orientation_outside_the_allowed_range_is_refused(capsys, argv, allowed, given):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {allowed}, got {given}\n")
+
+
 def test_count_of_degree_one(capsys):
     assert run_cli(capsys, "count", "--n", "1") == (0, "u={} d={} count=1\n", "")
     assert run_cli(capsys, "count", "--n", "1", "--u=") == (0, "1\n", "")
@@ -234,6 +249,15 @@ def test_verify_refuses_an_oversized_bound_before_running_any_suite(capsys, monk
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", "6")
     capped = "suite csorting is capped at n=5; enumerating all reduced expressions beyond that is not worth the wait"
     assert (code, out, err, called) == (2, "", f"error: {capped}\n", [])
+
+
+def test_verify_has_no_orientation_flags(capsys):
+    # no suite takes an orientation, so --u and --d are refused, not ignored
+    for flag in ("--u", "--d"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--suite", "tables", flag, "7"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -1,6 +1,17 @@
+import os
+
 import pytest
 
-from permutree.core import Kind, Permutation, Word, all_permutations, evaluate, identity
+from permutree.core import (
+    Kind,
+    Permutation,
+    Word,
+    all_permutations,
+    evaluate,
+    identity,
+    is_left_inversion,
+    left_multiply,
+)
 from permutree.automata import accepts
 from permutree.coxeter import (
     CoxeterWord,
@@ -42,6 +53,45 @@ def test_c_sorting_word_examples():
     assert not contains_pattern(P("4213"), 2, Kind.UP)
     assert c_sorting_word(identity(4), c) == Word((), 4)
     assert c_sorting_word(evaluate(c.word), c) == c.word
+
+
+def oracle_greedy_subword(pi, template):
+    """sorting.greedy_subword(pi, template, repeat=True) as it was, extraction inlined."""
+    if template.n != pi.n:
+        raise ValueError("template degree does not match permutation")
+    missing = set(range(1, pi.n)) - set(template)
+    if missing:
+        raise ValueError(f"template must contain every generator, missing {sorted(missing)}")
+    residual = pi
+    letters = []
+    while not residual.is_identity():
+        taken = []
+        for letter in template:
+            if is_left_inversion(residual, letter):
+                taken.append(letter)
+                residual = left_multiply(letter, residual)
+        if not taken:
+            break
+        letters.extend(taken)
+    return Word(tuple(letters), pi.n) if residual.is_identity() else None
+
+
+SLOW_6 = pytest.param(
+    6, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
+)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, SLOW_6])
+def test_c_sorting_word_matches_oracle(n):
+    for c in all_coxeter_words(n):
+        for pi in all_permutations(n):
+            assert c_sorting_word(pi, c) == oracle_greedy_subword(pi, c.word), (pi, c)
+
+
+@pytest.mark.parametrize("extract", [c_sorting_word, c_factorization, is_c_sortable])
+def test_coxeter_word_of_another_degree_is_refused(extract):
+    with pytest.raises(ValueError, match="template degree does not match permutation"):
+        extract(P("4213"), CoxeterWord(Word((2, 1), 3)))
 
 
 def test_c_factorization():
@@ -109,7 +159,7 @@ def test_letter_order_in_sorting_words(n):
 def test_equivalences_and_catalan_counts(n):
     for c in all_coxeter_words(n):
         report = verify_csorting_equivalences(n, c)
-        assert report.ok, report.violations
+        assert not report.violations, report.violations
         assert report.sortable_count == catalan(n)
 
 

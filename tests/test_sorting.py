@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import tracemalloc
@@ -13,12 +14,17 @@ from permutree.core import (
     contains_pattern,
     evaluate,
     identity,
+    is_left_inversion,
+    left_inversions,
+    left_multiply,
 )
 from permutree.automata import accepts, product_accepts
 from permutree.sorting import (
     PriorityOrder,
+    SortTrace,
+    TraceStep,
+    _greedy_extract,
     check_sorting_network,
-    greedy_subword,
     is_minimal,
     minimality_witness,
     move_d,
@@ -31,14 +37,14 @@ from permutree.sorting import (
 
 P = Permutation.from_text
 
-SLOW_DEGREE = pytest.param(
-    6, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
-)
+
+def slow(n):
+    return pytest.param(
+        n, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
+    )
 
 
 def orientations(n, disjoint=True):
-    import itertools
-
     values = range(2, n)
     for assign in itertools.product((0, 1, 2), repeat=n - 2):
         u = frozenset(j for j, a in zip(values, assign) if a == 1)
@@ -114,6 +120,68 @@ def test_single_sort_always_accepted_success_iff_avoids(n):
                 avoid = not contains_pattern(pi, j, kind)
                 assert trace.success == avoid
                 assert trace.success == (evaluate(trace.word) == pi)
+
+
+def oracle_sort_single(pi, j, kind, priority=None):
+    """sort_single as it was: a priority order, and a finishing loop per value block."""
+    n = pi.n
+    if priority is None:
+        priority = PriorityOrder.natural(n)
+    up = kind is Kind.UP
+    param = j
+    steps = []
+    taken = []
+
+    def record(letter, phase):
+        nonlocal pi
+        sets = (frozenset({param}), frozenset()) if up else (frozenset(), frozenset({param}))
+        steps.append(TraceStep(pi, sets[0], sets[1], letter, (), phase))
+        taken.append(letter)
+        pi = left_multiply(letter, pi)
+
+    while True:
+        forbidden = param - 1 if up else param
+        letter = priority.pick(l for l in left_inversions(pi) if l != forbidden)
+        if letter is None:
+            break
+        record(letter, "healthy")
+        if up and letter == param:
+            param += 1
+        elif not up and letter == param - 1:
+            param -= 1
+
+    ill_letter = param - 1 if up else param
+    if 1 <= ill_letter <= n - 1 and is_left_inversion(pi, ill_letter):
+        record(ill_letter, "ill")
+        cut = param if up else param - 1
+        for block in (range(1, cut), range(cut + 1, n)):
+            allowed = set(block)
+            while True:
+                letter = priority.pick(l for l in left_inversions(pi) if l in allowed)
+                if letter is None:
+                    break
+                record(letter, "block")
+
+    final_sets = (frozenset({param}), frozenset()) if up else (frozenset(), frozenset({param}))
+    return SortTrace(tuple(steps), Word(tuple(taken), n), pi, final_sets[0], final_sets[1], kind)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, slow(7)])
+def test_single_sort_matches_oracle(n):
+    cases = itertools.product(all_permutations(n), range(2, n), (Kind.UP, Kind.DOWN))
+    for pi, j, kind in cases:
+        trace, want = sort_single(pi, j, kind), oracle_sort_single(pi, j, kind)
+        assert trace.to_json() == want.to_json(), (pi, j, kind)
+        assert trace.to_table() == want.to_table(), (pi, j, kind)
+
+
+def test_single_sort_finishes_in_either_block():
+    # after the ill step, 3124 (up at 3) is finished by a letter below the
+    # forbidden one, 3412 (down at 2) by a letter above it
+    lower = sort_single(P("3124"), 3, Kind.UP)
+    upper = sort_single(P("3412"), 2, Kind.DOWN)
+    assert [(s.letter, s.phase) for s in lower.steps] == [(2, "ill"), (1, "block")]
+    assert [(s.letter, s.phase) for s in upper.steps] == [(2, "ill"), (3, "block")]
 
 
 def test_product_sort_golden_3214():
@@ -270,37 +338,23 @@ def test_minimality_witness():
     assert minimality_witness(identity(4), Orientation({2, 3}, frozenset(), 4)) is None
 
 
-def test_greedy_subword_cycled():
-    word = greedy_subword(P("4213"), Word((2, 1, 3), 4), repeat=True)
-    assert word == Word((1, 3, 2, 1), 4)
-    assert greedy_subword(identity(4), Word((1, 2, 3), 4), repeat=True) == Word((), 4)
-    with pytest.raises(ValueError):
-        greedy_subword(P("4213"), Word((1, 2), 4), repeat=True)
-
-
-def test_greedy_subword_single_pass():
-    # a template too short to finish returns nothing on one pass, and the
-    # cycled extraction of this permutation is its sorting-procedure word
-    template = Word((3, 2, 1, 3, 2, 1), 4)
-    assert greedy_subword(P("3421"), template, repeat=False) is None
-    cycled = greedy_subword(P("3421"), template, repeat=True)
-    assert cycled == Word((2, 1, 3, 2, 3), 4)
-    assert accepts(Kind.UP, 2, 4, cycled)
-    # one pass is enough here
-    assert greedy_subword(P("2314"), template, repeat=False) == Word((1, 2), 4)
+def test_greedy_extract_cycles_the_template():
+    # one pass of this template leaves 3421 unsorted; the cycled extraction
+    # is its sorting-procedure word
+    passes, residual = _greedy_extract(P("3421"), Word((3, 2, 1, 3, 2, 1), 4))
+    assert passes == [(2, 1, 3, 2), (3,)]
+    assert residual == identity(4)
+    assert accepts(Kind.UP, 2, 4, Word((2, 1, 3, 2, 3), 4))
 
 
 def test_check_sorting_network_positive_cases():
     assert (
-        check_sorting_network(
-            Word((1, 2, 4, 3, 2, 1, 4, 3, 2), 5), Orientation({4}, {2}, 5), 5
-        )
+        check_sorting_network(Word((1, 2, 4, 3, 2, 1, 4, 3, 2), 5), Orientation({4}, {2}, 5))
         is None
     )
-    assert (
-        check_sorting_network(Word((3, 2, 1, 3, 2, 1), 4), Orientation({2}, frozenset(), 4), 4)
-        is None
-    )
+    assert check_sorting_network(Word((3, 2, 1, 3, 2, 1), 4), Orientation({2}, frozenset(), 4)) is None
+    with pytest.raises(ValueError):
+        check_sorting_network(Word((3, 2, 1), 4), Orientation({2}, frozenset(), 5))
 
 
 def test_check_sorting_network_negative_case():
@@ -310,7 +364,7 @@ def test_check_sorting_network_negative_case():
     template = Word((1, 2, 1, 3, 2, 1, 4, 3, 2, 1), 5)
     assert evaluate(template) == P("54321")
     orientation = Orientation({2}, {4}, 5)
-    counterexample = check_sorting_network(template, orientation, 5)
+    counterexample = check_sorting_network(template, orientation)
     assert counterexample is not None
     assert network_mismatch(template, orientation, P("54213")) or network_mismatch(
         template, orientation, P("35421")
@@ -320,10 +374,10 @@ def test_check_sorting_network_negative_case():
 def test_network_candidate_prefix():
     candidate = network_candidate(Kind.UP, 2, 4, extension=Word((2, 1), 4))
     assert candidate.letters[:4] == (3, 2, 1, 3)
-    assert check_sorting_network(candidate, Orientation({2}, frozenset(), 4), 4) is None
+    assert check_sorting_network(candidate, Orientation({2}, frozenset(), 4)) is None
     # the default extension also validates for this case
     default = network_candidate(Kind.UP, 2, 4)
-    assert check_sorting_network(default, Orientation({2}, frozenset(), 4), 4) is None
+    assert check_sorting_network(default, Orientation({2}, frozenset(), 4)) is None
 
 
 def test_trace_json_round_trip():
@@ -388,7 +442,7 @@ def assert_tables_match_oracle(traces):
     assert not mismatches, mismatches[0]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, SLOW_DEGREE])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, slow(6)])
 def test_product_sort_table_matches_oracle(n):
     every = orientations(n) if n > 1 else [Orientation(frozenset(), frozenset(), 1)]
     traces = [permutree_sort(pi, o) for o in every for pi in all_permutations(n)]
