@@ -36,7 +36,6 @@ from .core import (
     Orientation,
     Permutation,
     Word,
-    all_reduced_words,
     ninv_stats,
     walk_reduced_words,
 )
@@ -123,26 +122,15 @@ def accepts(kind: Kind, j: int, n: int, word: Word) -> bool:
     return STATUSES[run(kind, j, n, word) % 3] is not Status.DEAD
 
 
-def components(orientation: Orientation) -> list[tuple[Kind, int]]:
-    """The (kind, j) of each product component: u ascending, then d ascending.
-
-    u and d may intersect, in which case the shared parameter appears once
-    per side.
-    """
-    return [(Kind.UP, j) for j in sorted(orientation.u)] + [
-        (Kind.DOWN, j) for j in sorted(orientation.d)
-    ]
-
-
 @functools.lru_cache(maxsize=256)
 def product_table(orientation: Orientation) -> ProductTable:
-    deltas = [table(kind, j, orientation.n) for kind, j in components(orientation)]
+    deltas = [table(kind, j, orientation.n) for kind, j in orientation.components]
     return tuple(tuple(delta[letter] for delta in deltas) for letter in range(orientation.n))
 
 
 def initial_product(orientation: Orientation) -> tuple[int, ...]:
     """Every component starts at its initial state, code 0."""
-    return (0,) * (len(orientation.u) + len(orientation.d))
+    return (0,) * len(orientation.components)
 
 
 def classify(product: tuple[int, ...]) -> Status:
@@ -189,14 +177,6 @@ def exists_accepted(pi: Permutation, orientation: Orientation) -> bool:
     advance = functools.partial(step_alive, product_table(orientation))
     words = walk_reduced_words(pi, state=initial_product(orientation), advance=advance)
     return next(words, None) is not None
-
-
-def exists_accepted_single(pi: Permutation, kind: Kind, j: int) -> bool:
-    """Brute-force: does some reduced expression of pi pass one automaton?
-
-    Unlike Orientation, j may take the boundary values 1 and n.
-    """
-    return any(accepts(kind, j, pi.n, word) for word in all_reduced_words(pi))
 
 
 def expected_final_column(pi: Permutation, kind: Kind, j: int) -> int:
@@ -248,7 +228,7 @@ def export_dot_product(orientation: Orientation, reachable_only: bool = False) -
     Nodes are sorted by the (column, status name) of each component.
     """
     n = orientation.n
-    parts = components(orientation)
+    parts = orientation.components
     rows = product_table(orientation)
     start = initial_product(orientation)
 

@@ -13,7 +13,7 @@ import math
 import sys
 
 from .core import Kind, Orientation, Permutation, Word
-from .automata import components, export_dot, export_dot_product, state_count
+from .automata import export_dot, export_dot_product, state_count
 from .sorting import (
     PriorityOrder,
     check_sorting_network,
@@ -171,7 +171,7 @@ def cmd_automaton(args) -> int:
     _require_at_most(args.n, MAX_AUTOMATON_N, "automaton")
     if args.product:
         orientation = _parse_orientation(args, args.n)
-        states = math.prod(state_count(kind, j, args.n) for kind, j in components(orientation))
+        states = math.prod(state_count(kind, j, args.n) for kind, j in orientation.components)
         if states > MAX_PRODUCT_STATES:
             raise UsageError(
                 f"the product has {states} states, more than the cap of {MAX_PRODUCT_STATES}"

@@ -18,7 +18,7 @@ from .core import (
     all_permutations,
     is_minimal,
 )
-from .automata import components, exists_accepted, exists_accepted_single, product_accepts
+from .automata import exists_accepted, product_accepts
 from .sorting import _greedy_extract
 
 
@@ -97,8 +97,9 @@ class EquivalenceReport:
     """Outcome of testing the five sortability characterizations on all of S_n.
 
     Each violation pairs a permutation with its five-condition vector:
-    (sortable, sorting word accepted, some accepted reduced expression,
-    per-automaton acceptance for every j, subword avoidance).
+    (sortable, sorting word accepted, some reduced expression accepted by
+    every automaton, for each j some reduced expression accepted by the
+    automaton at j alone, subword avoidance).
     """
 
     violations: tuple[tuple[Permutation, tuple[bool, bool, bool, bool, bool]], ...]
@@ -112,6 +113,8 @@ def verify_csorting_equivalences(n: int, c: CoxeterWord) -> EquivalenceReport:
     five characterizations agree everywhere.
     """
     orientation = orientation_of(c)
+    # the one-automaton orientation of each j, for condition 4
+    singles = [Orientation(orientation.u & {j}, orientation.d & {j}, n) for j in range(2, n)]
     violations = []
     sortable = 0
     for pi in all_permutations(n):
@@ -119,7 +122,7 @@ def verify_csorting_equivalences(n: int, c: CoxeterWord) -> EquivalenceReport:
             is_c_sortable(pi, c),
             product_accepts(orientation, c_sorting_word(pi, c)),
             exists_accepted(pi, orientation),
-            all(exists_accepted_single(pi, kind, j) for kind, j in components(orientation)),
+            all(exists_accepted(pi, single) for single in singles),
             is_minimal(pi, orientation),
         )
         if all(conditions):

@@ -36,7 +36,7 @@ from .core import (
     left_multiply,
     pattern_witness,
 )
-from .automata import components, initial_state, label, product_accepts, step, table
+from .automata import initial_state, label, product_accepts, step, table
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,7 @@ def minimality_witness(
     pi: Permutation, orientation: Orientation
 ) -> tuple[int, Kind, tuple[int, int, int]] | None:
     """A violating (j, kind, positions) triple, or None when minimal."""
-    for kind, j in components(orientation):
+    for kind, j in orientation.components:
         witness = pattern_witness(pi, j, kind)
         if witness is not None:
             return (j, kind, witness)

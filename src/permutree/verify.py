@@ -34,7 +34,6 @@ from .automata import (
     accepts,
     classify,
     exists_accepted,
-    exists_accepted_single,
     expected_final_column,
     initial_product,
     label,
@@ -86,9 +85,10 @@ def check_theorem_single(max_n: int) -> Violations:
     violations = []
     for n in range(2, max_n + 1):
         for pi in all_permutations(n):
+            words = all_reduced_words(pi)
             for j in range(2, n):
                 for kind in (Kind.UP, Kind.DOWN):
-                    by_automaton = exists_accepted_single(pi, kind, j)
+                    by_automaton = any(accepts(kind, j, n, word) for word in words)
                     by_pattern = not contains_pattern(pi, j, kind)
                     if by_automaton != by_pattern:
                         violations.append(
@@ -415,7 +415,11 @@ PREFIX_SEED = 20260809
 
 
 def check_prefix_closure(max_n: int) -> Violations:
-    """Accepted reduced words and lexmin words are closed under prefixes."""
+    """A reduced word is accepted iff every prefix is sortable; lexmin words are prefix-closed.
+
+    Checked as: w.l, a reduced word of pi, is accepted iff w is and pi is minimal.
+    Each prefix is a reduced word of its own permutation, so induction does the rest.
+    """
     violations = []
     rng = random.Random(PREFIX_SEED)
     for n in range(2, max_n + 1):
@@ -430,17 +434,17 @@ def check_prefix_closure(max_n: int) -> Violations:
         for pi in all_permutations(n):
             words = all_reduced_words(pi)
             for orientation, advance, start in steppers:
+                minimal = is_minimal(pi, orientation)
                 for word in words:
-                    # one run per word; statuses[cut] is the status after cut letters
-                    runs = itertools.accumulate(word, advance, initial=start)
-                    statuses = [classify(product) for product in runs]
-                    if statuses[-1] is Status.DEAD:
-                        continue
-                    for status in statuses[:-1]:
-                        if status is Status.DEAD:
-                            violations.append(
-                                f"n={n} {orientation} accepted word {word} has dead prefix"
-                            )
+                    head = functools.reduce(advance, word.letters[:-1], start)
+                    last = advance(head, word.letters[-1]) if word else head
+                    head_ok = classify(head) is not Status.DEAD
+                    accepted = classify(last) is not Status.DEAD
+                    if accepted != (head_ok and minimal):
+                        violations.append(
+                            f"n={n} {orientation} word {word}: accepted={accepted} "
+                            f"prefix accepted={head_ok} minimal={minimal}"
+                        )
         for priority in priorities:
             for orientation in orientations:
                 table = {}

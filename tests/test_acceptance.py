@@ -158,4 +158,26 @@ def test_stack_sort_suite_scans_231_independently(monkeypatch):
 
 
 def test_criterion_10_prefix_closure():
-    report("10 accepted words and lexmin words prefix-closed (n<=5)", check_prefix_closure(5))
+    report(
+        "10 accepted iff every prefix sortable; lexmin words prefix-closed (n<=5)",
+        check_prefix_closure(5),
+    )
+
+
+def test_prefix_suite_reads_minimality(monkeypatch):
+    # acceptance of w.l is tied to the minimality of its permutation, so a
+    # wrong minimality test shows up as words whose verdicts disagree
+    monkeypatch.setattr(verify, "is_minimal", lambda pi, orientation: True)
+    violations = check_prefix_closure(4)
+    assert violations
+    assert all("minimal=True" in line and "accepted=False" in line for line in violations)
+
+
+def test_csorting_suite_enumerates_no_reduced_words():
+    # every condition of the suite is a search or a scan: none looks the
+    # reduced words up, so the enumeration cache sees no traffic
+    cache = core.all_reduced_words
+    before = cache.cache_info()
+    verify.run_suite("csorting", 5)
+    after = cache.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

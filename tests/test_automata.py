@@ -1,4 +1,5 @@
 import functools
+import os
 from dataclasses import dataclass
 
 import pytest
@@ -18,9 +19,7 @@ from permutree.automata import (
     Status,
     accepts,
     classify,
-    components,
     exists_accepted,
-    exists_accepted_single,
     expected_final_column,
     export_dot,
     export_dot_product,
@@ -37,6 +36,18 @@ from permutree.automata import (
 )
 
 P = Permutation.from_text
+
+SLOW_DEGREE = pytest.param(
+    6, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
+)
+
+
+def exists_accepted_single(pi, kind, j):
+    """Brute force: does some reduced expression of pi pass the one automaton (kind, j)?
+
+    Unlike an Orientation, j may take the boundary values 1 and n.
+    """
+    return any(accepts(kind, j, pi.n, word) for word in all_reduced_words(pi))
 
 
 # -- oracle: the dataclass automaton the integer tables replaced ---------------
@@ -181,7 +192,7 @@ def test_classify():
     rows = product_table(o)
     start = initial_product(o)
     assert classify(start) is Status.HEALTHY
-    assert components(o) == [(Kind.UP, 2), (Kind.DOWN, 3)]
+    assert o.components == ((Kind.UP, 2), (Kind.DOWN, 3))
     assert label(Kind.UP, 2, start[0]) == (2, Status.HEALTHY)
     ill_one = step_product(rows, start, 1)  # s1 makes the up component at 2 ill
     assert classify(ill_one) is Status.ILL
@@ -224,6 +235,19 @@ def test_acceptance_matches_avoidance(n):
                 assert exists_accepted_single(pi, kind, j) == (
                     not contains_pattern(pi, j, kind)
                 )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, SLOW_DEGREE])
+def test_search_on_one_automaton_matches_brute_force(n):
+    # exists_accepted on a one-value orientation is the single automaton's question
+    singles = [(Orientation({j}, (), n), Kind.UP, j) for j in range(2, n)] + [
+        (Orientation((), {j}, n), Kind.DOWN, j) for j in range(2, n)
+    ]
+    for pi in all_permutations(n):
+        for orientation, kind, j in singles:
+            assert orientation.components == ((kind, j),)
+            got = exists_accepted(pi, orientation)
+            assert got == exists_accepted_single(pi, kind, j), (pi, kind, j)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

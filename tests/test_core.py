@@ -14,6 +14,7 @@ from permutree.core import (
     evaluate,
     identity,
     is_left_inversion,
+    is_minimal,
     iter_reduced_words,
     left_inversions,
     left_multiply,
@@ -117,6 +118,20 @@ def oracle_pattern_witness(pi, j, kind):
         elif val < j and high_pos is not None:
             return (high_pos, pos, pos_j)
     return None
+
+
+def oracle_is_minimal(pi, orientation):
+    """The parent's two loops: every j of u, then every j of d."""
+    return all(not contains_pattern(pi, j, Kind.UP) for j in orientation.u) and all(
+        not contains_pattern(pi, j, Kind.DOWN) for j in orientation.d
+    )
+
+
+def oracle_components(orientation):
+    """The component order as the automata module used to build it."""
+    return [(Kind.UP, j) for j in sorted(orientation.u)] + [
+        (Kind.DOWN, j) for j in sorted(orientation.d)
+    ]
 
 
 def brute_contains(pi, j, kind):
@@ -254,10 +269,29 @@ def test_alignment_equivalent_to_avoidance(n):
     # over every disjoint orientation
     for pi in all_permutations(n):
         for o in disjoint_orientations(n):
-            avoid = all(not contains_pattern(pi, j, Kind.UP) for j in o.u) and all(
-                not contains_pattern(pi, j, Kind.DOWN) for j in o.d
-            )
-            assert is_aligned(pi, o) == avoid
+            assert is_aligned(pi, o) == oracle_is_minimal(pi, o)
+
+
+def all_orientations(n):
+    """Every pair (u, d) of subsets of 2..n-1, disjoint or not."""
+    values = range(2, n)
+    subsets = [
+        frozenset(s) for size in range(n - 1) for s in itertools.combinations(values, size)
+    ]
+    for u in subsets:
+        for d in subsets:
+            yield Orientation(u, d, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=SLOW_DEGREE.marks)])
+def test_is_minimal_matches_the_two_loop_oracle(n):
+    # every (u, d), overlapping ones included, up to n = 6; every disjoint one at n = 7
+    orientations = list(all_orientations(n) if n <= 6 else disjoint_orientations(n))
+    for o in orientations:
+        assert o.components == tuple(oracle_components(o))
+    for pi in all_permutations(n):
+        for o in orientations:
+            assert is_minimal(pi, o) == oracle_is_minimal(pi, o), (pi, o)
 
 
 def test_ninv_stats():
@@ -354,6 +388,17 @@ def test_orientation_validation():
     with pytest.raises(ValueError):
         o.require_disjoint()
     Orientation(frozenset(), frozenset(), 2)  # the n=2 constraint set is empty
+
+
+def test_orientation_components_are_derived():
+    o = Orientation({4, 2}, {3, 2}, 5)
+    assert o.components == ((Kind.UP, 2), (Kind.UP, 4), (Kind.DOWN, 2), (Kind.DOWN, 3))
+    # equality, hash and repr read u, d and n only
+    same = Orientation(frozenset({2, 4}), frozenset({2, 3}), 5)
+    assert o == same and hash(o) == hash(same)
+    assert repr(o) == "Orientation(u=frozenset({2, 4}), d=frozenset({2, 3}), n=5)"
+    with pytest.raises(TypeError):
+        Orientation({2}, frozenset(), 4, components=())
 
 
 @given(st.permutations(list(range(1, 8))))

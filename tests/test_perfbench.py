@@ -28,7 +28,8 @@ sort = {{"n": 6, "u": none, "d": none, "pi": (3, 6, 1, 5, 2, 4), "priority": (2,
 sort_argv = ("sort", "--n", "6", "--u=", "--d=", "--priority=2,5,1,4,3", "--output")
 ops = [
     Op(("verify", "--suite", "tables"), "verify", {{"suite": "tables"}}),
-    # S_2..S_4 overflow the 8-entry reduced-word cache, so the traced pass enumerates too
+    # theorem1 enumerates each permutation once; the 32 of S_2..S_4 overflow the
+    # 8-entry reduced-word cache, so the traced pass enumerates too
     Op(("verify", "--suite", "theorem1", "--n", "4"), "verify", {{"suite": "theorem1"}}),
     Op(("count", "--n", "5", "--u=", "--d="), "count", {{"n": 5, "u": none, "d": none}}),
     Op(("tree", "--n", "4", "--u=2", "--d=3", "--priority=3,1,2"), "tree", tree),

@@ -229,6 +229,28 @@ def test_package_has_no_recursive_function():
                     assert name != node.name, f"{path.name}: {node.name} calls itself"
 
 
+# The modules that may enumerate every reduced word of a permutation: core
+# defines the enumeration, and verify's brute-force routes are its callers.
+ENUMERATING_MODULES = {"core.py", "verify.py"}
+
+
+def test_only_the_brute_force_routes_enumerate_reduced_words():
+    # any other search for an accepted expression walks the descent tree
+    # with its automata instead (__init__.py only re-exports the names)
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py" or path.name in ENUMERATING_MODULES:
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & {"all_reduced_words", "iter_reduced_words"}, path.name
+
+
 # Library API kept on purpose although nothing in src/ calls it.
 KEPT_WITHOUT_CALLER = {
     "length": "the Coxeter length of a Permutation; the tests' reducedness checks read it",
