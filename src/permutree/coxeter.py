@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     Orientation,
@@ -106,27 +106,45 @@ class EquivalenceReport:
     sortable_count: int
 
 
-def verify_csorting_equivalences(n: int, c: CoxeterWord) -> EquivalenceReport:
-    """Evaluate all five conditions on every permutation of S_n.
+def verify_csorting_equivalences(
+    n: int, words: Iterable[CoxeterWord]
+) -> tuple[EquivalenceReport, ...]:
+    """Evaluate all five conditions on every permutation of S_n, one report
+    per Coxeter word, in the order given.
 
+    Conditions 3-5 read only orientation_of(c), so they are evaluated once
+    per distinct orientation and shared by the words that give it.
     Exhaustive; intended for small n.  An empty violation list means the
     five characterizations agree everywhere.
     """
-    orientation = orientation_of(c)
-    # the one-automaton orientation of each j, for condition 4
-    singles = [Orientation(orientation.u & {j}, orientation.d & {j}, n) for j in range(2, n)]
-    violations = []
-    sortable = 0
-    for pi in all_permutations(n):
-        conditions = (
-            is_c_sortable(pi, c),
-            product_accepts(orientation, c_sorting_word(pi, c)),
-            exists_accepted(pi, orientation),
-            all(exists_accepted(pi, single) for single in singles),
-            is_minimal(pi, orientation),
-        )
-        if all(conditions):
-            sortable += 1
-        if len(set(conditions)) > 1:
-            violations.append((pi, conditions))
-    return EquivalenceReport(tuple(violations), sortable)
+    words = tuple(words)
+    perms = tuple(all_permutations(n))
+    orientations = [orientation_of(c) for c in words]
+    shared = {}
+    for orientation in dict.fromkeys(orientations):
+        # the one-automaton orientation of each j, for condition 4
+        singles = [Orientation(orientation.u & {j}, orientation.d & {j}, n) for j in range(2, n)]
+        shared[orientation] = [
+            (
+                exists_accepted(pi, orientation),
+                all(exists_accepted(pi, single) for single in singles),
+                is_minimal(pi, orientation),
+            )
+            for pi in perms
+        ]
+    reports = []
+    for c, orientation in zip(words, orientations):
+        violations = []
+        sortable = 0
+        for pi, orientation_conditions in zip(perms, shared[orientation]):
+            conditions = (
+                is_c_sortable(pi, c),
+                product_accepts(orientation, c_sorting_word(pi, c)),
+                *orientation_conditions,
+            )
+            if all(conditions):
+                sortable += 1
+            if len(set(conditions)) > 1:
+                violations.append((pi, conditions))
+        reports.append(EquivalenceReport(tuple(violations), sortable))
+    return tuple(reports)

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .core import (
+    Kind,
     Orientation,
     Permutation,
     Word,
@@ -127,9 +128,48 @@ def weak_order_hasse(n: int) -> WeakOrderDiagram:
 
 
 def count_minimal(n: int, orientation: Orientation) -> int:
-    """Number of minimal permutations of S_n, by enumeration."""
+    """Number of minimal permutations of S_n, by a DP over the set of values
+    already placed.
+
+    A permutation is written left to right.  Whether placing the value v
+    next completes a forbidden subword depends only on the set S of values
+    placed before it:
+      - for j in u: if j is in S and v > j, then {1..j-1} must lie in S
+        (else a later i < j completes jki);
+      - for j in d: if j is not in S and S holds a value above j, then
+        v > j (else the later j completes kij).
+    ways[S | {v}] sums ways[S] over the allowed v, visiting only the sets
+    some prefix reaches: O(2^n * (n + |u| + |d|)) time and O(2^n) space.
+
+    >>> count_minimal(4, Orientation({2, 3}, frozenset(), 4))
+    14
+    """
     orientation.require_disjoint()
-    return sum(1 for pi in all_permutations(n) if is_minimal(pi, orientation))
+    # bit v-1 of a set stands for the value v
+    rules = []
+    for kind, j in orientation.components:
+        below = (1 << (j - 1)) - 1
+        above = (1 << n) - 1 - (below << 1 | 1)
+        rules.append((kind is Kind.UP, 1 << (j - 1), below, above))
+    full = (1 << n) - 1
+    ways = [0] * (full + 1)
+    ways[0] = 1
+    for placed in range(full):
+        count = ways[placed]
+        if not count:
+            continue
+        allowed = full ^ placed
+        for up, j_bit, below, above in rules:
+            if up:
+                if placed & j_bit and placed & below != below:
+                    allowed &= ~above
+            elif not placed & j_bit and placed & above:
+                allowed &= ~below
+        while allowed:
+            bit = allowed & -allowed
+            ways[placed | bit] += count
+            allowed ^= bit
+    return ways[full]
 
 
 def export_tree_dot(tree: GeneratingTree, overlay: WeakOrderDiagram | None = None) -> str:

@@ -326,8 +326,8 @@ def check_csorting(max_n: int) -> Violations:
     violations = []
     for n in range(2, max_n + 1):
         want = catalan(n)
-        for c in all_coxeter_words(n):
-            report = verify_csorting_equivalences(n, c)
+        words = tuple(all_coxeter_words(n))
+        for c, report in zip(words, verify_csorting_equivalences(n, words)):
             for pi, conditions in report.violations:
                 violations.append(f"n={n} c={c}: pi={pi} conditions={conditions}")
             if report.sortable_count != want:

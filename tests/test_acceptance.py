@@ -6,7 +6,10 @@ they complete, or via the command line: `permutree verify --suite all`.
 Every criterion is exact (zero tolerance); the stated bounds are the ones
 enforced here.
 """
-from permutree import core, verify
+from collections import Counter
+
+from permutree import core, coxeter, verify
+from permutree.automata import exists_accepted
 from permutree.core import Permutation, Word
 from permutree.coxeter import (
     CoxeterWord,
@@ -14,6 +17,8 @@ from permutree.coxeter import (
     c_factorization,
     c_sorting_word,
     is_c_sortable,
+    orientation_of,
+    verify_csorting_equivalences,
 )
 from permutree.verify import (
     check_counting,
@@ -181,3 +186,27 @@ def test_csorting_suite_enumerates_no_reduced_words():
     verify.run_suite("csorting", 5)
     after = cache.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_csorting_suite_searches_once_per_orientation(monkeypatch):
+    # conditions 3-5 read only the orientation: the suite asks exactly what
+    # one Coxeter word per distinct orientation asks, and condition 3 asks
+    # each (permutation, orientation) pair once
+    calls = []
+
+    def counting(pi, orientation):
+        calls.append((pi, orientation))
+        return exists_accepted(pi, orientation)
+
+    monkeypatch.setattr(coxeter, "exists_accepted", counting)
+    verify.run_suite("csorting", 4)
+    suite_calls = Counter(calls)
+    calls.clear()
+    for n in (2, 3, 4):
+        one_word_each = {orientation_of(c): c for c in all_coxeter_words(n)}
+        verify_csorting_equivalences(n, one_word_each.values())
+    assert suite_calls == Counter(calls)
+    orientations = {orientation_of(c) for c in all_coxeter_words(4)}
+    assert len(orientations) == 4
+    condition_3 = {key: seen for key, seen in suite_calls.items() if key[1] in orientations}
+    assert condition_3 == {(pi, o): 1 for pi in core.all_permutations(4) for o in orientations}

@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from permutree import verify
-from permutree.cli import main
+from permutree.cli import MAX_COUNT_ALL_N, MAX_COUNT_N, main
 
 
 def run_cli(capsys, *argv):
@@ -178,9 +179,9 @@ CAPPED = "is capped at n={}; beyond that it is not worth the wait"
 @pytest.mark.parametrize(
     "argv, reason",
     [
-        (("count", "--n", "8"), "count over every orientation " + CAPPED.format(7)),
-        (("count", "--n", "11", "--u", "2"), "count " + CAPPED.format(10)),
-        (("count", "--n", "11", "--u", "", "--d", ""), "count " + CAPPED.format(10)),
+        (("count", "--n", "9"), "count over every orientation " + CAPPED.format(8)),
+        (("count", "--n", "17", "--u", "2"), "count " + CAPPED.format(16)),
+        (("count", "--n", "17", "--u", "", "--d", ""), "count " + CAPPED.format(16)),
         (("tree", "--n", "8", "--u", "2"), "tree " + CAPPED.format(7)),
         (("network", "--n", "9", "--u", "2"), "network " + CAPPED.format(8)),
         (("automaton", "--kind", "U", "--j", "2", "--n", "1001"), "automaton " + CAPPED.format(1000)),
@@ -240,6 +241,17 @@ def test_orientation_outside_the_allowed_range_is_refused(capsys, argv, allowed,
 def test_count_of_degree_one(capsys):
     assert run_cli(capsys, "count", "--n", "1") == (0, "u={} d={} count=1\n", "")
     assert run_cli(capsys, "count", "--n", "1", "--u=") == (0, "1\n", "")
+
+
+def test_count_at_the_caps(capsys):
+    n = MAX_COUNT_N
+    alternating = ("--u", ",".join(map(str, range(2, n, 2))), "--d", ",".join(map(str, range(3, n, 2))))
+    assert run_cli(capsys, "count", "--n", str(n), "--u=") == (0, f"{math.factorial(n)}\n", "")
+    assert run_cli(capsys, "count", "--n", str(n), *alternating) == (0, f"{math.comb(2 * n, n) // (n + 1)}\n", "")
+    code, out, err = run_cli(capsys, "count", "--n", str(MAX_COUNT_ALL_N))
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 3 ** (MAX_COUNT_ALL_N - 2))
+    assert f"u={{}} d={{}} count={math.factorial(MAX_COUNT_ALL_N)}" in lines
 
 
 def test_verify_refuses_an_oversized_bound_before_running_any_suite(capsys, monkeypatch):

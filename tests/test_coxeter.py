@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -157,8 +158,9 @@ def test_letter_order_in_sorting_words(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_equivalences_and_catalan_counts(n):
-    for c in all_coxeter_words(n):
-        report = verify_csorting_equivalences(n, c)
+    reports = verify_csorting_equivalences(n, all_coxeter_words(n))
+    assert len(reports) == math.factorial(n - 1)
+    for report in reports:
         assert not report.violations, report.violations
         assert report.sortable_count == catalan(n)
 

@@ -1,8 +1,11 @@
 import json
+import math
+import os
 import pathlib
 
 import pytest
 
+from permutree import trees
 from permutree.core import (
     Orientation,
     Permutation,
@@ -21,6 +24,7 @@ from permutree.trees import (
     lexmin_word,
     weak_order_hasse,
 )
+from permutree.verify import disjoint_orientations
 
 P = Permutation.from_text
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -170,6 +174,38 @@ def test_count_minimal_examples():
     assert count_minimal(4, Orientation({2, 3}, frozenset(), 4)) == 14
     assert count_minimal(4, Orientation(frozenset(), frozenset(), 4)) == 24
     assert count_minimal(4, Orientation({2}, frozenset(), 4)) == 18
+
+
+def oracle_count_minimal(n, orientation):
+    """count_minimal by enumeration: scan S_n, test each permutation."""
+    orientation.require_disjoint()
+    return sum(1 for pi in all_permutations(n) if is_minimal(pi, orientation))
+
+
+SLOW_DEGREE = pytest.param(
+    7, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, SLOW_DEGREE])
+def test_count_minimal_matches_enumeration(n):
+    for orientation in disjoint_orientations(n):
+        assert count_minimal(n, orientation) == oracle_count_minimal(n, orientation), orientation
+
+
+def test_count_minimal_enumerates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("count_minimal must not scan S_n")
+
+    monkeypatch.setattr(trees, "is_minimal", refuse)
+    monkeypatch.setattr(trees, "all_permutations", refuse)
+    assert count_minimal(9, Orientation(frozenset(), frozenset(), 9)) == math.factorial(9)
+    assert count_minimal(9, Orientation({2, 5}, {7}, 9)) == 45_036
+
+
+def test_count_minimal_refuses_overlapping_sets():
+    with pytest.raises(ValueError, match="disjoint"):
+        count_minimal(4, Orientation({2}, {2}, 4))
 
 
 def test_tree_json_dump():
