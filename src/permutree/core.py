@@ -42,8 +42,10 @@ class Permutation:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+        entries = self.entries
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+            object.__setattr__(self, "entries", entries)
         n = len(entries)
         if n < 1 or sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {entries!r}")
@@ -186,12 +188,11 @@ def left_multiply(letter: int, pi: Permutation) -> Permutation:
     >>> str(left_multiply(4, Permutation.from_text("142536")))
     '152436'
     """
-    _check_letter(letter, pi.n)
-    p = pi.entries.index(letter)
-    q = pi.entries.index(letter + 1)
-    entries = list(pi.entries)
-    entries[p], entries[q] = entries[q], entries[p]
-    return Permutation(tuple(entries))
+    entries = pi.entries
+    _check_letter(letter, len(entries))
+    swapped = list(entries)
+    swapped[entries.index(letter)], swapped[entries.index(letter + 1)] = letter + 1, letter
+    return Permutation(tuple(swapped))
 
 
 def right_multiply(pi: Permutation, letter: int) -> Permutation:
@@ -211,16 +212,19 @@ def is_left_inversion(pi: Permutation, letter: int) -> bool:
 
     Equivalently, left multiplication by s_letter shortens pi.
     """
-    _check_letter(letter, pi.n)
-    return pi.entries.index(letter + 1) < pi.entries.index(letter)
+    entries = pi.entries
+    _check_letter(letter, len(entries))
+    return entries.index(letter + 1) < entries.index(letter)
 
 
 def left_inversions(pi: Permutation) -> tuple[int, ...]:
     """All letters l with values l, l+1 reversed in pi, ascending."""
-    positions = [0] * (pi.n + 1)
-    for pos, val in enumerate(pi.entries):
+    entries = pi.entries
+    n = len(entries)
+    positions = [0] * (n + 1)
+    for pos, val in enumerate(entries):
         positions[val] = pos
-    return tuple(l for l in range(1, pi.n) if positions[l + 1] < positions[l])
+    return tuple([l for l in range(1, n) if positions[l + 1] < positions[l]])
 
 
 def contains_pattern(pi: Permutation, j: int, kind: Kind) -> bool:
@@ -301,10 +305,10 @@ def evaluate(word: Word) -> Permutation:
     >>> str(evaluate(Word((3, 5, 2, 1, 3), 6)))
     '413265'
     """
-    pi = identity(word.n)
-    for letter in word:
-        pi = right_multiply(pi, letter)
-    return pi
+    entries = list(identity(word.n).entries)
+    for letter in word.letters:  # right_multiply in place; Word checked each letter
+        entries[letter - 1], entries[letter] = entries[letter], entries[letter - 1]
+    return Permutation(tuple(entries))
 
 
 def walk_reduced_words(
@@ -318,51 +322,57 @@ def walk_reduced_words(
     A reduced expression of p starts with a left descent l of p and goes on
     with one of s_l * p; the children of a node are tried in ascending order
     of l, or of key(l).  With advance, the child reached by l carries
-    advance(state, l), and the branch is cut where that is None.  Below a
-    node the walk depends only on (its entries, its state), so a pair whose
-    subtree yielded nothing is skipped when met again.  The stack is
-    explicit: no recursion limit bounds the length of pi.
+    advance(state, l), and the branch is cut where that is None.
+
+    The walk keeps one position array, pos[v] = the position of the value v
+    (pos[0] is unused): l is a left descent iff pos[l+1] < pos[l], and
+    stepping to s_l * p swaps pos[l] and pos[l+1], undone on the way back.
+    So pos always holds the node on top of the stack, and each node's
+    descents are read lazily from it, only as far as the walk tries them.
+    A node is the identity iff its depth is the length of pi.  Below a node
+    the walk depends only on (its position tuple, its state), which is in
+    bijection with (its entries, its state), so a pair whose subtree yielded
+    nothing is skipped when met again.  The stack is explicit: no recursion
+    limit bounds the length of pi.
     """
-
-    def frame(p: Permutation, s: Hashable) -> list | None:
-        # [permutation, state, untried letters, words yielded before it]; None for a leaf
-        descents = left_inversions(p)
-        if not descents:
-            return None
-        return [p, s, iter(descents if key is None else sorted(descents, key=key)), yields]
-
-    yields = 0
-    root = frame(pi, state)
-    if root is None:
+    length = pi.length()
+    if not length:
         yield ()
         return
+    pos = [0] * (pi.n + 1)
+    for at, value in enumerate(pi.entries, start=1):
+        pos[value] = at
+    order = range(1, pi.n) if key is None else sorted(range(1, pi.n), key=key)
+    yields = 0
     failed: set[tuple[tuple[int, ...], Hashable]] = set()
     path: list[int] = []
-    stack = [root]
+    # frames: (state, untried descents, words yielded before the node)
+    stack = [(state, (l for l in order if pos[l + 1] < pos[l]), 0)]
     while True:
-        p, current, todo, before = stack[-1]
+        current, todo, before = stack[-1]
         for letter in todo:
             nxt = current if advance is None else advance(current, letter)
             if nxt is None:
                 continue
-            child = left_multiply(letter, p)
-            if failed and (child.entries, nxt) in failed:
-                continue
-            below = frame(child, nxt)
-            if below is None:
+            if len(path) + 1 == length:
                 yields += 1
                 yield (*path, letter)
                 continue
+            pos[letter], pos[letter + 1] = pos[letter + 1], pos[letter]
+            if failed and (tuple(pos), nxt) in failed:
+                pos[letter], pos[letter + 1] = pos[letter + 1], pos[letter]
+                continue
             path.append(letter)
-            stack.append(below)
+            stack.append((nxt, (l for l in order if pos[l + 1] < pos[l]), yields))
             break
         else:
             stack.pop()
             if not stack:
                 return
-            path.pop()
             if yields == before:
-                failed.add((p.entries, current))
+                failed.add((tuple(pos), current))
+            letter = path.pop()
+            pos[letter], pos[letter + 1] = pos[letter + 1], pos[letter]
 
 
 def iter_reduced_words(pi: Permutation) -> Iterator[Word]:

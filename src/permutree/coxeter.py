@@ -69,17 +69,22 @@ def orientation_of(c: CoxeterWord) -> Orientation:
     return Orientation(up, down, c.n)
 
 
-def c_sorting_word(pi: Permutation, c: CoxeterWord) -> Word:
-    """The greedy reduced expression of pi inside c repeated forever."""
+def _extract(pi: Permutation, c: CoxeterWord) -> tuple[CFactorization, Word]:
+    """The c-factorization and the c-sorting word of pi, from one greedy extraction."""
     passes, residual = _greedy_extract(pi, c.word)
     assert residual.is_identity()  # c holds every generator, so no pass is stuck
-    return Word(tuple(itertools.chain(*passes)), pi.n)
+    blocks = tuple(frozenset(taken) for taken in passes)
+    return CFactorization(blocks), Word(tuple(itertools.chain(*passes)), pi.n)
+
+
+def c_sorting_word(pi: Permutation, c: CoxeterWord) -> Word:
+    """The greedy reduced expression of pi inside c repeated forever."""
+    return _extract(pi, c)[1]
 
 
 def c_factorization(pi: Permutation, c: CoxeterWord) -> CFactorization:
     """Which letters of each successive copy of c the greedy extraction takes."""
-    passes, _ = _greedy_extract(pi, c.word)
-    return CFactorization(tuple(frozenset(taken) for taken in passes))
+    return _extract(pi, c)[0]
 
 
 def is_c_sortable(pi: Permutation, c: CoxeterWord) -> bool:
@@ -88,7 +93,11 @@ def is_c_sortable(pi: Permutation, c: CoxeterWord) -> bool:
     >>> is_c_sortable(Permutation.from_text("4213"), CoxeterWord(Word((2, 1, 3), 4)))
     False
     """
-    blocks = c_factorization(pi, c).blocks
+    return _decreasing(c_factorization(pi, c))
+
+
+def _decreasing(factorization: CFactorization) -> bool:
+    blocks = factorization.blocks
     return all(late <= early for early, late in zip(blocks, blocks[1:]))
 
 
@@ -112,6 +121,7 @@ def verify_csorting_equivalences(
     """Evaluate all five conditions on every permutation of S_n, one report
     per Coxeter word, in the order given.
 
+    Conditions 1 and 2 are read from one greedy extraction per (pi, c).
     Conditions 3-5 read only orientation_of(c), so they are evaluated once
     per distinct orientation and shared by the words that give it.
     Exhaustive; intended for small n.  An empty violation list means the
@@ -137,9 +147,10 @@ def verify_csorting_equivalences(
         violations = []
         sortable = 0
         for pi, orientation_conditions in zip(perms, shared[orientation]):
+            factorization, word = _extract(pi, c)
             conditions = (
-                is_c_sortable(pi, c),
-                product_accepts(orientation, c_sorting_word(pi, c)),
+                _decreasing(factorization),
+                product_accepts(orientation, word),
                 *orientation_conditions,
             )
             if all(conditions):

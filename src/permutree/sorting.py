@@ -337,22 +337,31 @@ def _greedy_extract(pi: Permutation, template: Word) -> tuple[list, Permutation]
     The template is repeated until the residual is sorted or a full pass
     takes nothing (stuck), which cannot happen when the template holds
     every generator.  Returns the letters taken in each pass that took any,
-    and the final residual.
+    and the final residual.  The residual is kept as its position array,
+    pos[v] = the position of the value v: the letter l shortens it iff
+    pos[l+1] < pos[l], and taking l swaps the two.
     """
-    if template.n != pi.n:
+    n = pi.n
+    if template.n != n:
         raise ValueError("template degree does not match permutation")
-    residual = pi
+    pos = [0] * (n + 1)
+    for at, value in enumerate(pi.entries, start=1):
+        pos[value] = at
+    sorted_pos = list(range(n + 1))
     passes: list[tuple[int, ...]] = []
-    while not residual.is_identity():
+    while pos != sorted_pos:
         taken = []
-        for letter in template:
-            if is_left_inversion(residual, letter):
+        for letter in template.letters:
+            if pos[letter + 1] < pos[letter]:
                 taken.append(letter)
-                residual = left_multiply(letter, residual)
+                pos[letter], pos[letter + 1] = pos[letter + 1], pos[letter]
         if not taken:
             break
         passes.append(tuple(taken))
-    return passes, residual
+    entries = [0] * n
+    for value in range(1, n + 1):
+        entries[pos[value] - 1] = value
+    return passes, Permutation(tuple(entries))
 
 
 def network_mismatch(template: Word, orientation: Orientation, pi: Permutation) -> bool:

@@ -24,9 +24,9 @@ from .core import (
     all_permutations,
     all_reduced_words,
     contains_pattern,
-    evaluate,
     is_minimal,
     ninv_stats,
+    right_multiply,
     stack_sort,
 )
 from .automata import (
@@ -452,16 +452,19 @@ def check_prefix_closure(max_n: int) -> Violations:
                     word = lexmin_word(pi, orientation, priority)
                     if word is not None:
                         table[pi] = word
+                # each word's parent is the word of pi * s_last; by induction on
+                # length every prefix is then the word of its own permutation
                 for pi, word in table.items():
-                    for cut in range(len(word)):
-                        prefix = Word(word.letters[:cut], n)
-                        owner = evaluate(prefix)
-                        if table.get(owner) != prefix:
-                            violations.append(
-                                f"n={n} priority={priority.order} "
-                                f"u={sorted(orientation.u)} d={sorted(orientation.d)}: "
-                                f"prefix {prefix} of {word} is not the word of {owner}"
-                            )
+                    if not word:
+                        continue
+                    prefix = Word(word.letters[:-1], n)
+                    owner = right_multiply(pi, word.letters[-1])
+                    if table.get(owner) != prefix:
+                        violations.append(
+                            f"n={n} priority={priority.order} "
+                            f"u={sorted(orientation.u)} d={sorted(orientation.d)}: "
+                            f"prefix {prefix} of {word} is not the word of {owner}"
+                        )
     return violations
 
 

@@ -178,6 +178,27 @@ def test_prefix_suite_reads_minimality(monkeypatch):
     assert all("minimal=True" in line and "accepted=False" in line for line in violations)
 
 
+def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
+    # give 4321 its lexicographically last reduced word instead of its lexmin
+    # word: that word's parent is not the word of its own permutation
+    w0 = Permutation((4, 3, 2, 1))
+    last = max(core.iter_reduced_words(w0), key=lambda word: word.letters)
+    lexmin_word = verify.lexmin_word
+    monkeypatch.setattr(
+        verify,
+        "lexmin_word",
+        lambda pi, orientation, priority: last if pi == w0 else lexmin_word(pi, orientation, priority),
+    )
+    violations = check_prefix_closure(4)
+    parent = Word(last.letters[:-1], 4)
+    expected = (
+        f"n=4 priority=(1, 2, 3) u=[] d=[]: "
+        f"prefix {parent} of {last} is not the word of {core.evaluate(parent)}"
+    )
+    assert expected in violations
+    assert all(f"prefix {parent} of {last} is not" in line for line in violations), violations
+
+
 def test_csorting_suite_enumerates_no_reduced_words():
     # every condition of the suite is a search or a scan: none looks the
     # reduced words up, so the enumeration cache sees no traffic

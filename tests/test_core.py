@@ -314,6 +314,17 @@ def test_evaluate():
     assert evaluate(Word((), 4)) == identity(4)
 
 
+@pytest.mark.parametrize("n, max_length", [(1, 0), (2, 4), (3, 6), (4, 6), (5, 4)])
+def test_evaluate_matches_a_fold_of_right_multiply(n, max_length):
+    # every word up to the length, reduced or not
+    for length in range(max_length + 1):
+        for letters in itertools.product(range(1, n), repeat=length):
+            pi = identity(n)
+            for letter in letters:
+                pi = right_multiply(pi, letter)
+            assert evaluate(Word(letters, n)) == pi, letters
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         Word((4,), 4)

@@ -1,8 +1,10 @@
 import math
 import os
+from collections import Counter
 
 import pytest
 
+from permutree import coxeter
 from permutree.core import (
     Kind,
     Permutation,
@@ -163,6 +165,21 @@ def test_equivalences_and_catalan_counts(n):
     for report in reports:
         assert not report.violations, report.violations
         assert report.sortable_count == catalan(n)
+
+
+def test_equivalences_extract_once_per_permutation_and_word(monkeypatch):
+    # conditions 1 and 2 read the same greedy extraction
+    calls = Counter()
+    extract = coxeter._greedy_extract
+
+    def counting(pi, template):
+        calls[pi, template] += 1
+        return extract(pi, template)
+
+    monkeypatch.setattr(coxeter, "_greedy_extract", counting)
+    words = list(all_coxeter_words(4))
+    verify_csorting_equivalences(4, words)
+    assert calls == Counter((pi, c.word) for c in words for pi in all_permutations(4))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -1,9 +1,12 @@
-"""The left-descent walker and the greedy extractor against the recursive
-definitions they replaced, which are kept here as oracles.
+"""The left-descent walker and the greedy extractor against the definitions
+they replaced, which are kept here as oracles: the recursive ones, and the
+Permutation-stepping bodies that the position-array loops replaced.
 
 Every comparison is exhaustive over the stated degrees; nothing is sampled.
 """
 import ast
+import collections
+import functools
 import itertools
 import os
 import pathlib
@@ -11,6 +14,7 @@ import random
 
 import pytest
 
+from permutree import automata, core, coxeter, sorting, trees, verify
 from permutree.core import (
     Orientation,
     Permutation,
@@ -23,6 +27,7 @@ from permutree.core import (
     left_inversions,
     left_multiply,
     stack_sort,
+    walk_reduced_words,
 )
 from permutree.automata import (
     Status,
@@ -31,10 +36,11 @@ from permutree.automata import (
     initial_product,
     product_accepts,
     product_table,
+    step_alive,
     step_product,
 )
-from permutree.coxeter import all_coxeter_words, c_factorization
-from permutree.sorting import PriorityOrder
+from permutree.coxeter import all_coxeter_words, c_factorization, c_sorting_word
+from permutree.sorting import PriorityOrder, _greedy_extract
 from permutree.trees import lexmin_word
 from permutree.verify import disjoint_orientations
 
@@ -45,7 +51,7 @@ SLOW_DEGREE = pytest.param(
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "permutree"
 
 
-# -- oracles: the recursive definitions -------------------------------------
+# -- oracles: the replaced definitions ----------------------------------------
 
 
 def oracle_reduced_words(pi):
@@ -60,6 +66,67 @@ def oracle_reduced_words(pi):
 
     for seq in rec(pi):
         yield Word(seq, pi.n)
+
+
+def oracle_walk_reduced_words(pi, key=None, state=(), advance=None):
+    """walk_reduced_words as it was, stepping through validated Permutations."""
+
+    def frame(p, s):
+        descents = left_inversions(p)
+        if not descents:
+            return None
+        return [p, s, iter(descents if key is None else sorted(descents, key=key)), yields]
+
+    yields = 0
+    root = frame(pi, state)
+    if root is None:
+        yield ()
+        return
+    failed = set()
+    path = []
+    stack = [root]
+    while True:
+        p, current, todo, before = stack[-1]
+        for letter in todo:
+            nxt = current if advance is None else advance(current, letter)
+            if nxt is None:
+                continue
+            child = left_multiply(letter, p)
+            if failed and (child.entries, nxt) in failed:
+                continue
+            below = frame(child, nxt)
+            if below is None:
+                yields += 1
+                yield (*path, letter)
+                continue
+            path.append(letter)
+            stack.append(below)
+            break
+        else:
+            stack.pop()
+            if not stack:
+                return
+            path.pop()
+            if yields == before:
+                failed.add((p.entries, current))
+
+
+def oracle_greedy_extract(pi, template):
+    """sorting._greedy_extract as it was, stepping through validated Permutations."""
+    if template.n != pi.n:
+        raise ValueError("template degree does not match permutation")
+    residual = pi
+    passes = []
+    while not residual.is_identity():
+        taken = []
+        for letter in template:
+            if is_left_inversion(residual, letter):
+                taken.append(letter)
+                residual = left_multiply(letter, residual)
+        if not taken:
+            break
+        passes.append(tuple(taken))
+    return passes, residual
 
 
 def oracle_exists_accepted(pi, orientation):
@@ -181,6 +248,128 @@ def test_c_factorization_matches_oracle(n):
             assert c_factorization(pi, c).blocks == oracle_c_factorization(pi, c)
 
 
+def walker_arguments(orientation):
+    """(state, advance) that thread the orientation's product state along a walk."""
+    return initial_product(orientation), functools.partial(step_alive, product_table(orientation))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, SLOW_DEGREE])
+def test_walk_reduced_words_matches_oracle_with_priorities(n):
+    rng = random.Random(20261018 + n)
+    priorities = [PriorityOrder.natural(n)] + [PriorityOrder.shuffled(n, rng) for _ in range(3)]
+    perms = list(all_permutations(n))
+    for orientation in disjoint_orientations(n):
+        state, advance = walker_arguments(orientation)
+        for priority in priorities:
+            for pi in perms:
+                got = list(walk_reduced_words(pi, priority.key, state, advance))
+                want = list(oracle_walk_reduced_words(pi, priority.key, state, advance))
+                assert got == want, (pi, orientation, priority)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_walk_reduced_words_matches_oracle_on_every_orientation(n):
+    # u and d may overlap here, where the automata's verdict is not is_minimal's
+    perms = list(all_permutations(n))
+    for orientation in all_orientations(n):
+        state, advance = walker_arguments(orientation)
+        for pi in perms:
+            got = list(walk_reduced_words(pi, state=state, advance=advance))
+            want = list(oracle_walk_reduced_words(pi, state=state, advance=advance))
+            assert got == want, (pi, orientation)
+
+
+def greedy_templates(n):
+    """Every Coxeter word of S_n, and each with one generator left out."""
+    for c in all_coxeter_words(n):
+        yield c.word
+        for dropped in range(len(c.word)):
+            yield Word(c.word.letters[:dropped] + c.word.letters[dropped + 1 :], n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_greedy_extract_matches_oracle(n):
+    perms = list(all_permutations(n))
+    stuck = 0
+    for template in greedy_templates(n):
+        for pi in perms:
+            got = _greedy_extract(pi, template)
+            assert got == oracle_greedy_extract(pi, template), (pi, template)
+            stuck += not got[1].is_identity()
+    # a template missing a generator leaves some residual unsorted
+    assert stuck > 0 or n <= 1
+
+
+def test_greedy_extract_matches_oracle_on_the_reduced_words_of_w0():
+    # 54321 has 768 reduced words, each a template holding every generator
+    perms = list(all_permutations(5))
+    templates = list(iter_reduced_words(Permutation((5, 4, 3, 2, 1))))
+    assert len(templates) == 768
+    for template in templates:
+        for pi in perms:
+            assert _greedy_extract(pi, template) == oracle_greedy_extract(pi, template)
+
+
+def test_greedy_extract_refuses_a_template_of_another_degree():
+    with pytest.raises(ValueError, match="template degree does not match permutation"):
+        _greedy_extract(Permutation((4, 2, 1, 3)), Word((2, 1), 3))
+
+
+# The names whose calls the guard counts, besides Permutation.__post_init__.
+SLOW_PATH = ("left_multiply", "left_inversions", "is_left_inversion")
+
+
+@pytest.fixture
+def slow_path_calls(monkeypatch):
+    """Count Permutation constructions and calls of the slow-path helpers,
+    wherever a package module bound them."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted("Permutation", Permutation.__post_init__))
+    for name in SLOW_PATH:
+        original = getattr(core, name)
+        wrapper = counted(name, original)
+        for module in (core, automata, sorting, coxeter, trees, verify):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_walker_and_extractor_stay_off_the_slow_path(slow_path_calls):
+    w0 = Permutation((5, 4, 3, 2, 1))
+    perms = list(all_permutations(5))
+    words = list(all_coxeter_words(5))
+    slow_path_calls.clear()
+    assert len(list(iter_reduced_words(w0))) == 768
+    assert slow_path_calls["Permutation"] <= 1
+    assert not any(slow_path_calls[name] for name in SLOW_PATH), slow_path_calls
+    for c in words:
+        for pi in perms:
+            slow_path_calls.clear()
+            c_sorting_word(pi, c)
+            assert slow_path_calls["Permutation"] <= 1, (pi, c)
+            assert not any(slow_path_calls[name] for name in SLOW_PATH), (pi, c, slow_path_calls)
+
+
+def test_slow_path_guard_counts(slow_path_calls):
+    # the guard itself sees a construction and a call of each helper
+    pi = Permutation((2, 1, 3))
+    core.left_multiply(1, pi)
+    sorting.left_inversions(pi)
+    sorting.is_left_inversion(pi, 1)
+    assert slow_path_calls == {
+        "Permutation": 2, "left_multiply": 1, "left_inversions": 1, "is_left_inversion": 1
+    }
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_stack_sort_matches_oracle(n):
     for pi in all_permutations(n):
@@ -251,10 +440,9 @@ def test_only_the_brute_force_routes_enumerate_reduced_words():
         assert not names & {"all_reduced_words", "iter_reduced_words"}, path.name
 
 
-# Library API kept on purpose although nothing in src/ calls it.
-KEPT_WITHOUT_CALLER = {
-    "length": "the Coxeter length of a Permutation; the tests' reducedness checks read it",
-}
+# Library API kept on purpose although nothing in src/ calls it (none today:
+# walk_reduced_words reads Permutation.length).
+KEPT_WITHOUT_CALLER: dict[str, str] = {}
 
 
 def test_package_has_no_dead_definition():
