@@ -10,7 +10,6 @@ from .core import (
     contains_pattern,
     evaluate,
     identity,
-    is_left_inversion,
     iter_reduced_words,
     left_multiply,
     ninv_stats,

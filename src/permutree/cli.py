@@ -29,13 +29,17 @@ MATH_FAILURE = 1
 
 # Largest inputs the commands accept.  tree and network enumerate S_n, so
 # one more n multiplies their work by n or more; an automaton's table has
-# about 3n^2 entries; a product is drawn state by state.  A sort takes about
-# n^2 steps of O(n) work each, and its text table has about n^4 characters
-# (450 MB at n = 200, 1.1 GB at n = 250).  count runs a DP over the 2^n sets
-# of placed values, over 3^(n-2) orientations for the table; each count cap
-# is the largest n whose worst case stays under a quarter second in-process
-# (2 cores, Python 3.11): one orientation 0.15 s at n = 16 (d = 2..15),
-# 0.34 s at n = 17; the table 0.17 s at n = 8, 0.79 s at n = 9.
+# about 3n^2 entries; a product is drawn state by state.  A sort takes at
+# most one step per inversion (about n^2/4 for a random permutation), each
+# O(n): the pick scans the descent set and the row copies the entries.  Its
+# JSON has about n^3 characters and its text table about n^4 (450 MB at
+# n = 200, 1.1 GB at n = 250).  In-process, sort --n 400 --output json takes
+# 2.1 s and --n 200 --output text 1.1 s, most of it rendering.  count runs
+# a DP over the 2^n sets of placed values, over 3^(n-2) orientations for the
+# table; each count cap is the largest n whose worst case stays under a
+# quarter second in-process (2 cores, Python 3.11): one orientation 0.15 s
+# at n = 16 (d = 2..15), 0.34 s at n = 17; the table 0.17 s at n = 8,
+# 0.79 s at n = 9.
 MAX_COUNT_ALL_N = 8  # count over every disjoint orientation
 MAX_COUNT_N = 16  # count for one orientation
 MAX_TREE_N = 7

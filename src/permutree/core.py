@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 
 class Kind(Enum):
@@ -71,9 +71,18 @@ class Permutation:
         return sum(high > low for i, high in enumerate(entries) for low in entries[i + 1 :])
 
     def __str__(self) -> str:
-        if self.n <= 9:
-            return "".join(str(v) for v in self.entries)
-        return " ".join(str(v) for v in self.entries)
+        return one_line_writer(self.n)(self.entries)
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> Permutation:
+        """The Permutation of entries already known to be one, not validated again.
+
+        For loops that reach each permutation by swapping two values of one
+        they hold: a swap of a permutation is a permutation.
+        """
+        pi = object.__new__(cls)
+        object.__setattr__(pi, "entries", entries)
+        return pi
 
     @classmethod
     def from_text(cls, text: str) -> Permutation:
@@ -171,6 +180,22 @@ class Orientation:
             raise ValueError(f"u and d must be disjoint, both contain {sorted(self.u & self.d)}")
 
 
+@lru_cache(maxsize=16)
+def one_line_writer(n: int) -> Callable[[Iterable[int]], str]:
+    """A function writing the entries of a degree-n permutation as str() does.
+
+    The values run together up to n = 9 and are space-separated above.  The
+    value strings are made once per degree, so rendering a permutation costs
+    one join.
+
+    >>> one_line_writer(4)((3, 4, 2, 1)), one_line_writer(10)(range(10, 0, -1))
+    ('3421', '10 9 8 7 6 5 4 3 2 1')
+    """
+    join = ("" if n <= 9 else " ").join
+    token = [str(v) for v in range(n + 1)].__getitem__
+    return lambda entries: join(map(token, entries))
+
+
 def identity(n: int) -> Permutation:
     """The identity permutation of S_n.
 
@@ -205,16 +230,6 @@ def right_multiply(pi: Permutation, letter: int) -> Permutation:
     entries = list(pi.entries)
     entries[letter - 1], entries[letter] = entries[letter], entries[letter - 1]
     return Permutation(tuple(entries))
-
-
-def is_left_inversion(pi: Permutation, letter: int) -> bool:
-    """True iff the values letter and letter+1 are reversed in pi.
-
-    Equivalently, left multiplication by s_letter shortens pi.
-    """
-    entries = pi.entries
-    _check_letter(letter, len(entries))
-    return entries.index(letter + 1) < entries.index(letter)
 
 
 def left_inversions(pi: Permutation) -> tuple[int, ...]:

@@ -19,6 +19,7 @@ remainder, never an exception.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -30,10 +31,8 @@ from .core import (
     Permutation,
     Word,
     all_permutations,
-    is_left_inversion,
     is_minimal,
-    left_inversions,
-    left_multiply,
+    one_line_writer,
     pattern_witness,
 )
 from .automata import initial_state, label, product_accepts, step, table
@@ -61,13 +60,12 @@ class PriorityOrder:
         return self.rank[letter]
 
     def pick(self, candidates) -> int | None:
-        candidates = list(candidates)
-        if not candidates:
-            return None
-        return min(candidates, key=self.key)
+        return min(candidates, key=self.rank.__getitem__, default=None)
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def natural(cls, n: int) -> PriorityOrder:
+        """The order 1, 2, ..., n-1; one shared instance per n (it is immutable)."""
         return cls(tuple(range(1, n)))
 
     @classmethod
@@ -119,9 +117,12 @@ class SortTrace:
         width and each line is stripped of trailing spaces.  Since the w
         column is as wide as the final word, the output has about
         rows x len(final word) characters, which grows as n^4 for a sort of
-        length about n^2; the rendering takes time and memory linear in it.
+        length about n^2; the rendering takes time and memory linear in it,
+        and joining the lines is most of it (each pi cell is one join of
+        value strings made once per degree).
         """
         single = self.kind is not None
+        one_line = one_line_writer(self.result.n)
         header = ["pi", "w", "j", "l"] if single else ["pi", "w", "u", "d", "l", "k"]
         # Every step's w cell is a prefix of one string, so a row keeps the
         # string and the end of its prefix, (text, end), and the cell,
@@ -134,10 +135,11 @@ class SortTrace:
         for s in self.steps:
             if single:
                 param = next(iter(s.u if self.kind is Kind.UP else s.d))
-                cells = [str(s.pi), "", str(param), str(s.letter)]
+                cells = [one_line(s.pi.entries), "", str(param), str(s.letter)]
             else:
                 cells = [
-                    str(s.pi), "", _set_cell(s.u), _set_cell(s.d), str(s.letter), _checks_cell(s.checks)
+                    one_line(s.pi.entries), "", _set_cell(s.u), _set_cell(s.d),
+                    str(s.letter), _checks_cell(s.checks),
                 ]
             rows.append((cells, word, end))
             if s.applied:
@@ -145,9 +147,9 @@ class SortTrace:
         if self.success:  # the applied letters are the whole word
             if single:
                 param = next(iter(self.final_u if self.kind is Kind.UP else self.final_d))
-                rows.append(([str(self.result), "", str(param), ""], word, end))
+                rows.append(([one_line(self.result.entries), "", str(param), ""], word, end))
             else:
-                rows.append(([str(self.result), "", "", "", "", ""], word, end))
+                rows.append(([one_line(self.result.entries), "", "", "", "", ""], word, end))
         widths = [max(map(len, column)) for column in zip(*(cells for cells, _, _ in rows))]
         widths[1] = max(end for _, _, end in rows)
         lines = []
@@ -160,10 +162,11 @@ class SortTrace:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        one_line = one_line_writer(self.result.n)
         payload = {
             "steps": [
                 {
-                    "pi": str(s.pi),
+                    "pi": one_line(s.pi.entries),
                     "u": sorted(s.u),
                     "d": sorted(s.d),
                     "letter": s.letter,
@@ -174,7 +177,7 @@ class SortTrace:
                 for s in self.steps
             ],
             "word": list(self.word),
-            "result": str(self.result),
+            "result": one_line(self.result.entries),
             "success": self.success,
         }
         return json.dumps(payload, sort_keys=True)
@@ -204,11 +207,45 @@ def move_d(d: frozenset[int], letter: int) -> frozenset[int]:
     return (d - {letter + 1}) | {letter}
 
 
-def _fixes_prefix(pi: Permutation, k: int) -> bool:
-    """pi([k]) == [k] setwise; vacuously true for k <= 0 and k >= n."""
-    if k <= 0 or k >= pi.n:
-        return True
-    return max(pi.entries[:k]) == k
+class _Residual:
+    """What a sort has left of pi, kept for left multiplication.
+
+    entries is its one-line notation, pos[v] the index of the value v in
+    entries, and descents its set of left descents: l is one iff
+    pos[l+1] < pos[l].  Taking a descent l (pi becomes s_l * pi) swaps the
+    values l and l+1, which changes only the descents l-1, l and l+1.
+    """
+
+    __slots__ = ("entries", "pos", "descents")
+
+    def __init__(self, pi: Permutation):
+        self.entries = list(pi.entries)
+        self.pos = pos = [0] * (pi.n + 1)
+        for at, value in enumerate(self.entries):
+            pos[value] = at
+        self.descents = {l for l in range(1, pi.n) if pos[l + 1] < pos[l]}
+
+    def permutation(self) -> Permutation:
+        """The residual, not validated again: swaps keep it a permutation."""
+        return Permutation._trusted(tuple(self.entries))
+
+    def take(self, letter: int) -> None:
+        """Left-multiply by s_letter, for a letter in descents."""
+        entries, pos, descents = self.entries, self.pos, self.descents
+        i, j = pos[letter], pos[letter + 1]
+        entries[i], entries[j] = letter + 1, letter
+        pos[letter], pos[letter + 1] = j, i
+        descents.discard(letter)
+        for l in (letter - 1, letter + 1):
+            if 1 <= l < len(entries):
+                if pos[l + 1] < pos[l]:
+                    descents.add(l)
+                else:
+                    descents.discard(l)
+
+    def fixes_prefix(self, k: int) -> bool:
+        """pi([k]) == [k] setwise; vacuously true for k <= 0 and k >= n."""
+        return k <= 0 or k >= len(self.entries) or max(self.entries[:k]) == k
 
 
 def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
@@ -228,17 +265,18 @@ def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
     param = j
     steps: list[TraceStep] = []
     taken: list[int] = []
+    rest = _Residual(pi)
+    descents = rest.descents
 
     def record(letter: int, phase: str) -> None:
-        nonlocal pi
         sets = (frozenset({param}), frozenset()) if up else (frozenset(), frozenset({param}))
-        steps.append(TraceStep(pi, sets[0], sets[1], letter, (), phase))
+        steps.append(TraceStep(rest.permutation(), sets[0], sets[1], letter, (), phase))
         taken.append(letter)
-        pi = left_multiply(letter, pi)
+        rest.take(letter)
 
     while True:
         forbidden = param - 1 if up else param
-        letter = min((l for l in left_inversions(pi) if l != forbidden), default=None)
+        letter = min((l for l in descents if l != forbidden), default=None)
         if letter is None:
             break
         record(letter, "healthy")
@@ -248,17 +286,18 @@ def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
             param -= 1
 
     ill_letter = param - 1 if up else param
-    if 1 <= ill_letter <= n - 1 and is_left_inversion(pi, ill_letter):
+    if ill_letter in descents:
         record(ill_letter, "ill")
         # the ill row forbids one letter, cut; a letter below it never changes a
         # descent above it, so the least letter sorts the lower value block first
         cut = param if up else param - 1
         while True:
-            letter = min((l for l in left_inversions(pi) if l != cut), default=None)
+            letter = min((l for l in descents if l != cut), default=None)
             if letter is None:
                 break
             record(letter, "block")
 
+    pi = rest.permutation()
     final_sets = (frozenset({param}), frozenset()) if up else (frozenset(), frozenset({param}))
     return SortTrace(tuple(steps), Word(tuple(taken), n), pi, final_sets[0], final_sets[1], kind)
 
@@ -283,16 +322,16 @@ def permutree_sort(
     u, d = orientation.u, orientation.d
     steps: list[TraceStep] = []
     taken: list[int] = []
+    rest = _Residual(pi)
+    descents = rest.descents
 
-    while True:
-        descents = left_inversions(pi)
-        if not descents:
-            break
+    while descents:
+        current = rest.permutation()
         letter = priority.pick(l for l in descents if l + 1 not in u and l not in d)
         if letter is not None:
-            steps.append(TraceStep(pi, u, d, letter, (), "healthy"))
+            steps.append(TraceStep(current, u, d, letter, (), "healthy"))
             taken.append(letter)
-            pi = left_multiply(letter, pi)
+            rest.take(letter)
             u, d = move_u(u, letter), move_d(d, letter)
             continue
         chosen = None
@@ -300,24 +339,24 @@ def permutree_sort(
         for l in sorted(descents, key=priority.key):
             checks = []
             if l + 1 in u:
-                checks.append((l + 1, _fixes_prefix(pi, l + 1)))
+                checks.append((l + 1, rest.fixes_prefix(l + 1)))
             if l in d:
-                checks.append((l - 1, _fixes_prefix(pi, l - 1)))
+                checks.append((l - 1, rest.fixes_prefix(l - 1)))
             checks.sort()
             if all(ok for _, ok in checks):
                 chosen = (l, tuple(checks))
                 break
-            attempts.append(TraceStep(pi, u, d, l, tuple(checks), "ill", applied=False))
+            attempts.append(TraceStep(current, u, d, l, tuple(checks), "ill", applied=False))
         if chosen is None:
             steps.extend(attempts)
             break
         letter, checks = chosen
-        steps.append(TraceStep(pi, u, d, letter, checks, "ill"))
+        steps.append(TraceStep(current, u, d, letter, checks, "ill"))
         taken.append(letter)
-        pi = left_multiply(letter, pi)
+        rest.take(letter)
         u, d = move_u(u - {letter + 1}, letter), move_d(d - {letter}, letter)
 
-    return SortTrace(tuple(steps), Word(tuple(taken), n), pi, u, d)
+    return SortTrace(tuple(steps), Word(tuple(taken), n), rest.permutation(), u, d)
 
 
 def minimality_witness(

@@ -13,7 +13,6 @@ from permutree.core import (
     contains_pattern,
     evaluate,
     identity,
-    is_left_inversion,
     is_minimal,
     iter_reduced_words,
     left_inversions,
@@ -23,6 +22,7 @@ from permutree.core import (
     right_multiply,
     stack_sort,
 )
+from oracles import is_left_inversion
 
 P = Permutation.from_text
 

@@ -12,7 +12,6 @@ from permutree.core import (
     all_permutations,
     evaluate,
     identity,
-    is_left_inversion,
     left_multiply,
 )
 from permutree.automata import accepts
@@ -27,6 +26,7 @@ from permutree.coxeter import (
 )
 from permutree.core import contains_pattern, stack_sort
 from permutree.verify import catalan
+from oracles import is_left_inversion
 
 P = Permutation.from_text
 
@@ -126,8 +126,6 @@ def test_is_c_sortable():
 def test_sorting_word_recursion(n):
     # peeling the first letter of c: take it when it shortens pi, rotate it
     # to the back either way
-    from permutree.core import is_left_inversion, left_multiply
-
     for c in all_coxeter_words(n):
         first, rest = c.word.letters[0], c.word.letters[1:]
         rotated = CoxeterWord(Word(rest + (first,), n))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import tracemalloc
@@ -14,7 +15,6 @@ from permutree.core import (
     contains_pattern,
     evaluate,
     identity,
-    is_left_inversion,
     left_inversions,
     left_multiply,
 )
@@ -34,14 +34,14 @@ from permutree.sorting import (
     permutree_sort,
     sort_single,
 )
+from oracles import is_left_inversion
 
 P = Permutation.from_text
 
 
-def slow(n):
-    return pytest.param(
-        n, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
-    )
+def slow(*values):
+    skip = pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
+    return pytest.param(*values, marks=skip)
 
 
 def orientations(n, disjoint=True):
@@ -62,6 +62,21 @@ def test_priority_order():
     assert flipped.pick([]) is None
     with pytest.raises(ValueError):
         PriorityOrder((1, 3))
+
+
+def test_natural_priority_is_built_once_per_degree(monkeypatch):
+    assert PriorityOrder.natural(5) is PriorityOrder.natural(5)
+    built = []
+    original = PriorityOrder.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PriorityOrder, "__post_init__", counted)
+    for pi in all_permutations(5):
+        permutree_sort(pi, Orientation(set(), set(), 5))
+    assert built == []
 
 
 def test_move_operations():
@@ -291,7 +306,7 @@ def test_product_sort_preserves_minimality_of_intermediates(n):
 def test_descent_freedom(n):
     # a minimal permutation has an accepted reduced expression starting with
     # any descent other than the single ill-making letter
-    from permutree.core import all_reduced_words, is_left_inversion
+    from permutree.core import all_reduced_words
 
     for pi in all_permutations(n):
         for j in range(2, n):
@@ -381,8 +396,6 @@ def test_network_candidate_prefix():
 
 
 def test_trace_json_round_trip():
-    import json
-
     trace = permutree_sort(P("3214"), Orientation({3}, {2}, 4))
     payload = json.loads(trace.to_json())
     assert payload["success"] is True
@@ -397,6 +410,11 @@ def oracle_word_cell(letters):
     return ".".join(f"s{l}" for l in letters) if letters else "e"
 
 
+def oracle_pi_text(pi):
+    """str(Permutation) as it was: str() of every value, joined."""
+    return ("" if pi.n <= 9 else " ").join(str(v) for v in pi.entries)
+
+
 def oracle_table(trace):
     """SortTrace.to_table as it was: every row's w cell formatted from scratch."""
     single = trace.kind is not None
@@ -407,11 +425,11 @@ def oracle_table(trace):
         word_cell = oracle_word_cell(taken)
         if single:
             param = next(iter(s.u if trace.kind is Kind.UP else s.d))
-            rows.append([str(s.pi), word_cell, str(param), str(s.letter)])
+            rows.append([oracle_pi_text(s.pi), word_cell, str(param), str(s.letter)])
         else:
             rows.append(
                 [
-                    str(s.pi),
+                    oracle_pi_text(s.pi),
                     word_cell,
                     "{" + ",".join(str(v) for v in sorted(s.u)) + "}",
                     "{" + ",".join(str(v) for v in sorted(s.d)) + "}",
@@ -425,9 +443,9 @@ def oracle_table(trace):
         final_word = oracle_word_cell(list(trace.word))
         if single:
             param = next(iter(trace.final_u if trace.kind is Kind.UP else trace.final_d))
-            rows.append([str(trace.result), final_word, str(param), ""])
+            rows.append([oracle_pi_text(trace.result), final_word, str(param), ""])
         else:
-            rows.append([str(trace.result), final_word, "", "", "", ""])
+            rows.append([oracle_pi_text(trace.result), final_word, "", "", "", ""])
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     lines = []
     for i, row in enumerate(rows):
@@ -506,3 +524,147 @@ def test_table_memory_is_linear_in_its_size():
         tracemalloc.stop()
     assert len(table) > 5_000_000
     assert peak <= 2.5 * len(table), peak / len(table)
+
+
+# -- permutree_sort against the Permutation-stepping loop it replaced -------
+
+
+def oracle_fixes_prefix(pi, k):
+    if k <= 0 or k >= pi.n:
+        return True
+    return max(pi.entries[:k]) == k
+
+
+def oracle_permutree_sort(pi, orientation, priority=None):
+    """permutree_sort as it was: left_inversions and left_multiply at every step."""
+    orientation.require_disjoint()
+    n = pi.n
+    if priority is None:
+        priority = PriorityOrder.natural(n)
+    u, d = orientation.u, orientation.d
+    steps = []
+    taken = []
+
+    while True:
+        descents = left_inversions(pi)
+        if not descents:
+            break
+        letter = priority.pick(l for l in descents if l + 1 not in u and l not in d)
+        if letter is not None:
+            steps.append(TraceStep(pi, u, d, letter, (), "healthy"))
+            taken.append(letter)
+            pi = left_multiply(letter, pi)
+            u, d = move_u(u, letter), move_d(d, letter)
+            continue
+        chosen = None
+        attempts = []
+        for l in sorted(descents, key=priority.key):
+            checks = []
+            if l + 1 in u:
+                checks.append((l + 1, oracle_fixes_prefix(pi, l + 1)))
+            if l in d:
+                checks.append((l - 1, oracle_fixes_prefix(pi, l - 1)))
+            checks.sort()
+            if all(ok for _, ok in checks):
+                chosen = (l, tuple(checks))
+                break
+            attempts.append(TraceStep(pi, u, d, l, tuple(checks), "ill", applied=False))
+        if chosen is None:
+            steps.extend(attempts)
+            break
+        letter, checks = chosen
+        steps.append(TraceStep(pi, u, d, letter, checks, "ill"))
+        taken.append(letter)
+        pi = left_multiply(letter, pi)
+        u, d = move_u(u - {letter + 1}, letter), move_d(d - {letter}, letter)
+
+    return SortTrace(tuple(steps), Word(tuple(taken), n), pi, u, d)
+
+
+def oracle_json(trace):
+    """SortTrace.to_json as it was: str() of every value of every row."""
+    payload = {
+        "steps": [
+            {
+                "pi": oracle_pi_text(s.pi),
+                "u": sorted(s.u),
+                "d": sorted(s.d),
+                "letter": s.letter,
+                "checks": [[k, ok] for k, ok in s.checks],
+                "phase": s.phase,
+                "applied": s.applied,
+            }
+            for s in trace.steps
+        ],
+        "word": list(trace.word),
+        "result": oracle_pi_text(trace.result),
+        "success": trace.success,
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+def assert_sort_matches_oracle(pi, orientation, priority, text=True):
+    trace = permutree_sort(pi, orientation, priority)
+    want = oracle_permutree_sort(pi, orientation, priority)
+    assert trace == want, (pi, orientation, priority)
+    assert trace.to_json() == oracle_json(want), (pi, orientation, priority)
+    if text:
+        assert trace.to_table() == oracle_table(want), (pi, orientation, priority)
+    return trace
+
+
+# (n, seed): seed None is the natural priority, otherwise the seed of a
+# shuffled one.  One pass over S_6 costs about 20 s, so only the natural
+# priority runs there by default.
+ORACLE_CASES = [
+    *((n, seed) for n in range(1, 6) for seed in (None, 1, 2)),
+    (6, None),
+    *(slow(n, seed) for n, seed in ((6, 1), (6, 2), (7, None), (7, 1), (7, 2))),
+]
+
+
+@pytest.mark.parametrize("n, seed", ORACLE_CASES)
+def test_product_sort_matches_oracle(n, seed):
+    if seed is None:
+        priority = PriorityOrder.natural(n)
+    else:
+        priority = PriorityOrder.shuffled(n, random.Random(20261018 + 10 * n + seed))
+    every = list(orientations(n)) if n > 1 else [Orientation(frozenset(), frozenset(), 1)]
+    for orientation in every:
+        for pi in all_permutations(n):
+            assert_sort_matches_oracle(pi, orientation, priority)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_seeded_large_sorts_match_oracle(n):
+    # the space-separated form, and ill rows of stuck sorts, at sizes the
+    # exhaustive comparisons never reach; the n = 200 text table is 429 MB
+    rng = random.Random(20261018 + n)
+    entries = list(range(1, n + 1))
+    rng.shuffle(entries)
+    pi = Permutation(tuple(entries))
+    sparse = rng.sample(range(2, n), 6)
+    parity = rng.randrange(2)
+    up = {j for j in range(2, n) if j % 2 == parity}
+    traces = [
+        assert_sort_matches_oracle(pi, orientation, PriorityOrder.shuffled(n, rng), text=n <= 50)
+        for orientation in (
+            Orientation(set(), set(), n),
+            Orientation(set(sparse[:3]), set(sparse[3:]), n),
+            Orientation(up, set(range(2, n)) - up, n),
+        )
+    ]
+    assert [trace.success for trace in traces] == [True, False, False]
+    assert any(s.phase == "ill" for trace in traces[1:] for s in trace.steps)
+
+
+@pytest.mark.parametrize("n, first", [(9, "987654321"), (10, "10 9 8 7 6 5 4 3 2 1")])
+def test_rendered_pi_is_str_of_the_permutation(n, first):
+    # digits run together up to n = 9 and are space-separated from n = 10
+    trace = permutree_sort(Permutation(tuple(range(n, 0, -1))), Orientation(set(), set(), n))
+    rendered = [step["pi"] for step in json.loads(trace.to_json())["steps"]]
+    assert rendered[0] == first
+    assert rendered == [str(s.pi) for s in trace.steps]
+    assert rendered == [oracle_pi_text(s.pi) for s in trace.steps]
+    rows = trace.to_table().splitlines()[2:]
+    assert [row.split(" | ")[0] for row in rows] == rendered + [oracle_pi_text(trace.result)]

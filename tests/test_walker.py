@@ -21,7 +21,6 @@ from permutree.core import (
     Word,
     all_permutations,
     evaluate,
-    is_left_inversion,
     is_minimal,
     iter_reduced_words,
     left_inversions,
@@ -43,6 +42,7 @@ from permutree.coxeter import all_coxeter_words, c_factorization, c_sorting_word
 from permutree.sorting import PriorityOrder, _greedy_extract
 from permutree.trees import lexmin_word
 from permutree.verify import disjoint_orientations
+from oracles import is_left_inversion
 
 SLOW_DEGREE = pytest.param(
     6, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
@@ -316,7 +316,7 @@ def test_greedy_extract_refuses_a_template_of_another_degree():
 
 
 # The names whose calls the guard counts, besides Permutation.__post_init__.
-SLOW_PATH = ("left_multiply", "left_inversions", "is_left_inversion")
+SLOW_PATH = ("left_multiply", "left_inversions")
 
 
 @pytest.fixture
@@ -359,15 +359,25 @@ def test_walker_and_extractor_stay_off_the_slow_path(slow_path_calls):
             assert not any(slow_path_calls[name] for name in SLOW_PATH), (pi, c, slow_path_calls)
 
 
+def test_sorts_stay_off_the_slow_path(slow_path_calls):
+    # each row's permutation is a swap of the one before, so none is validated
+    kinds = (core.Kind.UP, core.Kind.DOWN)
+    sorts = [(sorting.permutree_sort, orientation) for orientation in disjoint_orientations(5)]
+    sorts += [(sorting.sort_single, j, kind) for j in range(2, 5) for kind in kinds]
+    for pi in all_permutations(5):
+        for sort, *args in sorts:
+            slow_path_calls.clear()
+            sort(pi, *args)
+            assert slow_path_calls["Permutation"] <= 1, (pi, args)
+            assert not any(slow_path_calls[name] for name in SLOW_PATH), (pi, args, slow_path_calls)
+
+
 def test_slow_path_guard_counts(slow_path_calls):
     # the guard itself sees a construction and a call of each helper
     pi = Permutation((2, 1, 3))
     core.left_multiply(1, pi)
-    sorting.left_inversions(pi)
-    sorting.is_left_inversion(pi, 1)
-    assert slow_path_calls == {
-        "Permutation": 2, "left_multiply": 1, "left_inversions": 1, "is_left_inversion": 1
-    }
+    core.left_inversions(pi)
+    assert slow_path_calls == {"Permutation": 2, "left_multiply": 1, "left_inversions": 1}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -440,9 +450,13 @@ def test_only_the_brute_force_routes_enumerate_reduced_words():
         assert not names & {"all_reduced_words", "iter_reduced_words"}, path.name
 
 
-# Library API kept on purpose although nothing in src/ calls it (none today:
-# walk_reduced_words reads Permutation.length).
-KEPT_WITHOUT_CALLER: dict[str, str] = {}
+# Definitions kept on purpose although nothing in src/ calls them, with the reason.
+KEPT_WITHOUT_CALLER: dict[str, str] = {
+    "left_multiply": "perfbench/worker.py reads its traced call count "
+    "(core.left_multiply.calls); delete with the next benchmark refresh",
+    "left_inversions": "perfbench/worker.py reads its traced call count "
+    "(core.left_inversions.calls); delete with the next benchmark refresh",
+}
 
 
 def test_package_has_no_dead_definition():
