@@ -27,22 +27,30 @@ from .verify import SUITES, disjoint_orientations, run_suite, suite_bound
 USAGE_ERROR = 2
 MATH_FAILURE = 1
 
-# Largest inputs the commands accept.  tree and network enumerate S_n, so
-# one more n multiplies their work by n or more; an automaton's table has
-# about 3n^2 entries; a product is drawn state by state.  A sort takes at
-# most one step per inversion (about n^2/4 for a random permutation), each
-# O(n): the pick scans the descent set and the row copies the entries.  Its
-# JSON has about n^3 characters and its text table about n^4 (450 MB at
-# n = 200, 1.1 GB at n = 250).  In-process, sort --n 400 --output json takes
-# 2.1 s and --n 200 --output text 1.1 s, most of it rendering.  count runs
-# a DP over the 2^n sets of placed values, over 3^(n-2) orientations for the
-# table; each count cap is the largest n whose worst case stays under a
-# quarter second in-process (2 cores, Python 3.11): one orientation 0.15 s
-# at n = 16 (d = 2..15), 0.34 s at n = 17; the table 0.17 s at n = 8,
-# 0.79 s at n = 9.
+# Largest inputs the commands accept.  network enumerates S_n, so one more
+# n multiplies its work by n or more; an automaton's table has about 3n^2
+# entries; a product is drawn state by state.  A sort takes at most one step
+# per inversion (about n^2/4 for a random permutation), each O(n): the pick
+# scans the descent set and the row copies the entries.  Its JSON has about
+# n^3 characters and its text table about n^4 (450 MB at n = 200, 1.1 GB at
+# n = 250).  In-process, sort --n 400 --output json takes 2.1 s and --n 200
+# --output text 1.1 s, most of it rendering.  count runs a DP over the 2^n
+# sets of placed values, over 3^(n-2) orientations for the table.  tree
+# builds and renders each node once, so it is capped by its node count,
+# which count gives first (hence tree's cap on n is count's); --overlay
+# draws all of S_n.  The count and tree caps are each the largest size
+# whose worst case stays under a quarter second in-process (2 cores,
+# Python 3.11): count for one orientation 0.15 s at n = 16 (d = 2..15),
+# 0.34 s at n = 17; the count table 0.17 s at n = 8, 0.79 s at n = 9.  The
+# tree cap is 6,600 nodes (DOT at n = 8, at most 0.23 s) rounded down: a
+# tree of up to 6,000 nodes takes at most 0.22 s (5,760 nodes at n = 8,
+# 4,862 at n = 9), 6,776 nodes at n = 8 take 0.26 s, 6,864 at n = 9
+# 0.29 s and 16,796 at n = 10 0.7 s; --overlay takes 0.25 s at n = 7 (the
+# empty orientation).
 MAX_COUNT_ALL_N = 8  # count over every disjoint orientation
 MAX_COUNT_N = 16  # count for one orientation
-MAX_TREE_N = 7
+MAX_TREE_NODES = 6_000
+MAX_TREE_OVERLAY_N = 7  # tree --overlay
 MAX_NETWORK_N = 8
 MAX_AUTOMATON_N = 1000
 MAX_PRODUCT_STATES = 100_000
@@ -198,7 +206,12 @@ def cmd_automaton(args) -> int:
 def cmd_tree(args) -> int:
     orientation = _parse_orientation(args, args.n, disjoint=True)
     priority = _parse_priority(args.priority, args.n)
-    _require_at_most(args.n, MAX_TREE_N, "tree")
+    _require_at_most(args.n, MAX_COUNT_N, "tree")
+    if args.overlay:
+        _require_at_most(args.n, MAX_TREE_OVERLAY_N, "tree --overlay")
+    nodes = count_minimal(args.n, orientation)
+    if nodes > MAX_TREE_NODES:
+        raise UsageError(f"the tree has {nodes} nodes, more than the cap of {MAX_TREE_NODES}")
     tree = generating_tree(args.n, orientation, priority)
     if args.output == "json":
         print(tree.to_json())

@@ -4,7 +4,9 @@ and the weak-order diagram they are drawn over.
 
 The node set of a tree is the set of minimal permutations, each represented
 by its priority-least accepted reduced expression; the parent drops the last
-letter.  Prefix closure of that word set is what makes this a tree.
+letter.  Prefix closure of that word set is what makes this a tree, and it
+is also how the tree is built: outward from the identity, one product step
+per (node, ascent), with no scan of S_n and no search over reduced words.
 """
 from __future__ import annotations
 
@@ -19,8 +21,7 @@ from .core import (
     Word,
     all_permutations,
     evaluate,
-    is_minimal,
-    right_multiply,
+    one_line_writer,
     walk_reduced_words,
 )
 from .automata import initial_product, product_table, step_alive
@@ -42,6 +43,12 @@ def lexmin_word(
     Depth-first search over left descents in priority order, cutting any
     branch whose product state dies; the first completed word is the
     lexicographic minimum.  None iff no reduced expression is accepted.
+
+    This is the brute-force route, exponential in the length of pi: the
+    failure memo skips repeated dead ends, but on w0 of S_60 (u = {2}, say)
+    the search does not finish.  generating_tree reaches the same words
+    without it; the prefix suite in verify is its only caller in the
+    package, as the independent route that the tree is checked against.
     """
     if priority is None:
         priority = PriorityOrder.natural(pi.n)
@@ -83,25 +90,43 @@ class GeneratingTree:
 def generating_tree(
     n: int, orientation: Orientation, priority: PriorityOrder | None = None
 ) -> GeneratingTree:
-    """One node per minimal permutation of S_n.
+    """One node per minimal permutation of S_n, built breadth first by length.
 
-    Prefix closure guarantees parent(w) is itself a node; that is asserted
-    rather than assumed.
+    A node tau holds its word w, its entries and its product state.  For an
+    ascent l of tau (positions l, l+1), w.l is a reduced word of
+    sigma = tau * s_l, and since w is accepted, w.l is accepted iff sigma is
+    minimal: the step by l either kills the product or makes sigma a node.
+    The lexmin word of sigma drops its last letter to the lexmin word of a
+    node one shorter, so it is the least such candidate.  A level's nodes
+    are expanded in priority-lex order of their words and each node's
+    ascents in priority order, so the first candidate to reach sigma is its
+    word, and every level comes out in (length, priority-lex) order.
     """
     orientation.require_disjoint()
     if priority is None:
         priority = PriorityOrder.natural(n)
+    advance = functools.partial(step_alive, product_table(orientation))
+    order = sorted(range(1, n), key=priority.key)
+    root = tuple(range(1, n + 1))
+    seen = {root}
+    level = [((), root, initial_product(orientation))]
     words = []
-    for pi in all_permutations(n):
-        if is_minimal(pi, orientation):
-            word = lexmin_word(pi, orientation, priority)
-            assert word is not None
-            words.append(word)
-    words.sort(key=lambda w: (len(w), tuple(priority.key(l) for l in w)))
-    node_set = set(words)
-    for word in words:
-        if len(word) and Word(word.letters[:-1], n) not in node_set:
-            raise AssertionError(f"node set is not prefix-closed at {word}")
+    while level:
+        words.extend(Word(letters, n) for letters, _, _ in level)
+        children = []
+        for letters, entries, state in level:
+            for l in order:
+                low, high = entries[l - 1], entries[l]
+                if low > high:
+                    continue
+                swapped = (*entries[: l - 1], high, low, *entries[l + 1 :])
+                if swapped in seen:
+                    continue
+                child = advance(state, l)
+                if child is not None:
+                    seen.add(swapped)
+                    children.append(((*letters, l), swapped, child))
+        level = children
     return GeneratingTree(tuple(words), orientation, priority)
 
 
@@ -121,9 +146,12 @@ def weak_order_hasse(n: int) -> WeakOrderDiagram:
     """
     covers = []
     for pi in all_permutations(n):
+        entries = pi.entries
         for letter in range(1, n):
-            if pi.value_at(letter) < pi.value_at(letter + 1):
-                covers.append((pi, right_multiply(pi, letter)))
+            low, high = entries[letter - 1], entries[letter]
+            if low < high:
+                swapped = (*entries[: letter - 1], high, low, *entries[letter + 1 :])
+                covers.append((pi, Permutation._trusted(swapped)))
     return WeakOrderDiagram(n, tuple(covers))
 
 
@@ -174,43 +202,43 @@ def count_minimal(n: int, orientation: Orientation) -> int:
 
 def export_tree_dot(tree: GeneratingTree, overlay: WeakOrderDiagram | None = None) -> str:
     """Deterministic DOT: tree edges colored by their letter, bold; with an
-    overlay, the remaining permutations and weak-order covers in gray."""
+    overlay, the remaining permutations and weak-order covers in gray.
+
+    Each node is evaluated once and each permutation drawn is named once.
+    A cover (low, high) is drawn as a tree edge iff the tree has an edge
+    from low to high; that edge's letter is then the cover's, the position
+    where low and high differ.
+    """
     n = tree.n
+    write = one_line_writer(n)
     lines = ["digraph tree {", "  rankdir=BT;"]
-    tree_perms = {}
-    for word in tree.nodes:
-        tree_perms[evaluate(word)] = word
-    tree_edges = set()
-    for parent, child, letter in tree.edges():
-        tree_edges.add((evaluate(parent), evaluate(child), letter))
+    perms = {word: evaluate(word).entries for word in tree.nodes}
+    tree_edges = {
+        (perms[parent], perms[child]): letter for parent, child, letter in tree.edges()
+    }
 
     if overlay is not None:
         if overlay.n != n:
             raise ValueError("overlay degree does not match the tree")
-        for pi in all_permutations(n):
-            if pi in tree_perms:
-                lines.append(f'  "{pi}" [shape=box, style=bold];')
+        names = {pi.entries: write(pi.entries) for pi in all_permutations(n)}
+        tree_perms = set(perms.values())
+        for entries, name in names.items():
+            if entries in tree_perms:
+                lines.append(f'  "{name}" [shape=box, style=bold];')
             else:
-                lines.append(f'  "{pi}" [shape=box, color=gray, fontcolor=gray];')
+                lines.append(f'  "{name}" [shape=box, color=gray, fontcolor=gray];')
         edges = []
         for low, high in overlay.covers:
-            letter = next(
-                l for l in range(1, n) if right_multiply(low, l) == high
-            )
-            if (low, high, letter) in tree_edges:
-                edges.append(f'  "{low}" -> "{high}" [color={edge_color(letter)}, penwidth=2];')
-            else:
-                edges.append(f'  "{low}" -> "{high}" [color=gray];')
+            letter = tree_edges.get((low.entries, high.entries))
+            style = "color=gray" if letter is None else f"color={edge_color(letter)}, penwidth=2"
+            edges.append(f'  "{names[low.entries]}" -> "{names[high.entries]}" [{style}];')
         lines.extend(sorted(edges))
     else:
-        for pi in sorted(tree_perms, key=lambda p: p.entries):
-            lines.append(f'  "{pi}" [shape=box];')
-        edges = [
-            f'  "{a}" -> "{b}" [color={edge_color(letter)}, penwidth=2];'
-            for a, b, letter in sorted(
-                tree_edges, key=lambda e: (e[0].entries, e[1].entries)
-            )
-        ]
-        lines.extend(edges)
+        names = {entries: write(entries) for entries in sorted(perms.values())}
+        lines.extend(f'  "{name}" [shape=box];' for name in names.values())
+        lines.extend(
+            f'  "{names[low]}" -> "{names[high]}" [color={edge_color(letter)}, penwidth=2];'
+            for (low, high), letter in sorted(tree_edges.items())
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

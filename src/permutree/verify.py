@@ -24,6 +24,7 @@ from .core import (
     all_permutations,
     all_reduced_words,
     contains_pattern,
+    evaluate,
     is_minimal,
     ninv_stats,
     right_multiply,
@@ -55,7 +56,7 @@ from .sorting import (
     permutree_sort,
     sort_single,
 )
-from .trees import count_minimal, lexmin_word
+from .trees import count_minimal, generating_tree, lexmin_word
 
 Violations = list[str]
 
@@ -419,6 +420,8 @@ def check_prefix_closure(max_n: int) -> Violations:
 
     Checked as: w.l, a reduced word of pi, is accepted iff w is and pi is minimal.
     Each prefix is a reduced word of its own permutation, so induction does the rest.
+    The lexmin words found by search are also checked against generating_tree,
+    which grows them from the identity by that same claim.
     """
     violations = []
     rng = random.Random(PREFIX_SEED)
@@ -452,19 +455,37 @@ def check_prefix_closure(max_n: int) -> Violations:
                     word = lexmin_word(pi, orientation, priority)
                     if word is not None:
                         table[pi] = word
+                # the tree, built without lexmin_word, must give every node
+                # the table's word, and hold no other permutation
+                tree = {
+                    evaluate(node): node
+                    for node in generating_tree(n, orientation, priority).nodes
+                }
+                where = (
+                    f"n={n} priority={priority.order} "
+                    f"u={sorted(orientation.u)} d={sorted(orientation.d)}"
+                )
                 # each word's parent is the word of pi * s_last; by induction on
-                # length every prefix is then the word of its own permutation
+                # length every prefix is then the word of its own permutation.
+                # A word whose parent is wrong is not compared with the tree.
+                mismatches = []
                 for pi, word in table.items():
-                    if not word:
-                        continue
-                    prefix = Word(word.letters[:-1], n)
-                    owner = right_multiply(pi, word.letters[-1])
-                    if table.get(owner) != prefix:
-                        violations.append(
-                            f"n={n} priority={priority.order} "
-                            f"u={sorted(orientation.u)} d={sorted(orientation.d)}: "
-                            f"prefix {prefix} of {word} is not the word of {owner}"
-                        )
+                    node = tree.pop(pi, None)
+                    if word:
+                        prefix = Word(word.letters[:-1], n)
+                        owner = right_multiply(pi, word.letters[-1])
+                        if table.get(owner) != prefix:
+                            violations.append(
+                                f"{where}: prefix {prefix} of {word} is not the word of {owner}"
+                            )
+                            continue
+                    if node != word:
+                        mismatches.append((pi, node, word))
+                mismatches += [(pi, node, None) for pi, node in tree.items()]
+                violations += [
+                    f"{where}: tree word {node} of {pi} is not its lexmin word {word}"
+                    for pi, node, word in mismatches
+                ]
     return violations
 
 

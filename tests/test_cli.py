@@ -4,7 +4,7 @@ import math
 import pytest
 
 from permutree import verify
-from permutree.cli import MAX_COUNT_ALL_N, MAX_COUNT_N, main
+from permutree.cli import MAX_COUNT_ALL_N, MAX_COUNT_N, MAX_TREE_NODES, main
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +146,13 @@ def test_tree_json(capsys):
     assert len(payload) == 5
 
 
+def test_tree_is_capped_by_node_count_not_degree(capsys):
+    # the full up orientation of S_9 has Catalan(9) minimal permutations
+    code, out, err = run_cli(capsys, "tree", "--n", "9", "--u", "2,3,4,5,6,7,8", "--output", "json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)) == 4862 <= MAX_TREE_NODES
+
+
 def test_network_command(capsys):
     code, out, _ = run_cli(
         capsys, "network", "--n", "4", "--u", "2", "--extend", "2,1"
@@ -182,7 +189,7 @@ CAPPED = "is capped at n={}; beyond that it is not worth the wait"
         (("count", "--n", "9"), "count over every orientation " + CAPPED.format(8)),
         (("count", "--n", "17", "--u", "2"), "count " + CAPPED.format(16)),
         (("count", "--n", "17", "--u", "", "--d", ""), "count " + CAPPED.format(16)),
-        (("tree", "--n", "8", "--u", "2"), "tree " + CAPPED.format(7)),
+        (("tree", "--n", "17", "--u", "2"), "tree " + CAPPED.format(16)),
         (("network", "--n", "9", "--u", "2"), "network " + CAPPED.format(8)),
         (("automaton", "--kind", "U", "--j", "2", "--n", "1001"), "automaton " + CAPPED.format(1000)),
         (
@@ -196,6 +203,8 @@ CAPPED = "is capped at n={}; beyond that it is not worth the wait"
         (("sort", "--n", "201", "1"), "sort --output text " + CAPPED.format(200)),
         (("sort", "--n", "401", "--output", "json", "1"), "sort " + CAPPED.format(400)),
         (("sort", "--n", "401", "--output", "text", "1"), "sort --output text " + CAPPED.format(200)),
+        (("tree", "--n", "8", "--u", "2"), "the tree has 25200 nodes, more than the cap of 6000"),
+        (("tree", "--n", "8", "--u", "2,3,4,5,6,7", "--overlay"), "tree --overlay " + CAPPED.format(7)),
     ],
 )
 def test_oversized_inputs_are_refused(capsys, argv, reason):

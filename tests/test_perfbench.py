@@ -31,6 +31,8 @@ ops = [
     # theorem1 enumerates each permutation once; the 32 of S_2..S_4 overflow the
     # 8-entry reduced-word cache, so the traced pass enumerates too
     Op(("verify", "--suite", "theorem1", "--n", "4"), "verify", {{"suite": "theorem1"}}),
+    # the prefix suite is the one caller of lexmin_word; tree builds without it
+    Op(("verify", "--suite", "prefix", "--n", "3"), "verify", {{"suite": "prefix"}}),
     Op(("count", "--n", "5", "--u=", "--d="), "count", {{"n": 5, "u": none, "d": none}}),
     Op(("tree", "--n", "4", "--u=2", "--d=3", "--priority=3,1,2"), "tree", tree),
     # the checker compares a text sort with the JSON sort of the same input just before it

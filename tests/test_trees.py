@@ -2,10 +2,11 @@ import json
 import math
 import os
 import pathlib
+import random
 
 import pytest
 
-from permutree import trees
+from permutree import automata, core, coxeter, sorting, trees, verify
 from permutree.core import (
     Orientation,
     Permutation,
@@ -25,6 +26,7 @@ from permutree.trees import (
     weak_order_hasse,
 )
 from permutree.verify import disjoint_orientations
+from oracles import oracle_export_tree_dot, oracle_generating_tree, oracle_weak_order_hasse
 
 P = Permutation.from_text
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -193,12 +195,22 @@ def test_count_minimal_matches_enumeration(n):
         assert count_minimal(n, orientation) == oracle_count_minimal(n, orientation), orientation
 
 
-def test_count_minimal_enumerates_nothing(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("count_minimal must not scan S_n")
+def refuse_everywhere(monkeypatch, *names):
+    """Make each named function raise, in every package module that binds it."""
+    modules = (core, automata, sorting, coxeter, trees, verify)
+    for name in names:
+        original = next(vars(m)[name] for m in modules if name in vars(m))
 
-    monkeypatch.setattr(trees, "is_minimal", refuse)
-    monkeypatch.setattr(trees, "all_permutations", refuse)
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} must not be called")
+
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_count_minimal_enumerates_nothing(monkeypatch):
+    refuse_everywhere(monkeypatch, "is_minimal", "all_permutations")
     assert count_minimal(9, Orientation(frozenset(), frozenset(), 9)) == math.factorial(9)
     assert count_minimal(9, Orientation({2, 5}, {7}, 9)) == 45_036
 
@@ -206,6 +218,48 @@ def test_count_minimal_enumerates_nothing(monkeypatch):
 def test_count_minimal_refuses_overlapping_sets():
     with pytest.raises(ValueError, match="disjoint"):
         count_minimal(4, Orientation({2}, {2}, 4))
+
+
+def test_generating_tree_searches_nothing(monkeypatch):
+    # grown from the identity by product steps: no scan of S_n, no minimality
+    # test and no search over reduced words
+    refuse_everywhere(monkeypatch, "is_minimal", "lexmin_word", "walk_reduced_words", "all_permutations")
+    for orientation in [Orientation({2, 5}, {7}, 8), Orientation(frozenset(range(2, 8)), frozenset(), 8)]:
+        tree = generating_tree(8, orientation, PriorityOrder((4, 5, 2, 6, 1, 7, 3)))
+        assert len(tree.nodes) == count_minimal(8, orientation)
+
+
+# generating_tree and export_tree_dot are compared with the bodies they
+# replaced, on every disjoint orientation, under the natural priority and
+# TREE_SHUFFLES seeded ones
+TREE_SHUFFLES = 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, SLOW_DEGREE])
+def test_generating_tree_matches_oracle(n):
+    rng = random.Random(n)
+    priorities = [PriorityOrder.natural(n)] + [
+        PriorityOrder.shuffled(n, rng) for _ in range(TREE_SHUFFLES)
+    ]
+    hasse = weak_order_hasse(n)
+    assert hasse == oracle_weak_order_hasse(n)
+    for orientation in disjoint_orientations(n):
+        for priority in priorities:
+            tree = generating_tree(n, orientation, priority)
+            expected = oracle_generating_tree(n, orientation, priority)
+            assert tree == expected, (orientation, priority)
+            assert tree.to_json() == expected.to_json()
+            assert export_tree_dot(tree) == oracle_export_tree_dot(expected)
+            assert export_tree_dot(tree, hasse) == oracle_export_tree_dot(expected, hasse)
+
+
+def test_heavy_tail_tree_matches_oracle():
+    # the case whose lexmin_word searches took longest when the tree was a scan
+    orientation = Orientation({5, 6}, frozenset(), 7)
+    priority = PriorityOrder((4, 5, 2, 6, 1, 3))
+    tree = generating_tree(7, orientation, priority)
+    assert tree == oracle_generating_tree(7, orientation, priority)
+    assert len(tree.nodes) == count_minimal(7, orientation)
 
 
 def test_tree_json_dump():
