@@ -127,22 +127,22 @@ def cmd_check(args) -> int:
     orientation = _parse_orientation(args, args.n)
     pi = _parse_permutation(args.permutation, args.n)
     witness = minimality_witness(pi, orientation)
+    if witness is not None:
+        j, kind, positions = witness
+        values = "".join(str(pi.value_at(p)) for p in positions)
     if args.output == "json":
         payload = {"pi": str(pi), "minimal": witness is None}
         if witness is not None:
-            j, kind, positions = witness
             payload["witness"] = {
                 "j": j,
                 "side": kind.value,
                 "positions": list(positions),
-                "values": "".join(str(pi.value_at(p)) for p in positions),
+                "values": values,
             }
         print(json.dumps(payload, sort_keys=True))
     elif witness is None:
         print("minimal")
     else:
-        j, kind, positions = witness
-        values = "".join(str(pi.value_at(p)) for p in positions)
         label = f"{j}ki" if kind is Kind.UP else f"ki{j}"
         print(
             f"non-minimal: contains {values} ({label}) at positions "

@@ -246,25 +246,13 @@ def contains_pattern(pi: Permutation, j: int, kind: Kind) -> bool:
     """Does pi contain a subword jki (UP) or kij (DOWN) with i < j < k?
 
     The value j is fixed; i and k range over all values below and above it.
-    Single scan of j's side (after j for UP, before j for DOWN) for a value
-    above j, then one below it.
 
     >>> contains_pattern(Permutation.from_text("42135"), 3, Kind.DOWN)
     True
     >>> contains_pattern(Permutation.from_text("42135"), 3, Kind.UP)
     False
     """
-    if not 2 <= j <= pi.n - 1:
-        raise ValueError(f"j must lie in 2..{pi.n - 1}, got {j}")
-    entries = pi.entries
-    pos_j = entries.index(j)
-    seen_high = False
-    for val in entries[pos_j + 1 :] if kind is Kind.UP else entries[:pos_j]:
-        if val > j:
-            seen_high = True
-        elif seen_high:  # j is not on its own side, so val < j
-            return True
-    return False
+    return pattern_witness(pi, j, kind) is not None
 
 
 def is_minimal(pi: Permutation, orientation: Orientation) -> bool:
@@ -278,8 +266,8 @@ def is_minimal(pi: Permutation, orientation: Orientation) -> bool:
 def pattern_witness(pi: Permutation, j: int, kind: Kind) -> tuple[int, int, int] | None:
     """Positions (p, q, r) of one jki (UP) / kij (DOWN) occurrence, or None.
 
-    The scan is contains_pattern's; k is the first value above j on j's
-    side and i the first value below j after k.
+    The package's one scan of j's side (after j for UP, before j for DOWN):
+    k is the first value above j there and i the first value below j after k.
     """
     if not 2 <= j <= pi.n - 1:
         raise ValueError(f"j must lie in 2..{pi.n - 1}, got {j}")
@@ -290,7 +278,7 @@ def pattern_witness(pi: Permutation, j: int, kind: Kind) -> tuple[int, int, int]
         if val > j:
             if high is None:
                 high = val
-        elif high is not None:
+        elif high is not None:  # j is not on its own side, so val < j
             found = (entries.index(high) + 1, entries.index(val) + 1)
             return (pos_j + 1, *found) if kind is Kind.UP else (*found, pos_j + 1)
     return None

@@ -35,7 +35,7 @@ from .core import (
     one_line_writer,
     pattern_witness,
 )
-from .automata import initial_state, label, product_accepts, step, table
+from .automata import column_letters, product_accepts
 
 
 @dataclass(frozen=True)
@@ -264,42 +264,37 @@ def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
     up = kind is Kind.UP
     param = j
     steps: list[TraceStep] = []
-    taken: list[int] = []
     rest = _Residual(pi)
     descents = rest.descents
 
     def record(letter: int, phase: str) -> None:
         sets = (frozenset({param}), frozenset()) if up else (frozenset(), frozenset({param}))
         steps.append(TraceStep(rest.permutation(), sets[0], sets[1], letter, (), phase))
-        taken.append(letter)
         rest.take(letter)
 
+    ill, advance = column_letters(kind, param)
     while True:
-        forbidden = param - 1 if up else param
-        letter = min((l for l in descents if l != forbidden), default=None)
+        letter = min((l for l in descents if l != ill), default=None)
         if letter is None:
             break
         record(letter, "healthy")
-        if up and letter == param:
-            param += 1
-        elif not up and letter == param - 1:
-            param -= 1
+        if letter == advance:
+            param += 1 if up else -1
+            ill, advance = column_letters(kind, param)
 
-    ill_letter = param - 1 if up else param
-    if ill_letter in descents:
-        record(ill_letter, "ill")
-        # the ill row forbids one letter, cut; a letter below it never changes a
-        # descent above it, so the least letter sorts the lower value block first
-        cut = param if up else param - 1
+    if ill in descents:
+        record(ill, "ill")
+        # the ill row forbids one letter, advance; a letter below it never changes
+        # a descent above it, so the least letter sorts the lower value block first
         while True:
-            letter = min((l for l in descents if l != cut), default=None)
+            letter = min((l for l in descents if l != advance), default=None)
             if letter is None:
                 break
             record(letter, "block")
 
-    pi = rest.permutation()
     final_sets = (frozenset({param}), frozenset()) if up else (frozenset(), frozenset({param}))
-    return SortTrace(tuple(steps), Word(tuple(taken), n), pi, final_sets[0], final_sets[1], kind)
+    word = Word(tuple(s.letter for s in steps), n)
+    return SortTrace(tuple(steps), word, rest.permutation(), final_sets[0], final_sets[1], kind)
 
 
 def permutree_sort(
@@ -307,11 +302,13 @@ def permutree_sort(
 ) -> SortTrace:
     """Sorting driven by a pair of sets (u, d).
 
-    At each step, prefer a swap that keeps every component automaton healthy
-    (available iff l+1 is not in u and l is not in d); otherwise take a swap
-    whose endangered components provably accept everything, witnessed by the
-    prefix checks pi([l+1]) = [l+1] for l+1 in u and pi([l-1]) = [l-1] for l
-    in d, dropping those components.  If neither exists the sort is stuck.
+    At each step, prefer a swap that keeps every component automaton healthy.
+    The test for l, l+1 not in u and l not in d, is the column rule
+    (column_letters) in (u, d) form: l makes the UP column l+1 and the DOWN
+    column l ill.  Otherwise take a swap whose endangered components provably
+    accept everything, witnessed by the prefix checks pi([l+1]) = [l+1] for
+    l+1 in u and pi([l-1]) = [l-1] for l in d, dropping those components.  If
+    neither exists the sort is stuck.
     The moved sets may transiently contain n or 1; those components accept
     every word.
     """
@@ -321,42 +318,36 @@ def permutree_sort(
         priority = PriorityOrder.natural(n)
     u, d = orientation.u, orientation.d
     steps: list[TraceStep] = []
-    taken: list[int] = []
     rest = _Residual(pi)
     descents = rest.descents
 
     while descents:
         current = rest.permutation()
         letter = priority.pick(l for l in descents if l + 1 not in u and l not in d)
-        if letter is not None:
-            steps.append(TraceStep(current, u, d, letter, (), "healthy"))
-            taken.append(letter)
-            rest.take(letter)
-            u, d = move_u(u, letter), move_d(d, letter)
-            continue
-        chosen = None
-        attempts: list[TraceStep] = []
-        for l in sorted(descents, key=priority.key):
-            checks = []
-            if l + 1 in u:
-                checks.append((l + 1, rest.fixes_prefix(l + 1)))
-            if l in d:
-                checks.append((l - 1, rest.fixes_prefix(l - 1)))
-            checks.sort()
-            if all(ok for _, ok in checks):
-                chosen = (l, tuple(checks))
+        phase, checks = "healthy", ()
+        if letter is None:
+            phase, attempts = "ill", []
+            for letter in sorted(descents, key=priority.key):
+                checks = []
+                if letter + 1 in u:
+                    checks.append((letter + 1, rest.fixes_prefix(letter + 1)))
+                if letter in d:
+                    checks.append((letter - 1, rest.fixes_prefix(letter - 1)))
+                checks = tuple(sorted(checks))
+                if all(ok for _, ok in checks):
+                    break
+                attempts.append(TraceStep(current, u, d, letter, checks, phase, applied=False))
+            else:
+                steps.extend(attempts)
                 break
-            attempts.append(TraceStep(current, u, d, l, tuple(checks), "ill", applied=False))
-        if chosen is None:
-            steps.extend(attempts)
-            break
-        letter, checks = chosen
-        steps.append(TraceStep(current, u, d, letter, checks, "ill"))
-        taken.append(letter)
+        steps.append(TraceStep(current, u, d, letter, checks, phase))
         rest.take(letter)
-        u, d = move_u(u - {letter + 1}, letter), move_d(d - {letter}, letter)
+        if phase == "ill":  # drop the components the checks showed accept everything
+            u, d = u - {letter + 1}, d - {letter}
+        u, d = move_u(u, letter), move_d(d, letter)
 
-    return SortTrace(tuple(steps), Word(tuple(taken), n), rest.permutation(), u, d)
+    word = Word(tuple(s.letter for s in steps if s.applied), n)
+    return SortTrace(tuple(steps), word, rest.permutation(), u, d)
 
 
 def minimality_witness(
@@ -442,18 +433,11 @@ def network_candidate(kind: Kind, j: int, n: int, extension: Word | None = None)
     if not 2 <= j <= n - 1:
         raise ValueError(f"j must lie in 2..{n - 1}, got {j}")
     letters: list[int] = []
-    delta = table(kind, j, n)
-    code = initial_state(kind, j, n)
-    column = label(kind, j, code)[0]
-    boundary = n if kind is Kind.UP else 1
-    while column != boundary:
-        advancing = column if kind is Kind.UP else column - 1
-        ill_making = column - 1 if kind is Kind.UP else column
+    for column in range(j, n) if kind is Kind.UP else range(j, 1, -1):
+        ill_making, advancing = column_letters(kind, column)
         loops = [l for l in range(1, n) if l not in (advancing, ill_making)]
         letters.extend(loops * len(loops))
         letters.append(advancing)
-        code = step(delta, code, advancing)
-        column = label(kind, j, code)[0]
     if extension is None:
         extension = Word(tuple(range(n - 1, 0, -1)), n)
     letters.extend(extension)

@@ -11,6 +11,7 @@ per (node, ascent), with no scan of S_n and no search over reduced words.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -220,7 +221,7 @@ def export_tree_dot(tree: GeneratingTree, overlay: WeakOrderDiagram | None = Non
     if overlay is not None:
         if overlay.n != n:
             raise ValueError("overlay degree does not match the tree")
-        names = {pi.entries: write(pi.entries) for pi in all_permutations(n)}
+        names = {entries: write(entries) for entries in itertools.permutations(range(1, n + 1))}
         tree_perms = set(perms.values())
         for entries, name in names.items():
             if entries in tree_perms:

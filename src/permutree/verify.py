@@ -198,18 +198,12 @@ GOLDEN_PRODUCT = [
 
 
 def check_golden_tables() -> Violations:
-    violations = []
+    runs = []  # (algorithm, case, trace, rows of the trace in the case's form)
     for case in GOLDEN_SINGLE:
         pi = Permutation.from_text(case["pi"])
         trace = sort_single(pi, case["j"], Kind.UP)
         got_rows = [(str(s.pi), next(iter(s.u)), s.letter) for s in trace.steps]
-        want_rows = [(p, j, l) for p, j, l in case["rows"]]
-        if got_rows != want_rows:
-            violations.append(f"single {case['pi']}: rows {got_rows} != {want_rows}")
-        if trace.word.letters != case["word"] or str(trace.result) != case["final"]:
-            violations.append(
-                f"single {case['pi']}: word {trace.word} final {trace.result}"
-            )
+        runs.append(("single", case, trace, got_rows))
     for case in GOLDEN_PRODUCT:
         pi = Permutation.from_text(case["pi"])
         orientation = Orientation(frozenset(case["u"]), frozenset(case["d"]), pi.n)
@@ -218,12 +212,15 @@ def check_golden_tables() -> Violations:
             (str(s.pi), tuple(sorted(s.u)), tuple(sorted(s.d)), s.letter, s.checks)
             for s in trace.steps
         ]
+        runs.append(("product", case, trace, got_rows))
+    violations = []
+    for algorithm, case, trace, got_rows in runs:
         want_rows = [tuple(row) for row in case["rows"]]
         if got_rows != want_rows:
-            violations.append(f"product {case['pi']}: rows {got_rows} != {want_rows}")
+            violations.append(f"{algorithm} {case['pi']}: rows {got_rows} != {want_rows}")
         if trace.word.letters != case["word"] or str(trace.result) != case["final"]:
             violations.append(
-                f"product {case['pi']}: word {trace.word} final {trace.result}"
+                f"{algorithm} {case['pi']}: word {trace.word} final {trace.result}"
             )
     return violations
 
@@ -426,9 +423,9 @@ def check_prefix_closure(max_n: int) -> Violations:
     violations = []
     rng = random.Random(PREFIX_SEED)
     for n in range(2, max_n + 1):
-        priorities = [PriorityOrder.natural(n)] + [
-            PriorityOrder.shuffled(n, rng) for _ in range(PREFIX_SHUFFLES)
-        ]
+        # S_2 has one order of its letters and S_3 two: keep each distinct one once
+        shuffles = [PriorityOrder.shuffled(n, rng) for _ in range(PREFIX_SHUFFLES)]
+        priorities = dict.fromkeys([PriorityOrder.natural(n), *shuffles])
         orientations = list(disjoint_orientations(n))
         steppers = [
             (o, functools.partial(step_product, product_table(o)), initial_product(o))

@@ -1,6 +1,6 @@
 """Definitions the package no longer needs that the test oracles still use,
 and the bodies that faster routes replaced, kept to compare against."""
-from permutree.core import Word, all_permutations, evaluate, is_minimal, right_multiply
+from permutree.core import Kind, Word, all_permutations, evaluate, is_minimal, right_multiply
 from permutree.sorting import PriorityOrder
 from permutree.trees import (
     GeneratingTree,
@@ -19,6 +19,22 @@ def is_left_inversion(pi, letter):
     if not 1 <= letter <= len(entries) - 1:
         raise ValueError(f"letter {letter} out of range 1..{len(entries) - 1}")
     return entries.index(letter + 1) < entries.index(letter)
+
+
+def oracle_contains_pattern(pi, j, kind):
+    """contains_pattern as its own scan of j's side (after j for UP, before
+    j for DOWN) for a value above j, then one below it."""
+    if not 2 <= j <= pi.n - 1:
+        raise ValueError(f"j must lie in 2..{pi.n - 1}, got {j}")
+    entries = pi.entries
+    pos_j = entries.index(j)
+    seen_high = False
+    for val in entries[pos_j + 1 :] if kind is Kind.UP else entries[:pos_j]:
+        if val > j:
+            seen_high = True
+        elif seen_high:  # j is not on its own side, so val < j
+            return True
+    return False
 
 
 def oracle_generating_tree(n, orientation, priority=None):

@@ -11,6 +11,7 @@ from collections import Counter
 from permutree import core, coxeter, verify
 from permutree.automata import exists_accepted
 from permutree.core import Permutation, Word
+from permutree.sorting import PriorityOrder
 from permutree.coxeter import (
     CoxeterWord,
     all_coxeter_words,
@@ -176,6 +177,22 @@ def test_prefix_suite_reads_minimality(monkeypatch):
     violations = check_prefix_closure(4)
     assert violations
     assert all("minimal=True" in line and "accepted=False" in line for line in violations)
+
+
+def test_prefix_suite_reports_each_violation_once(monkeypatch):
+    # a tree grown under the natural priority, whatever the priority asked:
+    # under 2,1 it gives 321 the word 1,2,1.  S_3 has two orders of its
+    # letters, so the seeded shuffles repeat one, and each distinct priority
+    # must be checked, and its violations reported, once
+    generating_tree = verify.generating_tree
+    monkeypatch.setattr(
+        verify,
+        "generating_tree",
+        lambda n, orientation, priority: generating_tree(n, orientation, PriorityOrder.natural(n)),
+    )
+    violations = check_prefix_closure(3)
+    line = "n=3 priority=(2, 1) u=[] d=[]: tree word 1,2,1 of 321 is not its lexmin word 2,1,2"
+    assert violations.count(line) == 1, violations
 
 
 def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):

@@ -22,7 +22,7 @@ from permutree.core import (
     right_multiply,
     stack_sort,
 )
-from oracles import is_left_inversion
+from oracles import is_left_inversion, oracle_contains_pattern
 
 P = Permutation.from_text
 
@@ -74,7 +74,7 @@ def is_reduced(word):
     return len(word) == evaluate(word).length()
 
 
-def oracle_contains_pattern(pi, j, kind):
+def oracle_two_loop_contains_pattern(pi, j, kind):
     if not 2 <= j <= pi.n - 1:
         raise ValueError(f"j must lie in 2..{pi.n - 1}, got {j}")
     pos_j = pi.entries.index(j)
@@ -246,8 +246,27 @@ def test_folded_scans_match_the_two_loop_oracles(n):
     for pi in all_permutations(n):
         for j in range(2, n):
             for kind in (Kind.UP, Kind.DOWN):
-                assert contains_pattern(pi, j, kind) == oracle_contains_pattern(pi, j, kind)
+                want = oracle_two_loop_contains_pattern(pi, j, kind)
+                assert contains_pattern(pi, j, kind) == want
                 assert pattern_witness(pi, j, kind) == oracle_pattern_witness(pi, j, kind)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_contains_pattern_and_witness_match_the_own_scan_oracle(n):
+    # contains_pattern now asks pattern_witness, so both are checked against
+    # the scan contains_pattern used to run itself
+    for pi in all_permutations(n):
+        for j in range(2, n):
+            for kind in (Kind.UP, Kind.DOWN):
+                witness = pattern_witness(pi, j, kind)
+                want = oracle_contains_pattern(pi, j, kind)
+                assert contains_pattern(pi, j, kind) == want == (witness is not None)
+                if witness is not None:
+                    assert witness[0] < witness[1] < witness[2]
+                    values = [pi.value_at(p) for p in witness]
+                    # jki for UP, kij for DOWN
+                    middle, k, i = values if kind is Kind.UP else (values[2], *values[:2])
+                    assert middle == j and i < j < k
 
 
 def test_is_aligned():
