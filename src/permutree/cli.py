@@ -12,12 +12,11 @@ import json
 import math
 import sys
 
-from .core import Kind, Orientation, Permutation, Word
+from .core import Kind, Orientation, Permutation, Word, minimality_witness
 from .automata import export_dot, export_dot_product, state_count
 from .sorting import (
     PriorityOrder,
     check_sorting_network,
-    minimality_witness,
     network_candidate,
     permutree_sort,
 )
@@ -38,15 +37,14 @@ MATH_FAILURE = 1
 # sets of placed values, over 3^(n-2) orientations for the table.  tree
 # builds and renders each node once, so it is capped by its node count,
 # which count gives first (hence tree's cap on n is count's); --overlay
-# draws all of S_n.  The count and tree caps are each the largest size
-# whose worst case stays under a quarter second in-process (2 cores,
-# Python 3.11): count for one orientation 0.15 s at n = 16 (d = 2..15),
-# 0.34 s at n = 17; the count table 0.17 s at n = 8, 0.79 s at n = 9.  The
-# tree cap is 6,600 nodes (DOT at n = 8, at most 0.23 s) rounded down: a
-# tree of up to 6,000 nodes takes at most 0.22 s (5,760 nodes at n = 8,
-# 4,862 at n = 9), 6,776 nodes at n = 8 take 0.26 s, 6,864 at n = 9
-# 0.29 s and 16,796 at n = 10 0.7 s; --overlay takes 0.25 s at n = 7 (the
-# empty orientation).
+# draws all of S_n.  The count caps are each the largest size whose worst
+# case stays under a quarter second in-process (2 cores, Python 3.11):
+# count for one orientation 0.15 s at n = 16 (d = 2..15), 0.34 s at
+# n = 17; the count table 0.17 s at n = 8, 0.79 s at n = 9.  The tree caps
+# were set the same way and are kept: the DOT or JSON of a tree of up to
+# 6,000 nodes takes at most 0.11 s (5,760 nodes at n = 8, 4,862 at n = 9),
+# 6,776 nodes at n = 8 take 0.11 s, 6,864 at n = 9 0.14 s and 16,796 at
+# n = 10 0.26 s; --overlay takes 0.08 s at n = 7 (the empty orientation).
 MAX_COUNT_ALL_N = 8  # count over every disjoint orientation
 MAX_COUNT_N = 16  # count for one orientation
 MAX_TREE_NODES = 6_000

@@ -255,14 +255,6 @@ def contains_pattern(pi: Permutation, j: int, kind: Kind) -> bool:
     return pattern_witness(pi, j, kind) is not None
 
 
-def is_minimal(pi: Permutation, orientation: Orientation) -> bool:
-    """Subword-avoidance test: no jki for j in u, no kij for j in d."""
-    for kind, j in orientation.components:  # a plain loop: faster than all() on a generator
-        if contains_pattern(pi, j, kind):
-            return False
-    return True
-
-
 def pattern_witness(pi: Permutation, j: int, kind: Kind) -> tuple[int, int, int] | None:
     """Positions (p, q, r) of one jki (UP) / kij (DOWN) occurrence, or None.
 
@@ -282,6 +274,22 @@ def pattern_witness(pi: Permutation, j: int, kind: Kind) -> tuple[int, int, int]
             found = (entries.index(high) + 1, entries.index(val) + 1)
             return (pos_j + 1, *found) if kind is Kind.UP else (*found, pos_j + 1)
     return None
+
+
+def minimality_witness(
+    pi: Permutation, orientation: Orientation
+) -> tuple[int, Kind, tuple[int, int, int]] | None:
+    """A violating (j, kind, positions) triple, or None when minimal."""
+    for kind, j in orientation.components:
+        witness = pattern_witness(pi, j, kind)
+        if witness is not None:
+            return (j, kind, witness)
+    return None
+
+
+def is_minimal(pi: Permutation, orientation: Orientation) -> bool:
+    """Subword-avoidance test: no jki for j in u, no kij for j in d."""
+    return minimality_witness(pi, orientation) is None
 
 
 def ninv_stats(pi: Permutation, j: int) -> tuple[int, int]:

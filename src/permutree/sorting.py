@@ -33,7 +33,6 @@ from .core import (
     all_permutations,
     is_minimal,
     one_line_writer,
-    pattern_witness,
 )
 from .automata import column_letters, product_accepts
 
@@ -348,17 +347,6 @@ def permutree_sort(
 
     word = Word(tuple(s.letter for s in steps if s.applied), n)
     return SortTrace(tuple(steps), word, rest.permutation(), u, d)
-
-
-def minimality_witness(
-    pi: Permutation, orientation: Orientation
-) -> tuple[int, Kind, tuple[int, int, int]] | None:
-    """A violating (j, kind, positions) triple, or None when minimal."""
-    for kind, j in orientation.components:
-        witness = pattern_witness(pi, j, kind)
-        if witness is not None:
-            return (j, kind, witness)
-    return None
 
 
 def _greedy_extract(pi: Permutation, template: Word) -> tuple[list, Permutation]:

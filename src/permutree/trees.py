@@ -2,11 +2,12 @@
 Generating trees of lexicographically minimal accepted reduced expressions,
 and the weak-order diagram they are drawn over.
 
-The node set of a tree is the set of minimal permutations, each represented
-by its priority-least accepted reduced expression; the parent drops the last
-letter.  Prefix closure of that word set is what makes this a tree, and it
-is also how the tree is built: outward from the identity, one product step
-per (node, ascent), with no scan of S_n and no search over reduced words.
+The node set of a tree is the set of minimal permutations, each kept as its
+one-line entries and labelled by its priority-least accepted reduced
+expression; the parent drops the last letter.  Prefix closure of that word
+set is what makes this a tree, and it is also how the tree is built:
+outward from the identity, one product step per (node, ascent), with no
+scan of S_n and no search over reduced words.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ from .core import (
     Orientation,
     Permutation,
     Word,
-    all_permutations,
-    evaluate,
     one_line_writer,
     walk_reduced_words,
 )
@@ -61,9 +60,14 @@ def lexmin_word(
 
 @dataclass(frozen=True)
 class GeneratingTree:
-    """Prefix-closed set of words, one per minimal permutation; parent drops the last letter."""
+    """Prefix-closed set of words, one per minimal permutation; parent drops the last letter.
+
+    entries[i] is the one-line notation of the permutation nodes[i] evaluates
+    to, so a node's permutation is read, never recomputed from its word.
+    """
 
     nodes: tuple[Word, ...]
+    entries: tuple[tuple[int, ...], ...]
     orientation: Orientation
     priority: PriorityOrder
 
@@ -71,20 +75,10 @@ class GeneratingTree:
     def n(self) -> int:
         return self.orientation.n
 
-    def parent(self, word: Word) -> Word | None:
-        if not len(word):
-            return None
-        return Word(word.letters[:-1], word.n)
-
-    def edges(self) -> tuple[tuple[Word, Word, int], ...]:
-        """(parent, child, last letter) for every non-root node."""
-        return tuple(
-            (self.parent(w), w, w.letters[-1]) for w in self.nodes if len(w)
-        )
-
     def to_json(self) -> str:
+        write = one_line_writer(self.n)
         return json.dumps(
-            {str(w): str(evaluate(w)) for w in self.nodes}, sort_keys=True
+            {str(w): write(e) for w, e in zip(self.nodes, self.entries)}, sort_keys=True
         )
 
 
@@ -111,9 +105,10 @@ def generating_tree(
     root = tuple(range(1, n + 1))
     seen = {root}
     level = [((), root, initial_product(orientation))]
-    words = []
+    words, perms = [], []
     while level:
         words.extend(Word(letters, n) for letters, _, _ in level)
+        perms.extend(entries for _, entries, _ in level)
         children = []
         for letters, entries, state in level:
             for l in order:
@@ -128,7 +123,7 @@ def generating_tree(
                     seen.add(swapped)
                     children.append(((*letters, l), swapped, child))
         level = children
-    return GeneratingTree(tuple(words), orientation, priority)
+    return GeneratingTree(tuple(words), tuple(perms), orientation, priority)
 
 
 @dataclass(frozen=True)
@@ -146,8 +141,8 @@ def weak_order_hasse(n: int) -> WeakOrderDiagram:
     6
     """
     covers = []
-    for pi in all_permutations(n):
-        entries = pi.entries
+    for entries in itertools.permutations(range(1, n + 1)):
+        pi = Permutation._trusted(entries)
         for letter in range(1, n):
             low, high = entries[letter - 1], entries[letter]
             if low < high:
@@ -205,7 +200,8 @@ def export_tree_dot(tree: GeneratingTree, overlay: WeakOrderDiagram | None = Non
     """Deterministic DOT: tree edges colored by their letter, bold; with an
     overlay, the remaining permutations and weak-order covers in gray.
 
-    Each node is evaluated once and each permutation drawn is named once.
+    Nodes are keyed by their letters, so a node's parent is the node at its
+    letters without the last one, and each permutation drawn is named once.
     A cover (low, high) is drawn as a tree edge iff the tree has an edge
     from low to high; that edge's letter is then the cover's, the position
     where low and high differ.
@@ -213,9 +209,11 @@ def export_tree_dot(tree: GeneratingTree, overlay: WeakOrderDiagram | None = Non
     n = tree.n
     write = one_line_writer(n)
     lines = ["digraph tree {", "  rankdir=BT;"]
-    perms = {word: evaluate(word).entries for word in tree.nodes}
+    perms = {word.letters: entries for word, entries in zip(tree.nodes, tree.entries)}
     tree_edges = {
-        (perms[parent], perms[child]): letter for parent, child, letter in tree.edges()
+        (perms[letters[:-1]], entries): letters[-1]
+        for letters, entries in perms.items()
+        if letters
     }
 
     if overlay is not None:

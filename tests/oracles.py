@@ -1,13 +1,24 @@
 """Definitions the package no longer needs that the test oracles still use,
 and the bodies that faster routes replaced, kept to compare against."""
-from permutree.core import Kind, Word, all_permutations, evaluate, is_minimal, right_multiply
-from permutree.sorting import PriorityOrder
+from permutree.core import (
+    Kind,
+    Orientation,
+    Permutation,
+    Word,
+    all_permutations,
+    all_reduced_words,
+    evaluate,
+    is_minimal,
+    right_multiply,
+)
+from permutree.sorting import PriorityOrder, check_sorting_network, network_mismatch
 from permutree.trees import (
     GeneratingTree,
     WeakOrderDiagram,
     edge_color,
     lexmin_word,
 )
+from permutree.verify import NETWORK_POSITIVES
 
 
 def is_left_inversion(pi, letter):
@@ -54,7 +65,15 @@ def oracle_generating_tree(n, orientation, priority=None):
     for word in words:
         if len(word) and Word(word.letters[:-1], n) not in node_set:
             raise AssertionError(f"node set is not prefix-closed at {word}")
-    return GeneratingTree(tuple(words), orientation, priority)
+    entries = tuple(evaluate(word).entries for word in words)
+    return GeneratingTree(tuple(words), entries, orientation, priority)
+
+
+def oracle_tree_edges(tree):
+    """(parent, child, last letter) for every non-root node, the parent
+    built as a Word: the GeneratingTree.edges the tree's stored entries
+    replaced."""
+    return tuple((Word(w.letters[:-1], w.n), w, w.letters[-1]) for w in tree.nodes if len(w))
 
 
 def oracle_weak_order_hasse(n):
@@ -76,7 +95,7 @@ def oracle_export_tree_dot(tree, overlay=None):
     for word in tree.nodes:
         tree_perms[evaluate(word)] = word
     tree_edges = set()
-    for parent, child, letter in tree.edges():
+    for parent, child, letter in oracle_tree_edges(tree):
         tree_edges.add((evaluate(parent), evaluate(child), letter))
 
     if overlay is not None:
@@ -109,3 +128,27 @@ def oracle_export_tree_dot(tree, overlay=None):
         lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def oracle_check_networks():
+    """check_networks scanning all of S_5 for every candidate template
+    before asking the two witnesses."""
+    violations = []
+    orientation = Orientation(frozenset({2}), frozenset({4}), 5)
+    w0 = Permutation.from_text("54321")
+    witnesses = [Permutation.from_text("54213"), Permutation.from_text("35421")]
+    candidates = all_reduced_words(w0)
+    if len(candidates) != 768:
+        violations.append(f"54321 has {len(candidates)} reduced words, expected 768")
+    for template in candidates:
+        if check_sorting_network(template, orientation) is None:
+            violations.append(f"valid network found: {template}")
+        if not any(network_mismatch(template, orientation, pi) for pi in witnesses):
+            violations.append(f"{template} not refuted by the two witnesses")
+    for letters, u, d, n in NETWORK_POSITIVES:
+        template = Word(letters, n)
+        orientation = Orientation(frozenset(u), frozenset(d), n)
+        counterexample = check_sorting_network(template, orientation)
+        if counterexample is not None:
+            violations.append(f"{template} refuted by {counterexample}")
+    return violations

@@ -8,7 +8,9 @@ enforced here.
 """
 from collections import Counter
 
-from permutree import core, coxeter, verify
+import pytest
+
+from permutree import core, coxeter, sorting, verify
 from permutree.automata import exists_accepted
 from permutree.core import Permutation, Word
 from permutree.sorting import PriorityOrder
@@ -33,6 +35,7 @@ from permutree.verify import (
     check_theorem_single,
     check_unique_final_state,
 )
+from oracles import oracle_check_networks
 
 P = Permutation.from_text
 
@@ -143,6 +146,25 @@ def test_criterion_08_sorting_networks():
            check_networks())
 
 
+@pytest.mark.parametrize(
+    "minimal, lines",
+    [
+        (lambda pi, orientation: True, 2),
+        (lambda pi, orientation: False, 594),
+        (lambda pi, orientation: pi.entries[0] % 2 == 0, 594),
+    ],
+    ids=["always", "never", "even_first"],
+)
+def test_networks_suite_matches_the_full_scan_oracle(monkeypatch, minimal, lines):
+    # the suite asks the two witnesses first and scans S_5 only for a template
+    # they leave unrefuted; under a wrong minimality test it must still report
+    # what scanning every template first reports, line for line
+    monkeypatch.setattr(sorting, "is_minimal", minimal)
+    violations = check_networks()
+    assert violations == oracle_check_networks()
+    assert len(violations) == lines
+
+
 def test_criterion_09_stack_sorting():
     report("9 stack-sorting equivalences and Catalan counts (n<=7)", check_stack_sort(7))
 
@@ -154,8 +176,7 @@ def test_stack_sort_suite_scans_231_independently(monkeypatch):
         patch.setattr(verify, "is_minimal", lambda pi, orientation: True)
         wrong_minimal = check_stack_sort(4)
     with monkeypatch.context() as patch:
-        for module in (core, verify):
-            patch.setattr(module, "contains_pattern", lambda pi, j, kind: False)
+        patch.setattr(core, "pattern_witness", lambda pi, j, kind: None)
         wrong_scan = check_stack_sort(4)
     for violations in (wrong_minimal, wrong_scan):
         # 231 itself and the ten 231-containers of S_4

@@ -23,7 +23,8 @@ from worker import Run, per_layer
 from workloads import Op
 
 none = frozenset()
-tree = {{"n": 4, "u": frozenset({{2}}), "d": frozenset({{3}}), "priority": (3, 1, 2), "output": "dot"}}
+tree = {{"n": 4, "u": frozenset({{2}}), "d": frozenset({{3}}), "priority": (3, 1, 2)}}
+tree_argv = ("tree", "--n", "4", "--u=2", "--d=3", "--priority=3,1,2")
 sort = {{"n": 6, "u": none, "d": none, "pi": (3, 6, 1, 5, 2, 4), "priority": (2, 5, 1, 4, 3)}}
 sort_argv = ("sort", "--n", "6", "--u=", "--d=", "--priority=2,5,1,4,3", "--output")
 ops = [
@@ -34,7 +35,10 @@ ops = [
     # the prefix suite is the one caller of lexmin_word; tree builds without it
     Op(("verify", "--suite", "prefix", "--n", "3"), "verify", {{"suite": "prefix"}}),
     Op(("count", "--n", "5", "--u=", "--d="), "count", {{"n": 5, "u": none, "d": none}}),
-    Op(("tree", "--n", "4", "--u=2", "--d=3", "--priority=3,1,2"), "tree", tree),
+    # every tree output the count-tree workload prints: DOT, DOT over the weak order, JSON
+    Op(tree_argv, "tree", {{**tree, "output": "dot"}}),
+    Op((*tree_argv, "--overlay"), "tree", {{**tree, "output": "overlay"}}),
+    Op((*tree_argv, "--output", "json"), "tree", {{**tree, "output": "json"}}),
     # the checker compares a text sort with the JSON sort of the same input just before it
     Op((*sort_argv, "json", "3,6,1,5,2,4"), "sort", {{**sort, "output": "json"}}),
     Op((*sort_argv, "text", "3,6,1,5,2,4"), "sort", {{**sort, "output": "text"}}),

@@ -17,6 +17,7 @@ from permutree.core import (
     identity,
     left_inversions,
     left_multiply,
+    minimality_witness,
 )
 from permutree.automata import accepts, product_accepts
 from permutree.sorting import (
@@ -26,7 +27,6 @@ from permutree.sorting import (
     _greedy_extract,
     check_sorting_network,
     is_minimal,
-    minimality_witness,
     move_d,
     move_u,
     network_candidate,

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from permutree import automata, core, coxeter, sorting, trees, verify
+from permutree import automata, cli, core, coxeter, sorting, trees, verify
 from permutree.core import (
     Orientation,
     Permutation,
@@ -26,7 +26,12 @@ from permutree.trees import (
     weak_order_hasse,
 )
 from permutree.verify import disjoint_orientations
-from oracles import oracle_export_tree_dot, oracle_generating_tree, oracle_weak_order_hasse
+from oracles import (
+    oracle_export_tree_dot,
+    oracle_generating_tree,
+    oracle_tree_edges,
+    oracle_weak_order_hasse,
+)
 
 P = Permutation.from_text
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -63,7 +68,7 @@ TREE_N4_U23_EDGES = {
 def tree_edge_set(tree):
     return {
         (str(evaluate(parent)), str(evaluate(child)), letter)
-        for parent, child, letter in tree.edges()
+        for parent, child, letter in oracle_tree_edges(tree)
     }
 
 
@@ -150,7 +155,7 @@ def test_tree_nodes_biject_with_minimal_permutations(n):
         assert perms == {pi for pi in all_permutations(n) if is_minimal(pi, orientation)}
         assert len(tree.nodes) == count_minimal(n, orientation)
         # every edge is a length-increasing right multiplication
-        for parent, child, letter in tree.edges():
+        for parent, child, letter in oracle_tree_edges(tree):
             low, high = evaluate(parent), evaluate(child)
             assert high.length() == low.length() + 1
             assert low.value_at(letter) < low.value_at(letter + 1)
@@ -227,6 +232,26 @@ def test_generating_tree_searches_nothing(monkeypatch):
     for orientation in [Orientation({2, 5}, {7}, 8), Orientation(frozenset(range(2, 8)), frozenset(), 8)]:
         tree = generating_tree(8, orientation, PriorityOrder((4, 5, 2, 6, 1, 7, 3)))
         assert len(tree.nodes) == count_minimal(8, orientation)
+
+
+def test_tree_outputs_evaluate_nothing(monkeypatch, capsys):
+    # every node keeps its entries, and --overlay builds S_n unvalidated, so
+    # no output of tree evaluates a word or validates a permutation
+    base = ("tree", "--n", "6", "--u=3,5", "--d=", "--priority=5,2,4,3,1")
+    forms = [(), ("--overlay",), ("--output", "json")]
+    expected = []
+    for extra in forms:
+        assert cli.main([*base, *extra]) == 0
+        expected.append(capsys.readouterr().out)
+    refuse_everywhere(monkeypatch, "evaluate")
+
+    def refuse(self):
+        raise AssertionError("Permutation.__post_init__ must not be called")
+
+    monkeypatch.setattr(Permutation, "__post_init__", refuse)
+    for extra, want in zip(forms, expected):
+        assert cli.main([*base, *extra]) == 0
+        assert capsys.readouterr().out == want
 
 
 # generating_tree and export_tree_dot are compared with the bodies they
