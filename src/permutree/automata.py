@@ -151,6 +151,11 @@ def classify(product: tuple[int, ...]) -> Status:
     return STATUSES[worst]
 
 
+def dead_mask(product: tuple[int, ...]) -> int:
+    """The bitmask of the product's dead components: bit i for component i."""
+    return sum(1 << i for i, code in enumerate(product) if code % 3 == 2)
+
+
 def step_product(rows: ProductTable, product: tuple[int, ...], letter: int) -> tuple[int, ...]:
     return tuple(map(getitem, rows[letter], product))
 

@@ -10,7 +10,6 @@ assert on.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -33,7 +32,7 @@ from .core import (
 from .automata import (
     Status,
     accepts,
-    classify,
+    dead_mask,
     exists_accepted,
     expected_final_column,
     initial_product,
@@ -422,6 +421,11 @@ def check_prefix_closure(max_n: int) -> Violations:
 
     Checked as: w.l, a reduced word of pi, is accepted iff w is and pi is minimal.
     Each prefix is a reduced word of its own permutation, so induction does the rest.
+    A product state is the tuple of its components' states, so each word is
+    stepped once through the vector of all 2(n-2) automata of degree n
+    (u = d = 2..n-1), and the dead bitmasks of its head and of the whole word
+    are kept.  An orientation is the bitmask of its components' places in that
+    vector, and it rejects a word iff the word's dead mask meets it.
     The lexmin words found by search are also checked against generating_tree,
     which grows them from the identity by that same claim.
     """
@@ -432,19 +436,23 @@ def check_prefix_closure(max_n: int) -> Violations:
         shuffles = [PriorityOrder.shuffled(n, rng) for _ in range(PREFIX_SHUFFLES)]
         priorities = dict.fromkeys([PriorityOrder.natural(n), *shuffles])
         orientations = list(disjoint_orientations(n))
-        steppers = [
-            (o, functools.partial(step_product, product_table(o)), initial_product(o))
-            for o in orientations
-        ]
+        full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
+        rows, start = product_table(full), initial_product(full)
+        bit = {part: 1 << i for i, part in enumerate(full.components)}
+        masks = [(o, sum(bit[part] for part in o.components)) for o in orientations]
         for pi in all_permutations(n):
             words = all_reduced_words(pi)
-            for orientation, advance, start in steppers:
+            dead = []  # (dead mask of the word's head, of the whole word)
+            for word in words:
+                head = last = start
+                for letter in word.letters:
+                    head, last = last, step_product(rows, last, letter)
+                dead.append((dead_mask(head), dead_mask(last)))
+            for orientation, mask in masks:
                 minimal = is_minimal(pi, orientation)
-                for word in words:
-                    head = functools.reduce(advance, word.letters[:-1], start)
-                    last = advance(head, word.letters[-1]) if word else head
-                    head_ok = classify(head) is not Status.DEAD
-                    accepted = classify(last) is not Status.DEAD
+                for word, (head_dead, last_dead) in zip(words, dead):
+                    head_ok = not head_dead & mask
+                    accepted = not last_dead & mask
                     if accepted != (head_ok and minimal):
                         violations.append(
                             f"n={n} {orientation} word {word}: accepted={accepted} "

@@ -1,5 +1,11 @@
 """Definitions the package no longer needs that the test oracles still use,
 and the bodies that faster routes replaced, kept to compare against."""
+import functools
+import itertools
+import random
+
+from permutree import verify
+from permutree.automata import Status, classify, initial_product, product_table, step_product
 from permutree.core import (
     Kind,
     Orientation,
@@ -16,9 +22,26 @@ from permutree.trees import (
     GeneratingTree,
     WeakOrderDiagram,
     edge_color,
+    generating_tree,
     lexmin_word,
 )
-from permutree.verify import NETWORK_POSITIVES
+from permutree.verify import (
+    NETWORK_POSITIVES,
+    PREFIX_SEED,
+    PREFIX_SHUFFLES,
+    disjoint_orientations,
+)
+
+
+def all_orientations(n):
+    """Every pair (u, d) of subsets of 2..n-1, disjoint or not."""
+    values = range(2, n)
+    subsets = [
+        frozenset(s) for size in range(n - 1) for s in itertools.combinations(values, size)
+    ]
+    for u in subsets:
+        for d in subsets:
+            yield Orientation(u, d, n)
 
 
 def is_left_inversion(pi, letter):
@@ -151,4 +174,69 @@ def oracle_check_networks():
         counterexample = check_sorting_network(template, orientation)
         if counterexample is not None:
             violations.append(f"{template} refuted by {counterexample}")
+    return violations
+
+
+def oracle_check_prefix_closure(max_n):
+    """check_prefix_closure re-stepping every reduced word from the start
+    state of each orientation's own product, and reading its verdicts with
+    classify.  Minimality is looked up on the verify module, as the suite
+    does, so a test patching it there patches both."""
+    violations = []
+    rng = random.Random(PREFIX_SEED)
+    for n in range(2, max_n + 1):
+        shuffles = [PriorityOrder.shuffled(n, rng) for _ in range(PREFIX_SHUFFLES)]
+        priorities = dict.fromkeys([PriorityOrder.natural(n), *shuffles])
+        orientations = list(disjoint_orientations(n))
+        steppers = [
+            (o, functools.partial(step_product, product_table(o)), initial_product(o))
+            for o in orientations
+        ]
+        for pi in all_permutations(n):
+            words = all_reduced_words(pi)
+            for orientation, advance, start in steppers:
+                minimal = verify.is_minimal(pi, orientation)
+                for word in words:
+                    head = functools.reduce(advance, word.letters[:-1], start)
+                    last = advance(head, word.letters[-1]) if word else head
+                    head_ok = classify(head) is not Status.DEAD
+                    accepted = classify(last) is not Status.DEAD
+                    if accepted != (head_ok and minimal):
+                        violations.append(
+                            f"n={n} {orientation} word {word}: accepted={accepted} "
+                            f"prefix accepted={head_ok} minimal={minimal}"
+                        )
+        for priority in priorities:
+            for orientation in orientations:
+                table = {}
+                for pi in all_permutations(n):
+                    word = lexmin_word(pi, orientation, priority)
+                    if word is not None:
+                        table[pi] = word
+                tree = {
+                    evaluate(node): node
+                    for node in generating_tree(n, orientation, priority).nodes
+                }
+                where = (
+                    f"n={n} priority={priority.order} "
+                    f"u={sorted(orientation.u)} d={sorted(orientation.d)}"
+                )
+                mismatches = []
+                for pi, word in table.items():
+                    node = tree.pop(pi, None)
+                    if word:
+                        prefix = Word(word.letters[:-1], n)
+                        owner = right_multiply(pi, word.letters[-1])
+                        if table.get(owner) != prefix:
+                            violations.append(
+                                f"{where}: prefix {prefix} of {word} is not the word of {owner}"
+                            )
+                            continue
+                    if node != word:
+                        mismatches.append((pi, node, word))
+                mismatches += [(pi, node, None) for pi, node in tree.items()]
+                violations += [
+                    f"{where}: tree word {node} of {pi} is not its lexmin word {word}"
+                    for pi, node, word in mismatches
+                ]
     return violations

@@ -35,7 +35,7 @@ from permutree.verify import (
     check_theorem_single,
     check_unique_final_state,
 )
-from oracles import oracle_check_networks
+from oracles import oracle_check_networks, oracle_check_prefix_closure
 
 P = Permutation.from_text
 
@@ -189,6 +189,49 @@ def test_criterion_10_prefix_closure():
         "10 accepted iff every prefix sortable; lexmin words prefix-closed (n<=5)",
         check_prefix_closure(5),
     )
+
+
+def test_prefix_suite_matches_the_per_orientation_oracle():
+    # one step of each word through the full vector, read under a bitmask per
+    # orientation, reports what re-stepping it per orientation reports
+    assert check_prefix_closure(5) == oracle_check_prefix_closure(5) == []
+
+
+@pytest.mark.parametrize(
+    "minimal, lines",
+    [
+        (lambda pi, orientation: True, 48),
+        (lambda pi, orientation: False, 309),
+        (lambda pi, orientation: pi.entries[0] % 2 == 0, 154),
+    ],
+    ids=["always", "never", "even_first"],
+)
+def test_prefix_suite_matches_the_oracle_under_a_wrong_minimality(monkeypatch, minimal, lines):
+    monkeypatch.setattr(verify, "is_minimal", minimal)
+    violations = check_prefix_closure(4)
+    assert violations == oracle_check_prefix_closure(4)
+    assert len(violations) == lines
+
+
+def test_prefix_suite_steps_each_letter_once(monkeypatch):
+    # each reduced word is stepped once through every automaton of its degree,
+    # not once per orientation: one product step per letter of every word
+    calls = []
+    step_product = verify.step_product
+
+    def counted(rows, product, letter):
+        calls.append(letter)
+        return step_product(rows, product, letter)
+
+    monkeypatch.setattr(verify, "step_product", counted)
+    check_prefix_closure(4)
+    letters = sum(
+        len(word)
+        for n in range(2, 5)
+        for pi in core.all_permutations(n)
+        for word in core.all_reduced_words(pi)
+    )
+    assert len(calls) == letters
 
 
 def test_prefix_suite_reads_minimality(monkeypatch):

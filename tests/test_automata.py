@@ -19,6 +19,7 @@ from permutree.automata import (
     Status,
     accepts,
     classify,
+    dead_mask,
     exists_accepted,
     expected_final_column,
     export_dot,
@@ -34,6 +35,7 @@ from permutree.automata import (
     step_product,
     table,
 )
+from oracles import all_orientations
 
 P = Permutation.from_text
 
@@ -217,6 +219,51 @@ def test_empty_product_accepts_everything():
     advance = functools.partial(step_product, product_table(o))
     for word in all_reduced_words(P("4231")):
         assert classify(functools.reduce(advance, word, initial_product(o))) is Status.HEALTHY
+
+
+def successors(orientation):
+    """Each product state reachable from the start, with its target under each letter."""
+    rows = product_table(orientation)
+    targets, todo = {}, [initial_product(orientation)]
+    while todo:
+        product = todo.pop()
+        if product not in targets:
+            targets[product] = [step_product(rows, product, l) for l in range(1, orientation.n)]
+            todo += targets[product]
+    return targets
+
+
+@pytest.mark.parametrize(
+    "n, vectors, disjoint_only",
+    [
+        (2, 1, False),
+        (3, 9, False),
+        (4, 62, False),
+        (5, 645, False),
+        # the 81 disjoint orientations of degree 6 take about 9 s on two
+        # cores, and all 4^4 of them would take about three times as long
+        pytest.param(6, 9137, True, marks=SLOW_DEGREE.marks),
+    ],
+)
+def test_dead_mask_reads_every_orientation_off_the_full_vector(n, vectors, disjoint_only):
+    # a product state is the tuple of its components' states: projecting the
+    # full vector onto an orientation's components commutes with stepping, and
+    # the orientation is dead iff the vector's dead mask meets its bitmask
+    inner = frozenset(range(2, n))
+    full = Orientation(inner, inner, n)
+    reachable = successors(full)
+    assert len(reachable) == vectors
+    for o in all_orientations(n):
+        if disjoint_only and not o.is_disjoint:
+            continue
+        places = [full.components.index(part) for part in o.components]
+        mask = sum(1 << i for i in places)
+        rows = product_table(o)
+        for v, targets in reachable.items():
+            projected = tuple(v[i] for i in places)
+            assert (not dead_mask(v) & mask) == (classify(projected) is not Status.DEAD)
+            for letter, target in enumerate(targets, 1):
+                assert tuple(target[i] for i in places) == step_product(rows, projected, letter)
 
 
 def test_exists_accepted():

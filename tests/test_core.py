@@ -22,7 +22,7 @@ from permutree.core import (
     right_multiply,
     stack_sort,
 )
-from oracles import is_left_inversion, oracle_contains_pattern
+from oracles import all_orientations, is_left_inversion, oracle_contains_pattern
 
 P = Permutation.from_text
 
@@ -289,17 +289,6 @@ def test_alignment_equivalent_to_avoidance(n):
     for pi in all_permutations(n):
         for o in disjoint_orientations(n):
             assert is_aligned(pi, o) == oracle_is_minimal(pi, o)
-
-
-def all_orientations(n):
-    """Every pair (u, d) of subsets of 2..n-1, disjoint or not."""
-    values = range(2, n)
-    subsets = [
-        frozenset(s) for size in range(n - 1) for s in itertools.combinations(values, size)
-    ]
-    for u in subsets:
-        for d in subsets:
-            yield Orientation(u, d, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=SLOW_DEGREE.marks)])

@@ -7,7 +7,6 @@ Every comparison is exhaustive over the stated degrees; nothing is sampled.
 import ast
 import collections
 import functools
-import itertools
 import os
 import pathlib
 import random
@@ -42,7 +41,7 @@ from permutree.coxeter import all_coxeter_words, c_factorization, c_sorting_word
 from permutree.sorting import PriorityOrder, _greedy_extract
 from permutree.trees import lexmin_word
 from permutree.verify import disjoint_orientations
-from oracles import is_left_inversion
+from oracles import all_orientations, is_left_inversion
 
 SLOW_DEGREE = pytest.param(
     6, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
@@ -206,17 +205,6 @@ def oracle_stack_sort(pi):
 def test_iter_reduced_words_matches_oracle_in_order(n):
     for pi in all_permutations(n):
         assert list(iter_reduced_words(pi)) == list(oracle_reduced_words(pi))
-
-
-def all_orientations(n):
-    """Every pair (u, d) of subsets of 2..n-1, disjoint or not."""
-    values = range(2, n)
-    subsets = [
-        frozenset(s) for size in range(n - 1) for s in itertools.combinations(values, size)
-    ]
-    for u in subsets:
-        for d in subsets:
-            yield Orientation(u, d, n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
