@@ -10,6 +10,7 @@ from .core import (
     contains_pattern,
     evaluate,
     identity,
+    is_minimal,
     iter_reduced_words,
     left_multiply,
     ninv_stats,
@@ -32,7 +33,6 @@ from .sorting import (
     PriorityOrder,
     SortTrace,
     check_sorting_network,
-    is_minimal,
     move_d,
     move_u,
     permutree_sort,
@@ -49,12 +49,10 @@ from .coxeter import (
 )
 from .trees import (
     GeneratingTree,
-    WeakOrderDiagram,
     count_minimal,
     export_tree_dot,
     generating_tree,
     lexmin_word,
-    weak_order_hasse,
 )
 
 __version__ = "0.1.0"

@@ -271,7 +271,6 @@ def export_dot_product(orientation: Orientation, reachable_only: bool = False) -
     name = "_".join(["P"] + [f"{'u' if kind is Kind.UP else 'd'}{j}" for kind, j in parts])
     lines = [f'digraph "{name}_n{n}" {{', "  rankdir=LR;"]
     lines.append('  start [shape=none, label=""];')
-    node_set = set(nodes)
     for product in nodes:
         shape = "doublecircle" if classify(product) is not Status.DEAD else "circle"
         lines.append(f'  "{product_name(product)}" [shape={shape}];')
@@ -279,7 +278,7 @@ def export_dot_product(orientation: Orientation, reachable_only: bool = False) -
     for product in nodes:
         for letter in range(1, n):
             target = step_product(rows, product, letter)
-            if target != product and target in node_set:
+            if target != product:
                 lines.append(
                     f'  "{product_name(product)}" -> "{product_name(target)}" [label="s{letter}"];'
                 )

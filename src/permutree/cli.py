@@ -20,7 +20,7 @@ from .sorting import (
     network_candidate,
     permutree_sort,
 )
-from .trees import count_minimal, export_tree_dot, generating_tree, weak_order_hasse
+from .trees import count_minimal, export_tree_dot, generating_tree
 from .verify import SUITES, disjoint_orientations, run_suite, suite_bound
 
 USAGE_ERROR = 2
@@ -44,7 +44,7 @@ MATH_FAILURE = 1
 # were set the same way and are kept: the DOT or JSON of a tree of up to
 # 6,000 nodes takes at most 0.11 s (5,760 nodes at n = 8, 4,862 at n = 9),
 # 6,776 nodes at n = 8 take 0.11 s, 6,864 at n = 9 0.14 s and 16,796 at
-# n = 10 0.26 s; --overlay takes 0.08 s at n = 7 (the empty orientation).
+# n = 10 0.26 s; --overlay takes 0.07-0.09 s at n = 7 (the empty orientation).
 MAX_COUNT_ALL_N = 8  # count over every disjoint orientation
 MAX_COUNT_N = 16  # count for one orientation
 MAX_TREE_NODES = 6_000
@@ -214,8 +214,7 @@ def cmd_tree(args) -> int:
     if args.output == "json":
         print(tree.to_json())
         return 0
-    overlay = weak_order_hasse(args.n) if args.overlay else None
-    print(export_tree_dot(tree, overlay), end="")
+    print(export_tree_dot(tree, args.overlay), end="")
     return 0
 
 
@@ -227,7 +226,10 @@ def cmd_network(args) -> int:
     kind = Kind.UP if u else Kind.DOWN
     j = next(iter(u or d))
     _require_at_most(args.n, MAX_NETWORK_N, "network")
-    extension = Word.from_text(args.extend, args.n) if args.extend is not None else None
+    try:
+        extension = Word.from_text(args.extend, args.n) if args.extend is not None else None
+    except ValueError as exc:
+        raise UsageError(f"cannot parse --extend {args.extend!r}: {exc}") from exc
     template = network_candidate(kind, j, args.n, extension)
     counterexample = check_sorting_network(template, orientation)
     verdict = "valid" if counterexample is None else f"refuted by {counterexample}"

@@ -1,6 +1,6 @@
 """
 Generating trees of lexicographically minimal accepted reduced expressions,
-and the weak-order diagram they are drawn over.
+drawn alone or over the weak order of S_n.
 
 The node set of a tree is the set of minimal permutations, each kept as its
 one-line entries and labelled by its priority-least accepted reduced
@@ -126,31 +126,6 @@ def generating_tree(
     return GeneratingTree(tuple(words), tuple(perms), orientation, priority)
 
 
-@dataclass(frozen=True)
-class WeakOrderDiagram:
-    """All of S_n with its length-increasing adjacent-position swaps."""
-
-    n: int
-    covers: tuple[tuple[Permutation, Permutation], ...]
-
-
-def weak_order_hasse(n: int) -> WeakOrderDiagram:
-    """Covers (pi, pi * s_l) with the length going up by one.
-
-    >>> len(weak_order_hasse(3).covers)
-    6
-    """
-    covers = []
-    for entries in itertools.permutations(range(1, n + 1)):
-        pi = Permutation._trusted(entries)
-        for letter in range(1, n):
-            low, high = entries[letter - 1], entries[letter]
-            if low < high:
-                swapped = (*entries[: letter - 1], high, low, *entries[letter + 1 :])
-                covers.append((pi, Permutation._trusted(swapped)))
-    return WeakOrderDiagram(n, tuple(covers))
-
-
 def count_minimal(n: int, orientation: Orientation) -> int:
     """Number of minimal permutations of S_n, by a DP over the set of values
     already placed.
@@ -196,15 +171,15 @@ def count_minimal(n: int, orientation: Orientation) -> int:
     return ways[full]
 
 
-def export_tree_dot(tree: GeneratingTree, overlay: WeakOrderDiagram | None = None) -> str:
-    """Deterministic DOT: tree edges colored by their letter, bold; with an
-    overlay, the remaining permutations and weak-order covers in gray.
+def export_tree_dot(tree: GeneratingTree, overlay: bool = False) -> str:
+    """Deterministic DOT: tree edges colored by their letter, bold; with the
+    overlay, the rest of S_n and its weak-order covers in gray.
 
     Nodes are keyed by their letters, so a node's parent is the node at its
     letters without the last one, and each permutation drawn is named once.
-    A cover (low, high) is drawn as a tree edge iff the tree has an edge
-    from low to high; that edge's letter is then the cover's, the position
-    where low and high differ.
+    The overlay walks S_n once, drawing the cover pi -> pi * s_l for each
+    ascent l of pi; the cover is drawn as a tree edge iff the tree has an
+    edge from pi to pi * s_l, and that edge's letter is then l.
     """
     n = tree.n
     write = one_line_writer(n)
@@ -216,21 +191,23 @@ def export_tree_dot(tree: GeneratingTree, overlay: WeakOrderDiagram | None = Non
         if letters
     }
 
-    if overlay is not None:
-        if overlay.n != n:
-            raise ValueError("overlay degree does not match the tree")
-        names = {entries: write(entries) for entries in itertools.permutations(range(1, n + 1))}
+    if overlay:
         tree_perms = set(perms.values())
-        for entries, name in names.items():
+        edges = []
+        for entries in itertools.permutations(range(1, n + 1)):
+            name = write(entries)
             if entries in tree_perms:
                 lines.append(f'  "{name}" [shape=box, style=bold];')
             else:
                 lines.append(f'  "{name}" [shape=box, color=gray, fontcolor=gray];')
-        edges = []
-        for low, high in overlay.covers:
-            letter = tree_edges.get((low.entries, high.entries))
-            style = "color=gray" if letter is None else f"color={edge_color(letter)}, penwidth=2"
-            edges.append(f'  "{names[low.entries]}" -> "{names[high.entries]}" [{style}];')
+            for l in range(1, n):
+                low, high = entries[l - 1], entries[l]
+                if low > high:
+                    continue
+                swapped = (*entries[: l - 1], high, low, *entries[l + 1 :])
+                letter = tree_edges.get((entries, swapped))
+                style = "color=gray" if letter is None else f"color={edge_color(letter)}, penwidth=2"
+                edges.append(f'  "{name}" -> "{write(swapped)}" [{style}];')
         lines.extend(sorted(edges))
     else:
         names = {entries: write(entries) for entries in sorted(perms.values())}

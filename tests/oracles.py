@@ -20,7 +20,6 @@ from permutree.core import (
 from permutree.sorting import PriorityOrder, check_sorting_network, network_mismatch
 from permutree.trees import (
     GeneratingTree,
-    WeakOrderDiagram,
     edge_color,
     generating_tree,
     lexmin_word,
@@ -99,19 +98,23 @@ def oracle_tree_edges(tree):
     return tuple((Word(w.letters[:-1], w.n), w, w.letters[-1]) for w in tree.nodes if len(w))
 
 
+@functools.cache
 def oracle_weak_order_hasse(n):
-    """weak_order_hasse with each cover built by a validated right_multiply."""
+    """The weak-order covers (pi, pi * s_l) of S_n, each built by a validated
+    right_multiply: the pairs the tree overlay draws.  Cached, since the
+    tree oracle draws the overlay once per orientation and priority."""
     covers = []
     for pi in all_permutations(n):
         for letter in range(1, n):
             if pi.value_at(letter) < pi.value_at(letter + 1):
                 covers.append((pi, right_multiply(pi, letter)))
-    return WeakOrderDiagram(n, tuple(covers))
+    return tuple(covers)
 
 
-def oracle_export_tree_dot(tree, overlay=None):
-    """export_tree_dot evaluating every edge's ends and searching each
-    cover's letter among the right multiplications."""
+def oracle_export_tree_dot(tree, overlay=False):
+    """export_tree_dot evaluating every edge's ends, taking the covers from
+    oracle_weak_order_hasse and searching each cover's letter among the
+    right multiplications."""
     n = tree.n
     lines = ["digraph tree {", "  rankdir=BT;"]
     tree_perms = {}
@@ -121,16 +124,14 @@ def oracle_export_tree_dot(tree, overlay=None):
     for parent, child, letter in oracle_tree_edges(tree):
         tree_edges.add((evaluate(parent), evaluate(child), letter))
 
-    if overlay is not None:
-        if overlay.n != n:
-            raise ValueError("overlay degree does not match the tree")
+    if overlay:
         for pi in all_permutations(n):
             if pi in tree_perms:
                 lines.append(f'  "{pi}" [shape=box, style=bold];')
             else:
                 lines.append(f'  "{pi}" [shape=box, color=gray, fontcolor=gray];')
         edges = []
-        for low, high in overlay.covers:
+        for low, high in oracle_weak_order_hasse(n):
             letter = next(
                 l for l in range(1, n) if right_multiply(low, l) == high
             )

@@ -213,6 +213,18 @@ def test_oversized_inputs_are_refused(capsys, argv, reason):
 
 
 @pytest.mark.parametrize(
+    "extend, reason",
+    [
+        ("9", "letter 9 out of range 1..3"),
+        ("x", "invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_network_bad_extension_is_usage_error(capsys, extend, reason):
+    code, out, err = run_cli(capsys, "network", "--n", "4", "--u", "2", "--extend", extend)
+    assert (code, out, err) == (2, "", f"error: cannot parse --extend {extend!r}: {reason}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("count", "--n", "0"),
@@ -288,13 +300,21 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 
 
 def test_module_entry_point():
+    import os
+    import pathlib
     import subprocess
     import sys
 
+    import permutree
+
+    # the child imports the package these tests import, installed or not
+    src = str(pathlib.Path(permutree.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "permutree", "count", "--n", "3", "--u", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5"

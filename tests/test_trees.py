@@ -3,6 +3,7 @@ import math
 import os
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from permutree.core import (
     all_reduced_words,
     evaluate,
     identity,
+    right_multiply,
 )
 from permutree.automata import product_accepts
 from permutree.sorting import PriorityOrder, is_minimal
@@ -23,14 +25,12 @@ from permutree.trees import (
     export_tree_dot,
     generating_tree,
     lexmin_word,
-    weak_order_hasse,
 )
 from permutree.verify import disjoint_orientations
 from oracles import (
     oracle_export_tree_dot,
     oracle_generating_tree,
     oracle_tree_edges,
-    oracle_weak_order_hasse,
 )
 
 P = Permutation.from_text
@@ -169,12 +169,19 @@ def test_node_set_is_priority_independent():
         assert {evaluate(w) for w in other.nodes} == base
 
 
-def test_weak_order_hasse_counts():
-    assert len(weak_order_hasse(2).covers) == 1
-    assert len(weak_order_hasse(3).covers) == 6
-    assert len(weak_order_hasse(4).covers) == 36
-    for low, high in weak_order_hasse(4).covers:
-        assert high.length() == low.length() + 1
+def test_overlay_draws_every_weak_order_cover():
+    # n!(n-1)/2 covers, each from pi to pi * s_l for an ascent l of pi
+    edge = re.compile(r'  "(\d+)" -> "(\d+)" ')
+    for n, count in [(1, 0), (2, 1), (3, 6), (4, 36), (5, 240)]:
+        tree = generating_tree(n, Orientation(frozenset(), frozenset(), n))
+        covers = edge.findall(export_tree_dot(tree, overlay=True))
+        assert len(covers) == count == math.factorial(n) * (n - 1) // 2
+        for low, high in covers:
+            low, high = P(low), P(high)
+            l = next(l for l in range(1, n) if low.value_at(l) != high.value_at(l))
+            assert high == right_multiply(low, l)
+            assert low.value_at(l) < low.value_at(l + 1)
+            assert high.length() == low.length() + 1
 
 
 def test_count_minimal_examples():
@@ -266,8 +273,6 @@ def test_generating_tree_matches_oracle(n):
     priorities = [PriorityOrder.natural(n)] + [
         PriorityOrder.shuffled(n, rng) for _ in range(TREE_SHUFFLES)
     ]
-    hasse = weak_order_hasse(n)
-    assert hasse == oracle_weak_order_hasse(n)
     for orientation in disjoint_orientations(n):
         for priority in priorities:
             tree = generating_tree(n, orientation, priority)
@@ -275,7 +280,7 @@ def test_generating_tree_matches_oracle(n):
             assert tree == expected, (orientation, priority)
             assert tree.to_json() == expected.to_json()
             assert export_tree_dot(tree) == oracle_export_tree_dot(expected)
-            assert export_tree_dot(tree, hasse) == oracle_export_tree_dot(expected, hasse)
+            assert export_tree_dot(tree, overlay=True) == oracle_export_tree_dot(expected, overlay=True)
 
 
 def test_heavy_tail_tree_matches_oracle():
@@ -305,7 +310,7 @@ def test_tree_json_dump():
 def test_tree_dot_golden_files(name, u, d, overlay):
     n = 4 if "n4" in name else 2
     tree = generating_tree(n, Orientation(frozenset(u), frozenset(d), n))
-    dot = export_tree_dot(tree, weak_order_hasse(n) if overlay else None)
+    dot = export_tree_dot(tree, overlay)
     assert dot == (GOLDEN / name).read_text()
 
 
