@@ -33,8 +33,6 @@ from .sorting import (
     PriorityOrder,
     SortTrace,
     check_sorting_network,
-    move_d,
-    move_u,
     permutree_sort,
     sort_single,
 )

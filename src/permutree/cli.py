@@ -30,10 +30,10 @@ MATH_FAILURE = 1
 # n multiplies its work by n or more; an automaton's table has about 3n^2
 # entries; a product is drawn state by state.  A sort takes at most one step
 # per inversion (about n^2/4 for a random permutation), each O(n): the pick
-# scans the descent set and the row copies the entries.  Its JSON has about
-# n^3 characters and its text table about n^4 (450 MB at n = 200, 1.1 GB at
-# n = 250).  In-process, sort --n 400 --output json takes 2.1 s and --n 200
-# --output text 1.1 s, most of it rendering.  count runs a DP over the 2^n
+# scans the descent set, and a rendered row joins its n values.  Its JSON has
+# about n^3 characters and its text table about n^4 (450 MB at n = 200, 1.1 GB
+# at n = 250).  In-process on 2 cores, sort --n 400 --output json takes 2.2 s,
+# --n 200 --output text 1.1 s, mostly rendering.  count runs a DP over the 2^n
 # sets of placed values, over 3^(n-2) orientations for the table.  tree
 # builds and renders each node once, so it is capped by its node count,
 # which count gives first (hence tree's cap on n is count's); --overlay
@@ -92,6 +92,13 @@ def _parse_permutation(text: str, n: int) -> Permutation:
 def _require_at_most(n: int, cap: int, what: str) -> None:
     if n > cap:
         raise UsageError(f"{what} is capped at n={cap}; beyond that it is not worth the wait")
+
+
+def _refuse_given(args, why: str, *flags: str) -> None:
+    """Refuse the first of the flags that was given (is neither None nor False)."""
+    for flag in flags:
+        if (value := getattr(args, flag[2:].replace("-", "_"))) is not None and value is not False:
+            raise UsageError(f"{flag} {why}")
 
 
 def _parse_priority(text: str | None, n: int) -> PriorityOrder:
@@ -184,6 +191,7 @@ def cmd_count(args) -> int:
 def cmd_automaton(args) -> int:
     _require_at_most(args.n, MAX_AUTOMATON_N, "automaton")
     if args.product:
+        _refuse_given(args, "cannot be combined with --product", "--kind", "--j")
         orientation = _parse_orientation(args, args.n)
         states = math.prod(state_count(kind, j, args.n) for kind, j in orientation.components)
         if states > MAX_PRODUCT_STATES:
@@ -192,6 +200,7 @@ def cmd_automaton(args) -> int:
             )
         print(export_dot_product(orientation, reachable_only=args.reachable_only), end="")
         return 0
+    _refuse_given(args, "requires --product", "--u", "--d", "--reachable-only")
     if args.kind is None or args.j is None:
         raise UsageError("either --product or both --kind and --j are required")
     kind = Kind.UP if args.kind.upper() == "U" else Kind.DOWN
@@ -202,6 +211,8 @@ def cmd_automaton(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    if args.output == "json":
+        _refuse_given(args, "does not apply to --output json", "--overlay", "--dot")
     orientation = _parse_orientation(args, args.n, disjoint=True)
     priority = _parse_priority(args.priority, args.n)
     _require_at_most(args.n, MAX_COUNT_N, "tree")

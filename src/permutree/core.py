@@ -74,17 +74,6 @@ class Permutation:
         return one_line_writer(self.n)(self.entries)
 
     @classmethod
-    def _trusted(cls, entries: tuple[int, ...]) -> Permutation:
-        """The Permutation of entries already known to be one, not validated again.
-
-        For loops that reach each permutation by swapping two values of one
-        they hold: a swap of a permutation is a permutation.
-        """
-        pi = object.__new__(cls)
-        object.__setattr__(pi, "entries", entries)
-        return pi
-
-    @classmethod
     def from_text(cls, text: str) -> Permutation:
         """Parse one-line notation, either "3421" or "3 4 2 1" / "3,4,2,1".
 

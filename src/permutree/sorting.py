@@ -94,8 +94,12 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class SortTrace:
-    steps: tuple[TraceStep, ...]
-    word: Word
+    """A sort's decisions: one (u, d, letter, checks, phase, applied) tuple
+    per row, a TraceStep without its pi.  A row's permutation is start after
+    the applied letters of the rows before it, which _rows() replays."""
+
+    start: Permutation
+    decisions: tuple[tuple, ...]
     result: Permutation
     final_u: frozenset[int]
     final_d: frozenset[int]
@@ -104,6 +108,24 @@ class SortTrace:
     @property
     def success(self) -> bool:
         return self.result.is_identity()
+
+    @property
+    def word(self) -> Word:
+        return Word(tuple(l for _, _, l, _, _, applied in self.decisions if applied), self.start.n)
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        """The rows as TraceSteps, each with its own Permutation, built at every read."""
+        return tuple(TraceStep(Permutation(tuple(entries)), *row) for entries, row in self._rows())
+
+    def _rows(self):
+        """Each decision with the residual's entries when it was made: one live
+        list, swapped in place after the caller has read the row."""
+        rest = _Residual(self.start)
+        for row in self.decisions:
+            yield rest.entries, row
+            if row[5]:  # applied: take its letter
+                rest.take(row[2])
 
     def to_table(self) -> str:
         """The trace as an aligned text table, one line per row.
@@ -128,27 +150,21 @@ class SortTrace:
         # text[:end] or "e" when end is 0, is sliced only when the row's line
         # is built; formatting every cell from its letters would take time
         # quadratic in the row count.
-        word = ".".join(f"s{s.letter}" for s in self.steps if s.applied)
+        word = ".".join(f"s{letter}" for letter in self.word)
         rows = [(header, "w", 1)]
         end = 0
-        for s in self.steps:
-            if single:
-                param = next(iter(s.u if self.kind is Kind.UP else s.d))
-                cells = [one_line(s.pi.entries), "", str(param), str(s.letter)]
+        for entries, (u, d, letter, checks, _, applied) in self._rows():
+            if single:  # the one value of u or d is the automaton's parameter
+                cells = [one_line(entries), "", str(next(iter(u | d))), str(letter)]
             else:
-                cells = [
-                    one_line(s.pi.entries), "", _set_cell(s.u), _set_cell(s.d),
-                    str(s.letter), _checks_cell(s.checks),
-                ]
+                checks_cell = ", ".join(str(k) if ok else f"x{k}" for k, ok in checks) or "."
+                cells = [one_line(entries), "", _set_cell(u), _set_cell(d), str(letter), checks_cell]
             rows.append((cells, word, end))
-            if s.applied:
-                end += len(f"s{s.letter}") + (end > 0)  # a "." before all but the first
+            if applied:
+                end += len(f"s{letter}") + (end > 0)  # a "." before all but the first
         if self.success:  # the applied letters are the whole word
-            if single:
-                param = next(iter(self.final_u if self.kind is Kind.UP else self.final_d))
-                rows.append(([one_line(self.result.entries), "", str(param), ""], word, end))
-            else:
-                rows.append(([one_line(self.result.entries), "", "", "", "", ""], word, end))
+            last = [str(next(iter(self.final_u | self.final_d))), ""] if single else [""] * 4
+            rows.append(([one_line(self.result.entries), "", *last], word, end))
         widths = [max(map(len, column)) for column in zip(*(cells for cells, _, _ in rows))]
         widths[1] = max(end for _, _, end in rows)
         lines = []
@@ -165,15 +181,15 @@ class SortTrace:
         payload = {
             "steps": [
                 {
-                    "pi": one_line(s.pi.entries),
-                    "u": sorted(s.u),
-                    "d": sorted(s.d),
-                    "letter": s.letter,
-                    "checks": [[k, ok] for k, ok in s.checks],
-                    "phase": s.phase,
-                    "applied": s.applied,
+                    "pi": one_line(entries),
+                    "u": sorted(u),
+                    "d": sorted(d),
+                    "letter": letter,
+                    "checks": [[k, ok] for k, ok in checks],
+                    "phase": phase,
+                    "applied": applied,
                 }
-                for s in self.steps
+                for entries, (u, d, letter, checks, phase, applied) in self._rows()
             ],
             "word": list(self.word),
             "result": one_line(self.result.entries),
@@ -186,33 +202,15 @@ def _set_cell(values: frozenset[int]) -> str:
     return "{" + ",".join(str(v) for v in sorted(values)) + "}"
 
 
-def _checks_cell(checks: tuple[tuple[int, bool], ...]) -> str:
-    if not checks:
-        return "."
-    return ", ".join(str(k) if ok else f"x{k}" for k, ok in checks)
-
-
-def move_u(u: frozenset[int], letter: int) -> frozenset[int]:
-    """Advance the up-set along the letter: l in u becomes l+1."""
-    if letter not in u:
-        return u
-    return (u - {letter}) | {letter + 1}
-
-
-def move_d(d: frozenset[int], letter: int) -> frozenset[int]:
-    """Advance the down-set along the letter: l+1 in d becomes l."""
-    if letter + 1 not in d:
-        return d
-    return (d - {letter + 1}) | {letter}
-
-
 class _Residual:
     """What a sort has left of pi, kept for left multiplication.
 
     entries is its one-line notation, pos[v] the index of the value v in
     entries, and descents its set of left descents: l is one iff
     pos[l+1] < pos[l].  Taking a descent l (pi becomes s_l * pi) swaps the
-    values l and l+1, which changes only the descents l-1, l and l+1.
+    values l and l+1, which changes only the descents l-1, l and l+1.  The
+    sorts take their letters through it, and SortTrace's renderers replay
+    the applied letters through it to recover each row's permutation.
     """
 
     __slots__ = ("entries", "pos", "descents")
@@ -223,10 +221,6 @@ class _Residual:
         for at, value in enumerate(self.entries):
             pos[value] = at
         self.descents = {l for l in range(1, pi.n) if pos[l + 1] < pos[l]}
-
-    def permutation(self) -> Permutation:
-        """The residual, not validated again: swaps keep it a permutation."""
-        return Permutation._trusted(tuple(self.entries))
 
     def take(self, letter: int) -> None:
         """Left-multiply by s_letter, for a letter in descents."""
@@ -262,13 +256,13 @@ def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
         raise ValueError(f"j must lie in 2..{n - 1}, got {j}")
     up = kind is Kind.UP
     param = j
-    steps: list[TraceStep] = []
+    decisions = []
     rest = _Residual(pi)
     descents = rest.descents
 
     def record(letter: int, phase: str) -> None:
         sets = (frozenset({param}), frozenset()) if up else (frozenset(), frozenset({param}))
-        steps.append(TraceStep(rest.permutation(), sets[0], sets[1], letter, (), phase))
+        decisions.append((*sets, letter, (), phase, True))
         rest.take(letter)
 
     ill, advance = column_letters(kind, param)
@@ -292,8 +286,7 @@ def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
             record(letter, "block")
 
     final_sets = (frozenset({param}), frozenset()) if up else (frozenset(), frozenset({param}))
-    word = Word(tuple(s.letter for s in steps), n)
-    return SortTrace(tuple(steps), word, rest.permutation(), final_sets[0], final_sets[1], kind)
+    return SortTrace(pi, tuple(decisions), Permutation(tuple(rest.entries)), *final_sets, kind)
 
 
 def permutree_sort(
@@ -316,12 +309,11 @@ def permutree_sort(
     if priority is None:
         priority = PriorityOrder.natural(n)
     u, d = orientation.u, orientation.d
-    steps: list[TraceStep] = []
+    decisions = []
     rest = _Residual(pi)
     descents = rest.descents
 
     while descents:
-        current = rest.permutation()
         letter = priority.pick(l for l in descents if l + 1 not in u and l not in d)
         phase, checks = "healthy", ()
         if letter is None:
@@ -335,18 +327,20 @@ def permutree_sort(
                 checks = tuple(sorted(checks))
                 if all(ok for _, ok in checks):
                     break
-                attempts.append(TraceStep(current, u, d, letter, checks, phase, applied=False))
+                attempts.append((u, d, letter, checks, phase, False))
             else:
-                steps.extend(attempts)
+                decisions.extend(attempts)
                 break
-        steps.append(TraceStep(current, u, d, letter, checks, phase))
+        decisions.append((u, d, letter, checks, phase, True))
         rest.take(letter)
         if phase == "ill":  # drop the components the checks showed accept everything
             u, d = u - {letter + 1}, d - {letter}
-        u, d = move_u(u, letter), move_d(d, letter)
+        if letter in u:  # the sets move along the letter: l in u becomes l+1,
+            u = (u - {letter}) | {letter + 1}
+        if letter + 1 in d:  # and l+1 in d becomes l
+            d = (d - {letter + 1}) | {letter}
 
-    word = Word(tuple(s.letter for s in steps if s.applied), n)
-    return SortTrace(tuple(steps), word, rest.permutation(), u, d)
+    return SortTrace(pi, tuple(decisions), Permutation(tuple(rest.entries)), u, d)
 
 
 def _greedy_extract(pi: Permutation, template: Word) -> tuple[list, Permutation]:

@@ -1,8 +1,12 @@
 """Definitions the package no longer needs that the test oracles still use,
-and the bodies that faster routes replaced, kept to compare against."""
+the bodies that faster routes replaced, kept to compare against, and the
+opt-in marker of the slow parameter sets."""
 import functools
 import itertools
+import os
 import random
+
+import pytest
 
 from permutree import verify
 from permutree.automata import Status, classify, initial_product, product_table, step_product
@@ -30,6 +34,13 @@ from permutree.verify import (
     PREFIX_SHUFFLES,
     disjoint_orientations,
 )
+
+
+def slow(*values):
+    """A parameter set that runs only when PERMUTREE_SLOW is set, and is
+    skipped (not silently dropped) otherwise."""
+    skip = pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
+    return pytest.param(*values, marks=skip)
 
 
 def all_orientations(n):

@@ -1,5 +1,4 @@
 import functools
-import os
 from dataclasses import dataclass
 
 import pytest
@@ -35,13 +34,11 @@ from permutree.automata import (
     step_product,
     table,
 )
-from oracles import all_orientations
+from oracles import all_orientations, slow
 
 P = Permutation.from_text
 
-SLOW_DEGREE = pytest.param(
-    6, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
-)
+SLOW_DEGREE = slow(6)
 
 
 def exists_accepted_single(pi, kind, j):

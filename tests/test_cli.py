@@ -213,6 +213,34 @@ def test_oversized_inputs_are_refused(capsys, argv, reason):
 
 
 @pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("automaton", "--kind", "U", "--j", "2", "--n", "4", "--u", "2"), "--u requires --product"),
+        (("automaton", "--kind", "D", "--j", "2", "--n", "4", "--d", ""), "--d requires --product"),
+        (
+            ("automaton", "--kind", "D", "--j", "1", "--n", "3", "--reachable-only"),
+            "--reachable-only requires --product",
+        ),
+        (
+            ("automaton", "--product", "--n", "4", "--u", "2", "--kind", "U", "--j", "3"),
+            "--kind cannot be combined with --product",
+        ),
+        (("automaton", "--product", "--n", "4", "--j", "0"), "--j cannot be combined with --product"),
+    ],
+)
+def test_automaton_refuses_the_flags_of_the_other_mode(capsys, argv, reason):
+    # a single automaton takes --kind and --j, the product --u, --d and
+    # --reachable-only; a flag of the other mode is refused, not ignored
+    assert run_cli(capsys, *argv) == (2, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize("flag", ["--overlay", "--dot"])
+def test_tree_json_refuses_the_dot_flags(capsys, flag):
+    argv = ("tree", "--n", "3", "--u", "2", "--output", "json", flag)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {flag} does not apply to --output json\n")
+
+
+@pytest.mark.parametrize(
     "extend, reason",
     [
         ("9", "letter 9 out of range 1..3"),

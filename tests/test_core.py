@@ -22,17 +22,13 @@ from permutree.core import (
     right_multiply,
     stack_sort,
 )
-from oracles import all_orientations, is_left_inversion, oracle_contains_pattern
+from oracles import all_orientations, is_left_inversion, oracle_contains_pattern, slow
 
 P = Permutation.from_text
 
 # The degree-6 sweeps take minutes in total; they run when PERMUTREE_SLOW is
 # set and are skipped (not silently dropped) otherwise.
-import os
-
-SLOW_DEGREE = pytest.param(
-    6, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
-)
+SLOW_DEGREE = slow(6)
 
 
 # -- oracles: library functions that moved here, and the parent's two-loop scans

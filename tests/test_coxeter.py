@@ -1,5 +1,4 @@
 import math
-import os
 from collections import Counter
 
 import pytest
@@ -26,7 +25,7 @@ from permutree.coxeter import (
 )
 from permutree.core import contains_pattern, stack_sort
 from permutree.verify import catalan
-from oracles import is_left_inversion
+from oracles import is_left_inversion, slow
 
 P = Permutation.from_text
 
@@ -79,9 +78,7 @@ def oracle_greedy_subword(pi, template):
     return Word(tuple(letters), pi.n) if residual.is_identity() else None
 
 
-SLOW_6 = pytest.param(
-    6, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
-)
+SLOW_6 = slow(6)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, SLOW_6])

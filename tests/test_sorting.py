@@ -1,8 +1,9 @@
+import collections
 import itertools
 import json
-import os
 import random
 import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 
@@ -22,26 +23,18 @@ from permutree.core import (
 from permutree.automata import accepts, product_accepts
 from permutree.sorting import (
     PriorityOrder,
-    SortTrace,
     TraceStep,
     _greedy_extract,
     check_sorting_network,
     is_minimal,
-    move_d,
-    move_u,
     network_candidate,
     network_mismatch,
     permutree_sort,
     sort_single,
 )
-from oracles import is_left_inversion
+from oracles import is_left_inversion, slow
 
 P = Permutation.from_text
-
-
-def slow(*values):
-    skip = pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
-    return pytest.param(*values, marks=skip)
 
 
 def orientations(n, disjoint=True):
@@ -80,10 +73,11 @@ def test_natural_priority_is_built_once_per_degree(monkeypatch):
 
 
 def test_move_operations():
-    assert move_u(frozenset({2}), 2) == frozenset({3})
-    assert move_u(frozenset({3}), 2) == frozenset({3})
-    assert move_d(frozenset({4}), 3) == frozenset({3})
-    assert move_d(frozenset({2}), 3) == frozenset({2})
+    # the oracle's movers; permutree_sort moves its sets inline
+    assert oracle_move_u(frozenset({2}), 2) == frozenset({3})
+    assert oracle_move_u(frozenset({3}), 2) == frozenset({3})
+    assert oracle_move_d(frozenset({4}), 3) == frozenset({3})
+    assert oracle_move_d(frozenset({2}), 3) == frozenset({2})
 
 
 def test_single_sort_golden_success():
@@ -137,6 +131,28 @@ def test_single_sort_always_accepted_success_iff_avoids(n):
                 assert trace.success == (evaluate(trace.word) == pi)
 
 
+@dataclass(frozen=True)
+class OracleTrace:
+    """What the oracle sorts return: a SortTrace's fields, its rows built as it ran."""
+
+    steps: tuple
+    word: Word
+    result: Permutation
+    final_u: frozenset
+    final_d: frozenset
+    kind: Kind | None = None
+
+    @property
+    def success(self):
+        return self.result.is_identity()
+
+
+def assert_same_trace(trace, want, context):
+    """Every row's pi, sets, letter, checks, phase and applied, and the rest."""
+    fields = ("steps", "word", "result", "final_u", "final_d", "kind")
+    assert [getattr(trace, f) for f in fields] == [getattr(want, f) for f in fields], context
+
+
 def oracle_sort_single(pi, j, kind, priority=None):
     """sort_single as it was: a priority order, and a finishing loop per value block."""
     n = pi.n
@@ -178,7 +194,7 @@ def oracle_sort_single(pi, j, kind, priority=None):
                 record(letter, "block")
 
     final_sets = (frozenset({param}), frozenset()) if up else (frozenset(), frozenset({param}))
-    return SortTrace(tuple(steps), Word(tuple(taken), n), pi, final_sets[0], final_sets[1], kind)
+    return OracleTrace(tuple(steps), Word(tuple(taken), n), pi, final_sets[0], final_sets[1], kind)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, slow(7)])
@@ -186,8 +202,9 @@ def test_single_sort_matches_oracle(n):
     cases = itertools.product(all_permutations(n), range(2, n), (Kind.UP, Kind.DOWN))
     for pi, j, kind in cases:
         trace, want = sort_single(pi, j, kind), oracle_sort_single(pi, j, kind)
-        assert trace.to_json() == want.to_json(), (pi, j, kind)
-        assert trace.to_table() == want.to_table(), (pi, j, kind)
+        assert_same_trace(trace, want, (pi, j, kind))
+        assert trace.to_json() == oracle_json(want), (pi, j, kind)
+        assert trace.to_table() == oracle_table(want), (pi, j, kind)
 
 
 def test_single_sort_finishes_in_either_block():
@@ -403,6 +420,38 @@ def test_trace_json_round_trip():
     assert payload["steps"][1]["checks"] == [[3, True]]
 
 
+def test_rows_are_built_only_when_read(monkeypatch):
+    # a trace keeps its decisions; its TraceSteps, and a Permutation per row,
+    # are built only when steps is read
+    built = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(self, *args, **kwargs):
+            built[name] += 1
+            fn(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(TraceStep, "__init__", counted("TraceStep", TraceStep.__init__))
+    monkeypatch.setattr(Permutation, "__post_init__", counted("Permutation", Permutation.__post_init__))
+    sorts = [
+        (permutree_sort, P("54213"), Orientation({2}, {4}, 5)),  # ill rows
+        (permutree_sort, P("15342"), Orientation({2}, {4}, 5)),  # stuck, with a row not applied
+        (sort_single, P("3421"), 2, Kind.UP),
+        (sort_single, P("4231"), 2, Kind.UP),  # fails
+        (sort_single, P("3412"), 2, Kind.DOWN),  # a block row
+    ]
+    for sort, pi, *args in sorts:
+        built.clear()
+        trace = sort(pi, *args)
+        assert built == {"Permutation": 1}, (pi, args)  # the result
+        built.clear()
+        trace.success, trace.result, trace.word, trace.to_json(), trace.to_table()
+        assert built == {}, (pi, args)
+        rows = len(trace.steps)
+        assert rows and built == {"TraceStep": rows, "Permutation": rows}, (pi, args)
+
+
 # -- the trace table against the row-by-row rendering it replaced -----------
 
 
@@ -529,6 +578,20 @@ def test_table_memory_is_linear_in_its_size():
 # -- permutree_sort against the Permutation-stepping loop it replaced -------
 
 
+def oracle_move_u(u, letter):
+    """Advance the up-set along the letter: l in u becomes l+1."""
+    if letter not in u:
+        return u
+    return (u - {letter}) | {letter + 1}
+
+
+def oracle_move_d(d, letter):
+    """Advance the down-set along the letter: l+1 in d becomes l."""
+    if letter + 1 not in d:
+        return d
+    return (d - {letter + 1}) | {letter}
+
+
 def oracle_fixes_prefix(pi, k):
     if k <= 0 or k >= pi.n:
         return True
@@ -554,7 +617,7 @@ def oracle_permutree_sort(pi, orientation, priority=None):
             steps.append(TraceStep(pi, u, d, letter, (), "healthy"))
             taken.append(letter)
             pi = left_multiply(letter, pi)
-            u, d = move_u(u, letter), move_d(d, letter)
+            u, d = oracle_move_u(u, letter), oracle_move_d(d, letter)
             continue
         chosen = None
         attempts = []
@@ -576,9 +639,9 @@ def oracle_permutree_sort(pi, orientation, priority=None):
         steps.append(TraceStep(pi, u, d, letter, checks, "ill"))
         taken.append(letter)
         pi = left_multiply(letter, pi)
-        u, d = move_u(u - {letter + 1}, letter), move_d(d - {letter}, letter)
+        u, d = oracle_move_u(u - {letter + 1}, letter), oracle_move_d(d - {letter}, letter)
 
-    return SortTrace(tuple(steps), Word(tuple(taken), n), pi, u, d)
+    return OracleTrace(tuple(steps), Word(tuple(taken), n), pi, u, d)
 
 
 def oracle_json(trace):
@@ -606,7 +669,7 @@ def oracle_json(trace):
 def assert_sort_matches_oracle(pi, orientation, priority, text=True):
     trace = permutree_sort(pi, orientation, priority)
     want = oracle_permutree_sort(pi, orientation, priority)
-    assert trace == want, (pi, orientation, priority)
+    assert_same_trace(trace, want, (pi, orientation, priority))
     assert trace.to_json() == oracle_json(want), (pi, orientation, priority)
     if text:
         assert trace.to_table() == oracle_table(want), (pi, orientation, priority)

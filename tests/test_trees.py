@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import pathlib
 import random
 import re
@@ -31,6 +30,7 @@ from oracles import (
     oracle_export_tree_dot,
     oracle_generating_tree,
     oracle_tree_edges,
+    slow,
 )
 
 P = Permutation.from_text
@@ -196,9 +196,7 @@ def oracle_count_minimal(n, orientation):
     return sum(1 for pi in all_permutations(n) if is_minimal(pi, orientation))
 
 
-SLOW_DEGREE = pytest.param(
-    7, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
-)
+SLOW_DEGREE = slow(7)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, SLOW_DEGREE])

@@ -7,7 +7,6 @@ Every comparison is exhaustive over the stated degrees; nothing is sampled.
 import ast
 import collections
 import functools
-import os
 import pathlib
 import random
 
@@ -41,11 +40,9 @@ from permutree.coxeter import all_coxeter_words, c_factorization, c_sorting_word
 from permutree.sorting import PriorityOrder, _greedy_extract
 from permutree.trees import lexmin_word
 from permutree.verify import disjoint_orientations
-from oracles import all_orientations, is_left_inversion
+from oracles import all_orientations, is_left_inversion, slow
 
-SLOW_DEGREE = pytest.param(
-    6, marks=pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
-)
+SLOW_DEGREE = slow(6)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "permutree"
 
@@ -348,7 +345,7 @@ def test_walker_and_extractor_stay_off_the_slow_path(slow_path_calls):
 
 
 def test_sorts_stay_off_the_slow_path(slow_path_calls):
-    # each row's permutation is a swap of the one before, so none is validated
+    # a sort keeps its decisions and builds one Permutation, its result
     kinds = (core.Kind.UP, core.Kind.DOWN)
     sorts = [(sorting.permutree_sort, orientation) for orientation in disjoint_orientations(5)]
     sorts += [(sorting.sort_single, j, kind) for j in range(2, 5) for kind in kinds]
