@@ -47,8 +47,9 @@ def lexmin_word(
     This is the brute-force route, exponential in the length of pi: the
     failure memo skips repeated dead ends, but on w0 of S_60 (u = {2}, say)
     the search does not finish.  generating_tree reaches the same words
-    without it; the prefix suite in verify is its only caller in the
-    package, as the independent route that the tree is checked against.
+    without it, and the prefix suite in verify reads them off its own
+    enumeration, so nothing in the package calls it: it is kept as the
+    public brute-force route to one word.
     """
     if priority is None:
         priority = PriorityOrder.natural(pi.n)

@@ -55,7 +55,7 @@ from .sorting import (
     permutree_sort,
     sort_single,
 )
-from .trees import count_minimal, generating_tree, lexmin_word
+from .trees import count_minimal, generating_tree
 
 Violations = list[str]
 
@@ -416,6 +416,29 @@ PREFIX_SHUFFLES = 3
 PREFIX_SEED = 20260809
 
 
+def least_accepted(
+    groups: dict[int, list[Word]], priority: PriorityOrder, masks: list[int]
+) -> list[Word | None]:
+    """For each orientation mask, the priority-least word whose dead mask
+    misses it; None where every word's dead mask meets it.
+
+    groups holds one permutation's reduced words by the dead mask of the
+    whole word.  They all have its length, so priority-least is least in
+    priority.rank, letter by letter, and only the least word of each group
+    can be an entry.  Dead is absorbing, so a word whose final dead mask
+    misses the orientation's is accepted by it: this is lexmin_word's
+    answer, read off the enumeration instead of searched for.
+    """
+    rank = priority.rank
+
+    def key(word: Word) -> list[int]:
+        return [rank[letter] for letter in word.letters]
+
+    least = {dead: min(words, key=key) for dead, words in groups.items()}
+    kept = sorted(least.items(), key=lambda item: key(item[1]))
+    return [next((word for dead, word in kept if not dead & mask), None) for mask in masks]
+
+
 def check_prefix_closure(max_n: int) -> Violations:
     """A reduced word is accepted iff every prefix is sortable; lexmin words are prefix-closed.
 
@@ -425,9 +448,12 @@ def check_prefix_closure(max_n: int) -> Violations:
     stepped once through the vector of all 2(n-2) automata of degree n
     (u = d = 2..n-1), and the dead bitmasks of its head and of the whole word
     are kept.  An orientation is the bitmask of its components' places in that
-    vector, and it rejects a word iff the word's dead mask meets it.
-    The lexmin words found by search are also checked against generating_tree,
-    which grows them from the identity by that same claim.
+    vector, and it rejects a word iff the word's dead mask meets it.  Each
+    orientation is tested once per distinct pair of masks of pi, and word by
+    word only where some pair fails, so each violation names its word.
+    The lexmin table, each minimal pi's priority-least accepted word, is read
+    off the same enumeration by least_accepted, and checked against
+    generating_tree, which grows those words from the identity by that same claim.
     """
     violations = []
     rng = random.Random(PREFIX_SEED)
@@ -439,17 +465,28 @@ def check_prefix_closure(max_n: int) -> Violations:
         full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
         rows, start = product_table(full), initial_product(full)
         bit = {part: 1 << i for i, part in enumerate(full.components)}
-        masks = [(o, sum(bit[part] for part in o.components)) for o in orientations]
+        masks = [sum(bit[part] for part in o.components) for o in orientations]
+        # tables[priority][i]: pi -> lexmin word under orientations[i], in the order of S_n
+        tables = {priority: [{} for _ in orientations] for priority in priorities}
         for pi in all_permutations(n):
             words = all_reduced_words(pi)
             dead = []  # (dead mask of the word's head, of the whole word)
+            groups: dict[int, list[Word]] = {}  # the words by the dead mask of the whole word
             for word in words:
                 head = last = start
                 for letter in word.letters:
                     head, last = last, step_product(rows, last, letter)
-                dead.append((dead_mask(head), dead_mask(last)))
-            for orientation, mask in masks:
+                head_dead, last_dead = dead_mask(head), dead_mask(last)
+                dead.append((head_dead, last_dead))
+                groups.setdefault(last_dead, []).append(word)
+            pairs = set(dead)
+            for orientation, mask in zip(orientations, masks):
                 minimal = is_minimal(pi, orientation)
+                if all(
+                    (not last_dead & mask) == (not head_dead & mask and minimal)
+                    for head_dead, last_dead in pairs
+                ):
+                    continue
                 for word, (head_dead, last_dead) in zip(words, dead):
                     head_ok = not head_dead & mask
                     accepted = not last_dead & mask
@@ -458,15 +495,14 @@ def check_prefix_closure(max_n: int) -> Violations:
                             f"n={n} {orientation} word {word}: accepted={accepted} "
                             f"prefix accepted={head_ok} minimal={minimal}"
                         )
-        for priority in priorities:
-            for orientation in orientations:
-                table = {}
-                for pi in all_permutations(n):
-                    word = lexmin_word(pi, orientation, priority)
+            for priority, row in tables.items():
+                for table, word in zip(row, least_accepted(groups, priority, masks)):
                     if word is not None:
                         table[pi] = word
-                # the tree, built without lexmin_word, must give every node
-                # the table's word, and hold no other permutation
+        for priority, row in tables.items():
+            for orientation, table in zip(orientations, row):
+                # the tree, built without the enumeration, must give every
+                # node the table's word, and hold no other permutation
                 tree = {
                     evaluate(node): node
                     for node in generating_tree(n, orientation, priority).nodes
@@ -510,7 +546,7 @@ SUITES: dict[str, tuple[Callable[..., Violations], int | None, int | None]] = {
     "csorting": (check_csorting, 5, 5),
     "networks": (check_networks, None, None),
     "stacksort": (check_stack_sort, 7, 7),
-    "prefix": (check_prefix_closure, 5, 5),
+    "prefix": (check_prefix_closure, 5, 6),
 }
 
 

@@ -1,6 +1,7 @@
 """Definitions the package no longer needs that the test oracles still use,
-the bodies that faster routes replaced, kept to compare against, and the
-opt-in marker of the slow parameter sets."""
+the bodies that faster routes replaced, kept to compare against, the
+opt-in marker of the slow parameter sets, and a guard that refuses calls
+to package functions."""
 import functools
 import itertools
 import os
@@ -8,7 +9,7 @@ import random
 
 import pytest
 
-from permutree import verify
+from permutree import automata, core, coxeter, sorting, trees, verify
 from permutree.automata import Status, classify, initial_product, product_table, step_product
 from permutree.core import (
     Kind,
@@ -41,6 +42,23 @@ def slow(*values):
     skipped (not silently dropped) otherwise."""
     skip = pytest.mark.skipif(not os.environ.get("PERMUTREE_SLOW"), reason="set PERMUTREE_SLOW=1")
     return pytest.param(*values, marks=skip)
+
+
+PACKAGE_MODULES = (core, automata, sorting, coxeter, trees, verify)
+
+
+def refuse_everywhere(monkeypatch, *names, modules=PACKAGE_MODULES):
+    """Make each named function raise, in every one of modules (by default
+    every package module) that binds it."""
+    for name in names:
+        original = next(vars(m)[name] for m in modules if name in vars(m))
+
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} must not be called")
+
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, refuse)
 
 
 def all_orientations(n):

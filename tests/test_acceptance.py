@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from permutree import core, coxeter, sorting, verify
+from permutree import core, coxeter, sorting, trees, verify
 from permutree.automata import exists_accepted
 from permutree.core import Permutation, Word
 from permutree.sorting import PriorityOrder
@@ -35,7 +35,12 @@ from permutree.verify import (
     check_theorem_single,
     check_unique_final_state,
 )
-from oracles import oracle_check_networks, oracle_check_prefix_closure
+from oracles import (
+    oracle_check_networks,
+    oracle_check_prefix_closure,
+    refuse_everywhere,
+    slow,
+)
 
 P = Permutation.from_text
 
@@ -261,15 +266,19 @@ def test_prefix_suite_reports_each_violation_once(monkeypatch):
 
 def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
     # give 4321 its lexicographically last reduced word instead of its lexmin
-    # word: that word's parent is not the word of its own permutation
+    # word under u = d = {} (the orientation of mask 0): that word's parent
+    # is not the word of its own permutation
     w0 = Permutation((4, 3, 2, 1))
     last = max(core.iter_reduced_words(w0), key=lambda word: word.letters)
-    lexmin_word = verify.lexmin_word
-    monkeypatch.setattr(
-        verify,
-        "lexmin_word",
-        lambda pi, orientation, priority: last if pi == w0 else lexmin_word(pi, orientation, priority),
-    )
+    least_accepted = verify.least_accepted
+
+    def wrong(groups, priority, masks):
+        words = least_accepted(groups, priority, masks)
+        if any(last in group for group in groups.values()):
+            return [last if mask == 0 else word for mask, word in zip(masks, words)]
+        return words
+
+    monkeypatch.setattr(verify, "least_accepted", wrong)
     violations = check_prefix_closure(4)
     parent = Word(last.letters[:-1], 4)
     expected = (
@@ -284,6 +293,19 @@ def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
     assert all(
         f"prefix {parent} of {last} is not" in line or line.endswith(mismatch) for line in violations
     ), violations
+
+
+def test_prefix_suite_searches_no_reduced_word(monkeypatch):
+    # the lexmin table is read off the words the suite enumerates and steps
+    # anyway: no lexmin_word search, and no walk from the trees module
+    refuse_everywhere(monkeypatch, "lexmin_word")
+    refuse_everywhere(monkeypatch, "walk_reduced_words", modules=(trees,))
+    assert check_prefix_closure(4) == []
+
+
+@pytest.mark.parametrize("n", [slow(6)])
+def test_prefix_suite_at_its_opt_in_bound(n):
+    assert verify.run_suite("prefix", n) == []
 
 
 def test_csorting_suite_enumerates_no_reduced_words():

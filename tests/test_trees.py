@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from permutree import automata, cli, core, coxeter, sorting, trees, verify
+from permutree import cli
 from permutree.core import (
     Orientation,
     Permutation,
@@ -30,6 +30,7 @@ from oracles import (
     oracle_export_tree_dot,
     oracle_generating_tree,
     oracle_tree_edges,
+    refuse_everywhere,
     slow,
 )
 
@@ -203,20 +204,6 @@ SLOW_DEGREE = slow(7)
 def test_count_minimal_matches_enumeration(n):
     for orientation in disjoint_orientations(n):
         assert count_minimal(n, orientation) == oracle_count_minimal(n, orientation), orientation
-
-
-def refuse_everywhere(monkeypatch, *names):
-    """Make each named function raise, in every package module that binds it."""
-    modules = (core, automata, sorting, coxeter, trees, verify)
-    for name in names:
-        original = next(vars(m)[name] for m in modules if name in vars(m))
-
-        def refuse(*args, name=name, **kwargs):
-            raise AssertionError(f"{name} must not be called")
-
-        for module in modules:
-            if vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, refuse)
 
 
 def test_count_minimal_enumerates_nothing(monkeypatch):

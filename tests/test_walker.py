@@ -441,6 +441,9 @@ KEPT_WITHOUT_CALLER: dict[str, str] = {
     "(core.left_multiply.calls); delete with the next benchmark refresh",
     "left_inversions": "perfbench/worker.py reads its traced call count "
     "(core.left_inversions.calls); delete with the next benchmark refresh",
+    "lexmin_word": "the public brute-force route to one lexmin word; perfbench/worker.py reads "
+    "its traced call count (trees.lexmin_word.calls); move to tests/oracles.py with the next "
+    "benchmark refresh",
 }
 
 
