@@ -114,21 +114,21 @@ def step(delta: Table, code: int, letter: int) -> int:
     return delta[letter][code]
 
 
-def run(kind: Kind, j: int, n: int, word: Word) -> int:
+def run(kind: Kind, j: int, word: Word) -> int:
     """Fold step over the word from the start state; returns the final code.
 
-    The machine is a plain DFA: it reads any word, reduced or not;
-    reducedness is the caller's concern.
+    The automaton's degree is the word's.  The machine is a plain DFA: it
+    reads any word, reduced or not; reducedness is the caller's concern.
     """
-    delta = table(kind, j, n)
-    code = initial_state(kind, j, n)
+    delta = table(kind, j, word.n)
+    code = initial_state(kind, j, word.n)
     for letter in word:
         code = step(delta, code, letter)
     return code
 
 
-def accepts(kind: Kind, j: int, n: int, word: Word) -> bool:
-    return STATUSES[run(kind, j, n, word) % 3] is not Status.DEAD
+def accepts(kind: Kind, j: int, word: Word) -> bool:
+    return STATUSES[run(kind, j, word) % 3] is not Status.DEAD
 
 
 @functools.lru_cache(maxsize=256)
@@ -208,30 +208,37 @@ def _node_name(kind: Kind, j: int, code: int) -> str:
     return f"{'U' if kind is Kind.UP else 'D'}{j}_{column}_{status}"
 
 
-def export_dot(kind: Kind, j: int, n: int) -> str:
-    """Deterministic DOT rendering of one automaton.
+def _write_dot(graph: str, n: int, nodes, start, name, status, move) -> str:
+    """The DOT text of an automaton whose states are nodes, in that order.
 
-    Accepting states are double circles; loops are omitted, matching the
-    convention that missing transitions loop.
+    name(state) is a state's DOT id, status(state) its Status (dead states
+    are circles, accepting ones double circles), and move(state, letter) its
+    target; loops are omitted, matching the convention that missing
+    transitions loop.
     """
-    delta = table(kind, j, n)
-    codes = range(state_count(kind, j, n))
-    tag = "U" if kind is Kind.UP else "D"
-    lines = [f'digraph "{tag}{j}_n{n}" {{', "  rankdir=LR;"]
-    lines.append('  start [shape=none, label=""];')
-    for code in codes:
-        shape = "circle" if label(kind, j, code)[1] is Status.DEAD else "doublecircle"
-        lines.append(f"  {_node_name(kind, j, code)} [shape={shape}];")
-    lines.append(f"  start -> {_node_name(kind, j, initial_state(kind, j, n))};")
-    for code in codes:
+    lines = [f'digraph "{graph}" {{', "  rankdir=LR;", '  start [shape=none, label=""];']
+    for state in nodes:
+        shape = "circle" if status(state) is Status.DEAD else "doublecircle"
+        lines.append(f"  {name(state)} [shape={shape}];")
+    lines.append(f"  start -> {name(start)};")
+    for state in nodes:
         for letter in range(1, n):
-            target = step(delta, code, letter)
-            if target != code:
-                lines.append(
-                    f'  {_node_name(kind, j, code)} -> {_node_name(kind, j, target)} [label="s{letter}"];'
-                )
+            target = move(state, letter)
+            if target != state:
+                lines.append(f'  {name(state)} -> {name(target)} [label="s{letter}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def export_dot(kind: Kind, j: int, n: int) -> str:
+    """Deterministic DOT rendering of one automaton, its states in code order."""
+    tag = "U" if kind is Kind.UP else "D"
+    return _write_dot(
+        f"{tag}{j}_n{n}", n, range(state_count(kind, j, n)), initial_state(kind, j, n),
+        name=functools.partial(_node_name, kind, j),
+        status=lambda code: STATUSES[code % 3],
+        move=functools.partial(step, table(kind, j, n)),
+    )
 
 
 def export_dot_product(orientation: Orientation, reachable_only: bool = False) -> str:
@@ -243,7 +250,7 @@ def export_dot_product(orientation: Orientation, reachable_only: bool = False) -
     """
     n = orientation.n
     parts = orientation.components
-    rows = product_table(orientation)
+    move = functools.partial(step_product, product_table(orientation))
     start = initial_product(orientation)
 
     def product_sort_key(product: tuple[int, ...]):
@@ -251,7 +258,8 @@ def export_dot_product(orientation: Orientation, reachable_only: bool = False) -
         return tuple((column, status.value) for column, status in labels)
 
     def product_name(product: tuple[int, ...]) -> str:
-        return "__".join(_node_name(kind, j, code) for (kind, j), code in zip(parts, product))
+        names = (_node_name(kind, j, code) for (kind, j), code in zip(parts, product))
+        return '"' + "__".join(names) + '"'
 
     if reachable_only:
         seen = {start}
@@ -259,7 +267,7 @@ def export_dot_product(orientation: Orientation, reachable_only: bool = False) -
         while todo:
             product = todo.pop()
             for letter in range(1, n):
-                target = step_product(rows, product, letter)
+                target = move(product, letter)
                 if target not in seen:
                     seen.add(target)
                     todo.append(target)
@@ -268,19 +276,7 @@ def export_dot_product(orientation: Orientation, reachable_only: bool = False) -
         codes = [range(state_count(kind, j, n)) for kind, j in parts]
         nodes = sorted(itertools.product(*codes), key=product_sort_key)
 
-    name = "_".join(["P"] + [f"{'u' if kind is Kind.UP else 'd'}{j}" for kind, j in parts])
-    lines = [f'digraph "{name}_n{n}" {{', "  rankdir=LR;"]
-    lines.append('  start [shape=none, label=""];')
-    for product in nodes:
-        shape = "doublecircle" if classify(product) is not Status.DEAD else "circle"
-        lines.append(f'  "{product_name(product)}" [shape={shape}];')
-    lines.append(f'  start -> "{product_name(start)}";')
-    for product in nodes:
-        for letter in range(1, n):
-            target = step_product(rows, product, letter)
-            if target != product:
-                lines.append(
-                    f'  "{product_name(product)}" -> "{product_name(target)}" [label="s{letter}"];'
-                )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    graph = "_".join(["P"] + [f"{'u' if kind is Kind.UP else 'd'}{j}" for kind, j in parts])
+    return _write_dot(
+        f"{graph}_n{n}", n, nodes, start, name=product_name, status=classify, move=move
+    )

@@ -166,7 +166,7 @@ def cmd_count(args) -> int:
                 {
                     "u": sorted(orientation.u),
                     "d": sorted(orientation.d),
-                    "count": count_minimal(n, orientation),
+                    "count": count_minimal(orientation),
                 }
             )
         rows.sort(key=lambda r: (r["u"], r["d"]))
@@ -180,7 +180,7 @@ def cmd_count(args) -> int:
         return 0
     orientation = _parse_orientation(args, n, disjoint=True)
     _require_at_most(n, MAX_COUNT_N, "count")
-    count = count_minimal(n, orientation)
+    count = count_minimal(orientation)
     if args.output == "json":
         print(json.dumps({"n": n, "u": sorted(orientation.u), "d": sorted(orientation.d), "count": count}))
     else:
@@ -218,10 +218,10 @@ def cmd_tree(args) -> int:
     _require_at_most(args.n, MAX_COUNT_N, "tree")
     if args.overlay:
         _require_at_most(args.n, MAX_TREE_OVERLAY_N, "tree --overlay")
-    nodes = count_minimal(args.n, orientation)
+    nodes = count_minimal(orientation)
     if nodes > MAX_TREE_NODES:
         raise UsageError(f"the tree has {nodes} nodes, more than the cap of {MAX_TREE_NODES}")
-    tree = generating_tree(args.n, orientation, priority)
+    tree = generating_tree(orientation, priority)
     if args.output == "json":
         print(tree.to_json())
         return 0

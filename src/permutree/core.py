@@ -311,6 +311,45 @@ def evaluate(word: Word) -> Permutation:
     return Permutation(tuple(entries))
 
 
+class Residual:
+    """A permutation kept for left multiplication, one descent at a time.
+
+    entries is its one-line notation, pos[v] the index of the value v in
+    entries, and descents its set of left descents: l is one iff
+    pos[l+1] < pos[l].  Taking a descent l (pi becomes s_l * pi) swaps the
+    values l and l+1, which changes only the descents l-1, l and l+1.  The
+    sorts and the greedy extraction take their letters through it, and a
+    sort trace replays its applied letters through it to recover each row.
+    """
+
+    __slots__ = ("entries", "pos", "descents")
+
+    def __init__(self, pi: Permutation):
+        self.entries = list(pi.entries)
+        self.pos = pos = [0] * (pi.n + 1)
+        for at, value in enumerate(self.entries):
+            pos[value] = at
+        self.descents = {l for l in range(1, pi.n) if pos[l + 1] < pos[l]}
+
+    def take(self, letter: int) -> None:
+        """Left-multiply by s_letter, for a letter in descents."""
+        entries, pos, descents = self.entries, self.pos, self.descents
+        i, j = pos[letter], pos[letter + 1]
+        entries[i], entries[j] = letter + 1, letter
+        pos[letter], pos[letter + 1] = j, i
+        descents.discard(letter)
+        for l in (letter - 1, letter + 1):
+            if 1 <= l < len(entries):
+                if pos[l + 1] < pos[l]:
+                    descents.add(l)
+                else:
+                    descents.discard(l)
+
+    def fixes_prefix(self, k: int) -> bool:
+        """pi([k]) == [k] setwise; vacuously true for k <= 0 and k >= n."""
+        return k <= 0 or k >= len(self.entries) or max(self.entries[:k]) == k
+
+
 def walk_reduced_words(
     pi: Permutation,
     key: Callable[[int], int] | None = None,
@@ -329,6 +368,10 @@ def walk_reduced_words(
     stepping to s_l * p swaps pos[l] and pos[l+1], undone on the way back.
     So pos always holds the node on top of the stack, and each node's
     descents are read lazily from it, only as far as the walk tries them.
+    A Residual would keep every node's descent set up to date at each step
+    instead, and cost more: a walker built on it ran the theorem2 suite in
+    0.130 s (0.095 s with pos) and csorting in 0.190 s (0.141 s),
+    in-process, best of 3, on 2 cores with Python 3.11.
     A node is the identity iff its depth is the length of pi.  Below a node
     the walk depends only on (its position tuple, its state), which is in
     bijection with (its entries, its state), so a pair whose subtree yielded

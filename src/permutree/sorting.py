@@ -29,6 +29,7 @@ from .core import (
     Kind,
     Orientation,
     Permutation,
+    Residual,
     Word,
     all_permutations,
     is_minimal,
@@ -121,7 +122,7 @@ class SortTrace:
     def _rows(self):
         """Each decision with the residual's entries when it was made: one live
         list, swapped in place after the caller has read the row."""
-        rest = _Residual(self.start)
+        rest = Residual(self.start)
         for row in self.decisions:
             yield rest.entries, row
             if row[5]:  # applied: take its letter
@@ -202,45 +203,6 @@ def _set_cell(values: frozenset[int]) -> str:
     return "{" + ",".join(str(v) for v in sorted(values)) + "}"
 
 
-class _Residual:
-    """What a sort has left of pi, kept for left multiplication.
-
-    entries is its one-line notation, pos[v] the index of the value v in
-    entries, and descents its set of left descents: l is one iff
-    pos[l+1] < pos[l].  Taking a descent l (pi becomes s_l * pi) swaps the
-    values l and l+1, which changes only the descents l-1, l and l+1.  The
-    sorts take their letters through it, and SortTrace's renderers replay
-    the applied letters through it to recover each row's permutation.
-    """
-
-    __slots__ = ("entries", "pos", "descents")
-
-    def __init__(self, pi: Permutation):
-        self.entries = list(pi.entries)
-        self.pos = pos = [0] * (pi.n + 1)
-        for at, value in enumerate(self.entries):
-            pos[value] = at
-        self.descents = {l for l in range(1, pi.n) if pos[l + 1] < pos[l]}
-
-    def take(self, letter: int) -> None:
-        """Left-multiply by s_letter, for a letter in descents."""
-        entries, pos, descents = self.entries, self.pos, self.descents
-        i, j = pos[letter], pos[letter + 1]
-        entries[i], entries[j] = letter + 1, letter
-        pos[letter], pos[letter + 1] = j, i
-        descents.discard(letter)
-        for l in (letter - 1, letter + 1):
-            if 1 <= l < len(entries):
-                if pos[l + 1] < pos[l]:
-                    descents.add(l)
-                else:
-                    descents.discard(l)
-
-    def fixes_prefix(self, k: int) -> bool:
-        """pi([k]) == [k] setwise; vacuously true for k <= 0 and k >= n."""
-        return k <= 0 or k >= len(self.entries) or max(self.entries[:k]) == k
-
-
 def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
     """Sorting driven by a single automaton with start parameter j.
 
@@ -257,7 +219,7 @@ def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
     up = kind is Kind.UP
     param = j
     decisions = []
-    rest = _Residual(pi)
+    rest = Residual(pi)
     descents = rest.descents
 
     def record(letter: int, phase: str) -> None:
@@ -310,7 +272,7 @@ def permutree_sort(
         priority = PriorityOrder.natural(n)
     u, d = orientation.u, orientation.d
     decisions = []
-    rest = _Residual(pi)
+    rest = Residual(pi)
     descents = rest.descents
 
     while descents:
@@ -319,12 +281,12 @@ def permutree_sort(
         if letter is None:
             phase, attempts = "ill", []
             for letter in sorted(descents, key=priority.key):
-                checks = []
-                if letter + 1 in u:
-                    checks.append((letter + 1, rest.fixes_prefix(letter + 1)))
+                checks = []  # by k: the d-check's l-1 before the u-check's l+1
                 if letter in d:
                     checks.append((letter - 1, rest.fixes_prefix(letter - 1)))
-                checks = tuple(sorted(checks))
+                if letter + 1 in u:
+                    checks.append((letter + 1, rest.fixes_prefix(letter + 1)))
+                checks = tuple(checks)
                 if all(ok for _, ok in checks):
                     break
                 attempts.append((u, d, letter, checks, phase, False))
@@ -349,31 +311,24 @@ def _greedy_extract(pi: Permutation, template: Word) -> tuple[list, Permutation]
     The template is repeated until the residual is sorted or a full pass
     takes nothing (stuck), which cannot happen when the template holds
     every generator.  Returns the letters taken in each pass that took any,
-    and the final residual.  The residual is kept as its position array,
-    pos[v] = the position of the value v: the letter l shortens it iff
-    pos[l+1] < pos[l], and taking l swaps the two.
+    and the final residual.  A letter shortens the residual iff it is one
+    of its left descents.
     """
-    n = pi.n
-    if template.n != n:
+    if template.n != pi.n:
         raise ValueError("template degree does not match permutation")
-    pos = [0] * (n + 1)
-    for at, value in enumerate(pi.entries, start=1):
-        pos[value] = at
-    sorted_pos = list(range(n + 1))
+    rest = Residual(pi)
+    descents = rest.descents
     passes: list[tuple[int, ...]] = []
-    while pos != sorted_pos:
+    while descents:
         taken = []
         for letter in template.letters:
-            if pos[letter + 1] < pos[letter]:
+            if letter in descents:
                 taken.append(letter)
-                pos[letter], pos[letter + 1] = pos[letter + 1], pos[letter]
+                rest.take(letter)
         if not taken:
             break
         passes.append(tuple(taken))
-    entries = [0] * n
-    for value in range(1, n + 1):
-        entries[pos[value] - 1] = value
-    return passes, Permutation(tuple(entries))
+    return passes, Permutation(tuple(rest.entries))
 
 
 def network_mismatch(template: Word, orientation: Orientation, pi: Permutation) -> bool:

@@ -84,9 +84,10 @@ class GeneratingTree:
 
 
 def generating_tree(
-    n: int, orientation: Orientation, priority: PriorityOrder | None = None
+    orientation: Orientation, priority: PriorityOrder | None = None
 ) -> GeneratingTree:
-    """One node per minimal permutation of S_n, built breadth first by length.
+    """One node per minimal permutation of S_n, n the orientation's degree,
+    built breadth first by length.
 
     A node tau holds its word w, its entries and its product state.  For an
     ascent l of tau (positions l, l+1), w.l is a reduced word of
@@ -99,6 +100,7 @@ def generating_tree(
     word, and every level comes out in (length, priority-lex) order.
     """
     orientation.require_disjoint()
+    n = orientation.n
     if priority is None:
         priority = PriorityOrder.natural(n)
     advance = functools.partial(step_alive, product_table(orientation))
@@ -127,9 +129,9 @@ def generating_tree(
     return GeneratingTree(tuple(words), tuple(perms), orientation, priority)
 
 
-def count_minimal(n: int, orientation: Orientation) -> int:
-    """Number of minimal permutations of S_n, by a DP over the set of values
-    already placed.
+def count_minimal(orientation: Orientation) -> int:
+    """Number of minimal permutations of S_n, n the orientation's degree, by
+    a DP over the set of values already placed.
 
     A permutation is written left to right.  Whether placing the value v
     next completes a forbidden subword depends only on the set S of values
@@ -141,10 +143,11 @@ def count_minimal(n: int, orientation: Orientation) -> int:
     ways[S | {v}] sums ways[S] over the allowed v, visiting only the sets
     some prefix reaches: O(2^n * (n + |u| + |d|)) time and O(2^n) space.
 
-    >>> count_minimal(4, Orientation({2, 3}, frozenset(), 4))
+    >>> count_minimal(Orientation({2, 3}, frozenset(), 4))
     14
     """
     orientation.require_disjoint()
+    n = orientation.n
     # bit v-1 of a set stands for the value v
     rules = []
     for kind, j in orientation.components:

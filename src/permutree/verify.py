@@ -88,7 +88,7 @@ def check_theorem_single(max_n: int) -> Violations:
             words = all_reduced_words(pi)
             for j in range(2, n):
                 for kind in (Kind.UP, Kind.DOWN):
-                    by_automaton = any(accepts(kind, j, n, word) for word in words)
+                    by_automaton = any(accepts(kind, j, word) for word in words)
                     by_pattern = not contains_pattern(pi, j, kind)
                     if by_automaton != by_pattern:
                         violations.append(
@@ -244,7 +244,7 @@ def check_end_state_stats() -> Violations:
             violations.append(f"{text}: {len(words)} reduced expressions, expected {total}")
         got: dict[tuple[str, int], int] = {}
         for word in words:
-            column, status = label(Kind.UP, j, run(Kind.UP, j, pi.n, word))
+            column, status = label(Kind.UP, j, run(Kind.UP, j, word))
             key = (status.value, column)
             got[key] = got.get(key, 0) + 1
         if got != want:
@@ -262,7 +262,7 @@ def check_unique_final_state(max_n: int) -> Violations:
             for j in range(2, n):
                 for kind in (Kind.UP, Kind.DOWN):
                     # (column, status) labels of the final states
-                    finals = [label(kind, j, run(kind, j, n, w)) for w in words]
+                    finals = [label(kind, j, run(kind, j, w)) for w in words]
                     accepted = {s for s in finals if s[1] is not Status.DEAD}
                     if len(accepted) > 1:
                         violations.append(f"n={n} pi={pi} j={j} {kind.value}: {accepted}")
@@ -301,14 +301,14 @@ def check_counting(max_n: int) -> Violations:
     for n in range(2, max_n + 1):
         want = catalan(n)
         for orientation in partition_orientations(n):
-            got = count_minimal(n, orientation)
+            got = count_minimal(orientation)
             if got != want:
                 violations.append(
                     f"n={n} u={sorted(orientation.u)} d={sorted(orientation.d)}: {got} != {want}"
                 )
         empty = Orientation(frozenset(), frozenset(), n)
         factorial = math.factorial(n)
-        if count_minimal(n, empty) != factorial:
+        if count_minimal(empty) != factorial:
             violations.append(f"n={n}: empty orientation count != {factorial}")
     return violations
 
@@ -336,7 +336,7 @@ def check_csorting(max_n: int) -> Violations:
     word = c_sorting_word(pi, c)
     if word.letters != (1, 3, 2, 1):
         violations.append(f"sorting word of 4213: {word}")
-    if accepts(Kind.UP, 2, 4, word):
+    if accepts(Kind.UP, 2, word):
         violations.append("sorting word of 4213 unexpectedly accepted")
     if contains_pattern(pi, 2, Kind.UP):
         violations.append("4213 unexpectedly contains the up-subword at 2")
@@ -505,7 +505,7 @@ def check_prefix_closure(max_n: int) -> Violations:
                 # node the table's word, and hold no other permutation
                 tree = {
                     evaluate(node): node
-                    for node in generating_tree(n, orientation, priority).nodes
+                    for node in generating_tree(orientation, priority).nodes
                 }
                 where = (
                     f"n={n} priority={priority.order} "

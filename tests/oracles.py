@@ -99,10 +99,11 @@ def oracle_contains_pattern(pi, j, kind):
     return False
 
 
-def oracle_generating_tree(n, orientation, priority=None):
+def oracle_generating_tree(orientation, priority=None):
     """generating_tree by enumeration: scan S_n, search each minimal
     permutation's lexmin word, and sort the words by length and priority."""
     orientation.require_disjoint()
+    n = orientation.n
     if priority is None:
         priority = PriorityOrder.natural(n)
     words = []
@@ -245,7 +246,7 @@ def oracle_check_prefix_closure(max_n):
                         table[pi] = word
                 tree = {
                     evaluate(node): node
-                    for node in generating_tree(n, orientation, priority).nodes
+                    for node in generating_tree(orientation, priority).nodes
                 }
                 where = (
                     f"n={n} priority={priority.order} "

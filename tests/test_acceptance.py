@@ -78,8 +78,8 @@ def test_criterion_06_counting():
     from permutree.verify import partition_orientations
     from permutree.trees import count_minimal
 
-    got_4 = [count_minimal(4, o) for o in partition_orientations(4)]
-    got_5 = [count_minimal(5, o) for o in partition_orientations(5)]
+    got_4 = [count_minimal(o) for o in partition_orientations(4)]
+    got_5 = [count_minimal(o) for o in partition_orientations(5)]
     if got_4 != counts_4:
         violations.append(f"n=4 partition counts {got_4}")
     if got_5 != [42] * 8:
@@ -257,7 +257,7 @@ def test_prefix_suite_reports_each_violation_once(monkeypatch):
     monkeypatch.setattr(
         verify,
         "generating_tree",
-        lambda n, orientation, priority: generating_tree(n, orientation, PriorityOrder.natural(n)),
+        lambda orientation, priority: generating_tree(orientation, PriorityOrder.natural(orientation.n)),
     )
     violations = check_prefix_closure(3)
     line = "n=3 priority=(2, 1) u=[] d=[]: tree word 1,2,1 of 321 is not its lexmin word 2,1,2"

@@ -46,7 +46,7 @@ def exists_accepted_single(pi, kind, j):
 
     Unlike an Orientation, j may take the boundary values 1 and n.
     """
-    return any(accepts(kind, j, pi.n, word) for word in all_reduced_words(pi))
+    return any(accepts(kind, j, word) for word in all_reduced_words(pi))
 
 
 # -- oracle: the dataclass automaton the integer tables replaced ---------------
@@ -138,7 +138,7 @@ def test_initial_state():
     s = initial_state(Kind.UP, 2, 4)
     assert label(Kind.UP, 2, s) == (2, Status.HEALTHY)
     assert label(Kind.DOWN, 4, initial_state(Kind.DOWN, 4, 5)) == (4, Status.HEALTHY)
-    assert accepts(Kind.UP, 4, 4, Word((), 4))
+    assert accepts(Kind.UP, 4, Word((), 4))
     with pytest.raises(ValueError):
         initial_state(Kind.UP, 5, 4)
     with pytest.raises(ValueError):
@@ -171,16 +171,16 @@ def test_step_down():
 def test_boundary_automata_accept_everything():
     # advancing and dying transitions are deleted at the boundary column
     for word in all_reduced_words(P("4321")):
-        assert accepts(Kind.UP, 4, 4, word)
-        assert accepts(Kind.DOWN, 1, 4, word)
+        assert accepts(Kind.UP, 4, word)
+        assert accepts(Kind.DOWN, 1, word)
 
 
 def test_run_examples():
-    assert label(Kind.UP, 4, run(Kind.UP, 4, 6, Word((3, 5, 2, 1, 3), 6))) == (4, Status.ILL)
+    assert label(Kind.UP, 4, run(Kind.UP, 4, Word((3, 5, 2, 1, 3), 6))) == (4, Status.ILL)
     for j, n in [(2, 4), (3, 5), (4, 5)]:
-        assert not accepts(Kind.UP, j, n, Word((j - 1, j, j - 1), n))
-        assert accepts(Kind.UP, j, n, Word((j, j - 1, j), n))
-    assert run(Kind.UP, 2, 4, Word((), 4)) == initial_state(Kind.UP, 2, 4)
+        assert not accepts(Kind.UP, j, Word((j - 1, j, j - 1), n))
+        assert accepts(Kind.UP, j, Word((j, j - 1, j), n))
+    assert run(Kind.UP, 2, Word((), 4)) == initial_state(Kind.UP, 2, 4)
 
 
 # -- the product ------------------------------------------------------------------
@@ -207,8 +207,8 @@ def test_run_product_conflicting_sides():
         assert not product_accepts(o, Word((j - 1, j, j - 1), n))
         assert not product_accepts(o, Word((j, j - 1, j), n))
         # each side alone accepts one of the two expressions
-        assert accepts(Kind.DOWN, j, n, Word((j - 1, j, j - 1), n))
-        assert accepts(Kind.UP, j, n, Word((j, j - 1, j), n))
+        assert accepts(Kind.DOWN, j, Word((j - 1, j, j - 1), n))
+        assert accepts(Kind.UP, j, Word((j, j - 1, j), n))
 
 
 def test_empty_product_accepts_everything():
@@ -300,7 +300,7 @@ def test_unique_final_state_and_column(n):
         words = all_reduced_words(pi)
         for j in range(2, n):
             for kind in (Kind.UP, Kind.DOWN):
-                finals = {label(kind, j, run(kind, j, n, w)) for w in words}
+                finals = {label(kind, j, run(kind, j, w)) for w in words}
                 accepted = {s for s in finals if s[1] is not Status.DEAD}
                 assert len(accepted) <= 1
                 for column, _ in accepted:

@@ -7,6 +7,7 @@ from permutree.core import (
     Kind,
     Orientation,
     Permutation,
+    Residual,
     Word,
     all_permutations,
     all_reduced_words,
@@ -435,3 +436,27 @@ def test_evaluate_is_a_group_word(letters):
     assert sorted(pi.entries) == list(range(1, 8))
     assert pi.length() <= len(letters)
     assert is_reduced(word) == (pi.length() == len(letters))
+
+
+def assert_fixes_prefix_by_definition(rest):
+    # [k] is clamped to 0..n, so k <= 0 and k >= n hold vacuously
+    entries = rest.entries
+    for k in range(-2, len(entries) + 3):
+        m = min(max(k, 0), len(entries))
+        assert rest.fixes_prefix(k) == (set(entries[:m]) == set(range(1, m + 1))), (entries, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_residual_sorts_every_permutation_one_descent_at_a_time(n):
+    # each take keeps entries, pos and descents equal to those of a Residual
+    # built afresh from the new entries, and shortens the permutation by one
+    for pi in all_permutations(n):
+        rest = Residual(pi)
+        assert rest.descents == set(left_inversions(pi))
+        assert_fixes_prefix_by_definition(rest)
+        for _ in range(pi.length()):
+            rest.take(min(rest.descents))
+            fresh = Residual(Permutation(tuple(rest.entries)))
+            assert (rest.entries, rest.pos, rest.descents) == (fresh.entries, fresh.pos, fresh.descents)
+            assert_fixes_prefix_by_definition(rest)
+        assert rest.entries == list(range(1, n + 1)) and not rest.descents, pi

@@ -51,7 +51,7 @@ def test_c_sorting_word_examples():
     c = CoxeterWord(Word((2, 1, 3), 4))
     word = c_sorting_word(P("4213"), c)
     assert word == Word((1, 3, 2, 1), 4)
-    assert not accepts(Kind.UP, 2, 4, word)
+    assert not accepts(Kind.UP, 2, word)
     assert not contains_pattern(P("4213"), 2, Kind.UP)
     assert c_sorting_word(identity(4), c) == Word((), 4)
     assert c_sorting_word(evaluate(c.word), c) == c.word

@@ -125,7 +125,7 @@ def test_single_sort_always_accepted_success_iff_avoids(n):
             for kind in (Kind.UP, Kind.DOWN):
                 trace = sort_single(pi, j, kind)
                 assert len(trace.word) == evaluate(trace.word).length()
-                assert accepts(kind, j, n, trace.word)
+                assert accepts(kind, j, trace.word)
                 avoid = not contains_pattern(pi, j, kind)
                 assert trace.success == avoid
                 assert trace.success == (evaluate(trace.word) == pi)
@@ -333,7 +333,7 @@ def test_descent_freedom(n):
                 if letter == j - 1 or not is_left_inversion(pi, letter):
                     continue
                 assert any(
-                    w.letters[0] == letter and accepts(Kind.UP, j, n, w)
+                    w.letters[0] == letter and accepts(Kind.UP, j, w)
                     for w in all_reduced_words(pi)
                 )
 
@@ -376,7 +376,7 @@ def test_greedy_extract_cycles_the_template():
     passes, residual = _greedy_extract(P("3421"), Word((3, 2, 1, 3, 2, 1), 4))
     assert passes == [(2, 1, 3, 2), (3,)]
     assert residual == identity(4)
-    assert accepts(Kind.UP, 2, 4, Word((2, 1, 3, 2, 3), 4))
+    assert accepts(Kind.UP, 2, Word((2, 1, 3, 2, 3), 4))
 
 
 def test_check_sorting_network_positive_cases():

@@ -113,26 +113,26 @@ def test_lexmin_word_respects_priority():
 
 
 def test_generating_tree_golden_u2():
-    tree = generating_tree(4, Orientation({2}, frozenset(), 4))
+    tree = generating_tree(Orientation({2}, frozenset(), 4))
     assert len(tree.nodes) == 18
     assert tree_edge_set(tree) == TREE_N4_U2_EDGES
 
 
 def test_generating_tree_golden_d2():
-    tree = generating_tree(4, Orientation(frozenset(), {2}, 4))
+    tree = generating_tree(Orientation(frozenset(), {2}, 4))
     assert len(tree.nodes) == 18
     assert tree_edge_set(tree) == TREE_N4_D2_EDGES
 
 
 def test_generating_tree_golden_u23():
-    tree = generating_tree(4, Orientation({2, 3}, frozenset(), 4))
+    tree = generating_tree(Orientation({2, 3}, frozenset(), 4))
     assert len(tree.nodes) == 14
     assert tree_edge_set(tree) == TREE_N4_U23_EDGES
 
 
 def test_generating_tree_free_orientation():
     for n in (2, 3, 4):
-        tree = generating_tree(n, Orientation(frozenset(), frozenset(), n))
+        tree = generating_tree(Orientation(frozenset(), frozenset(), n))
         count = 1
         for i in range(2, n + 1):
             count *= i
@@ -150,11 +150,11 @@ def test_tree_nodes_biject_with_minimal_permutations(n):
         if u & d:
             continue
         orientation = Orientation(u, d, n)
-        tree = generating_tree(n, orientation)
+        tree = generating_tree(orientation)
         perms = {evaluate(w) for w in tree.nodes}
         assert len(perms) == len(tree.nodes)
         assert perms == {pi for pi in all_permutations(n) if is_minimal(pi, orientation)}
-        assert len(tree.nodes) == count_minimal(n, orientation)
+        assert len(tree.nodes) == count_minimal(orientation)
         # every edge is a length-increasing right multiplication
         for parent, child, letter in oracle_tree_edges(tree):
             low, high = evaluate(parent), evaluate(child)
@@ -164,9 +164,9 @@ def test_tree_nodes_biject_with_minimal_permutations(n):
 
 def test_node_set_is_priority_independent():
     orientation = Orientation({2}, {4}, 5)
-    base = {evaluate(w) for w in generating_tree(5, orientation).nodes}
+    base = {evaluate(w) for w in generating_tree(orientation).nodes}
     for order in [(4, 3, 2, 1), (2, 4, 1, 3)]:
-        other = generating_tree(5, orientation, PriorityOrder(order))
+        other = generating_tree(orientation, PriorityOrder(order))
         assert {evaluate(w) for w in other.nodes} == base
 
 
@@ -174,7 +174,7 @@ def test_overlay_draws_every_weak_order_cover():
     # n!(n-1)/2 covers, each from pi to pi * s_l for an ascent l of pi
     edge = re.compile(r'  "(\d+)" -> "(\d+)" ')
     for n, count in [(1, 0), (2, 1), (3, 6), (4, 36), (5, 240)]:
-        tree = generating_tree(n, Orientation(frozenset(), frozenset(), n))
+        tree = generating_tree(Orientation(frozenset(), frozenset(), n))
         covers = edge.findall(export_tree_dot(tree, overlay=True))
         assert len(covers) == count == math.factorial(n) * (n - 1) // 2
         for low, high in covers:
@@ -186,15 +186,15 @@ def test_overlay_draws_every_weak_order_cover():
 
 
 def test_count_minimal_examples():
-    assert count_minimal(4, Orientation({2, 3}, frozenset(), 4)) == 14
-    assert count_minimal(4, Orientation(frozenset(), frozenset(), 4)) == 24
-    assert count_minimal(4, Orientation({2}, frozenset(), 4)) == 18
+    assert count_minimal(Orientation({2, 3}, frozenset(), 4)) == 14
+    assert count_minimal(Orientation(frozenset(), frozenset(), 4)) == 24
+    assert count_minimal(Orientation({2}, frozenset(), 4)) == 18
 
 
-def oracle_count_minimal(n, orientation):
+def oracle_count_minimal(orientation):
     """count_minimal by enumeration: scan S_n, test each permutation."""
     orientation.require_disjoint()
-    return sum(1 for pi in all_permutations(n) if is_minimal(pi, orientation))
+    return sum(1 for pi in all_permutations(orientation.n) if is_minimal(pi, orientation))
 
 
 SLOW_DEGREE = slow(7)
@@ -203,18 +203,18 @@ SLOW_DEGREE = slow(7)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, SLOW_DEGREE])
 def test_count_minimal_matches_enumeration(n):
     for orientation in disjoint_orientations(n):
-        assert count_minimal(n, orientation) == oracle_count_minimal(n, orientation), orientation
+        assert count_minimal(orientation) == oracle_count_minimal(orientation), orientation
 
 
 def test_count_minimal_enumerates_nothing(monkeypatch):
     refuse_everywhere(monkeypatch, "is_minimal", "all_permutations")
-    assert count_minimal(9, Orientation(frozenset(), frozenset(), 9)) == math.factorial(9)
-    assert count_minimal(9, Orientation({2, 5}, {7}, 9)) == 45_036
+    assert count_minimal(Orientation(frozenset(), frozenset(), 9)) == math.factorial(9)
+    assert count_minimal(Orientation({2, 5}, {7}, 9)) == 45_036
 
 
 def test_count_minimal_refuses_overlapping_sets():
     with pytest.raises(ValueError, match="disjoint"):
-        count_minimal(4, Orientation({2}, {2}, 4))
+        count_minimal(Orientation({2}, {2}, 4))
 
 
 def test_generating_tree_searches_nothing(monkeypatch):
@@ -222,8 +222,8 @@ def test_generating_tree_searches_nothing(monkeypatch):
     # test and no search over reduced words
     refuse_everywhere(monkeypatch, "is_minimal", "lexmin_word", "walk_reduced_words", "all_permutations")
     for orientation in [Orientation({2, 5}, {7}, 8), Orientation(frozenset(range(2, 8)), frozenset(), 8)]:
-        tree = generating_tree(8, orientation, PriorityOrder((4, 5, 2, 6, 1, 7, 3)))
-        assert len(tree.nodes) == count_minimal(8, orientation)
+        tree = generating_tree(orientation, PriorityOrder((4, 5, 2, 6, 1, 7, 3)))
+        assert len(tree.nodes) == count_minimal(orientation)
 
 
 def test_tree_outputs_evaluate_nothing(monkeypatch, capsys):
@@ -260,8 +260,8 @@ def test_generating_tree_matches_oracle(n):
     ]
     for orientation in disjoint_orientations(n):
         for priority in priorities:
-            tree = generating_tree(n, orientation, priority)
-            expected = oracle_generating_tree(n, orientation, priority)
+            tree = generating_tree(orientation, priority)
+            expected = oracle_generating_tree(orientation, priority)
             assert tree == expected, (orientation, priority)
             assert tree.to_json() == expected.to_json()
             assert export_tree_dot(tree) == oracle_export_tree_dot(expected)
@@ -272,13 +272,13 @@ def test_heavy_tail_tree_matches_oracle():
     # the case whose lexmin_word searches took longest when the tree was a scan
     orientation = Orientation({5, 6}, frozenset(), 7)
     priority = PriorityOrder((4, 5, 2, 6, 1, 3))
-    tree = generating_tree(7, orientation, priority)
-    assert tree == oracle_generating_tree(7, orientation, priority)
-    assert len(tree.nodes) == count_minimal(7, orientation)
+    tree = generating_tree(orientation, priority)
+    assert tree == oracle_generating_tree(orientation, priority)
+    assert len(tree.nodes) == count_minimal(orientation)
 
 
 def test_tree_json_dump():
-    tree = generating_tree(3, Orientation({2}, frozenset(), 3))
+    tree = generating_tree(Orientation({2}, frozenset(), 3))
     payload = json.loads(tree.to_json())
     assert payload[""] == "123"
     assert all(str(evaluate(Word.from_text(k, 3))) == v for k, v in payload.items())
@@ -294,13 +294,13 @@ def test_tree_json_dump():
 )
 def test_tree_dot_golden_files(name, u, d, overlay):
     n = 4 if "n4" in name else 2
-    tree = generating_tree(n, Orientation(frozenset(u), frozenset(d), n))
+    tree = generating_tree(Orientation(frozenset(u), frozenset(d), n))
     dot = export_tree_dot(tree, overlay)
     assert dot == (GOLDEN / name).read_text()
 
 
 def test_tree_dot_without_overlay_lists_only_tree_nodes():
-    tree = generating_tree(2, Orientation(frozenset(), frozenset(), 2))
+    tree = generating_tree(Orientation(frozenset(), frozenset(), 2))
     dot = export_tree_dot(tree)
     assert dot.count("shape=box") == 2
     assert "->" in dot
