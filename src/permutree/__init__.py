@@ -37,13 +37,11 @@ from .sorting import (
     sort_single,
 )
 from .coxeter import (
-    CFactorization,
     CoxeterWord,
     c_factorization,
     c_sorting_word,
     is_c_sortable,
     orientation_of,
-    verify_csorting_equivalences,
 )
 from .trees import (
     GeneratingTree,

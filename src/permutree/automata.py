@@ -36,7 +36,6 @@ from .core import (
     Orientation,
     Permutation,
     Word,
-    ninv_stats,
     walk_reduced_words,
 )
 
@@ -191,16 +190,6 @@ def exists_accepted(pi: Permutation, orientation: Orientation) -> bool:
     advance = functools.partial(step_alive, product_table(orientation))
     words = walk_reduced_words(pi, state=initial_product(orientation), advance=advance)
     return next(words, None) is not None
-
-
-def expected_final_column(pi: Permutation, kind: Kind, j: int) -> int:
-    """Predicted final column parameter for accepted runs.
-
-    UP runs end ninv_below(pi, j) columns to the right of j, DOWN runs
-    ninv_above(pi, j) columns to the left.
-    """
-    above, below = ninv_stats(pi, j)
-    return j + below if kind is Kind.UP else j - above
 
 
 def _node_name(kind: Kind, j: int, code: int) -> str:

@@ -32,8 +32,8 @@ MATH_FAILURE = 1
 # per inversion (about n^2/4 for a random permutation), each O(n): the pick
 # scans the descent set, and a rendered row joins its n values.  Its JSON has
 # about n^3 characters and its text table about n^4 (450 MB at n = 200, 1.1 GB
-# at n = 250).  In-process on 2 cores, sort --n 400 --output json takes 2.2 s,
-# --n 200 --output text 1.1 s, mostly rendering.  count runs a DP over the 2^n
+# at n = 250).  In-process on 2 cores, sort --n 400 --output json takes 2.0 s,
+# --n 200 --output text 1.3 s, mostly rendering.  count runs a DP over the 2^n
 # sets of placed values, over 3^(n-2) orientations for the table.  tree
 # builds and renders each node once, so it is capped by its node count,
 # which count gives first (hence tree's cap on n is count's); --overlay

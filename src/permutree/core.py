@@ -338,12 +338,16 @@ class Residual:
         entries[i], entries[j] = letter + 1, letter
         pos[letter], pos[letter + 1] = j, i
         descents.discard(letter)
-        for l in (letter - 1, letter + 1):
-            if 1 <= l < len(entries):
-                if pos[l + 1] < pos[l]:
-                    descents.add(l)
-                else:
-                    descents.discard(l)
+        if letter > 1:
+            if pos[letter] < pos[letter - 1]:
+                descents.add(letter - 1)
+            else:
+                descents.discard(letter - 1)
+        if letter + 2 < len(pos):
+            if pos[letter + 2] < pos[letter + 1]:
+                descents.add(letter + 1)
+            else:
+                descents.discard(letter + 1)
 
     def fixes_prefix(self, k: int) -> bool:
         """pi([k]) == [k] setwise; vacuously true for k <= 0 and k >= n."""

@@ -34,9 +34,9 @@ from .automata import (
     accepts,
     dead_mask,
     exists_accepted,
-    expected_final_column,
     initial_product,
     label,
+    product_accepts,
     product_table,
     run,
     step_product,
@@ -44,9 +44,11 @@ from .automata import (
 from .coxeter import (
     CoxeterWord,
     all_coxeter_words,
+    c_sorting,
     c_sorting_word,
     is_c_sortable,
-    verify_csorting_equivalences,
+    is_decreasing,
+    orientation_of,
 )
 from .sorting import (
     PriorityOrder,
@@ -260,6 +262,7 @@ def check_unique_final_state(max_n: int) -> Violations:
         for pi in all_permutations(n):
             words = all_reduced_words(pi)
             for j in range(2, n):
+                above, below = ninv_stats(pi, j)
                 for kind in (Kind.UP, Kind.DOWN):
                     # (column, status) labels of the final states
                     finals = [label(kind, j, run(kind, j, w)) for w in words]
@@ -267,12 +270,13 @@ def check_unique_final_state(max_n: int) -> Violations:
                     if len(accepted) > 1:
                         violations.append(f"n={n} pi={pi} j={j} {kind.value}: {accepted}")
                         continue
-                    column = expected_final_column(pi, kind, j)
+                    # accepted UP runs end ninv_below columns right of j,
+                    # DOWN runs ninv_above columns left of it
+                    column = j + below if kind is Kind.UP else j - above
                     if any(s[0] != column for s in accepted):
                         violations.append(
                             f"n={n} pi={pi} j={j} {kind.value}: column != {column}"
                         )
-                    above, below = ninv_stats(pi, j)
                     outer, inner = (above, below) if kind is Kind.UP else (below, above)
                     # outer == 0: every reduced expression ends at one healthy state;
                     # inner == 0: every reduced expression ends at one common state;
@@ -314,21 +318,47 @@ def check_counting(max_n: int) -> Violations:
 
 
 def check_csorting(max_n: int) -> Violations:
-    """The five sortability characterizations agree for every Coxeter word,
-    every permutation; sortable counts are Catalan; the worked fact about
-    4213 holds.  For max_n >= 5 the stated claim that 41325 is c-sortable
-    for no Coxeter word is refuted, and the refutation is reported as the
-    one expected line: 41325 is sorted by the four words placing s3 before
-    s2 before s1."""
+    """Five characterizations of c-sortability agree for every Coxeter word c
+    and permutation pi: (1) the blocks of pi's c-factorization decrease;
+    (2) its c-sorting word and (3) some reduced word of pi pass every
+    automaton of orientation_of(c); (4) for each j some reduced word of pi
+    passes the one at j; (5) subword avoidance.  Sortable counts are Catalan.
+    Conditions 1-2 are read from one greedy extraction per (pi, c), and 3-5
+    once per distinct orientation.  The worked fact about 4213 holds.  For
+    max_n >= 5 the stated claim that 41325 is c-sortable for no Coxeter word
+    is refuted, and the refutation is reported as the one expected line:
+    41325 is sorted by the four words placing s3 before s2 before s1."""
     violations = []
     for n in range(2, max_n + 1):
         want = catalan(n)
+        perms = tuple(all_permutations(n))
         words = tuple(all_coxeter_words(n))
-        for c, report in zip(words, verify_csorting_equivalences(n, words)):
-            for pi, conditions in report.violations:
-                violations.append(f"n={n} c={c}: pi={pi} conditions={conditions}")
-            if report.sortable_count != want:
-                violations.append(f"n={n} c={c}: {report.sortable_count} sortable != {want}")
+        orientations = [orientation_of(c) for c in words]
+        shared = {}  # orientation -> conditions 3-5 of each permutation, in the order of S_n
+        for orientation in dict.fromkeys(orientations):
+            singles = [Orientation(orientation.u & {j}, orientation.d & {j}, n) for j in range(2, n)]
+            shared[orientation] = [
+                (
+                    exists_accepted(pi, orientation),
+                    all(exists_accepted(pi, single) for single in singles),
+                    is_minimal(pi, orientation),
+                )
+                for pi in perms
+            ]
+        for c, orientation in zip(words, orientations):
+            sortable = 0
+            for pi, orientation_conditions in zip(perms, shared[orientation]):
+                blocks, word = c_sorting(pi, c)
+                conditions = (
+                    is_decreasing(blocks),
+                    product_accepts(orientation, word),
+                    *orientation_conditions,
+                )
+                sortable += all(conditions)
+                if len(set(conditions)) > 1:
+                    violations.append(f"n={n} c={c}: pi={pi} conditions={conditions}")
+            if sortable != want:
+                violations.append(f"n={n} c={c}: {sortable} sortable != {want}")
     # the sorting word of 4213 under c = s2.s1.s3 is s1.s3.s2.s1, rejected by
     # the up-automaton at 2, although 4213 avoids the corresponding subword
     pi = Permutation.from_text("4213")

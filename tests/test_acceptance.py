@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from permutree import core, coxeter, sorting, trees, verify
+from permutree import core, sorting, trees, verify
 from permutree.automata import exists_accepted
 from permutree.core import Permutation, Word
 from permutree.sorting import PriorityOrder
@@ -21,7 +21,6 @@ from permutree.coxeter import (
     c_sorting_word,
     is_c_sortable,
     orientation_of,
-    verify_csorting_equivalences,
 )
 from permutree.verify import (
     check_counting,
@@ -126,7 +125,7 @@ def test_criterion_07_nonsortable_as_stated():
     pi = P("41325")
     sortable_for = {str(c) for c in all_coxeter_words(5) if is_c_sortable(pi, c)}
     staircase = CoxeterWord(Word((4, 3, 2, 1), 5))
-    blocks = c_factorization(pi, staircase).blocks
+    blocks = c_factorization(pi, staircase)
     word = c_sorting_word(pi, staircase).letters
     violations = []
     if sortable_for != expected:
@@ -328,15 +327,53 @@ def test_csorting_suite_searches_once_per_orientation(monkeypatch):
         calls.append((pi, orientation))
         return exists_accepted(pi, orientation)
 
-    monkeypatch.setattr(coxeter, "exists_accepted", counting)
+    def one_word_each(n):
+        return {orientation_of(c): c for c in all_coxeter_words(n)}.values()
+
+    monkeypatch.setattr(verify, "exists_accepted", counting)
     verify.run_suite("csorting", 4)
     suite_calls = Counter(calls)
     calls.clear()
-    for n in (2, 3, 4):
-        one_word_each = {orientation_of(c): c for c in all_coxeter_words(n)}
-        verify_csorting_equivalences(n, one_word_each.values())
+    monkeypatch.setattr(verify, "all_coxeter_words", one_word_each)
+    verify.run_suite("csorting", 4)
     assert suite_calls == Counter(calls)
     orientations = {orientation_of(c) for c in all_coxeter_words(4)}
     assert len(orientations) == 4
     condition_3 = {key: seen for key, seen in suite_calls.items() if key[1] in orientations}
     assert condition_3 == {(pi, o): 1 for pi in core.all_permutations(4) for o in orientations}
+
+
+def test_csorting_suite_line_formats(monkeypatch):
+    # a subword scan that answers wrongly for 2413 and 3142 flips condition 5
+    # alone for them: each Coxeter word reports both, in the order of S_4,
+    # and then its count wherever a sortable one lost condition 5
+    wrong = {P("2413"), P("3142")}
+    witness = core.minimality_witness
+
+    def flipped(pi, orientation):
+        found = witness(pi, orientation)
+        if pi not in wrong:
+            return found
+        return None if found is not None else (0, None, ())
+
+    monkeypatch.setattr(core, "minimality_witness", flipped)
+    sortable = "(True, True, True, True, False)"
+    unsortable = "(False, False, False, False, True)"
+    assert check_csorting(4) == [
+        f"n=4 c=1,2,3: pi=2413 conditions={unsortable}",
+        f"n=4 c=1,2,3: pi=3142 conditions={unsortable}",
+        f"n=4 c=1,3,2: pi=2413 conditions={sortable}",
+        f"n=4 c=1,3,2: pi=3142 conditions={unsortable}",
+        "n=4 c=1,3,2: 13 sortable != 14",
+        f"n=4 c=2,1,3: pi=2413 conditions={unsortable}",
+        f"n=4 c=2,1,3: pi=3142 conditions={sortable}",
+        "n=4 c=2,1,3: 13 sortable != 14",
+        f"n=4 c=2,3,1: pi=2413 conditions={unsortable}",
+        f"n=4 c=2,3,1: pi=3142 conditions={sortable}",
+        "n=4 c=2,3,1: 13 sortable != 14",
+        f"n=4 c=3,1,2: pi=2413 conditions={sortable}",
+        f"n=4 c=3,1,2: pi=3142 conditions={unsortable}",
+        "n=4 c=3,1,2: 13 sortable != 14",
+        f"n=4 c=3,2,1: pi=2413 conditions={unsortable}",
+        f"n=4 c=3,2,1: pi=3142 conditions={unsortable}",
+    ]

@@ -13,6 +13,7 @@ from permutree.core import (
     contains_pattern,
     evaluate,
     left_multiply,
+    ninv_stats,
 )
 from permutree.automata import (
     Status,
@@ -20,7 +21,6 @@ from permutree.automata import (
     classify,
     dead_mask,
     exists_accepted,
-    expected_final_column,
     export_dot,
     export_dot_product,
     initial_product,
@@ -303,8 +303,10 @@ def test_unique_final_state_and_column(n):
                 finals = {label(kind, j, run(kind, j, w)) for w in words}
                 accepted = {s for s in finals if s[1] is not Status.DEAD}
                 assert len(accepted) <= 1
+                # UP runs end ninv_below columns right of j, DOWN runs ninv_above left
+                above, below = ninv_stats(pi, j)
                 for column, _ in accepted:
-                    assert column == expected_final_column(pi, kind, j)
+                    assert column == (j + below if kind is Kind.UP else j - above)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

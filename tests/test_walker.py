@@ -230,7 +230,7 @@ def test_lexmin_word_matches_oracle(n):
 def test_c_factorization_matches_oracle(n):
     for c in all_coxeter_words(n):
         for pi in all_permutations(n):
-            assert c_factorization(pi, c).blocks == oracle_c_factorization(pi, c)
+            assert c_factorization(pi, c) == oracle_c_factorization(pi, c)
 
 
 def walker_arguments(orientation):
