@@ -181,7 +181,7 @@ def exists_accepted(pi: Permutation, orientation: Orientation) -> bool:
 
     Always a search over the reduced expressions themselves, for any u and d.
     For disjoint u, d the answer equals core.is_minimal, the O(n) subword
-    test; the verification suites compare the two routes.
+    test, and the tests compare it with the suites' final_vectors route.
 
     The search walks the left-descent tree of the reduced expressions,
     threading the product state along and cutting dead subtrees (dead is

@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--n",
         type=int,
-        help="bound for suites that take one (default 5, opt-in 6 where supported)",
+        help="bound for suites that take one (default 5, opt-in 6 or 7 where supported)",
     )
     p_verify.set_defaults(func=cmd_verify)
 

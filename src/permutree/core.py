@@ -435,9 +435,9 @@ def iter_reduced_words(pi: Permutation) -> Iterator[Word]:
 def all_reduced_words(pi: Permutation) -> frozenset[Word]:
     """The set of reduced expressions of pi.
 
-    Exponential in general; intended for n <= 6.  Every caller enumerates a
-    permutation once and reuses the set, so no suite relies on cache hits;
-    the cache stays because perfbench/worker.py reads its cache_info().
+    Exponential in general; intended for n <= 6.  Its callers, the prefix
+    and networks suites, enumerate a permutation once and reuse the set, so
+    no suite relies on cache hits; it stays for perfbench/worker.py's reads.
 
     >>> len(all_reduced_words(Permutation.from_text("4312")))
     5

@@ -2,9 +2,9 @@
 Exhaustive verification suites.
 
 Each suite re-proves one of the package's mathematical guarantees on small
-symmetric groups by comparing two independent routes (typically brute-force
-enumeration of reduced expressions against a direct subword predicate) and
-returns a list of human-readable violation strings; an empty list is a pass.
+symmetric groups by comparing two independent routes (typically the final
+automaton states of all reduced expressions, from final_vectors, against a
+subword predicate) and returns a list of violation strings; empty is a pass.
 These are the same suites the command line exposes and the acceptance tests
 assert on.
 """
@@ -33,12 +33,10 @@ from .automata import (
     Status,
     accepts,
     dead_mask,
-    exists_accepted,
     initial_product,
     label,
     product_accepts,
     product_table,
-    run,
     step_product,
 )
 from .coxeter import (
@@ -82,15 +80,51 @@ def partition_orientations(n: int) -> Iterator[Orientation]:
             yield orientation
 
 
+def component_index(kind: Kind, j: int, n: int) -> int:
+    """The place of (kind, j) in final_vectors' vectors: UP 2..n-1, then DOWN 2..n-1."""
+    return j - 2 if kind is Kind.UP else n + j - 4
+
+
+def component_mask(orientation: Orientation) -> int:
+    """An orientation accepts some reduced word of pi iff a final's dead_mask misses this."""
+    return sum(1 << component_index(kind, j, orientation.n) for kind, j in orientation.components)
+
+
+def final_vectors(n: int) -> Iterator[tuple[Permutation, dict[tuple[int, ...], int]]]:
+    """Each pi of S_n in order, with {final vector: its number of reduced words
+    ending there}, a vector holding the states of all 2(n-2) automata.  The
+    reduced words of pi are those of pi * s_l followed by l, over its right
+    descents l (Bjorner and Brenti, ch. 3), so no word is built.
+
+    >>> sum(dict(final_vectors(4))[Permutation.from_text("4321")].values())
+    16
+    """
+    full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
+    rows = product_table(full)
+    perms = list(all_permutations(n))  # the identity first
+    finals = {perms[0].entries: {initial_product(full): 1}}
+    for pi in sorted(perms[1:], key=Permutation.length):  # outward from the identity
+        e = pi.entries
+        counts = finals[e] = {}
+        for l in range(1, n):
+            if e[l - 1] > e[l]:
+                for vector, count in finals[(*e[: l - 1], e[l], e[l - 1], *e[l + 1 :])].items():
+                    stepped = step_product(rows, vector, l)
+                    counts[stepped] = counts.get(stepped, 0) + count
+    for pi in perms:
+        yield pi, finals[pi.entries]
+
+
 def check_theorem_single(max_n: int) -> Violations:
-    """Single automaton acceptance (enumeration) vs subword avoidance, n up to max_n."""
+    """Single automaton acceptance (final states) vs subword avoidance, n up to max_n."""
     violations = []
     for n in range(2, max_n + 1):
-        for pi in all_permutations(n):
-            words = all_reduced_words(pi)
+        for pi, finals in final_vectors(n):
+            deads = {dead_mask(vector) for vector in finals}
             for j in range(2, n):
                 for kind in (Kind.UP, Kind.DOWN):
-                    by_automaton = any(accepts(kind, j, word) for word in words)
+                    bit = 1 << component_index(kind, j, n)
+                    by_automaton = any(not dead & bit for dead in deads)
                     by_pattern = not contains_pattern(pi, j, kind)
                     if by_automaton != by_pattern:
                         violations.append(
@@ -101,13 +135,14 @@ def check_theorem_single(max_n: int) -> Violations:
 
 
 def check_theorem_product(max_n: int) -> Violations:
-    """Intersection acceptance (enumeration) vs combined avoidance, all disjoint orientations."""
+    """Intersection acceptance (final states) vs combined avoidance, all disjoint orientations."""
     violations = []
     for n in range(2, max_n + 1):
-        orientations = list(disjoint_orientations(n))
-        for pi in all_permutations(n):
-            for orientation in orientations:
-                by_automata = exists_accepted(pi, orientation)
+        orientations = [(o, component_mask(o)) for o in disjoint_orientations(n)]
+        for pi, finals in final_vectors(n):
+            deads = {dead_mask(vector) for vector in finals}
+            for orientation, mask in orientations:
+                by_automata = any(not dead & mask for dead in deads)
                 by_pattern = is_minimal(pi, orientation)
                 if by_automata != by_pattern:
                     violations.append(
@@ -241,14 +276,14 @@ def check_end_state_stats() -> Violations:
     violations = []
     for text, j, total, want in END_STATE_CASES:
         pi = Permutation.from_text(text)
-        words = all_reduced_words(pi)
-        if len(words) != total:
-            violations.append(f"{text}: {len(words)} reduced expressions, expected {total}")
+        finals = dict(final_vectors(pi.n))[pi]
+        if (words := sum(finals.values())) != total:
+            violations.append(f"{text}: {words} reduced expressions, expected {total}")
         got: dict[tuple[str, int], int] = {}
-        for word in words:
-            column, status = label(Kind.UP, j, run(Kind.UP, j, word))
+        for vector, count in finals.items():
+            column, status = label(Kind.UP, j, vector[component_index(Kind.UP, j, pi.n)])
             key = (status.value, column)
-            got[key] = got.get(key, 0) + 1
+            got[key] = got.get(key, 0) + count
         if got != want:
             violations.append(f"{text}: final-state counts {got} != {want}")
     return violations
@@ -259,14 +294,13 @@ def check_unique_final_state(max_n: int) -> Violations:
     the refined trichotomy on (ninv above, ninv below) holds."""
     violations = []
     for n in range(2, max_n + 1):
-        for pi in all_permutations(n):
-            words = all_reduced_words(pi)
+        for pi, finals in final_vectors(n):
             for j in range(2, n):
                 above, below = ninv_stats(pi, j)
                 for kind in (Kind.UP, Kind.DOWN):
                     # (column, status) labels of the final states
-                    finals = [label(kind, j, run(kind, j, w)) for w in words]
-                    accepted = {s for s in finals if s[1] is not Status.DEAD}
+                    labels = {label(kind, j, v[component_index(kind, j, n)]) for v in finals}
+                    accepted = {s for s in labels if s[1] is not Status.DEAD}
                     if len(accepted) > 1:
                         violations.append(f"n={n} pi={pi} j={j} {kind.value}: {accepted}")
                         continue
@@ -282,12 +316,12 @@ def check_unique_final_state(max_n: int) -> Violations:
                     # inner == 0: every reduced expression ends at one common state;
                     # otherwise accepted ones share a single ill state.
                     if outer == 0:
-                        if len(set(finals)) != 1 or finals[0][1] is not Status.HEALTHY:
+                        if len(labels) != 1 or next(iter(labels))[1] is not Status.HEALTHY:
                             violations.append(
                                 f"n={n} pi={pi} j={j} {kind.value}: healthy case violated"
                             )
                     elif inner == 0:
-                        if len(set(finals)) != 1:
+                        if len(labels) != 1:
                             violations.append(
                                 f"n={n} pi={pi} j={j} {kind.value}: common-state case violated"
                             )
@@ -324,26 +358,28 @@ def check_csorting(max_n: int) -> Violations:
     automaton of orientation_of(c); (4) for each j some reduced word of pi
     passes the one at j; (5) subword avoidance.  Sortable counts are Catalan.
     Conditions 1-2 are read from one greedy extraction per (pi, c), and 3-5
-    once per distinct orientation.  The worked fact about 4213 holds.  For
-    max_n >= 5 the stated claim that 41325 is c-sortable for no Coxeter word
-    is refuted, and the refutation is reported as the one expected line:
-    41325 is sorted by the four words placing s3 before s2 before s1."""
+    once per distinct orientation, 3-4 off one final_vectors pass per degree.
+    The worked fact about 4213 holds.  For max_n >= 5 the stated claim that
+    41325 is c-sortable for no Coxeter word is refuted, and the refutation is
+    reported as the one expected line: 41325 is sorted by the four words
+    placing s3 before s2 before s1."""
     violations = []
     for n in range(2, max_n + 1):
         want = catalan(n)
-        perms = tuple(all_permutations(n))
+        perms, dead_masks = zip(*((pi, {dead_mask(v) for v in f}) for pi, f in final_vectors(n)))
         words = tuple(all_coxeter_words(n))
         orientations = [orientation_of(c) for c in words]
         shared = {}  # orientation -> conditions 3-5 of each permutation, in the order of S_n
         for orientation in dict.fromkeys(orientations):
-            singles = [Orientation(orientation.u & {j}, orientation.d & {j}, n) for j in range(2, n)]
+            mask = component_mask(orientation)
+            singles = [1 << component_index(kind, j, n) for kind, j in orientation.components]
             shared[orientation] = [
                 (
-                    exists_accepted(pi, orientation),
-                    all(exists_accepted(pi, single) for single in singles),
+                    any(not dead & mask for dead in deads),
+                    all(any(not dead & single for dead in deads) for single in singles),
                     is_minimal(pi, orientation),
                 )
-                for pi in perms
+                for pi, deads in zip(perms, dead_masks)
             ]
         for c, orientation in zip(words, orientations):
             sortable = 0
@@ -494,8 +530,7 @@ def check_prefix_closure(max_n: int) -> Violations:
         orientations = list(disjoint_orientations(n))
         full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
         rows, start = product_table(full), initial_product(full)
-        bit = {part: 1 << i for i, part in enumerate(full.components)}
-        masks = [sum(bit[part] for part in o.components) for o in orientations]
+        masks = [component_mask(o) for o in orientations]
         # tables[priority][i]: pi -> lexmin word under orientations[i], in the order of S_n
         tables = {priority: [{} for _ in orientations] for priority in priorities}
         for pi in all_permutations(n):
@@ -567,11 +602,11 @@ def check_prefix_closure(max_n: int) -> Violations:
 
 SUITES: dict[str, tuple[Callable[..., Violations], int | None, int | None]] = {
     # name: (runner, default bound, max bound); None = the suite has a fixed size
-    "theorem1": (check_theorem_single, 5, 6),
-    "theorem2": (check_theorem_product, 5, 6),
+    "theorem1": (check_theorem_single, 5, 7),
+    "theorem2": (check_theorem_product, 5, 7),
     "tables": (check_golden_tables, None, None),
     "endstats": (check_end_state_stats, None, None),
-    "uniquestate": (check_unique_final_state, 5, 6),
+    "uniquestate": (check_unique_final_state, 5, 7),
     "counting": (check_counting, 5, 6),
     "csorting": (check_csorting, 5, 5),
     "networks": (check_networks, None, None),

@@ -1,7 +1,11 @@
 """Definitions the package no longer needs that the test oracles still use,
 the bodies that faster routes replaced, kept to compare against, the
 opt-in marker of the slow parameter sets, and a guard that refuses calls
-to package functions."""
+to package functions.
+
+The suite oracles look the predicates they compare against (contains_pattern,
+is_minimal, ninv_stats) up on the verify module, as the suites do, so a test
+patching one there patches both."""
 import functools
 import itertools
 import os
@@ -10,7 +14,18 @@ import random
 import pytest
 
 from permutree import automata, core, coxeter, sorting, trees, verify
-from permutree.automata import Status, classify, initial_product, product_table, step_product
+from permutree.automata import (
+    Status,
+    accepts,
+    classify,
+    exists_accepted,
+    initial_product,
+    label,
+    product_accepts,
+    product_table,
+    run,
+    step_product,
+)
 from permutree.core import (
     Kind,
     Orientation,
@@ -22,6 +37,15 @@ from permutree.core import (
     is_minimal,
     right_multiply,
 )
+from permutree.coxeter import (
+    CoxeterWord,
+    all_coxeter_words,
+    c_sorting,
+    c_sorting_word,
+    is_c_sortable,
+    is_decreasing,
+    orientation_of,
+)
 from permutree.sorting import PriorityOrder, check_sorting_network, network_mismatch
 from permutree.trees import (
     GeneratingTree,
@@ -30,9 +54,11 @@ from permutree.trees import (
     lexmin_word,
 )
 from permutree.verify import (
+    END_STATE_CASES,
     NETWORK_POSITIVES,
     PREFIX_SEED,
     PREFIX_SHUFFLES,
+    catalan,
     disjoint_orientations,
 )
 
@@ -270,4 +296,163 @@ def oracle_check_prefix_closure(max_n):
                     f"{where}: tree word {node} of {pi} is not its lexmin word {word}"
                     for pi, node, word in mismatches
                 ]
+    return violations
+
+
+def oracle_final_vectors(pi):
+    """{final vector: count} of pi's reduced words, each stepped on its own
+    through all 2(n-2) automata of its degree: what final_vectors reads off
+    the weak order."""
+    n = pi.n
+    full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
+    advance = functools.partial(step_product, product_table(full))
+    finals = {}
+    for word in all_reduced_words(pi):
+        vector = functools.reduce(advance, word.letters, initial_product(full))
+        finals[vector] = finals.get(vector, 0) + 1
+    return finals
+
+
+# The per-word bodies of the suites that read final_vectors instead: each
+# enumerates pi's reduced words and runs every word through each automaton,
+# or searches the descent tree for an accepted one.
+
+
+def oracle_check_theorem_single(max_n):
+    violations = []
+    for n in range(2, max_n + 1):
+        for pi in all_permutations(n):
+            words = all_reduced_words(pi)
+            for j in range(2, n):
+                for kind in (Kind.UP, Kind.DOWN):
+                    by_automaton = any(accepts(kind, j, word) for word in words)
+                    by_pattern = not verify.contains_pattern(pi, j, kind)
+                    if by_automaton != by_pattern:
+                        violations.append(
+                            f"n={n} pi={pi} j={j} {kind.value}: "
+                            f"automaton={by_automaton} pattern={by_pattern}"
+                        )
+    return violations
+
+
+def oracle_check_theorem_product(max_n):
+    violations = []
+    for n in range(2, max_n + 1):
+        orientations = list(disjoint_orientations(n))
+        for pi in all_permutations(n):
+            for orientation in orientations:
+                by_automata = exists_accepted(pi, orientation)
+                by_pattern = verify.is_minimal(pi, orientation)
+                if by_automata != by_pattern:
+                    violations.append(
+                        f"n={n} pi={pi} u={sorted(orientation.u)} d={sorted(orientation.d)}: "
+                        f"automata={by_automata} pattern={by_pattern}"
+                    )
+    return violations
+
+
+def oracle_check_end_state_stats():
+    violations = []
+    for text, j, total, want in END_STATE_CASES:
+        pi = Permutation.from_text(text)
+        words = all_reduced_words(pi)
+        if len(words) != total:
+            violations.append(f"{text}: {len(words)} reduced expressions, expected {total}")
+        got = {}
+        for word in words:
+            column, status = label(Kind.UP, j, run(Kind.UP, j, word))
+            key = (status.value, column)
+            got[key] = got.get(key, 0) + 1
+        if got != want:
+            violations.append(f"{text}: final-state counts {got} != {want}")
+    return violations
+
+
+def oracle_check_unique_final_state(max_n):
+    violations = []
+    for n in range(2, max_n + 1):
+        for pi in all_permutations(n):
+            words = all_reduced_words(pi)
+            for j in range(2, n):
+                above, below = verify.ninv_stats(pi, j)
+                for kind in (Kind.UP, Kind.DOWN):
+                    finals = [label(kind, j, run(kind, j, w)) for w in words]
+                    accepted = {s for s in finals if s[1] is not Status.DEAD}
+                    if len(accepted) > 1:
+                        violations.append(f"n={n} pi={pi} j={j} {kind.value}: {accepted}")
+                        continue
+                    column = j + below if kind is Kind.UP else j - above
+                    if any(s[0] != column for s in accepted):
+                        violations.append(
+                            f"n={n} pi={pi} j={j} {kind.value}: column != {column}"
+                        )
+                    outer, inner = (above, below) if kind is Kind.UP else (below, above)
+                    if outer == 0:
+                        if len(set(finals)) != 1 or finals[0][1] is not Status.HEALTHY:
+                            violations.append(
+                                f"n={n} pi={pi} j={j} {kind.value}: healthy case violated"
+                            )
+                    elif inner == 0:
+                        if len(set(finals)) != 1:
+                            violations.append(
+                                f"n={n} pi={pi} j={j} {kind.value}: common-state case violated"
+                            )
+                    elif accepted and next(iter(accepted))[1] is not Status.ILL:
+                        violations.append(
+                            f"n={n} pi={pi} j={j} {kind.value}: accepted state not ill"
+                        )
+    return violations
+
+
+def oracle_check_csorting(max_n):
+    """check_csorting asking conditions 3-4 of a descent-tree search per
+    (pi, orientation) and per (pi, automaton of the orientation)."""
+    violations = []
+    for n in range(2, max_n + 1):
+        want = catalan(n)
+        perms = tuple(all_permutations(n))
+        words = tuple(all_coxeter_words(n))
+        orientations = [orientation_of(c) for c in words]
+        shared = {}
+        for orientation in dict.fromkeys(orientations):
+            singles = [Orientation(orientation.u & {j}, orientation.d & {j}, n) for j in range(2, n)]
+            shared[orientation] = [
+                (
+                    exists_accepted(pi, orientation),
+                    all(exists_accepted(pi, single) for single in singles),
+                    verify.is_minimal(pi, orientation),
+                )
+                for pi in perms
+            ]
+        for c, orientation in zip(words, orientations):
+            sortable = 0
+            for pi, orientation_conditions in zip(perms, shared[orientation]):
+                blocks, word = c_sorting(pi, c)
+                conditions = (
+                    is_decreasing(blocks),
+                    product_accepts(orientation, word),
+                    *orientation_conditions,
+                )
+                sortable += all(conditions)
+                if len(set(conditions)) > 1:
+                    violations.append(f"n={n} c={c}: pi={pi} conditions={conditions}")
+            if sortable != want:
+                violations.append(f"n={n} c={c}: {sortable} sortable != {want}")
+    pi = Permutation.from_text("4213")
+    c = CoxeterWord(Word((2, 1, 3), 4))
+    word = c_sorting_word(pi, c)
+    if word.letters != (1, 3, 2, 1):
+        violations.append(f"sorting word of 4213: {word}")
+    if accepts(Kind.UP, 2, word):
+        violations.append("sorting word of 4213 unexpectedly accepted")
+    if verify.contains_pattern(pi, 2, Kind.UP):
+        violations.append("4213 unexpectedly contains the up-subword at 2")
+    if max_n >= 5:
+        stated = Permutation.from_text("41325")
+        sortable_for = [str(c) for c in all_coxeter_words(5) if is_c_sortable(stated, c)]
+        if sortable_for:
+            violations.append(
+                f"41325 is c-sortable for {len(sortable_for)} Coxeter words "
+                f"({'; '.join(sortable_for)}), not for none"
+            )
     return violations

@@ -6,12 +6,9 @@ they complete, or via the command line: `permutree verify --suite all`.
 Every criterion is exact (zero tolerance); the stated bounds are the ones
 enforced here.
 """
-from collections import Counter
-
 import pytest
 
 from permutree import core, sorting, trees, verify
-from permutree.automata import exists_accepted
 from permutree.core import Permutation, Word
 from permutree.sorting import PriorityOrder
 from permutree.coxeter import (
@@ -33,10 +30,17 @@ from permutree.verify import (
     check_theorem_product,
     check_theorem_single,
     check_unique_final_state,
+    final_vectors,
 )
 from oracles import (
+    oracle_check_csorting,
+    oracle_check_end_state_stats,
     oracle_check_networks,
     oracle_check_prefix_closure,
+    oracle_check_theorem_product,
+    oracle_check_theorem_single,
+    oracle_check_unique_final_state,
+    oracle_final_vectors,
     refuse_everywhere,
     slow,
 )
@@ -317,30 +321,18 @@ def test_csorting_suite_enumerates_no_reduced_words():
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
-def test_csorting_suite_searches_once_per_orientation(monkeypatch):
-    # conditions 3-5 read only the orientation: the suite asks exactly what
-    # one Coxeter word per distinct orientation asks, and condition 3 asks
-    # each (permutation, orientation) pair once
-    calls = []
+def test_csorting_suite_builds_the_final_states_once_per_degree(monkeypatch):
+    # conditions 3-4 of every Coxeter word and permutation of a degree read
+    # the dead masks of one final_vectors pass
+    degrees = []
 
-    def counting(pi, orientation):
-        calls.append((pi, orientation))
-        return exists_accepted(pi, orientation)
+    def counting(n):
+        degrees.append(n)
+        return final_vectors(n)
 
-    def one_word_each(n):
-        return {orientation_of(c): c for c in all_coxeter_words(n)}.values()
-
-    monkeypatch.setattr(verify, "exists_accepted", counting)
-    verify.run_suite("csorting", 4)
-    suite_calls = Counter(calls)
-    calls.clear()
-    monkeypatch.setattr(verify, "all_coxeter_words", one_word_each)
-    verify.run_suite("csorting", 4)
-    assert suite_calls == Counter(calls)
-    orientations = {orientation_of(c) for c in all_coxeter_words(4)}
-    assert len(orientations) == 4
-    condition_3 = {key: seen for key, seen in suite_calls.items() if key[1] in orientations}
-    assert condition_3 == {(pi, o): 1 for pi in core.all_permutations(4) for o in orientations}
+    monkeypatch.setattr(verify, "final_vectors", counting)
+    assert verify.run_suite("csorting", 4) == []
+    assert degrees == [2, 3, 4]
 
 
 def test_csorting_suite_line_formats(monkeypatch):
@@ -377,3 +369,71 @@ def test_csorting_suite_line_formats(monkeypatch):
         f"n=4 c=3,2,1: pi=2413 conditions={unsortable}",
         f"n=4 c=3,2,1: pi=3142 conditions={unsortable}",
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, slow(6)])
+def test_final_vectors_count_the_final_states_of_every_reduced_word(n):
+    # the weak-order pass gives each permutation, in the order of S_n, the
+    # multiset of final vectors that stepping each reduced word on its own gives
+    got = list(final_vectors(n))
+    assert [pi for pi, _ in got] == list(core.all_permutations(n))
+    for pi, finals in got:
+        assert finals == oracle_final_vectors(pi), pi
+
+
+# The suites that read final_vectors, with their per-word bodies.  csorting
+# is capped at 5 and endstats has a fixed size, so both run only at 5.
+FINAL_STATE_ORACLES = {
+    "theorem1": oracle_check_theorem_single,
+    "theorem2": oracle_check_theorem_product,
+    "uniquestate": oracle_check_unique_final_state,
+    "csorting": oracle_check_csorting,
+    "endstats": oracle_check_end_state_stats,
+}
+
+true_ninv_stats = core.ninv_stats
+FAULTS = {
+    "contains_pattern": lambda pi, j, kind: pi.entries[0] % 2 == 0,
+    "is_minimal": lambda pi, orientation: pi.entries[0] % 2 == 0,
+    "ninv_stats": lambda pi, j: true_ninv_stats(pi, j)[::-1],
+}
+
+
+@pytest.mark.parametrize(
+    "fault, lines",
+    [(None, 1), ("contains_pattern", 370), ("is_minimal", 3384), ("ninv_stats", 707)],
+)
+@pytest.mark.parametrize("n", [5, slow(6)])
+def test_final_state_suites_match_their_per_word_oracles(monkeypatch, n, fault, lines):
+    # under each injected fault the suites report, line for line, what
+    # enumerating or searching every reduced word reports; the oracles read
+    # the faulted predicate off the verify module too
+    if fault is not None:
+        monkeypatch.setattr(verify, fault, FAULTS[fault])
+    reported = 0
+    for name, oracle in FINAL_STATE_ORACLES.items():
+        if name == "endstats":
+            got, want = check_end_state_stats(), oracle()
+        elif n <= verify.SUITES[name][2]:
+            got, want = verify.run_suite(name, n), oracle(n)
+        else:
+            continue
+        assert got == want, name
+        reported += len(got)
+    if n == 5:
+        assert reported == lines
+
+
+def test_final_state_suites_enumerate_and_search_no_reduced_word(monkeypatch):
+    # at their default bounds they read final_vectors alone, and report as usual
+    enumerations = ("all_reduced_words", "iter_reduced_words", "walk_reduced_words")
+    refuse_everywhere(monkeypatch, *enumerations, "exists_accepted")
+    reported = {name: verify.run_suite(name) for name in FINAL_STATE_ORACLES}
+    expected = {name: [] for name in FINAL_STATE_ORACLES}
+    assert reported == {**expected, "csorting": [REFUTATION_41325]}
+
+
+@pytest.mark.parametrize("n", [slow(7)])
+@pytest.mark.parametrize("name", ["theorem1", "theorem2", "uniquestate"])
+def test_final_state_suites_at_their_opt_in_bound(name, n):
+    assert verify.run_suite(name, n) == []

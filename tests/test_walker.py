@@ -414,7 +414,8 @@ def test_package_has_no_recursive_function():
 
 
 # The modules that may enumerate every reduced word of a permutation: core
-# defines the enumeration, and verify's brute-force routes are its callers.
+# defines the enumeration, and verify's prefix and networks suites, which
+# name or step individual words, are its only callers.
 ENUMERATING_MODULES = {"core.py", "verify.py"}
 
 
@@ -441,6 +442,9 @@ KEPT_WITHOUT_CALLER: dict[str, str] = {
     "(core.left_multiply.calls); delete with the next benchmark refresh",
     "left_inversions": "perfbench/worker.py reads its traced call count "
     "(core.left_inversions.calls); delete with the next benchmark refresh",
+    "exists_accepted": "perfbench/worker.py reads its traced call count "
+    "(automata.exists_accepted.calls); the reference route the walker oracle tests and "
+    "the final-state suite oracles compare against",
     "lexmin_word": "the public brute-force route to one lexmin word; perfbench/worker.py reads "
     "its traced call count (trees.lexmin_word.calls); move to tests/oracles.py with the next "
     "benchmark refresh",
