@@ -435,9 +435,9 @@ def iter_reduced_words(pi: Permutation) -> Iterator[Word]:
 def all_reduced_words(pi: Permutation) -> frozenset[Word]:
     """The set of reduced expressions of pi.
 
-    Exponential in general; intended for n <= 6.  Its callers, the prefix
-    and networks suites, enumerate a permutation once and reuse the set, so
-    no suite relies on cache hits; it stays for perfbench/worker.py's reads.
+    Exponential in general; intended for n <= 6.  Its callers, networks and
+    the prefix suite where a check fails, need the words themselves; no
+    passing suite hits the cache, which stays for perfbench/worker.py's reads.
 
     >>> len(all_reduced_words(Permutation.from_text("4312")))
     5

@@ -483,26 +483,20 @@ PREFIX_SEED = 20260809
 
 
 def least_accepted(
-    groups: dict[int, list[Word]], priority: PriorityOrder, masks: list[int]
+    ends: list[tuple[int, tuple[int, ...]]], priority: PriorityOrder, masks: list[int]
 ) -> list[Word | None]:
-    """For each orientation mask, the priority-least word whose dead mask
-    misses it; None where every word's dead mask meets it.
-
-    groups holds one permutation's reduced words by the dead mask of the
-    whole word.  They all have its length, so priority-least is least in
-    priority.rank, letter by letter, and only the least word of each group
-    can be an entry.  Dead is absorbing, so a word whose final dead mask
-    misses the orientation's is accepted by it: this is lexmin_word's
-    answer, read off the enumeration instead of searched for.
+    """For each orientation mask, the priority-least accepted reduced word of
+    one permutation, or None.  ends holds each final vector's dead mask and
+    the ranks in priority.rank of the least word ending there; all have pi's
+    length, so the least ranks are the priority-least word.  Dead is
+    absorbing, so a word is accepted iff its dead mask misses the
+    orientation's.  Each Word is built once and shared by the masks it answers.
     """
-    rank = priority.rank
-
-    def key(word: Word) -> list[int]:
-        return [rank[letter] for letter in word.letters]
-
-    least = {dead: min(words, key=key) for dead, words in groups.items()}
-    kept = sorted(least.items(), key=lambda item: key(item[1]))
-    return [next((word for dead, word in kept if not dead & mask), None) for mask in masks]
+    kept = sorted(ends, key=lambda end: end[1])
+    picks = [next((ranks for dead, ranks in kept if not dead & mask), None) for mask in masks]
+    order, n = priority.order, priority.n
+    words = {ranks: Word(tuple(order[r] for r in ranks), n) for ranks in set(picks) - {None}}
+    return [words.get(ranks) for ranks in picks]
 
 
 def check_prefix_closure(max_n: int) -> Violations:
@@ -510,63 +504,69 @@ def check_prefix_closure(max_n: int) -> Violations:
 
     Checked as: w.l, a reduced word of pi, is accepted iff w is and pi is minimal.
     Each prefix is a reduced word of its own permutation, so induction does the rest.
-    A product state is the tuple of its components' states, so each word is
-    stepped once through the vector of all 2(n-2) automata of degree n
-    (u = d = 2..n-1), and the dead bitmasks of its head and of the whole word
-    are kept.  An orientation is the bitmask of its components' places in that
-    vector, and it rejects a word iff the word's dead mask meets it.  Each
-    orientation is tested once per distinct pair of masks of pi, and word by
-    word only where some pair fails, so each violation names its word.
-    The lexmin table, each minimal pi's priority-least accepted word, is read
-    off the same enumeration by least_accepted, and checked against
-    generating_tree, which grows those words from the identity by that same claim.
+    Words are stepped through the vector of all 2(n-2) automata (u = d = 2..n-1),
+    where an orientation is a bitmask that rejects a word iff it meets the word's
+    dead mask.  As in final_vectors, one pass steps each final vector of pi * s_l
+    by each right descent l of pi.  It keeps pi's pairs of dead masks (of a word's
+    head, of the whole word), tested once per orientation, and per final vector
+    and priority the ranks of the least word ending there: the lexmin table,
+    checked against generating_tree, which grows its words by that same claim.
+    Only where a pair fails are pi's words enumerated, so each violation names its word.
     """
     violations = []
     rng = random.Random(PREFIX_SEED)
     for n in range(2, max_n + 1):
         # S_2 has one order of its letters and S_3 two: keep each distinct one once
         shuffles = [PriorityOrder.shuffled(n, rng) for _ in range(PREFIX_SHUFFLES)]
-        priorities = dict.fromkeys([PriorityOrder.natural(n), *shuffles])
+        priorities = list(dict.fromkeys([PriorityOrder.natural(n), *shuffles]))
         orientations = list(disjoint_orientations(n))
         full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
         rows, start = product_table(full), initial_product(full)
         masks = [component_mask(o) for o in orientations]
-        # tables[priority][i]: pi -> lexmin word under orientations[i], in the order of S_n
-        tables = {priority: [{} for _ in orientations] for priority in priorities}
-        for pi in all_permutations(n):
-            words = all_reduced_words(pi)
-            dead = []  # (dead mask of the word's head, of the whole word)
-            groups: dict[int, list[Word]] = {}  # the words by the dead mask of the whole word
-            for word in words:
-                head = last = start
-                for letter in word.letters:
-                    head, last = last, step_product(rows, last, letter)
-                head_dead, last_dead = dead_mask(head), dead_mask(last)
-                dead.append((head_dead, last_dead))
-                groups.setdefault(last_dead, []).append(word)
-            pairs = set(dead)
+        perms = list(all_permutations(n))  # the identity first
+        # least[e]: final vector -> the ranks of the least word ending there, per priority
+        least = {perms[0].entries: {start: ((),) * len(priorities)}}
+        pairs = {perms[0].entries: {(0, 0)}}  # the empty word's: nothing is dead at the start
+        for pi in sorted(perms[1:], key=Permutation.length):  # outward from the identity
+            e = pi.entries
+            ends, dead_pairs = least[e], pairs[e] = {}, set()
+            for l in range(1, n):
+                if e[l - 1] > e[l]:
+                    rank = [(priority.rank[l],) for priority in priorities]
+                    for vector, heads in least[(*e[: l - 1], e[l], e[l - 1], *e[l + 1 :])].items():
+                        stepped = step_product(rows, vector, l)
+                        dead_pairs.add((dead_mask(vector), dead_mask(stepped)))
+                        grown = tuple(head + r for head, r in zip(heads, rank))
+                        ends[stepped] = tuple(map(min, ends.get(stepped, grown), grown))
+        # tables[i][k]: pi -> lexmin word under priorities[i] and orientations[k], in the order of S_n
+        tables = [[{} for _ in orientations] for _ in priorities]
+        for pi in perms:
             for orientation, mask in zip(orientations, masks):
                 minimal = is_minimal(pi, orientation)
                 if all(
                     (not last_dead & mask) == (not head_dead & mask and minimal)
-                    for head_dead, last_dead in pairs
+                    for head_dead, last_dead in pairs[pi.entries]
                 ):
                     continue
-                for word, (head_dead, last_dead) in zip(words, dead):
-                    head_ok = not head_dead & mask
-                    accepted = not last_dead & mask
+                for word in all_reduced_words(pi):
+                    head = last = start
+                    for letter in word.letters:
+                        head, last = last, step_product(rows, last, letter)
+                    head_ok, accepted = not dead_mask(head) & mask, not dead_mask(last) & mask
                     if accepted != (head_ok and minimal):
                         violations.append(
                             f"n={n} {orientation} word {word}: accepted={accepted} "
                             f"prefix accepted={head_ok} minimal={minimal}"
                         )
-            for priority, row in tables.items():
-                for table, word in zip(row, least_accepted(groups, priority, masks)):
+            ends = [(dead_mask(vector), ranks) for vector, ranks in least[pi.entries].items()]
+            for i, (priority, row) in enumerate(zip(priorities, tables)):
+                words = least_accepted([(dead, ranks[i]) for dead, ranks in ends], priority, masks)
+                for table, word in zip(row, words):
                     if word is not None:
                         table[pi] = word
-        for priority, row in tables.items():
+        for priority, row in zip(priorities, tables):
             for orientation, table in zip(orientations, row):
-                # the tree, built without the enumeration, must give every
+                # the tree, built without the pass, must give every
                 # node the table's word, and hold no other permutation
                 tree = {
                     evaluate(node): node
@@ -623,8 +623,7 @@ def suite_bound(name: str, bound: int | None = None) -> int | None:
     n = bound if bound is not None else default_bound
     if n > max_bound:
         raise ValueError(
-            f"suite {name} is capped at n={max_bound}; enumerating all reduced "
-            f"expressions beyond that is not worth the wait"
+            f"suite {name} is capped at n={max_bound}; beyond that it is not worth the wait"
         )
     return n
 

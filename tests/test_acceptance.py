@@ -6,8 +6,11 @@ they complete, or via the command line: `permutree verify --suite all`.
 Every criterion is exact (zero tolerance); the stated bounds are the ones
 enforced here.
 """
+import random
+
 import pytest
 
+import oracles
 from permutree import core, sorting, trees, verify
 from permutree.core import Permutation, Word
 from permutree.sorting import PriorityOrder
@@ -211,8 +214,9 @@ def test_prefix_suite_matches_the_per_orientation_oracle():
         (lambda pi, orientation: True, 48),
         (lambda pi, orientation: False, 309),
         (lambda pi, orientation: pi.entries[0] % 2 == 0, 154),
+        (lambda pi, orientation: not core.is_minimal(pi, orientation), 357),
     ],
-    ids=["always", "never", "even_first"],
+    ids=["always", "never", "even_first", "negated"],
 )
 def test_prefix_suite_matches_the_oracle_under_a_wrong_minimality(monkeypatch, minimal, lines):
     monkeypatch.setattr(verify, "is_minimal", minimal)
@@ -221,9 +225,16 @@ def test_prefix_suite_matches_the_oracle_under_a_wrong_minimality(monkeypatch, m
     assert len(violations) == lines
 
 
-def test_prefix_suite_steps_each_letter_once(monkeypatch):
-    # each reduced word is stepped once through every automaton of its degree,
-    # not once per orientation: one product step per letter of every word
+def test_prefix_suite_steps_each_final_vector_once_per_descent(monkeypatch):
+    # the pass steps the final vectors of pi * s_l by l once, over the right
+    # descents l of pi, not once per orientation or per reduced word
+    finals = {pi: finals for n in range(2, 5) for pi, finals in final_vectors(n)}
+    steps = sum(
+        len(finals[core.right_multiply(pi, l)])
+        for pi in finals
+        for l in range(1, pi.n)
+        if pi.entries[l - 1] > pi.entries[l]
+    )
     calls = []
     step_product = verify.step_product
 
@@ -233,13 +244,7 @@ def test_prefix_suite_steps_each_letter_once(monkeypatch):
 
     monkeypatch.setattr(verify, "step_product", counted)
     check_prefix_closure(4)
-    letters = sum(
-        len(word)
-        for n in range(2, 5)
-        for pi in core.all_permutations(n)
-        for word in core.all_reduced_words(pi)
-    )
-    assert len(calls) == letters
+    assert len(calls) == steps == 55
 
 
 def test_prefix_suite_reads_minimality(monkeypatch):
@@ -251,17 +256,21 @@ def test_prefix_suite_reads_minimality(monkeypatch):
     assert all("minimal=True" in line and "accepted=False" in line for line in violations)
 
 
+def natural_tree(orientation, priority):
+    # a tree grown under the natural priority, whatever the priority asked
+    return trees.generating_tree(orientation, PriorityOrder.natural(orientation.n))
+
+
+def empty_tree(orientation, priority):
+    # every lexmin table entry then prints as a line of its own
+    return trees.GeneratingTree((), (), orientation, priority)
+
+
 def test_prefix_suite_reports_each_violation_once(monkeypatch):
-    # a tree grown under the natural priority, whatever the priority asked:
-    # under 2,1 it gives 321 the word 1,2,1.  S_3 has two orders of its
-    # letters, so the seeded shuffles repeat one, and each distinct priority
-    # must be checked, and its violations reported, once
-    generating_tree = verify.generating_tree
-    monkeypatch.setattr(
-        verify,
-        "generating_tree",
-        lambda orientation, priority: generating_tree(orientation, PriorityOrder.natural(orientation.n)),
-    )
+    # under 2,1 the natural tree gives 321 the word 1,2,1.  S_3 has two orders
+    # of its letters, so the seeded shuffles repeat one, and each distinct
+    # priority must be checked, and its violations reported, once
+    monkeypatch.setattr(verify, "generating_tree", natural_tree)
     violations = check_prefix_closure(3)
     line = "n=3 priority=(2, 1) u=[] d=[]: tree word 1,2,1 of 321 is not its lexmin word 2,1,2"
     assert violations.count(line) == 1, violations
@@ -275,9 +284,9 @@ def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
     last = max(core.iter_reduced_words(w0), key=lambda word: word.letters)
     least_accepted = verify.least_accepted
 
-    def wrong(groups, priority, masks):
-        words = least_accepted(groups, priority, masks)
-        if any(last in group for group in groups.values()):
+    def wrong(ends, priority, masks):
+        words = least_accepted(ends, priority, masks)
+        if core.evaluate(words[masks.index(0)]) == w0:
             return [last if mask == 0 else word for mask, word in zip(masks, words)]
         return words
 
@@ -299,11 +308,46 @@ def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
 
 
 def test_prefix_suite_searches_no_reduced_word(monkeypatch):
-    # the lexmin table is read off the words the suite enumerates and steps
-    # anyway: no lexmin_word search, and no walk from the trees module
-    refuse_everywhere(monkeypatch, "lexmin_word")
-    refuse_everywhere(monkeypatch, "walk_reduced_words", modules=(trees,))
+    # a passing run reads its pairs and lexmin table off the weak-order pass:
+    # no lexmin_word search, and no reduced word enumerated anywhere
+    refuse_everywhere(
+        monkeypatch, "lexmin_word", "all_reduced_words", "iter_reduced_words", "walk_reduced_words"
+    )
     assert check_prefix_closure(4) == []
+
+
+@pytest.mark.parametrize(
+    "tree, n, lines",
+    [(natural_tree, 4, 134), (empty_tree, 4, 490), (empty_tree, 5, 7018)],
+    ids=["natural4", "empty4", "empty5"],
+)
+def test_prefix_suite_matches_the_oracle_under_a_wrong_tree(monkeypatch, tree, n, lines):
+    # the table the pass reads off the weak order is the one lexmin_word searches
+    monkeypatch.setattr(verify, "generating_tree", tree)
+    monkeypatch.setattr(oracles, "generating_tree", tree)
+    violations = check_prefix_closure(n)
+    assert violations == oracle_check_prefix_closure(n)
+    assert len(violations) == lines
+
+
+@pytest.mark.parametrize("n", [slow(6)])
+def test_prefix_suite_tables_every_lexmin_word(monkeypatch, n):
+    # under an empty tree each table entry prints as a line: at n = 6 they are
+    # lexmin_word's 77,184 answers, without the oracle's per-word half
+    monkeypatch.setattr(verify, "generating_tree", empty_tree)
+    rng = random.Random(verify.PREFIX_SEED)
+    for degree in range(2, n + 1):  # the suite draws its priorities degree by degree
+        shuffles = [PriorityOrder.shuffled(degree, rng) for _ in range(verify.PREFIX_SHUFFLES)]
+    expected = [
+        f"n={n} priority={priority.order} u={sorted(orientation.u)} d={sorted(orientation.d)}: "
+        f"tree word None of {pi} is not its lexmin word {word}"
+        for priority in dict.fromkeys([PriorityOrder.natural(n), *shuffles])
+        for orientation in verify.disjoint_orientations(n)
+        for pi in core.all_permutations(n)
+        if (word := trees.lexmin_word(pi, orientation, priority)) is not None
+    ]
+    assert len(expected) == 77184
+    assert [line for line in check_prefix_closure(n) if line.startswith(f"n={n} ")] == expected
 
 
 @pytest.mark.parametrize("n", [slow(6)])

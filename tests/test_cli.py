@@ -308,8 +308,7 @@ def test_verify_refuses_an_oversized_bound_before_running_any_suite(capsys, monk
     for name, (_, *bounds) in list(verify.SUITES.items()):
         monkeypatch.setitem(verify.SUITES, name, (lambda *a, name=name: called.append(name) or [], *bounds))
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", "6")
-    capped = "suite csorting is capped at n=5; enumerating all reduced expressions beyond that is not worth the wait"
-    assert (code, out, err, called) == (2, "", f"error: {capped}\n", [])
+    assert (code, out, err, called) == (2, "", f"error: suite csorting {CAPPED.format(5)}\n", [])
 
 
 def test_verify_has_no_orientation_flags(capsys):

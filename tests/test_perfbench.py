@@ -31,10 +31,11 @@ ops = [
     Op(("verify", "--suite", "tables"), "verify", {{"suite": "tables"}}),
     # csorting's worked fact about 4213 runs one word through a single automaton
     Op(("verify", "--suite", "csorting"), "verify", {{"suite": "csorting"}}),
-    # the prefix suite enumerates each permutation once; the 32 of S_2..S_4
-    # overflow the 8-entry reduced-word cache, so the traced pass enumerates too.
-    # It reads its lexmin table off its own enumeration: no op searches
+    # the prefix suite reads its pairs and lexmin table off one pass over the
+    # weak order: a passing run enumerates no reduced word, and no op searches
     Op(("verify", "--suite", "prefix", "--n", "4"), "verify", {{"suite": "prefix"}}),
+    # the networks suite enumerates the 768 reduced words of 54321
+    Op(("verify", "--suite", "networks"), "verify", {{"suite": "networks"}}),
     Op(("count", "--n", "5", "--u=", "--d="), "count", {{"n": 5, "u": none, "d": none}}),
     # every tree output the count-tree workload prints: DOT, DOT over the weak order, JSON
     Op(tree_argv, "tree", {{**tree, "output": "dot"}}),
@@ -47,6 +48,7 @@ ops = [
 run = Run(permutree.cli.main, ops, Checker())
 run.one_pass()
 cache = permutree.core.all_reduced_words
+cache.cache_clear()  # else the traced pass finds 54321's words cached and enumerates nothing
 before = cache.cache_info()
 tracer = Tracer(permutree)
 tracer.install()

@@ -414,8 +414,9 @@ def test_package_has_no_recursive_function():
 
 
 # The modules that may enumerate every reduced word of a permutation: core
-# defines the enumeration, and verify's prefix and networks suites, which
-# name or step individual words, are its only callers.
+# defines the enumeration, and verify's networks suite, which needs the words
+# themselves, and its prefix suite, which names each word that fails a check,
+# are its only callers.
 ENUMERATING_MODULES = {"core.py", "verify.py"}
 
 
