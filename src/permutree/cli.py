@@ -33,20 +33,25 @@ MATH_FAILURE = 1
 # scans the descent set, and a rendered row joins its n values.  Its JSON has
 # about n^3 characters and its text table about n^4 (450 MB at n = 200, 1.1 GB
 # at n = 250).  In-process on 2 cores, sort --n 400 --output json takes 2.0 s,
-# --n 200 --output text 1.3 s, mostly rendering.  count runs a DP over the 2^n
-# sets of placed values, over 3^(n-2) orientations for the table.  tree
-# builds and renders each node once, so it is capped by its node count,
-# which count gives first (hence tree's cap on n is count's); --overlay
-# draws all of S_n.  The count caps are each the largest size whose worst
-# case stays under a quarter second in-process (2 cores, Python 3.11):
-# count for one orientation 0.15 s at n = 16 (d = 2..15), 0.34 s at
-# n = 17; the count table 0.17 s at n = 8, 0.79 s at n = 9.  The tree caps
+# --n 200 --output text 1.3 s, mostly rendering.  count runs an O(n^2) DP
+# over the number of live insertion slots, whose cost is the big-integer
+# additions; over 3^(n-2) orientations for the table.  tree builds and
+# renders each node once, so it is capped by its node count, which count
+# gives first (hence tree's cap on n is count's); --overlay draws all of
+# S_n.  count's cap is the largest multiple of 500 whose worst case stays
+# under a quarter second in-process (2 cores, Python 3.11) and whose count
+# Python will print: for one orientation 0.12-0.18 s at n = 1000 (every 6th
+# to 16th value decorated; 0.02 s for the empty one), 0.37 s at n = 1500.
+# Python refuses to print an int of more than 4,300 digits, and n!, the
+# count of the empty orientation, has more from n = 1,559 on.  The count
+# table's cap bounds its 3^(n-2) rows of output, not the DP: 729 rows take
+# 0.02 s at n = 8 (6,561 would take 0.16 s at n = 10).  The tree caps
 # were set the same way and are kept: the DOT or JSON of a tree of up to
 # 6,000 nodes takes at most 0.11 s (5,760 nodes at n = 8, 4,862 at n = 9),
 # 6,776 nodes at n = 8 take 0.11 s, 6,864 at n = 9 0.14 s and 16,796 at
 # n = 10 0.26 s; --overlay takes 0.07-0.09 s at n = 7 (the empty orientation).
 MAX_COUNT_ALL_N = 8  # count over every disjoint orientation
-MAX_COUNT_N = 16  # count for one orientation
+MAX_COUNT_N = 1000  # count for one orientation
 MAX_TREE_NODES = 6_000
 MAX_TREE_OVERLAY_N = 7  # tree --overlay
 MAX_NETWORK_N = 8

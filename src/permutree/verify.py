@@ -607,7 +607,7 @@ SUITES: dict[str, tuple[Callable[..., Violations], int | None, int | None]] = {
     "tables": (check_golden_tables, None, None),
     "endstats": (check_end_state_stats, None, None),
     "uniquestate": (check_unique_final_state, 5, 7),
-    "counting": (check_counting, 5, 6),
+    "counting": (check_counting, 5, 7),
     "csorting": (check_csorting, 5, 5),
     "networks": (check_networks, None, None),
     "stacksort": (check_stack_sort, 7, 7),

@@ -147,6 +147,49 @@ def oracle_generating_tree(orientation, priority=None):
     return GeneratingTree(tuple(words), entries, orientation, priority)
 
 
+def oracle_count_minimal_subsets(orientation):
+    """count_minimal by a DP over the set of values already placed, the
+    O(2^n) route the live-slot DP replaced.
+
+    A permutation is written left to right.  Whether placing the value v
+    next completes a forbidden subword depends only on the set S of values
+    placed before it:
+      - for j in u: if j is in S and v > j, then {1..j-1} must lie in S
+        (else a later i < j completes jki);
+      - for j in d: if j is not in S and S holds a value above j, then
+        v > j (else the later j completes kij).
+    ways[S | {v}] sums ways[S] over the allowed v, visiting only the sets
+    some prefix reaches: O(2^n * (n + |u| + |d|)) time and O(2^n) space.
+    """
+    orientation.require_disjoint()
+    n = orientation.n
+    # bit v-1 of a set stands for the value v
+    rules = []
+    for kind, j in orientation.components:
+        below = (1 << (j - 1)) - 1
+        above = (1 << n) - 1 - (below << 1 | 1)
+        rules.append((kind is Kind.UP, 1 << (j - 1), below, above))
+    full = (1 << n) - 1
+    ways = [0] * (full + 1)
+    ways[0] = 1
+    for placed in range(full):
+        count = ways[placed]
+        if not count:
+            continue
+        allowed = full ^ placed
+        for up, j_bit, below, above in rules:
+            if up:
+                if placed & j_bit and placed & below != below:
+                    allowed &= ~above
+            elif not placed & j_bit and placed & above:
+                allowed &= ~below
+        while allowed:
+            bit = allowed & -allowed
+            ways[placed | bit] += count
+            allowed ^= bit
+    return ways[full]
+
+
 def oracle_tree_edges(tree):
     """(parent, child, last letter) for every non-root node, the parent
     built as a Word: the GeneratingTree.edges the tree's stored entries

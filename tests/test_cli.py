@@ -187,9 +187,9 @@ CAPPED = "is capped at n={}; beyond that it is not worth the wait"
     "argv, reason",
     [
         (("count", "--n", "9"), "count over every orientation " + CAPPED.format(8)),
-        (("count", "--n", "17", "--u", "2"), "count " + CAPPED.format(16)),
-        (("count", "--n", "17", "--u", "", "--d", ""), "count " + CAPPED.format(16)),
-        (("tree", "--n", "17", "--u", "2"), "tree " + CAPPED.format(16)),
+        (("count", "--n", "1001", "--u", "2"), "count " + CAPPED.format(1000)),
+        (("count", "--n", "1001", "--u", "", "--d", ""), "count " + CAPPED.format(1000)),
+        (("tree", "--n", "1001", "--u", "2"), "tree " + CAPPED.format(1000)),
         (("network", "--n", "9", "--u", "2"), "network " + CAPPED.format(8)),
         (("automaton", "--kind", "U", "--j", "2", "--n", "1001"), "automaton " + CAPPED.format(1000)),
         (
@@ -296,6 +296,8 @@ def test_count_at_the_caps(capsys):
     n = MAX_COUNT_N
     alternating = ("--u", ",".join(map(str, range(2, n, 2))), "--d", ",".join(map(str, range(3, n, 2))))
     assert run_cli(capsys, "count", "--n", str(n), "--u=") == (0, f"{math.factorial(n)}\n", "")
+    code, out, err = run_cli(capsys, "count", "--n", str(n), "--u=", "--output", "json")
+    assert (code, json.loads(out), err) == (0, {"n": n, "u": [], "d": [], "count": math.factorial(n)}, "")
     assert run_cli(capsys, "count", "--n", str(n), *alternating) == (0, f"{math.comb(2 * n, n) // (n + 1)}\n", "")
     code, out, err = run_cli(capsys, "count", "--n", str(MAX_COUNT_ALL_N))
     lines = out.splitlines()
@@ -307,8 +309,9 @@ def test_verify_refuses_an_oversized_bound_before_running_any_suite(capsys, monk
     called = []
     for name, (_, *bounds) in list(verify.SUITES.items()):
         monkeypatch.setitem(verify.SUITES, name, (lambda *a, name=name: called.append(name) or [], *bounds))
-    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", "6")
-    assert (code, out, err, called) == (2, "", f"error: suite csorting {CAPPED.format(5)}\n", [])
+    for n in ("6", "7"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", n)
+        assert (code, out, err, called) == (2, "", f"error: suite csorting {CAPPED.format(5)}\n", [])
 
 
 def test_verify_has_no_orientation_flags(capsys):

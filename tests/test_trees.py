@@ -27,6 +27,7 @@ from permutree.trees import (
 )
 from permutree.verify import disjoint_orientations
 from oracles import (
+    oracle_count_minimal_subsets,
     oracle_export_tree_dot,
     oracle_generating_tree,
     oracle_tree_edges,
@@ -204,6 +205,19 @@ SLOW_DEGREE = slow(7)
 def test_count_minimal_matches_enumeration(n):
     for orientation in disjoint_orientations(n):
         assert count_minimal(orientation) == oracle_count_minimal(orientation), orientation
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), slow(10)])
+def test_count_minimal_matches_the_subset_dp(n):
+    for orientation in disjoint_orientations(n):
+        assert count_minimal(orientation) == oracle_count_minimal_subsets(orientation), orientation
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_count_minimal_depends_only_on_the_decorated_values(n):
+    for orientation in disjoint_orientations(n):
+        all_up = Orientation(orientation.u | orientation.d, frozenset(), n)
+        assert count_minimal(orientation) == count_minimal(all_up), orientation
 
 
 def test_count_minimal_enumerates_nothing(monkeypatch):
