@@ -3,13 +3,15 @@ Command line for sorting, checking, counting, exporting, and verifying.
 
 Exit codes are a contract: 0 success, 1 mathematical failure (a sort that
 gets stuck, a non-minimal permutation, a verification counterexample),
-2 usage error.  All output is deterministic for fixed flags.
+2 usage error, 141 (128 + SIGPIPE) when stdout is closed before the output
+is written, as `| head` does.  All output is deterministic for fixed flags.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 
 from .core import Kind, Orientation, Permutation, Word, minimality_witness
@@ -25,15 +27,18 @@ from .verify import SUITES, disjoint_orientations, run_suite, suite_bound
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
+BROKEN_PIPE = 141
 
 # Largest inputs the commands accept.  network enumerates S_n, so one more
 # n multiplies its work by n or more; an automaton's table has about 3n^2
 # entries; a product is drawn state by state.  A sort takes at most one step
-# per inversion (about n^2/4 for a random permutation), each O(n): the pick
-# scans the descent set, and a rendered row joins its n values.  Its JSON has
-# about n^3 characters and its text table about n^4 (450 MB at n = 200, 1.1 GB
-# at n = 250).  In-process on 2 cores, sort --n 400 --output json takes 2.0 s,
-# --n 200 --output text 1.3 s, mostly rendering.  count runs an O(n^2) DP
+# per inversion (about n^2/4 for a random permutation), each O(n) but in C:
+# the pick is a min over the descent set less the blocked letters, and a
+# rendered row copies pi's one-line text, which the replay patches in place.
+# Its JSON has about n^3 characters and its text table about n^4 (450 MB at
+# n = 200, 1.1 GB at n = 250).  In-process on 2 cores, sort --n 400 --output
+# json takes 0.5 s, half of it sorting, and --n 200 --output text 0.7 s,
+# nearly all of it building the table.  count runs an O(n^2) DP
 # over the number of live insertion slots, whose cost is the big-integer
 # additions; over 3^(n-2) orientations for the table.  tree builds and
 # renders each node once, so it is capped by its node count, which count
@@ -368,10 +373,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.n is not None and args.n < 1:
             raise UsageError(f"--n must be at least 1, got {args.n}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here at the latest
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the
+        # interpreter's final flush of what is left does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -117,16 +117,29 @@ class SortTrace:
     @property
     def steps(self) -> tuple[TraceStep, ...]:
         """The rows as TraceSteps, each with its own Permutation, built at every read."""
-        return tuple(TraceStep(Permutation(tuple(entries)), *row) for entries, row in self._rows())
+        return tuple(TraceStep(Permutation(tuple(entries)), *row) for entries, _, row in self._rows())
 
     def _rows(self):
-        """Each decision with the residual's entries when it was made: one live
-        list, swapped in place after the caller has read the row."""
+        """Each decision with the residual's entries and pi's one-line text
+        when it was made: a live list and a live bytearray, patched in place
+        after the caller has read the row.  Taking a letter l swaps the values
+        l and l+1, so the text swaps their digits, at offsets kept per value;
+        where the two differ in width (9|10, 99|100) it is written anew."""
         rest = Residual(self.start)
+        tokens = [str(v).encode() for v in range(self.start.n + 1)]
+        text, at = _one_line_text(rest.entries, tokens)
         for row in self.decisions:
-            yield rest.entries, row
+            yield rest.entries, text, row
             if row[5]:  # applied: take its letter
-                rest.take(row[2])
+                letter = row[2]
+                rest.take(letter)
+                low, high = tokens[letter], tokens[letter + 1]
+                if len(low) == len(high):
+                    i, j = at[letter], at[letter + 1]
+                    text[i : i + len(low)], text[j : j + len(low)] = high, low
+                    at[letter], at[letter + 1] = j, i
+                else:
+                    text, at = _one_line_text(rest.entries, tokens)
 
     def to_table(self) -> str:
         """The trace as an aligned text table, one line per row.
@@ -140,11 +153,10 @@ class SortTrace:
         column is as wide as the final word, the output has about
         rows x len(final word) characters, which grows as n^4 for a sort of
         length about n^2; the rendering takes time and memory linear in it,
-        and joining the lines is most of it (each pi cell is one join of
-        value strings made once per degree).
+        and joining the lines is most of it (each pi cell is decoded from
+        the replay's patched one-line text).
         """
         single = self.kind is not None
-        one_line = one_line_writer(self.result.n)
         header = ["pi", "w", "j", "l"] if single else ["pi", "w", "u", "d", "l", "k"]
         # Every step's w cell is a prefix of one string, so a row keeps the
         # string and the end of its prefix, (text, end), and the cell,
@@ -154,18 +166,18 @@ class SortTrace:
         word = ".".join(f"s{letter}" for letter in self.word)
         rows = [(header, "w", 1)]
         end = 0
-        for entries, (u, d, letter, checks, _, applied) in self._rows():
+        for _, text, (u, d, letter, checks, _, applied) in self._rows():
             if single:  # the one value of u or d is the automaton's parameter
-                cells = [one_line(entries), "", str(next(iter(u | d))), str(letter)]
+                cells = [text.decode(), "", str(next(iter(u | d))), str(letter)]
             else:
                 checks_cell = ", ".join(str(k) if ok else f"x{k}" for k, ok in checks) or "."
-                cells = [one_line(entries), "", _set_cell(u), _set_cell(d), str(letter), checks_cell]
+                cells = [text.decode(), "", _set_cell(u), _set_cell(d), str(letter), checks_cell]
             rows.append((cells, word, end))
             if applied:
                 end += len(f"s{letter}") + (end > 0)  # a "." before all but the first
         if self.success:  # the applied letters are the whole word
             last = [str(next(iter(self.final_u | self.final_d))), ""] if single else [""] * 4
-            rows.append(([one_line(self.result.entries), "", *last], word, end))
+            rows.append(([str(self.result), "", *last], word, end))
         widths = [max(map(len, column)) for column in zip(*(cells for cells, _, _ in rows))]
         widths[1] = max(end for _, _, end in rows)
         lines = []
@@ -178,25 +190,36 @@ class SortTrace:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        one_line = one_line_writer(self.result.n)
-        payload = {
-            "steps": [
-                {
-                    "pi": one_line(entries),
-                    "u": sorted(u),
-                    "d": sorted(d),
-                    "letter": letter,
-                    "checks": [[k, ok] for k, ok in checks],
-                    "phase": phase,
-                    "applied": applied,
-                }
-                for entries, (u, d, letter, checks, phase, applied) in self._rows()
-            ],
-            "word": list(self.word),
-            "result": one_line(self.result.entries),
-            "success": self.success,
-        }
-        return json.dumps(payload, sort_keys=True)
+        """The trace as one JSON object, as json.dumps(..., sort_keys=True) writes it.
+
+        The keys come in sorted order: result, steps, success and word at the
+        top, and applied, checks, d, letter, phase, pi and u in each step,
+        with json's default separators.  Each step is written as one string
+        whose u and d lists are made once per distinct set.
+        """
+        listed = functools.cache(lambda values: json.dumps(sorted(values)))
+        checked = functools.cache(json.dumps)  # a checks tuple of (k, ok) pairs
+        steps = ", ".join(
+            f'{{"applied": {"true" if applied else "false"}, "checks": {checked(checks)}, '
+            f'"d": {listed(d)}, "letter": {letter}, "phase": "{phase}", '
+            f'"pi": "{text.decode()}", "u": {listed(u)}}}'
+            for _, text, (u, d, letter, checks, phase, applied) in self._rows()
+        )
+        return (
+            f'{{"result": "{self.result}", "steps": [{steps}], '
+            f'"success": {"true" if self.success else "false"}, "word": {json.dumps(list(self.word))}}}'
+        )
+
+
+def _one_line_text(entries: list[int], tokens: list[bytes]) -> tuple[bytearray, list[int]]:
+    """The entries' one-line text, and the offset of each value's digits in it."""
+    text = bytearray(one_line_writer(len(entries))(entries), "ascii")
+    at = [0] * len(tokens)
+    offset = 0
+    for value in entries:  # its digits start here, or after one separator
+        at[value] = offset = text.index(tokens[value], offset)
+        offset += len(tokens[value])
+    return text, at
 
 
 def _set_cell(values: frozenset[int]) -> str:
@@ -229,7 +252,7 @@ def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
 
     ill, advance = column_letters(kind, param)
     while True:
-        letter = min((l for l in descents if l != ill), default=None)
+        letter = min(descents - {ill}, default=None)
         if letter is None:
             break
         record(letter, "healthy")
@@ -242,7 +265,7 @@ def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
         # the ill row forbids one letter, advance; a letter below it never changes
         # a descent above it, so the least letter sorts the lower value block first
         while True:
-            letter = min((l for l in descents if l != advance), default=None)
+            letter = min(descents - {advance}, default=None)
             if letter is None:
                 break
             record(letter, "block")
@@ -271,12 +294,13 @@ def permutree_sort(
     if priority is None:
         priority = PriorityOrder.natural(n)
     u, d = orientation.u, orientation.d
+    blocked = {j - 1 for j in u} | d  # the letters l with l+1 in u or l in d
     decisions = []
     rest = Residual(pi)
     descents = rest.descents
 
     while descents:
-        letter = priority.pick(l for l in descents if l + 1 not in u and l not in d)
+        letter = priority.pick(descents - blocked)
         phase, checks = "healthy", ()
         if letter is None:
             phase, attempts = "ill", []
@@ -295,12 +319,15 @@ def permutree_sort(
                 break
         decisions.append((u, d, letter, checks, phase, True))
         rest.take(letter)
+        sets = u, d
         if phase == "ill":  # drop the components the checks showed accept everything
             u, d = u - {letter + 1}, d - {letter}
         if letter in u:  # the sets move along the letter: l in u becomes l+1,
             u = (u - {letter}) | {letter + 1}
         if letter + 1 in d:  # and l+1 in d becomes l
             d = (d - {letter + 1}) | {letter}
+        if sets != (u, d):
+            blocked = {j - 1 for j in u} | d
 
     return SortTrace(pi, tuple(decisions), Permutation(tuple(rest.entries)), u, d)
 

@@ -348,3 +348,35 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "1000", "--u="],
+        # a table of 2.3 MB, more than a pipe holds, so the write fails even
+        # if it starts before the read end is closed
+        ["sort", "--n", "40", "--output", "text", " ".join(map(str, range(40, 0, -1)))],
+    ],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import permutree
+
+    src = str(pathlib.Path(permutree.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permutree", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()  # the reader is gone before the child writes, as with `| head`
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -721,6 +721,27 @@ def test_seeded_large_sorts_match_oracle(n):
     assert any(s.phase == "ill" for trace in traces[1:] for s in trace.steps)
 
 
+@pytest.mark.parametrize("n", [12, 101])
+def test_sorts_across_digit_widths_match_oracle(n):
+    # The rendered pi is patched in place where l and l+1 have equal width and
+    # written anew at 9|10 and 99|100; w0 under the empty orientation makes
+    # every adjacent swap, and a stuck partition sort ends in unapplied rows.
+    w0 = Permutation(tuple(range(n, 0, -1)))
+    trace = assert_sort_matches_oracle(w0, Orientation(set(), set(), n), None, text=n <= 12)
+    assert trace.success and len(trace.word) == n * (n - 1) // 2
+    if n < 100:
+        return
+    entries = list(range(1, n + 1))
+    random.Random(0).shuffle(entries)
+    up = set(range(2, n, 2))
+    stuck = assert_sort_matches_oracle(
+        Permutation(tuple(entries)), Orientation(up, set(range(3, n, 2)), n), None, text=False
+    )
+    assert not stuck.success and {9, 99} <= set(stuck.word)
+    assert any(s.phase == "ill" and s.applied for s in stuck.steps)
+    assert any(not s.applied for s in stuck.steps)
+
+
 @pytest.mark.parametrize("n, first", [(9, "987654321"), (10, "10 9 8 7 6 5 4 3 2 1")])
 def test_rendered_pi_is_str_of_the_permutation(n, first):
     # digits run together up to n = 9 and are space-separated from n = 10
