@@ -8,8 +8,6 @@ from .core import (
     all_permutations,
     all_reduced_words,
     contains_pattern,
-    evaluate,
-    identity,
     is_minimal,
     iter_reduced_words,
     left_multiply,

@@ -173,44 +173,38 @@ def export_tree_dot(tree: GeneratingTree, overlay: bool = False) -> str:
 
     Nodes are keyed by their letters, so a node's parent is the node at its
     letters without the last one, and each permutation drawn is named once.
-    The overlay walks S_n once, drawing the cover pi -> pi * s_l for each
-    ascent l of pi; the cover is drawn as a tree edge iff the tree has an
-    edge from pi to pi * s_l, and that edge's letter is then l.
+    The overlay draws S_n in lex order and, from each pi, the cover
+    pi -> pi * s_l for each ascent l, running l down so the covers come out
+    in entries order; a cover is a tree edge iff the tree has that edge.
+    Edges are drawn in entries order, which is text order only while the
+    names are single digits (n <= 9).
     """
     n = tree.n
-    write = one_line_writer(n)
-    lines = ["digraph tree {", "  rankdir=BT;"]
     perms = {word.letters: entries for word, entries in zip(tree.nodes, tree.entries)}
     tree_edges = {
         (perms[letters[:-1]], entries): letters[-1]
         for letters, entries in perms.items()
         if letters
     }
-
     if overlay:
-        tree_perms = set(perms.values())
-        edges = []
-        for entries in itertools.permutations(range(1, n + 1)):
-            name = write(entries)
-            if entries in tree_perms:
-                lines.append(f'  "{name}" [shape=box, style=bold];')
-            else:
-                lines.append(f'  "{name}" [shape=box, color=gray, fontcolor=gray];')
-            for l in range(1, n):
-                low, high = entries[l - 1], entries[l]
-                if low > high:
-                    continue
-                swapped = (*entries[: l - 1], high, low, *entries[l + 1 :])
-                letter = tree_edges.get((entries, swapped))
-                style = "color=gray" if letter is None else f"color={edge_color(letter)}, penwidth=2"
-                edges.append(f'  "{name}" -> "{write(swapped)}" [{style}];')
-        lines.extend(sorted(edges))
-    else:
-        names = {entries: write(entries) for entries in sorted(perms.values())}
-        lines.extend(f'  "{name}" [shape=box];' for name in names.values())
-        lines.extend(
-            f'  "{names[low]}" -> "{names[high]}" [color={edge_color(letter)}, penwidth=2];'
-            for (low, high), letter in sorted(tree_edges.items())
+        nodes = list(itertools.permutations(range(1, n + 1)))
+        covers = (
+            (low, (*low[: l - 1], low[l], low[l - 1], *low[l + 1 :]))
+            for low in nodes
+            for l in range(n - 1, 0, -1)
+            if low[l - 1] < low[l]
         )
+    else:
+        nodes, covers = sorted(tree.entries), sorted(tree_edges)
+    names = dict(zip(nodes, map(one_line_writer(n), nodes)))
+    kept = set(tree.entries)
+    bold, gray = (", style=bold", ", color=gray, fontcolor=gray") if overlay else ("", "")
+    lines = ["digraph tree {", "  rankdir=BT;"]
+    for entries in nodes:
+        lines.append(f'  "{names[entries]}" [shape=box{bold if entries in kept else gray}];')
+    for low, high in covers:
+        letter = tree_edges.get((low, high))
+        style = "color=gray" if letter is None else f"color={edge_color(letter)}, penwidth=2"
+        lines.append(f'  "{names[low]}" -> "{names[high]}" [{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,7 +1,8 @@
 """Definitions the package no longer needs that the test oracles still use,
 the bodies that faster routes replaced, kept to compare against, the
-opt-in marker of the slow parameter sets, and a guard that refuses calls
-to package functions.
+opt-in marker of the slow parameter sets, a guard that refuses calls
+to package functions, and a text comparison that says where two long texts
+first differ.
 
 The suite oracles look the predicates they compare against (contains_pattern,
 is_minimal, ninv_stats) up on the verify module, as the suites do, so a test
@@ -33,7 +34,6 @@ from permutree.core import (
     Word,
     all_permutations,
     all_reduced_words,
-    evaluate,
     is_minimal,
     right_multiply,
 )
@@ -71,6 +71,44 @@ def slow(*values):
 
 
 PACKAGE_MODULES = (core, automata, sorting, coxeter, trees, verify)
+
+
+def identity(n):
+    """The identity permutation of S_n; moved here with evaluate, its last
+    caller in the package."""
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def evaluate(word):
+    """The permutation s_{i1} ... s_{ik}, letters multiplied left to right:
+    the library function that moved here once no package module evaluated
+    a word, kept as the reference the tests check the package's words by."""
+    entries = list(identity(word.n).entries)
+    for letter in word.letters:  # right_multiply in place; Word checked each letter
+        entries[letter - 1], entries[letter] = entries[letter], entries[letter - 1]
+    return Permutation(tuple(entries))
+
+
+def assert_same_text(got, want, context=None):
+    """Require got == want, reporting a mismatch by its first differing line
+    (its index, and the text around its first differing character) rather
+    than by pytest's diff of the two strings, which does not finish on the
+    megabytes a long sort trace renders."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    pairs = itertools.zip_longest(got_lines, want_lines, fillvalue="")
+    index, (mine, theirs) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+    column = next((c for c, (a, b) in enumerate(zip(mine, theirs)) if a != b), min(len(mine), len(theirs)))
+    window = slice(max(column - 40, 0), column + 40)
+    where = "" if context is None else f"{context}: "
+    raise AssertionError(
+        f"{where}line {index} differs at column {column} "
+        f"(got {len(got_lines)} lines, want {len(want_lines)}): "
+        f"got {mine[window]!r}, want {theirs[window]!r}"
+    )
 
 
 def refuse_everywhere(monkeypatch, *names, modules=PACKAGE_MODULES):

@@ -286,7 +286,7 @@ def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
 
     def wrong(ends, priority, masks):
         words = least_accepted(ends, priority, masks)
-        if core.evaluate(words[masks.index(0)]) == w0:
+        if oracles.evaluate(words[masks.index(0)]) == w0:
             return [last if mask == 0 else word for mask, word in zip(masks, words)]
         return words
 
@@ -295,7 +295,7 @@ def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
     parent = Word(last.letters[:-1], 4)
     expected = (
         f"n=4 priority=(1, 2, 3) u=[] d=[]: "
-        f"prefix {parent} of {last} is not the word of {core.evaluate(parent)}"
+        f"prefix {parent} of {last} is not the word of {oracles.evaluate(parent)}"
     )
     assert expected in violations
     # where the wrong word's parent happens to be right (under the priority
@@ -305,6 +305,25 @@ def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
     assert all(
         f"prefix {parent} of {last} is not" in line or line.endswith(mismatch) for line in violations
     ), violations
+
+
+def test_prefix_suite_reads_the_entries_the_tree_keeps(monkeypatch):
+    # each tree is keyed by the entries its nodes keep, not by evaluating
+    # their words: a tree whose first two children swap their entries while
+    # their words stay right shows as the two lines of that swap, for every
+    # priority and orientation of S_3 (S_2's trees have one child, and stay whole)
+    def swapped_tree(orientation, priority):
+        tree = trees.generating_tree(orientation, priority)
+        entries = list(tree.entries)
+        if len(entries) > 2:
+            entries[1], entries[2] = entries[2], entries[1]
+        return trees.GeneratingTree(tree.nodes, tuple(entries), orientation, priority)
+
+    monkeypatch.setattr(verify, "generating_tree", swapped_tree)
+    violations = check_prefix_closure(3)
+    swap = ["tree word 1 of 132 is not its lexmin word 2", "tree word 2 of 213 is not its lexmin word 1"]
+    assert len(violations) >= 2 * 3
+    assert [line.split(": ", 1)[1] for line in violations] == swap * (len(violations) // 2)
 
 
 def test_prefix_suite_searches_no_reduced_word(monkeypatch):
@@ -353,6 +372,11 @@ def test_prefix_suite_tables_every_lexmin_word(monkeypatch, n):
 @pytest.mark.parametrize("n", [slow(6)])
 def test_prefix_suite_at_its_opt_in_bound(n):
     assert verify.run_suite("prefix", n) == []
+
+
+@pytest.mark.parametrize("n", [slow(6)])
+def test_csorting_suite_at_its_opt_in_bound(n):
+    assert verify.run_suite("csorting", n) == [REFUTATION_41325]
 
 
 def test_csorting_suite_enumerates_no_reduced_words():

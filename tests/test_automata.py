@@ -11,7 +11,6 @@ from permutree.core import (
     all_permutations,
     all_reduced_words,
     contains_pattern,
-    evaluate,
     left_multiply,
     ninv_stats,
 )
@@ -34,7 +33,7 @@ from permutree.automata import (
     step_product,
     table,
 )
-from oracles import all_orientations, slow
+from oracles import all_orientations, evaluate, slow
 
 P = Permutation.from_text
 

@@ -309,9 +309,11 @@ def test_verify_refuses_an_oversized_bound_before_running_any_suite(capsys, monk
     called = []
     for name, (_, *bounds) in list(verify.SUITES.items()):
         monkeypatch.setitem(verify.SUITES, name, (lambda *a, name=name: called.append(name) or [], *bounds))
-    for n in ("6", "7"):
-        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", n)
-        assert (code, out, err, called) == (2, "", f"error: suite csorting {CAPPED.format(5)}\n", [])
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", "7")
+    assert (code, out, err, called) == (2, "", f"error: suite csorting {CAPPED.format(6)}\n", [])
+    # every suite allows 6, so --suite all runs them all there
+    code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--n", "6")
+    assert (code, called) == (0, list(verify.SUITES))
 
 
 def test_verify_has_no_orientation_flags(capsys):

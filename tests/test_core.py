@@ -12,8 +12,6 @@ from permutree.core import (
     all_permutations,
     all_reduced_words,
     contains_pattern,
-    evaluate,
-    identity,
     is_minimal,
     iter_reduced_words,
     left_inversions,
@@ -23,7 +21,14 @@ from permutree.core import (
     right_multiply,
     stack_sort,
 )
-from oracles import all_orientations, is_left_inversion, oracle_contains_pattern, slow
+from oracles import (
+    all_orientations,
+    evaluate,
+    identity,
+    is_left_inversion,
+    oracle_contains_pattern,
+    slow,
+)
 
 P = Permutation.from_text
 

@@ -9,8 +9,6 @@ from permutree.core import (
     Permutation,
     Word,
     all_permutations,
-    evaluate,
-    identity,
     left_multiply,
 )
 from permutree.automata import accepts
@@ -24,7 +22,7 @@ from permutree.coxeter import (
 )
 from permutree.core import contains_pattern, stack_sort
 from permutree.verify import catalan, check_csorting
-from oracles import is_left_inversion, slow
+from oracles import evaluate, identity, is_left_inversion, slow
 
 P = Permutation.from_text
 

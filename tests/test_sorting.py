@@ -14,8 +14,6 @@ from permutree.core import (
     Word,
     all_permutations,
     contains_pattern,
-    evaluate,
-    identity,
     left_inversions,
     left_multiply,
     minimality_witness,
@@ -32,7 +30,7 @@ from permutree.sorting import (
     permutree_sort,
     sort_single,
 )
-from oracles import is_left_inversion, slow
+from oracles import assert_same_text, evaluate, identity, is_left_inversion, slow
 
 P = Permutation.from_text
 
@@ -203,8 +201,8 @@ def test_single_sort_matches_oracle(n):
     for pi, j, kind in cases:
         trace, want = sort_single(pi, j, kind), oracle_sort_single(pi, j, kind)
         assert_same_trace(trace, want, (pi, j, kind))
-        assert trace.to_json() == oracle_json(want), (pi, j, kind)
-        assert trace.to_table() == oracle_table(want), (pi, j, kind)
+        assert_same_text(trace.to_json(), oracle_json(want), (pi, j, kind))
+        assert_same_text(trace.to_table(), oracle_table(want), (pi, j, kind))
 
 
 def test_single_sort_finishes_in_either_block():
@@ -670,10 +668,26 @@ def assert_sort_matches_oracle(pi, orientation, priority, text=True):
     trace = permutree_sort(pi, orientation, priority)
     want = oracle_permutree_sort(pi, orientation, priority)
     assert_same_trace(trace, want, (pi, orientation, priority))
-    assert trace.to_json() == oracle_json(want), (pi, orientation, priority)
+    assert_same_text(trace.to_json(), oracle_json(want), (pi, orientation, priority))
     if text:
-        assert trace.to_table() == oracle_table(want), (pi, orientation, priority)
+        assert_same_text(trace.to_table(), oracle_table(want), (pi, orientation, priority))
     return trace
+
+
+def test_text_mismatch_reports_the_first_differing_line():
+    # a sort's JSON is one line of megabytes: a mismatch near its end is
+    # reported at once, by line index and column, with the text around it
+    want = "x" * 2_000_000 + "\nlast\n"
+    got = want[:1_999_990] + "y" + want[1_999_991:]
+    assert_same_text(want, want)
+    with pytest.raises(AssertionError) as excinfo:
+        assert_same_text(got, want, "case")
+    mine, theirs = "x" * 40 + "y" + "x" * 9 + "\n", "x" * 50 + "\n"
+    assert str(excinfo.value) == (
+        f"case: line 0 differs at column 1999990 (got 2 lines, want 2): got {mine!r}, want {theirs!r}"
+    )
+    with pytest.raises(AssertionError, match=r"line 2 differs at column 0 \(got 3 lines, want 2\)"):
+        assert_same_text(want + "extra\n", want)
 
 
 # (n, seed): seed None is the natural priority, otherwise the seed of a

@@ -13,8 +13,6 @@ from permutree.core import (
     Word,
     all_permutations,
     all_reduced_words,
-    evaluate,
-    identity,
     right_multiply,
 )
 from permutree.automata import product_accepts
@@ -27,6 +25,10 @@ from permutree.trees import (
 )
 from permutree.verify import disjoint_orientations
 from oracles import (
+    PACKAGE_MODULES,
+    assert_same_text,
+    evaluate,
+    identity,
     oracle_count_minimal_subsets,
     oracle_export_tree_dot,
     oracle_generating_tree,
@@ -242,14 +244,15 @@ def test_generating_tree_searches_nothing(monkeypatch):
 
 def test_tree_outputs_evaluate_nothing(monkeypatch, capsys):
     # every node keeps its entries, and --overlay builds S_n unvalidated, so
-    # no output of tree evaluates a word or validates a permutation
+    # no output of tree evaluates a word or validates a permutation; the
+    # package has no evaluate left to call
     base = ("tree", "--n", "6", "--u=3,5", "--d=", "--priority=5,2,4,3,1")
     forms = [(), ("--overlay",), ("--output", "json")]
     expected = []
     for extra in forms:
         assert cli.main([*base, *extra]) == 0
         expected.append(capsys.readouterr().out)
-    refuse_everywhere(monkeypatch, "evaluate")
+    assert not any("evaluate" in vars(module) for module in PACKAGE_MODULES)
 
     def refuse(self):
         raise AssertionError("Permutation.__post_init__ must not be called")
@@ -289,6 +292,15 @@ def test_heavy_tail_tree_matches_oracle():
     tree = generating_tree(orientation, priority)
     assert tree == oracle_generating_tree(orientation, priority)
     assert len(tree.nodes) == count_minimal(orientation)
+
+
+def test_tree_dot_past_single_digits_matches_oracle():
+    # from n = 10 on, names are space-separated and text order is not entries
+    # order ("10 9 ..." sorts before "2 1 ..."): nodes and edges keep entries order
+    n = 10
+    tree = generating_tree(Orientation(set(range(2, n, 2)), set(range(3, n, 2)), n))
+    assert len(tree.nodes) == 16796
+    assert_same_text(export_tree_dot(tree), oracle_export_tree_dot(tree))
 
 
 def test_tree_json_dump():

@@ -18,7 +18,6 @@ from permutree.core import (
     Permutation,
     Word,
     all_permutations,
-    evaluate,
     is_minimal,
     iter_reduced_words,
     left_inversions,
@@ -40,7 +39,7 @@ from permutree.coxeter import all_coxeter_words, c_factorization, c_sorting_word
 from permutree.sorting import PriorityOrder, _greedy_extract
 from permutree.trees import lexmin_word
 from permutree.verify import disjoint_orientations
-from oracles import all_orientations, is_left_inversion, slow
+from oracles import all_orientations, evaluate, is_left_inversion, slow
 
 SLOW_DEGREE = slow(6)
 
