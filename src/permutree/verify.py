@@ -273,9 +273,11 @@ END_STATE_CASES = [
 
 def check_end_state_stats() -> Violations:
     violations = []
+    degrees = sorted({len(text) for text, *_ in END_STATE_CASES})  # one pass per degree
+    finals_of = {pi: finals for n in degrees for pi, finals in final_vectors(n)}
     for text, j, total, want in END_STATE_CASES:
         pi = Permutation.from_text(text)
-        finals = dict(final_vectors(pi.n))[pi]
+        finals = finals_of[pi]
         if (words := sum(finals.values())) != total:
             violations.append(f"{text}: {words} reduced expressions, expected {total}")
         got: dict[tuple[str, int], int] = {}
@@ -481,23 +483,6 @@ PREFIX_SHUFFLES = 3
 PREFIX_SEED = 20260809
 
 
-def least_accepted(
-    ends: list[tuple[int, tuple[int, ...]]], priority: PriorityOrder, masks: list[int]
-) -> list[Word | None]:
-    """For each orientation mask, the priority-least accepted reduced word of
-    one permutation, or None.  ends holds each final vector's dead mask and
-    the ranks in priority.rank of the least word ending there; all have pi's
-    length, so the least ranks are the priority-least word.  Dead is
-    absorbing, so a word is accepted iff its dead mask misses the
-    orientation's.  Each Word is built once and shared by the masks it answers.
-    """
-    kept = sorted(ends, key=lambda end: end[1])
-    picks = [next((ranks for dead, ranks in kept if not dead & mask), None) for mask in masks]
-    order, n = priority.order, priority.n
-    words = {ranks: Word(tuple(order[r] for r in ranks), n) for ranks in set(picks) - {None}}
-    return [words.get(ranks) for ranks in picks]
-
-
 def check_prefix_closure(max_n: int) -> Violations:
     """A reduced word is accepted iff every prefix is sortable; lexmin words are prefix-closed.
 
@@ -507,10 +492,12 @@ def check_prefix_closure(max_n: int) -> Violations:
     where an orientation is a bitmask that rejects a word iff it meets the word's
     dead mask.  As in final_vectors, one pass steps each final vector of pi * s_l
     by each right descent l of pi.  It keeps pi's pairs of dead masks (of a word's
-    head, of the whole word), tested once per orientation, and per final vector
-    and priority the ranks of the least word ending there: the lexmin table,
-    checked against generating_tree, which grows its words by that same claim.
-    Only where a pair fails are pi's words enumerated, so each violation names its word.
+    head, of the whole word), tested once per orientation; only where a pair fails
+    are pi's words enumerated, so each violation names its word.  It also keeps,
+    per final vector and priority, the ranks of the least word ending there.  One
+    (priority, orientation) at a time, the lexmin table is read off those ranks,
+    checked against each word's parent and against generating_tree (which grows
+    its words by the claim under test), and dropped before the next is built.
     """
     violations = []
     rng = random.Random(PREFIX_SEED)
@@ -537,8 +524,6 @@ def check_prefix_closure(max_n: int) -> Violations:
                         dead_pairs.add((dead_mask(vector), dead_mask(stepped)))
                         grown = tuple(head + r for head, r in zip(heads, rank))
                         ends[stepped] = tuple(map(min, ends.get(stepped, grown), grown))
-        # tables[i][k]: pi -> lexmin word under priorities[i] and orientations[k], in the order of S_n
-        tables = [[{} for _ in orientations] for _ in priorities]
         for pi in perms:
             for orientation, mask in zip(orientations, masks):
                 minimal = is_minimal(pi, orientation)
@@ -557,14 +542,25 @@ def check_prefix_closure(max_n: int) -> Violations:
                             f"n={n} {orientation} word {word}: accepted={accepted} "
                             f"prefix accepted={head_ok} minimal={minimal}"
                         )
-            ends = [(dead_mask(vector), ranks) for vector, ranks in least[pi.entries].items()]
-            for i, (priority, row) in enumerate(zip(priorities, tables)):
-                words = least_accepted([(dead, ranks[i]) for dead, ranks in ends], priority, masks)
-                for table, word in zip(row, words):
-                    if word is not None:
-                        table[pi] = word
-        for priority, row in zip(priorities, tables):
-            for orientation, table in zip(orientations, row):
+        for i, priority in enumerate(priorities):
+            # each pi's final vectors as (ranks of the least word ending there, dead
+            # mask), least first: all of pi's words have its length, so the first
+            # whose mask misses an orientation's is the least word it accepts
+            kept = [
+                (pi, sorted((ranks[i], dead_mask(v)) for v, ranks in least[pi.entries].items()))
+                for pi in perms
+            ]
+            words = {}  # ranks -> their Word, built once and shared by every table they answer
+            for orientation, mask in zip(orientations, masks):
+                # pi -> its lexmin word under priority and orientation, in the order of S_n
+                table = {}
+                for pi, ends in kept:
+                    for ranks, dead in ends:
+                        if not dead & mask:
+                            if ranks not in words:
+                                words[ranks] = Word(tuple(priority.order[r] for r in ranks), n)
+                            table[pi] = words[ranks]
+                            break
                 # the tree, built without the pass, must give every
                 # node the table's word, and hold no other permutation
                 built = generating_tree(orientation, priority)

@@ -278,19 +278,16 @@ def test_prefix_suite_reports_each_violation_once(monkeypatch):
 
 def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
     # give 4321 its lexicographically last reduced word instead of its lexmin
-    # word under u = d = {} (the orientation of mask 0): that word's parent
-    # is not the word of its own permutation
+    # word, under every priority and orientation (4321 is minimal for each):
+    # that word's parent is not the word of its own permutation
     w0 = Permutation((4, 3, 2, 1))
     last = max(core.iter_reduced_words(w0), key=lambda word: word.letters)
-    least_accepted = verify.least_accepted
 
-    def wrong(ends, priority, masks):
-        words = least_accepted(ends, priority, masks)
-        if oracles.evaluate(words[masks.index(0)]) == w0:
-            return [last if mask == 0 else word for mask, word in zip(masks, words)]
-        return words
+    def wrong(letters, n):
+        word = Word(letters, n)
+        return last if oracles.evaluate(word) == w0 else word
 
-    monkeypatch.setattr(verify, "least_accepted", wrong)
+    monkeypatch.setattr(verify, "Word", wrong)
     violations = check_prefix_closure(4)
     parent = Word(last.letters[:-1], 4)
     expected = (
@@ -305,6 +302,27 @@ def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
     assert all(
         f"prefix {parent} of {last} is not" in line or line.endswith(mismatch) for line in violations
     ), violations
+
+
+def test_prefix_suite_grows_one_tree_per_table(monkeypatch):
+    # each (priority, orientation) table is compared with its own tree, grown
+    # once, in the order the suite draws them, and never once per permutation
+    grown = []
+
+    def counted(orientation, priority):
+        grown.append((priority, orientation))
+        return trees.generating_tree(orientation, priority)
+
+    monkeypatch.setattr(verify, "generating_tree", counted)
+    assert check_prefix_closure(4) == []
+    rng = random.Random(verify.PREFIX_SEED)
+    expected = []
+    for n in range(2, 5):
+        shuffles = [PriorityOrder.shuffled(n, rng) for _ in range(verify.PREFIX_SHUFFLES)]
+        priorities = dict.fromkeys([PriorityOrder.natural(n), *shuffles])
+        expected += [(p, o) for p in priorities for o in verify.disjoint_orientations(n)]
+    assert grown == expected
+    assert len(grown) == 1 + 2 * 3 + 3 * 9
 
 
 def test_prefix_suite_reads_the_entries_the_tree_keeps(monkeypatch):
@@ -401,6 +419,19 @@ def test_csorting_suite_builds_the_final_states_once_per_degree(monkeypatch):
     monkeypatch.setattr(verify, "final_vectors", counting)
     assert verify.run_suite("csorting", 4) == []
     assert degrees == [2, 3, 4]
+
+
+def test_end_state_suite_builds_the_final_states_once_per_degree(monkeypatch):
+    # the five cases of S_4 and S_5 read one final_vectors pass per degree
+    degrees = []
+
+    def counting(n):
+        degrees.append(n)
+        return final_vectors(n)
+
+    monkeypatch.setattr(verify, "final_vectors", counting)
+    assert check_end_state_stats() == []
+    assert degrees == [4, 5]
 
 
 def test_csorting_suite_line_formats(monkeypatch):
