@@ -12,7 +12,6 @@ from .core import (
     iter_reduced_words,
     left_multiply,
     ninv_stats,
-    right_multiply,
     stack_sort,
 )
 from .automata import (

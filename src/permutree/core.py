@@ -198,18 +198,6 @@ def left_multiply(letter: int, pi: Permutation) -> Permutation:
     return Permutation(tuple(swapped))
 
 
-def right_multiply(pi: Permutation, letter: int) -> Permutation:
-    """pi * s_letter: swap the entries at positions letter and letter+1.
-
-    >>> str(right_multiply(Permutation.from_text("1234"), 2))
-    '1324'
-    """
-    _check_letter(letter, pi.n)
-    entries = list(pi.entries)
-    entries[letter - 1], entries[letter] = entries[letter], entries[letter - 1]
-    return Permutation(tuple(entries))
-
-
 def left_inversions(pi: Permutation) -> tuple[int, ...]:
     """All letters l with values l, l+1 reversed in pi, ascending."""
     entries = pi.entries

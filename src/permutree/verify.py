@@ -25,7 +25,6 @@ from .core import (
     contains_pattern,
     is_minimal,
     ninv_stats,
-    right_multiply,
     stack_sort,
 )
 from .automata import (
@@ -495,9 +494,9 @@ def check_prefix_closure(max_n: int) -> Violations:
     head, of the whole word), tested once per orientation; only where a pair fails
     are pi's words enumerated, so each violation names its word.  It also keeps,
     per final vector and priority, the ranks of the least word ending there.  One
-    (priority, orientation) at a time, the lexmin table is read off those ranks,
-    checked against each word's parent and against generating_tree (which grows
-    its words by the claim under test), and dropped before the next is built.
+    (priority, orientation) at a time, the lexmin table is read off those ranks as
+    rank tuples keyed by one-line entries, checked by table_violations, and dropped
+    before the next.  Besides S_n and the trees' nodes, objects are built only to print.
     """
     violations = []
     rng = random.Random(PREFIX_SEED)
@@ -505,10 +504,9 @@ def check_prefix_closure(max_n: int) -> Violations:
         # S_2 has one order of its letters and S_3 two: keep each distinct one once
         shuffles = [PriorityOrder.shuffled(n, rng) for _ in range(PREFIX_SHUFFLES)]
         priorities = list(dict.fromkeys([PriorityOrder.natural(n), *shuffles]))
-        orientations = list(disjoint_orientations(n))
+        orientations = [(o, component_mask(o)) for o in disjoint_orientations(n)]
         full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
         rows, start = product_table(full), initial_product(full)
-        masks = [component_mask(o) for o in orientations]
         perms = list(all_permutations(n))  # the identity first
         # least[e]: final vector -> the ranks of the least word ending there, per priority
         least = {perms[0].entries: {start: ((),) * len(priorities)}}
@@ -525,7 +523,7 @@ def check_prefix_closure(max_n: int) -> Violations:
                         grown = tuple(head + r for head, r in zip(heads, rank))
                         ends[stepped] = tuple(map(min, ends.get(stepped, grown), grown))
         for pi in perms:
-            for orientation, mask in zip(orientations, masks):
+            for orientation, mask in orientations:
                 minimal = is_minimal(pi, orientation)
                 if all(
                     (not last_dead & mask) == (not head_dead & mask and minimal)
@@ -550,47 +548,48 @@ def check_prefix_closure(max_n: int) -> Violations:
                 (pi, sorted((ranks[i], dead_mask(v)) for v, ranks in least[pi.entries].items()))
                 for pi in perms
             ]
-            words = {}  # ranks -> their Word, built once and shared by every table they answer
-            for orientation, mask in zip(orientations, masks):
-                # pi -> its lexmin word under priority and orientation, in the order of S_n
-                table = {}
+            for orientation, mask in orientations:
+                table = {}  # entries -> the ranks of their lexmin word, in the order of S_n
                 for pi, ends in kept:
                     for ranks, dead in ends:
                         if not dead & mask:
-                            if ranks not in words:
-                                words[ranks] = Word(tuple(priority.order[r] for r in ranks), n)
-                            table[pi] = words[ranks]
+                            table[pi.entries] = ranks
                             break
-                # the tree, built without the pass, must give every
-                # node the table's word, and hold no other permutation
-                built = generating_tree(orientation, priority)
-                tree = dict(zip(built.entries, built.nodes))
-                where = (
-                    f"n={n} priority={priority.order} "
-                    f"u={sorted(orientation.u)} d={sorted(orientation.d)}"
-                )
-                # each word's parent is the word of pi * s_last; by induction on
-                # length every prefix is then the word of its own permutation.
-                # A word whose parent is wrong is not compared with the tree.
-                mismatches = []
-                for pi, word in table.items():
-                    node = tree.pop(pi.entries, None)
-                    if word:
-                        prefix = Word(word.letters[:-1], n)
-                        owner = right_multiply(pi, word.letters[-1])
-                        if table.get(owner) != prefix:
-                            violations.append(
-                                f"{where}: prefix {prefix} of {word} is not the word of {owner}"
-                            )
-                            continue
-                    if node != word:
-                        mismatches.append((pi, node, word))
-                mismatches += [(Permutation(entries), node, None) for entries, node in tree.items()]
-                violations += [
-                    f"{where}: tree word {node} of {pi} is not its lexmin word {word}"
-                    for pi, node, word in mismatches
-                ]
+                violations += table_violations(table, orientation, priority)
     return violations
+
+
+def table_violations(table: dict, orientation: Orientation, priority: PriorityOrder) -> Violations:
+    """Where a lexmin table (one-line entries -> the ranks of their lexmin words) fails.
+    Each word's parent must be the word of pi * s_last: by induction on length, every
+    prefix is then the word of its own permutation.  A word whose parent is right must
+    be its node's word in generating_tree, which is built without the table and must
+    hold no other permutation.  A Word or Permutation is built only to print a line."""
+    n, order = priority.n, priority.order
+    where = f"n={n} priority={order} u={sorted(orientation.u)} d={sorted(orientation.d)}"
+    built = generating_tree(orientation, priority)
+    tree = dict(zip(built.entries, built.nodes))
+    violations, mismatches = [], []
+    for e, ranks in table.items():
+        node = tree.pop(e, None)
+        # built from a list, since tuple() of an iterator resizes and free lists hoard the results
+        letters = tuple([order[r] for r in ranks])
+        if letters:
+            l = letters[-1]
+            owner = (*e[: l - 1], e[l], e[l - 1], *e[l + 1 :])
+            if table.get(owner) != ranks[:-1]:
+                violations.append(
+                    f"{where}: prefix {Word(letters[:-1], n)} of {Word(letters, n)} "
+                    f"is not the word of {Permutation(owner)}"
+                )
+                continue
+        if node is None or node.letters != letters:
+            mismatches.append((e, node, Word(letters, n)))
+    mismatches += [(entries, node, None) for entries, node in tree.items()]
+    return violations + [
+        f"{where}: tree word {node} of {Permutation(e)} is not its lexmin word {word}"
+        for e, node, word in mismatches
+    ]
 
 
 SUITES: dict[str, tuple[Callable[..., Violations], int | None, int | None]] = {

@@ -35,7 +35,6 @@ from permutree.core import (
     all_permutations,
     all_reduced_words,
     is_minimal,
-    right_multiply,
 )
 from permutree.coxeter import (
     CoxeterWord,
@@ -88,6 +87,16 @@ def evaluate(word):
     entries = list(identity(word.n).entries)
     for letter in word.letters:  # right_multiply in place; Word checked each letter
         entries[letter - 1], entries[letter] = entries[letter], entries[letter - 1]
+    return Permutation(tuple(entries))
+
+
+def right_multiply(pi, letter):
+    """pi * s_letter: swap the entries at positions letter and letter+1.  The
+    library function that moved here once no package module called it."""
+    if not 1 <= letter <= pi.n - 1:
+        raise ValueError(f"letter {letter} out of range 1..{pi.n - 1}")
+    entries = list(pi.entries)
+    entries[letter - 1], entries[letter] = entries[letter], entries[letter - 1]
     return Permutation(tuple(entries))
 
 
@@ -237,21 +246,21 @@ def oracle_tree_edges(tree):
 
 @functools.cache
 def oracle_weak_order_hasse(n):
-    """The weak-order covers (pi, pi * s_l) of S_n, each built by a validated
-    right_multiply: the pairs the tree overlay draws.  Cached, since the
-    tree oracle draws the overlay once per orientation and priority."""
+    """The weak-order covers (pi, pi * s_l, l) of S_n, each built by a validated
+    right_multiply: the pairs the tree overlay draws, with their letters.
+    Cached, since the tree oracle draws the overlay once per orientation and
+    priority."""
     covers = []
     for pi in all_permutations(n):
         for letter in range(1, n):
             if pi.value_at(letter) < pi.value_at(letter + 1):
-                covers.append((pi, right_multiply(pi, letter)))
+                covers.append((pi, right_multiply(pi, letter), letter))
     return tuple(covers)
 
 
 def oracle_export_tree_dot(tree, overlay=False):
-    """export_tree_dot evaluating every edge's ends, taking the covers from
-    oracle_weak_order_hasse and searching each cover's letter among the
-    right multiplications."""
+    """export_tree_dot evaluating every edge's ends, taking the covers and
+    their letters from oracle_weak_order_hasse."""
     n = tree.n
     lines = ["digraph tree {", "  rankdir=BT;"]
     tree_perms = {}
@@ -268,10 +277,7 @@ def oracle_export_tree_dot(tree, overlay=False):
             else:
                 lines.append(f'  "{pi}" [shape=box, color=gray, fontcolor=gray];')
         edges = []
-        for low, high in oracle_weak_order_hasse(n):
-            letter = next(
-                l for l in range(1, n) if right_multiply(low, l) == high
-            )
+        for low, high, letter in oracle_weak_order_hasse(n):
             if (low, high, letter) in tree_edges:
                 edges.append(f'  "{low}" -> "{high}" [color={edge_color(letter)}, penwidth=2];')
             else:

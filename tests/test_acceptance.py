@@ -230,7 +230,7 @@ def test_prefix_suite_steps_each_final_vector_once_per_descent(monkeypatch):
     # descents l of pi, not once per orientation or per reduced word
     finals = {pi: finals for n in range(2, 5) for pi, finals in final_vectors(n)}
     steps = sum(
-        len(finals[core.right_multiply(pi, l)])
+        len(finals[oracles.right_multiply(pi, l)])
         for pi in finals
         for l in range(1, pi.n)
         if pi.entries[l - 1] > pi.entries[l]
@@ -277,17 +277,19 @@ def test_prefix_suite_reports_each_violation_once(monkeypatch):
 
 
 def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
-    # give 4321 its lexicographically last reduced word instead of its lexmin
-    # word, under every priority and orientation (4321 is minimal for each):
-    # that word's parent is not the word of its own permutation
+    # each table checked gives 4321 its lexicographically last reduced word
+    # instead of its lexmin word, under every priority and orientation (4321 is
+    # minimal for each): that word's parent is not the word of its own permutation
     w0 = Permutation((4, 3, 2, 1))
     last = max(core.iter_reduced_words(w0), key=lambda word: word.letters)
+    table_violations = verify.table_violations
 
-    def wrong(letters, n):
-        word = Word(letters, n)
-        return last if oracles.evaluate(word) == w0 else word
+    def wrong(table, orientation, priority):
+        if w0.entries in table:
+            table[w0.entries] = tuple(map(priority.rank.__getitem__, last.letters))
+        return table_violations(table, orientation, priority)
 
-    monkeypatch.setattr(verify, "Word", wrong)
+    monkeypatch.setattr(verify, "table_violations", wrong)
     violations = check_prefix_closure(4)
     parent = Word(last.letters[:-1], 4)
     expected = (
@@ -323,6 +325,31 @@ def test_prefix_suite_grows_one_tree_per_table(monkeypatch):
         expected += [(p, o) for p in priorities for o in verify.disjoint_orientations(n)]
     assert grown == expected
     assert len(grown) == 1 + 2 * 3 + 3 * 9
+
+
+def test_prefix_suite_builds_no_object_it_does_not_print(monkeypatch):
+    # a passing run keeps its tables as rank tuples keyed by entries: the only
+    # Permutations are those of all_permutations, and the only Words the trees' nodes
+    built = {Permutation: 0, Word: 0}
+    for cls in built:
+        post_init = cls.__post_init__
+
+        def counted(self, cls=cls, post_init=post_init):
+            built[cls] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    nodes = []
+
+    def grown(orientation, priority):
+        tree = trees.generating_tree(orientation, priority)
+        nodes.append(len(tree.nodes))
+        return tree
+
+    monkeypatch.setattr(verify, "generating_tree", grown)
+    assert check_prefix_closure(4) == []
+    assert built[Permutation] == 2 + 6 + 24
+    assert built[Word] == sum(nodes) == 490
 
 
 def test_prefix_suite_reads_the_entries_the_tree_keeps(monkeypatch):

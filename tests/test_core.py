@@ -18,7 +18,6 @@ from permutree.core import (
     left_multiply,
     ninv_stats,
     pattern_witness,
-    right_multiply,
     stack_sort,
 )
 from oracles import (
@@ -27,6 +26,7 @@ from oracles import (
     identity,
     is_left_inversion,
     oracle_contains_pattern,
+    right_multiply,
     slow,
 )
 

@@ -13,7 +13,6 @@ from permutree.core import (
     Word,
     all_permutations,
     all_reduced_words,
-    right_multiply,
 )
 from permutree.automata import product_accepts
 from permutree.sorting import PriorityOrder, is_minimal
@@ -34,6 +33,7 @@ from oracles import (
     oracle_generating_tree,
     oracle_tree_edges,
     refuse_everywhere,
+    right_multiply,
     slow,
 )
 
