@@ -68,18 +68,6 @@ def label(kind: Kind, j: int, code: int) -> tuple[int, Status]:
     return (j + offset if kind is Kind.UP else j - offset), STATUSES[code % 3]
 
 
-def column_letters(kind: Kind, m: int) -> tuple[int, int]:
-    """(ill_making, advancing): the letters that act on healthy in column m.
-
-    The first makes healthy ill; the second advances healthy one column on
-    and kills ill.  Every other letter loops.
-
-    >>> column_letters(Kind.UP, 3), column_letters(Kind.DOWN, 3)
-    ((2, 3), (3, 2))
-    """
-    return (m - 1, m) if kind is Kind.UP else (m, m - 1)
-
-
 def initial_state(kind: Kind, j: int, n: int) -> int:
     """Healthy start state; j = n (UP) and j = 1 (DOWN) are the accept-all boundaries."""
     if not 1 <= j <= n:
@@ -91,15 +79,25 @@ def initial_state(kind: Kind, j: int, n: int) -> int:
 def table(kind: Kind, j: int, n: int) -> Table:
     """The transition table of one automaton; any letter not drawn loops.
 
-    Each column follows column_letters.  At the boundary column the
+    The column rule lives here, and run, export_dot, sorting.sort_single and
+    sorting.network_candidate read it off the table: in column m the letter
+    m-1 (UP) or m (DOWN) makes healthy ill, and m (UP) or m-1 (DOWN)
+    advances healthy a column on and kills ill.  At the boundary column the
     advancing letter is n or 0, which is no letter.  The table has about
-    3n^2 entries; 256 tables cover every automaton up to n = 15.
+    3n^2 entries; 256 tables cover every automaton up to n = 15.  From the
+    start of column 3, letter 2 makes UP ill (code 1) and letter 3 advances
+    it (code 3); DOWN swaps the two:
+
+    >>> up, down = table(Kind.UP, 3, 5), table(Kind.DOWN, 3, 5)
+    >>> [up[letter][0] for letter in range(1, 5)], [down[letter][0] for letter in range(1, 5)]
+    ([0, 1, 3, 0], [0, 3, 1, 0])
     """
     size = state_count(kind, j, n)
     loops = list(range(size))
     rows = [loops.copy() for _ in range(n)]  # copies share the int objects; rows[0] is dropped
     for healthy in range(initial_state(kind, j, n), size, 3):
-        ill, advance = column_letters(kind, label(kind, j, healthy)[0])
+        m = label(kind, j, healthy)[0]
+        ill, advance = (m - 1, m) if kind is Kind.UP else (m, m - 1)
         if 1 <= ill < n:
             rows[ill][healthy] = healthy + 1
         if 1 <= advance < n:

@@ -35,7 +35,7 @@ from .core import (
     is_minimal,
     one_line_writer,
 )
-from .automata import column_letters, product_accepts
+from .automata import initial_state, label, product_accepts, state_count, table
 
 
 @dataclass(frozen=True)
@@ -226,52 +226,50 @@ def _set_cell(values: frozenset[int]) -> str:
     return "{" + ",".join(str(v) for v in sorted(values)) + "}"
 
 
-def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
-    """Sorting driven by a single automaton with start parameter j.
+@functools.lru_cache(maxsize=1024)
+def _walk_row(kind: Kind, j: int, n: int, code: int):
+    """A single-automaton sort's row at a code: its sets (the code's column, as
+    u or d), its phase, and the letters that leave the code's status.  Cached,
+    since the 50,400 sorts over S_7 enter codes 161,784 times, 80 distinct."""
+    delta = table(kind, j, n)
+    column = frozenset({label(kind, j, code)[0]})
+    sets = (column, frozenset()) if kind is Kind.UP else (frozenset(), column)
+    leaving = frozenset(l for l in range(1, n) if delta[l][code] % 3 != code % 3)
+    return sets, "block" if code % 3 else "healthy", leaving
 
-    Each step takes the least available letter.  Phase one refuses only the
-    swap that would fall ill, moving the parameter along whenever the
-    advancing letter is used.  Once only the ill-making swap remains it is
-    taken; the finish then takes every letter except the one the ill row
-    forbids.  The returned word is always accepted by the automaton; the
-    sort reaches the identity iff pi avoids the corresponding subword pattern.
+
+def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
+    """Sorting driven by a single automaton with start parameter j: a greedy
+    walk of its transition table from code 0.
+
+    Each step takes the least descent whose transition keeps the status, in
+    phase healthy on a healthy row and block on an ill one; a row's set is
+    its code's column.  When none does, a healthy row takes its one remaining
+    descent, the ill-making letter, as the ill row, and an ill row stops.
+    The returned word is always accepted by the automaton; the sort reaches
+    the identity iff pi avoids the corresponding subword pattern.
     """
     n = pi.n
     if not 2 <= j <= n - 1:
         raise ValueError(f"j must lie in 2..{n - 1}, got {j}")
-    up = kind is Kind.UP
-    param = j
+    delta = table(kind, j, n)
     decisions = []
     rest = Residual(pi)
     descents = rest.descents
-
-    def record(letter: int, phase: str) -> None:
-        sets = (frozenset({param}), frozenset()) if up else (frozenset(), frozenset({param}))
+    code = initial_state(kind, j, n)
+    sets, phase, leaving = _walk_row(kind, j, n, code)
+    while True:
+        letter = min(descents - leaving, default=None)
+        if letter is None:
+            if code % 3 or not descents:
+                break
+            letter, phase = min(descents), "ill"
         decisions.append((*sets, letter, (), phase, True))
         rest.take(letter)
-
-    ill, advance = column_letters(kind, param)
-    while True:
-        letter = min(descents - {ill}, default=None)
-        if letter is None:
-            break
-        record(letter, "healthy")
-        if letter == advance:
-            param += 1 if up else -1
-            ill, advance = column_letters(kind, param)
-
-    if ill in descents:
-        record(ill, "ill")
-        # the ill row forbids one letter, advance; a letter below it never changes
-        # a descent above it, so the least letter sorts the lower value block first
-        while True:
-            letter = min(descents - {advance}, default=None)
-            if letter is None:
-                break
-            record(letter, "block")
-
-    final_sets = (frozenset({param}), frozenset()) if up else (frozenset(), frozenset({param}))
-    return SortTrace(pi, tuple(decisions), Permutation(tuple(rest.entries)), *final_sets, kind)
+        if delta[letter][code] != code:
+            code = delta[letter][code]
+            sets, phase, leaving = _walk_row(kind, j, n, code)
+    return SortTrace(pi, tuple(decisions), Permutation(tuple(rest.entries)), *sets, kind)
 
 
 def permutree_sort(
@@ -280,12 +278,12 @@ def permutree_sort(
     """Sorting driven by a pair of sets (u, d).
 
     At each step, prefer a swap that keeps every component automaton healthy.
-    The test for l, l+1 not in u and l not in d, is the column rule
-    (column_letters) in (u, d) form: l makes the UP column l+1 and the DOWN
-    column l ill.  Otherwise take a swap whose endangered components provably
-    accept everything, witnessed by the prefix checks pi([l+1]) = [l+1] for
-    l+1 in u and pi([l-1]) = [l-1] for l in d, dropping those components.  If
-    neither exists the sort is stuck.
+    The test for l, l+1 not in u and l not in d, restates the column rule of
+    automata.table in (u, d) form at O(1) per row: l makes the UP column l+1
+    and the DOWN column l ill.  Otherwise take a swap whose endangered
+    components provably accept everything, witnessed by the prefix checks
+    pi([l+1]) = [l+1] for l+1 in u and pi([l-1]) = [l-1] for l in d,
+    dropping those components.  If neither exists the sort is stuck.
     The moved sets may transiently contain n or 1; those components accept
     every word.
     """
@@ -387,21 +385,23 @@ def check_sorting_network(template: Word, orientation: Orientation) -> Permutati
 
 
 def network_candidate(kind: Kind, j: int, n: int, extension: Word | None = None) -> Word:
-    """Experimental template read off the healthy row of one automaton.
+    """Experimental template read off the healthy row of one automaton's table.
 
-    At each healthy state before the boundary, emit the looping letters
-    repeated as many times as there are of them, then the advancing letter;
-    append the extension (default: the decreasing staircase).  No claim is
-    made beyond what check_sorting_network reports for the result.
+    At each healthy state before the boundary column, emit its looping
+    letters (those mapping its code to itself) repeated as many times as
+    there are of them, then its advancing letter (the one mapping its code
+    to code + 3); append the extension (default: the decreasing staircase).
+    No claim is made beyond what check_sorting_network reports for the result.
     """
     if not 2 <= j <= n - 1:
         raise ValueError(f"j must lie in 2..{n - 1}, got {j}")
+    delta = table(kind, j, n)
     letters: list[int] = []
-    for column in range(j, n) if kind is Kind.UP else range(j, 1, -1):
-        ill_making, advancing = column_letters(kind, column)
-        loops = [l for l in range(1, n) if l not in (advancing, ill_making)]
+    for healthy in range(0, state_count(kind, j, n) - 2, 3):  # the boundary's healthy code is size - 2
+        targets = [delta[letter][healthy] for letter in range(1, n)]
+        loops = [letter for letter, target in enumerate(targets, 1) if target == healthy]
         letters.extend(loops * len(loops))
-        letters.append(advancing)
+        letters.append(targets.index(healthy + 3) + 1)
     if extension is None:
         extension = Word(tuple(range(n - 1, 0, -1)), n)
     letters.extend(extension)

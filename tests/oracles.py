@@ -258,36 +258,40 @@ def oracle_weak_order_hasse(n):
     return tuple(covers)
 
 
+# each permutation's one-line text, made the first time a drawing names it
+oracle_name = functools.cache(str)
+
+
 def oracle_export_tree_dot(tree, overlay=False):
-    """export_tree_dot evaluating every edge's ends, taking the covers and
+    """export_tree_dot evaluating each node's word once, taking the covers and
     their letters from oracle_weak_order_hasse."""
     n = tree.n
     lines = ["digraph tree {", "  rankdir=BT;"]
-    tree_perms = {}
-    for word in tree.nodes:
-        tree_perms[evaluate(word)] = word
-    tree_edges = set()
-    for parent, child, letter in oracle_tree_edges(tree):
-        tree_edges.add((evaluate(parent), evaluate(child), letter))
+    perm_of = {word: evaluate(word) for word in tree.nodes}
+    tree_perms = set(perm_of.values())
+    tree_edges = {
+        (perm_of[parent], perm_of[child], letter) for parent, child, letter in oracle_tree_edges(tree)
+    }
 
     if overlay:
         for pi in all_permutations(n):
             if pi in tree_perms:
-                lines.append(f'  "{pi}" [shape=box, style=bold];')
+                lines.append(f'  "{oracle_name(pi)}" [shape=box, style=bold];')
             else:
-                lines.append(f'  "{pi}" [shape=box, color=gray, fontcolor=gray];')
+                lines.append(f'  "{oracle_name(pi)}" [shape=box, color=gray, fontcolor=gray];')
         edges = []
         for low, high, letter in oracle_weak_order_hasse(n):
+            ends = f'"{oracle_name(low)}" -> "{oracle_name(high)}"'
             if (low, high, letter) in tree_edges:
-                edges.append(f'  "{low}" -> "{high}" [color={edge_color(letter)}, penwidth=2];')
+                edges.append(f"  {ends} [color={edge_color(letter)}, penwidth=2];")
             else:
-                edges.append(f'  "{low}" -> "{high}" [color=gray];')
+                edges.append(f"  {ends} [color=gray];")
         lines.extend(sorted(edges))
     else:
         for pi in sorted(tree_perms, key=lambda p: p.entries):
-            lines.append(f'  "{pi}" [shape=box];')
+            lines.append(f'  "{oracle_name(pi)}" [shape=box];')
         edges = [
-            f'  "{a}" -> "{b}" [color={edge_color(letter)}, penwidth=2];'
+            f'  "{oracle_name(a)}" -> "{oracle_name(b)}" [color={edge_color(letter)}, penwidth=2];'
             for a, b, letter in sorted(
                 tree_edges, key=lambda e: (e[0].entries, e[1].entries)
             )

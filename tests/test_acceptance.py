@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from permutree import core, sorting, trees, verify
+from permutree.automata import Status
 from permutree.core import Permutation, Word
 from permutree.sorting import PriorityOrder
 from permutree.coxeter import (
@@ -563,3 +564,87 @@ def test_final_state_suites_enumerate_and_search_no_reduced_word(monkeypatch):
 @pytest.mark.parametrize("name", ["theorem1", "theorem2", "uniquestate"])
 def test_final_state_suites_at_their_opt_in_bound(name, n):
     assert verify.run_suite(name, n) == []
+
+
+# The violation lines a passing run never prints, each reached by one
+# injected fault on the verify module, or by a wrong expected value.
+
+
+def test_golden_tables_suite_failure_lines(monkeypatch):
+    rows = [("3421", 2, 2), ("2431", 3, 1), ("1432", 3, 3), ("1342", 4, 2), ("1243", 4, 3)]
+    wrong = {"pi": "3421", "j": 2, "rows": rows[:-1], "word": (2, 1, 3, 2), "final": "1234"}
+    monkeypatch.setattr(verify, "GOLDEN_SINGLE", [wrong])
+    assert check_golden_tables() == [
+        f"single 3421: rows {rows} != {rows[:-1]}",
+        "single 3421: word 2,1,3,2,3 final 1234",
+    ]
+
+
+def test_end_state_suite_failure_lines(monkeypatch):
+    monkeypatch.setattr(verify, "END_STATE_CASES", [("4312", 2, 6, {("healthy", 4): 6})])
+    assert check_end_state_stats() == [
+        "4312: 5 reduced expressions, expected 6",
+        "4312: final-state counts {('healthy', 4): 5} != {('healthy', 4): 6}",
+    ]
+
+
+def finals_replaced(pi, finals):
+    """final_vectors with the finals of one permutation replaced; in S_3 a
+    vector holds the codes of the UP and the DOWN automaton at j = 2."""
+    return lambda n: ((p, finals if p == pi else f) for p, f in final_vectors(n))
+
+
+def test_unique_state_suite_failure_lines(monkeypatch):
+    # 321 has one inversion above 2 and one below it, and 213 one above:
+    # UP code 3 is healthy and 4 ill in column 3, 1 ill and 2 dead in
+    # column 2; DOWN code 4 is ill in column 1, 3 healthy there, 2 dead in 2
+    healthy, ill = (3, Status.HEALTHY), (3, Status.ILL)
+    monkeypatch.setattr(verify, "final_vectors", finals_replaced(P("321"), {(3, 4): 1, (4, 2): 1}))
+    assert check_unique_final_state(3) in (
+        [f"n=3 pi=321 j=2 up: {{{healthy}, {ill}}}"],  # a set: its order follows the hash seed
+        [f"n=3 pi=321 j=2 up: {{{ill}, {healthy}}}"],
+    )
+    monkeypatch.setattr(verify, "final_vectors", finals_replaced(P("213"), {(1, 3): 1, (2, 3): 1}))
+    assert check_unique_final_state(3) == ["n=3 pi=213 j=2 up: common-state case violated"]
+    monkeypatch.setattr(verify, "final_vectors", finals_replaced(P("321"), {(3, 4): 1}))
+    assert check_unique_final_state(3) == ["n=3 pi=321 j=2 up: accepted state not ill"]
+
+
+def test_counting_suite_failure_lines(monkeypatch):
+    monkeypatch.setattr(verify, "catalan", lambda n: 0)
+    assert check_counting(3) == ["n=2 u=[] d=[]: 2 != 0", "n=3 u=[2] d=[]: 5 != 0", "n=3 u=[] d=[2]: 5 != 0"]
+    monkeypatch.undo()
+    count = verify.count_minimal
+    monkeypatch.setattr(verify, "count_minimal", lambda o: count(o) + (not o.u and not o.d))
+    # S_2's one partition orientation is the empty one
+    assert check_counting(3) == [
+        "n=2 u=[] d=[]: 3 != 2",
+        "n=2: empty orientation count != 2",
+        "n=3: empty orientation count != 6",
+    ]
+
+
+def test_stack_sort_suite_count_line(monkeypatch):
+    monkeypatch.setattr(verify, "catalan", lambda n: 0)
+    assert check_stack_sort(3) == ["n=2: 2 stack-sortable != C_n=0", "n=3: 5 stack-sortable != C_n=0"]
+
+
+def test_csorting_suite_4213_lines(monkeypatch):
+    # s1 alone makes the UP automaton at 2 ill, so it is accepted
+    monkeypatch.setattr(verify, "c_sorting_word", lambda pi, c: Word((1,), pi.n))
+    assert check_csorting(4) == [
+        "sorting word of 4213: 1",
+        "sorting word of 4213 unexpectedly accepted",
+    ]
+
+
+def test_networks_suite_failure_lines(monkeypatch):
+    w0 = Word((1, 2, 1, 3, 2, 1, 4, 3, 2, 1), 5)
+    monkeypatch.setattr(verify, "all_reduced_words", lambda pi: frozenset({w0}))
+    monkeypatch.setattr(verify, "network_mismatch", lambda template, orientation, pi: False)
+    monkeypatch.setattr(verify, "check_sorting_network", lambda template, orientation: None)
+    assert check_networks() == [
+        "54321 has 1 reduced words, expected 768",
+        f"valid network found: {w0}",
+        f"{w0} not refuted by the two witnesses",
+    ]

@@ -331,6 +331,58 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
+def test_check_json(capsys):
+    witness = {"j": 3, "positions": [1, 2, 4], "side": "down", "values": "423"}
+    assert run_cli(capsys, "check", "--n", "5", "--d", "3", "--output", "json", "42135") == (
+        1, json.dumps({"minimal": False, "pi": "42135", "witness": witness}) + "\n", ""
+    )
+    assert run_cli(capsys, "check", "--n", "5", "--u", "3", "--output", "json", "42135") == (
+        0, '{"minimal": true, "pi": "42135"}\n', ""
+    )
+
+
+def test_count_table_json(capsys):
+    rows = [
+        (24, [], []), (18, [2], []), (14, [2, 3], []), (18, [3], []), (18, [], [2]),
+        (14, [3], [2]), (14, [], [2, 3]), (18, [], [3]), (14, [2], [3]),
+    ]
+    payload = {"n": 4, "rows": [{"count": c, "d": d, "u": u} for c, d, u in rows]}
+    assert run_cli(capsys, "count", "--n", "4", "--output", "json") == (0, json.dumps(payload) + "\n", "")
+
+
+def test_network_json(capsys):
+    # the templates are read off the healthy row of the automaton's table
+    template = [3, 4, 3, 4, 2, 1, 4, 1, 4, 3, 1, 2, 1, 2, 4, 4, 3, 2, 1]
+    assert run_cli(capsys, "network", "--n", "5", "--u", "2", "--output", "json") == (
+        0, json.dumps({"counterexample": None, "template": template, "valid": True}) + "\n", ""
+    )
+    assert run_cli(capsys, "network", "--n", "4", "--d", "2", "--extend=", "--output", "json") == (
+        1, '{"counterexample": "1324", "template": [3, 1], "valid": false}\n', ""
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("automaton", "--kind", "U", "--j", "0", "--n", "4"), "--j must lie in 1..4"),
+        (("sort", "--n", "4", "--priority", "1,1,2", "1234"), "not an ordering of 1..3: (1, 1, 2)"),
+        (("check", "--n", "4", "--u", "2,x", "1234"), "cannot parse set from '2,x'"),
+    ],
+)
+def test_malformed_values_are_usage_errors(capsys, argv, reason):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {reason}\n")
+
+
+def test_verify_prints_each_violation_indented(capsys):
+    refutation = (
+        "41325 is c-sortable for 4 Coxeter words "
+        "(3,2,1,4; 3,2,4,1; 3,4,2,1; 4,3,2,1), not for none"
+    )
+    assert run_cli(capsys, "verify", "--suite", "csorting") == (
+        1, f"csorting: FAIL (1 counterexamples)\n  {refutation}\n", ""
+    )
+
+
 def test_module_entry_point():
     import os
     import pathlib

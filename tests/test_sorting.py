@@ -18,7 +18,7 @@ from permutree.core import (
     left_multiply,
     minimality_witness,
 )
-from permutree.automata import accepts, product_accepts
+from permutree.automata import Status, accepts, label, product_accepts, run
 from permutree.sorting import (
     PriorityOrder,
     TraceStep,
@@ -212,6 +212,44 @@ def test_single_sort_finishes_in_either_block():
     upper = sort_single(P("3412"), 2, Kind.DOWN)
     assert [(s.letter, s.phase) for s in lower.steps] == [(2, "ill"), (1, "block")]
     assert [(s.letter, s.phase) for s in upper.steps] == [(2, "ill"), (3, "block")]
+
+
+# each phase's status before and after its letter
+PHASE_STATUSES = {
+    "healthy": (Status.HEALTHY, Status.HEALTHY),
+    "ill": (Status.HEALTHY, Status.ILL),
+    "block": (Status.ILL, Status.ILL),
+}
+
+
+def test_single_sort_walks_its_automaton():
+    # each row's set holds the column that run reaches on the letters before
+    # it, its phase names the statuses around its letter, and the final sets
+    # hold the column of the whole word
+    rows = 0
+    for n in range(3, 7):
+        for pi, j, kind in itertools.product(all_permutations(n), range(2, n), (Kind.UP, Kind.DOWN)):
+            trace = sort_single(pi, j, kind)
+            letters = trace.word.letters
+            states = [label(kind, j, run(kind, j, Word(letters[:i], n))) for i in range(len(letters) + 1)]
+
+            def sets(column):
+                return ({column}, set()) if kind is Kind.UP else (set(), {column})
+
+            for (u, d, _, _, phase, _), before, after in zip(trace.decisions, states, states[1:]):
+                assert (u, d) == sets(before[0]), (pi, j, kind)
+                assert (before[1], after[1]) == PHASE_STATUSES[phase], (pi, j, kind)
+            assert (trace.final_u, trace.final_d) == sets(states[-1][0]), (pi, j, kind)
+            rows += len(trace.decisions)
+    assert rows == 41_872
+
+
+@pytest.mark.parametrize("j", [0, 1, 5, 6])
+def test_single_automaton_routes_refuse_a_boundary_parameter(j):
+    # j = 1 (DOWN) and j = n (UP) accept every word, so neither route takes them
+    for route in (lambda: sort_single(identity(5), j, Kind.UP), lambda: network_candidate(Kind.DOWN, j, 5)):
+        with pytest.raises(ValueError, match=rf"^j must lie in 2\.\.4, got {j}$"):
+            route()
 
 
 def test_product_sort_golden_3214():

@@ -452,20 +452,24 @@ KEPT_WITHOUT_CALLER: dict[str, str] = {
 
 
 def test_package_has_no_dead_definition():
-    # every public top-level function and class is named somewhere in src/
-    # besides its own definition and __init__.py, and every public method is
-    # read as an attribute (a local variable of the same name does not count)
+    # every top-level function and class, private ones included, is named
+    # somewhere in src/ besides its own definition and __init__.py, and every
+    # method is read as an attribute (a local variable of the same name does
+    # not count); dunders are called by the language, so they are left out
+    def dunder(name):
+        return name.startswith("__") and name.endswith("__")
+
     functions, methods, names, attributes = {}, {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not dunder(node.name):
                 functions[node.name] = path.name
                 if isinstance(node, ast.ClassDef):
                     for item in node.body:
-                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        if isinstance(item, ast.FunctionDef) and not dunder(item.name):
                             methods[item.name] = f"{path.name}: {node.name}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
