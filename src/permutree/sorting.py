@@ -37,6 +37,12 @@ from .core import (
 )
 from .automata import initial_state, label, product_accepts, state_count, table
 
+# Characters per shared piece of a trace table's w column (SortTrace.to_table):
+# rows share whole blocks, so each row adds under two blocks of its own.  The
+# tracemalloc peak of an n = 80 table is 1.25x its size with 512 and 1.66x
+# with 4,096.
+_WORD_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class PriorityOrder:
@@ -152,19 +158,21 @@ class SortTrace:
         width and each line is stripped of trailing spaces.  Since the w
         column is as wide as the final word, the output has about
         rows x len(final word) characters, which grows as n^4 for a sort of
-        length about n^2; the rendering takes time and memory linear in it,
-        and joining the lines is most of it (each pi cell is decoded from
-        the replay's patched one-line text).
+        length about n^2.  The table is one join over a list of pieces, so
+        each of its characters is copied once, and the rows' w cells share
+        their pieces: blocks of _WORD_BLOCK characters cut once from the
+        word and from blanks, plus one shorter slice of each per row.  So
+        the rendering takes time linear in the output and memory about its
+        size (each pi cell is decoded from the replay's patched one-line
+        text).
         """
         single = self.kind is not None
         header = ["pi", "w", "j", "l"] if single else ["pi", "w", "u", "d", "l", "k"]
-        # Every step's w cell is a prefix of one string, so a row keeps the
-        # string and the end of its prefix, (text, end), and the cell,
-        # text[:end] or "e" when end is 0, is sliced only when the row's line
-        # is built; formatting every cell from its letters would take time
-        # quadratic in the row count.
+        # Every step's w cell is a prefix of one string, so a row keeps only
+        # the end of its prefix; formatting every cell from its letters would
+        # take time quadratic in the row count.
         word = ".".join(f"s{letter}" for letter in self.word)
-        rows = [(header, "w", 1)]
+        rows = []
         end = 0
         for _, text, (u, d, letter, checks, _, applied) in self._rows():
             if single:  # the one value of u or d is the automaton's parameter
@@ -172,22 +180,33 @@ class SortTrace:
             else:
                 checks_cell = ", ".join(str(k) if ok else f"x{k}" for k, ok in checks) or "."
                 cells = [text.decode(), "", _set_cell(u), _set_cell(d), str(letter), checks_cell]
-            rows.append((cells, word, end))
+            rows.append((cells, end))
             if applied:
                 end += len(f"s{letter}") + (end > 0)  # a "." before all but the first
         if self.success:  # the applied letters are the whole word
             last = [str(next(iter(self.final_u | self.final_d))), ""] if single else [""] * 4
-            rows.append(([str(self.result), "", *last], word, end))
-        widths = [max(map(len, column)) for column in zip(*(cells for cells, _, _ in rows))]
-        widths[1] = max(end for _, _, end in rows)
-        lines = []
-        for i, (cells, text, end) in enumerate(rows):
-            row = [cells[0], text[:end] or "e", *cells[2:]]
-            lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-            if i == 0:
-                lines.append("-+-".join("-" * w for w in widths))
-        lines.append("")
-        return "\n".join(lines)
+            rows.append(([str(self.result), "", *last], end))
+        widths = [max(map(len, column)) for column in zip(header, *(cells for cells, _ in rows))]
+        widths[1] = width = max([1, *(end for _, end in rows)])  # "w" and "e" take one
+        first, later = widths[0], widths[2:]
+
+        def tail(cells):  # the cells after w: the strip stops at their first " | "
+            return (" | " + " | ".join(map(str.ljust, cells[2:], later))).rstrip() + "\n"
+
+        block = _WORD_BLOCK
+        blocks = [word[i : i + block] for i in range(0, width - block + 1, block)]
+        blank = " " * block
+        pieces = [header[0].ljust(first), " | ", "w".ljust(width), tail(header)]
+        pieces.append("-+-".join("-" * w for w in widths) + "\n")
+        for cells, end in rows:
+            whole, rest = divmod(end, block)
+            pad = width - max(end, 1)
+            pieces.append(cells[0].ljust(first) + " | ")
+            pieces += blocks[:whole]
+            pieces.append(word[end - rest : end] if end else "e")
+            pieces += [blank] * (pad // block)
+            pieces.append(blank[: pad % block] + tail(cells))
+        return "".join(pieces)
 
     def to_json(self) -> str:
         """The trace as one JSON object, as json.dumps(..., sort_keys=True) writes it.

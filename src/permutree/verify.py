@@ -28,6 +28,7 @@ from .core import (
     stack_sort,
 )
 from .automata import (
+    STATUSES,
     Status,
     accepts,
     dead_mask,
@@ -301,8 +302,10 @@ def check_unique_final_state(max_n: int) -> Violations:
                     # (column, status) labels of the final states
                     labels = {label(kind, j, v[component_index(kind, j, n)]) for v in finals}
                     accepted = {s for s in labels if s[1] is not Status.DEAD}
-                    if len(accepted) > 1:
-                        violations.append(f"n={n} pi={pi} j={j} {kind.value}: {accepted}")
+                    if len(accepted) > 1:  # listed by column, then status
+                        listed = sorted(accepted, key=lambda s: (s[0], STATUSES.index(s[1])))
+                        shown = ", ".join(map(str, listed))
+                        violations.append(f"n={n} pi={pi} j={j} {kind.value}: {{{shown}}}")
                         continue
                     # accepted UP runs end ninv_below columns right of j,
                     # DOWN runs ninv_above columns left of it

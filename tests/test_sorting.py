@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from permutree import sorting
 from permutree.core import (
     Kind,
     Orientation,
@@ -571,8 +572,9 @@ def test_single_sort_table_matches_oracle(n):
     )
 
 
-@pytest.mark.parametrize("n", [30, 60])
-def test_seeded_sort_tables_match_oracle(n):
+def seeded_traces(n):
+    """Six seeded permutations of S_n, each sorted under the empty, a sparse
+    and a partition orientation with a shuffled priority."""
     rng = random.Random(20261018 + n)
     traces = []
     for _ in range(6):
@@ -588,15 +590,47 @@ def test_seeded_sort_tables_match_oracle(n):
             Orientation(up, set(range(2, n)) - up, n),
         ):
             traces.append(permutree_sort(pi, orientation, PriorityOrder.shuffled(n, rng)))
+    return traces
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_seeded_sort_tables_match_oracle(n):
+    traces = seeded_traces(n)
     assert any(trace.success for trace in traces)
     assert any(not trace.success for trace in traces)
     assert_tables_match_oracle(traces)
 
 
+def test_table_word_blocks_match_oracle(monkeypatch):
+    # The w cells are cut into shared blocks of the word and of blanks: small
+    # blocks put prefix and padding ends on, just before and just after a
+    # block boundary in every table.  Each oracle table is built once.
+    product = (
+        permutree_sort(pi, o)
+        for n in range(1, 6)
+        for o in (orientations(n) if n > 1 else [Orientation(frozenset(), frozenset(), 1)])
+        for pi in all_permutations(n)
+    )
+    single = (
+        sort_single(pi, j, kind)
+        for n in range(3, 6)
+        for pi in all_permutations(n)
+        for j in range(2, n)
+        for kind in (Kind.UP, Kind.DOWN)
+    )
+    for trace in itertools.chain(product, single, seeded_traces(30), seeded_traces(60)):
+        want = oracle_table(trace)
+        for block in (1, 2, 3, 7):
+            monkeypatch.setattr(sorting, "_WORD_BLOCK", block)
+            assert_same_text(trace.to_table(), want, (block, trace.start, trace.kind))
+
+
 def test_table_memory_is_linear_in_its_size():
-    # The table has about rows x len(final word) characters; building every
-    # row's w cell from scratch, or copying the joined table once more, shows
-    # up as a peak well above twice its size (3.6x for the old rendering).
+    # The table has about rows x len(final word) characters.  It is one join
+    # over pieces the rows share, so the peak is the table plus the list of
+    # pieces and each row's slices shorter than a block (1.25x here); a list
+    # of the lines joined afterwards holds the table twice (2.1x), and
+    # building every row's w cell from scratch costs more (3.6x).
     n = 80
     entries = list(range(1, n + 1))
     random.Random(80).shuffle(entries)
@@ -608,7 +642,16 @@ def test_table_memory_is_linear_in_its_size():
     finally:
         tracemalloc.stop()
     assert len(table) > 5_000_000
-    assert peak <= 2.5 * len(table), peak / len(table)
+    assert peak <= 1.5 * len(table), peak / len(table)
+    # At the real block size: the first row's prefix is empty ("e"), and as
+    # every row applies its letter, the rows' prefixes end at each "." of the
+    # word, one of them on a block boundary, in a word of over two blocks.
+    assert_same_text(table, oracle_table(trace))
+    assert trace.decisions and all(applied for *_, applied in trace.decisions)
+    block = sorting._WORD_BLOCK
+    word = ".".join(f"s{letter}" for letter in trace.word)
+    assert any(word[end] == "." for end in range(block, len(word), block))
+    assert len(word) > 2 * block
 
 
 # -- permutree_sort against the Permutation-stepping loop it replaced -------
