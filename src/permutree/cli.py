@@ -34,13 +34,13 @@ BROKEN_PIPE = 141
 # entries; a product is drawn state by state.  A sort takes at most one step
 # per inversion (about n^2/4 for a random permutation), each O(n) but in C:
 # the pick is a min over the descent set less the blocked letters, and a
-# rendered row copies pi's one-line text, which the replay patches in place.
+# rendered row joins the n value strings of pi's one-line text.
 # Its JSON has about n^3 characters and its text table about n^4 (450 MB at
 # n = 200, 1.1 GB at n = 250), built by one join with a peak of about its
-# size.  In-process on 2 cores, sort --n 400 --output json takes 0.5 s, half
-# of it sorting, and --n 200 --output text 0.4 s, nearly all of it building
-# the table, with a 480 MB peak RSS (0.8 s and 890 MB printed to a file,
-# which encodes the whole table at once).  count runs an O(n^2) DP
+# size.  In-process on 2 cores, sort --n 400 --output json takes 0.5 s, 0.3 s
+# of it writing the JSON, and --n 200 --output text 0.3 s, nearly all of it
+# building the table, with a 440 MB peak RSS (0.6 s and 830 MB printed to a
+# file, which encodes the whole table at once).  count runs an O(n^2) DP
 # over the number of live insertion slots, whose cost is the big-integer
 # additions; over 3^(n-2) orientations for the table.  tree builds and
 # renders each node once, so it is capped by its node count, which count

@@ -283,8 +283,8 @@ class Residual:
     entries, and descents its set of left descents: l is one iff
     pos[l+1] < pos[l].  Taking a descent l (pi becomes s_l * pi) swaps the
     values l and l+1, which changes only the descents l-1, l and l+1.  The
-    sorts and the greedy extraction take their letters through it, and a
-    sort trace replays its applied letters through it to recover each row.
+    sorts and the greedy extraction take their letters through it; a sort
+    trace replays them through it and swaps its row text at pos[l], pos[l+1].
     """
 
     __slots__ = ("entries", "pos", "descents")

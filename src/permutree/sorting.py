@@ -33,7 +33,6 @@ from .core import (
     Word,
     all_permutations,
     is_minimal,
-    one_line_writer,
 )
 from .automata import initial_state, label, product_accepts, state_count, table
 
@@ -127,25 +126,19 @@ class SortTrace:
 
     def _rows(self):
         """Each decision with the residual's entries and pi's one-line text
-        when it was made: a live list and a live bytearray, patched in place
-        after the caller has read the row.  Taking a letter l swaps the values
-        l and l+1, so the text swaps their digits, at offsets kept per value;
-        where the two differ in width (9|10, 99|100) it is written anew."""
+        when it was made; the entries are a live list, changed after the
+        caller has read the row.  The text joins the values' strings, kept in
+        one-line order: taking a letter l swaps the strings at rest.pos[l]
+        and rest.pos[l + 1], as Residual.take swaps the values there."""
         rest = Residual(self.start)
-        tokens = [str(v).encode() for v in range(self.start.n + 1)]
-        text, at = _one_line_text(rest.entries, tokens)
+        cells = list(map(str, rest.entries))
+        join = ("" if self.start.n <= 9 else " ").join  # as str(Permutation) writes it
         for row in self.decisions:
-            yield rest.entries, text, row
+            yield rest.entries, join(cells), row
             if row[5]:  # applied: take its letter
-                letter = row[2]
-                rest.take(letter)
-                low, high = tokens[letter], tokens[letter + 1]
-                if len(low) == len(high):
-                    i, j = at[letter], at[letter + 1]
-                    text[i : i + len(low)], text[j : j + len(low)] = high, low
-                    at[letter], at[letter + 1] = j, i
-                else:
-                    text, at = _one_line_text(rest.entries, tokens)
+                i, j = rest.pos[row[2]], rest.pos[row[2] + 1]
+                cells[i], cells[j] = cells[j], cells[i]
+                rest.take(row[2])
 
     def to_table(self) -> str:
         """The trace as an aligned text table, one line per row.
@@ -163,8 +156,7 @@ class SortTrace:
         their pieces: blocks of _WORD_BLOCK characters cut once from the
         word and from blanks, plus one shorter slice of each per row.  So
         the rendering takes time linear in the output and memory about its
-        size (each pi cell is decoded from the replay's patched one-line
-        text).
+        size.
         """
         single = self.kind is not None
         header = ["pi", "w", "j", "l"] if single else ["pi", "w", "u", "d", "l", "k"]
@@ -176,10 +168,10 @@ class SortTrace:
         end = 0
         for _, text, (u, d, letter, checks, _, applied) in self._rows():
             if single:  # the one value of u or d is the automaton's parameter
-                cells = [text.decode(), "", str(next(iter(u | d))), str(letter)]
+                cells = [text, "", str(next(iter(u | d))), str(letter)]
             else:
                 checks_cell = ", ".join(str(k) if ok else f"x{k}" for k, ok in checks) or "."
-                cells = [text.decode(), "", _set_cell(u), _set_cell(d), str(letter), checks_cell]
+                cells = [text, "", _set_cell(u), _set_cell(d), str(letter), checks_cell]
             rows.append((cells, end))
             if applied:
                 end += len(f"s{letter}") + (end > 0)  # a "." before all but the first
@@ -221,24 +213,13 @@ class SortTrace:
         steps = ", ".join(
             f'{{"applied": {"true" if applied else "false"}, "checks": {checked(checks)}, '
             f'"d": {listed(d)}, "letter": {letter}, "phase": "{phase}", '
-            f'"pi": "{text.decode()}", "u": {listed(u)}}}'
+            f'"pi": "{text}", "u": {listed(u)}}}'
             for _, text, (u, d, letter, checks, phase, applied) in self._rows()
         )
         return (
             f'{{"result": "{self.result}", "steps": [{steps}], '
             f'"success": {"true" if self.success else "false"}, "word": {json.dumps(list(self.word))}}}'
         )
-
-
-def _one_line_text(entries: list[int], tokens: list[bytes]) -> tuple[bytearray, list[int]]:
-    """The entries' one-line text, and the offset of each value's digits in it."""
-    text = bytearray(one_line_writer(len(entries))(entries), "ascii")
-    at = [0] * len(tokens)
-    offset = 0
-    for value in entries:  # its digits start here, or after one separator
-        at[value] = offset = text.index(tokens[value], offset)
-        offset += len(tokens[value])
-    return text, at
 
 
 def _set_cell(values: frozenset[int]) -> str:

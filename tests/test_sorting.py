@@ -818,9 +818,10 @@ def test_seeded_large_sorts_match_oracle(n):
 
 @pytest.mark.parametrize("n", [12, 101])
 def test_sorts_across_digit_widths_match_oracle(n):
-    # The rendered pi is patched in place where l and l+1 have equal width and
-    # written anew at 9|10 and 99|100; w0 under the empty orientation makes
-    # every adjacent swap, and a stuck partition sort ends in unapplied rows.
+    # The rendered pi swaps the strings of l and l+1, which differ in width
+    # at 9|10 and 99|100; w0 under the empty orientation makes every adjacent
+    # swap, and a stuck partition sort ends in unapplied rows; at n = 101 the
+    # stuck sort's table (83 rows) holds 3-digit values in its pi cells.
     w0 = Permutation(tuple(range(n, 0, -1)))
     trace = assert_sort_matches_oracle(w0, Orientation(set(), set(), n), None, text=n <= 12)
     assert trace.success and len(trace.word) == n * (n - 1) // 2
@@ -830,7 +831,7 @@ def test_sorts_across_digit_widths_match_oracle(n):
     random.Random(0).shuffle(entries)
     up = set(range(2, n, 2))
     stuck = assert_sort_matches_oracle(
-        Permutation(tuple(entries)), Orientation(up, set(range(3, n, 2)), n), None, text=False
+        Permutation(tuple(entries)), Orientation(up, set(range(3, n, 2)), n), None
     )
     assert not stuck.success and {9, 99} <= set(stuck.word)
     assert any(s.phase == "ill" and s.applied for s in stuck.steps)
