@@ -190,15 +190,18 @@ def exists_accepted(pi: Permutation, orientation: Orientation) -> bool:
     return next(words, None) is not None
 
 
-def _node_name(kind: Kind, j: int, code: int) -> str:
-    column, status = label(kind, j, code)
-    return f"{'U' if kind is Kind.UP else 'D'}{j}_{column}_{status}"
+def _labels(kind: Kind, j: int, n: int) -> tuple[list[str], list[tuple[int, str]]]:
+    """Each code's DOT name and (column, status name) sort key, in code order."""
+    tag = "U" if kind is Kind.UP else "D"
+    decoded = (label(kind, j, code) for code in range(state_count(kind, j, n)))
+    keys = [(column, status.value) for column, status in decoded]
+    return [f"{tag}{j}_{column}_{status}" for column, status in keys], keys
 
 
 def _write_dot(graph: str, n: int, nodes, start, name, status, move) -> str:
     """The DOT text of an automaton whose states are nodes, in that order.
 
-    name(state) is a state's DOT id, status(state) its Status (dead states
+    name[state] is a state's DOT id, status(state) its Status (dead states
     are circles, accepting ones double circles), and move(state, letter) its
     target; loops are omitted, matching the convention that missing
     transitions loop.
@@ -206,13 +209,14 @@ def _write_dot(graph: str, n: int, nodes, start, name, status, move) -> str:
     lines = [f'digraph "{graph}" {{', "  rankdir=LR;", '  start [shape=none, label=""];']
     for state in nodes:
         shape = "circle" if status(state) is Status.DEAD else "doublecircle"
-        lines.append(f"  {name(state)} [shape={shape}];")
-    lines.append(f"  start -> {name(start)};")
+        lines.append(f"  {name[state]} [shape={shape}];")
+    lines.append(f"  start -> {name[start]};")
     for state in nodes:
+        source = name[state]
         for letter in range(1, n):
             target = move(state, letter)
             if target != state:
-                lines.append(f'  {name(state)} -> {name(target)} [label="s{letter}"];')
+                lines.append(f'  {source} -> {name[target]} [label="s{letter}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -222,7 +226,7 @@ def export_dot(kind: Kind, j: int, n: int) -> str:
     tag = "U" if kind is Kind.UP else "D"
     return _write_dot(
         f"{tag}{j}_n{n}", n, range(state_count(kind, j, n)), initial_state(kind, j, n),
-        name=functools.partial(_node_name, kind, j),
+        name=_labels(kind, j, n)[0],
         status=lambda code: STATUSES[code % 3],
         move=functools.partial(step, table(kind, j, n)),
     )
@@ -233,37 +237,30 @@ def export_dot_product(orientation: Orientation, reachable_only: bool = False) -
 
     With reachable_only the graph is restricted to the states reachable
     from the start tuple; otherwise the full cartesian product is drawn.
-    Nodes are sorted by the (column, status name) of each component.
+    Nodes are sorted by the (column, status name) of each component, and
+    each drawn state is named once, from its components' decoded labels.
     """
     n = orientation.n
     parts = orientation.components
     move = functools.partial(step_product, product_table(orientation))
     start = initial_product(orientation)
-
-    def product_sort_key(product: tuple[int, ...]):
-        labels = (label(kind, j, code) for (kind, j), code in zip(parts, product))
-        return tuple((column, status.value) for column, status in labels)
-
-    def product_name(product: tuple[int, ...]) -> str:
-        names = (_node_name(kind, j, code) for (kind, j), code in zip(parts, product))
-        return '"' + "__".join(names) + '"'
+    decoded = [_labels(kind, j, n) for kind, j in parts]
+    names, keys = [d[0] for d in decoded], [d[1] for d in decoded]
 
     if reachable_only:
-        seen = {start}
+        states = {start}
         todo = [start]
         while todo:
             product = todo.pop()
             for letter in range(1, n):
                 target = move(product, letter)
-                if target not in seen:
-                    seen.add(target)
+                if target not in states:
+                    states.add(target)
                     todo.append(target)
-        nodes = sorted(seen, key=product_sort_key)
     else:
-        codes = [range(state_count(kind, j, n)) for kind, j in parts]
-        nodes = sorted(itertools.product(*codes), key=product_sort_key)
+        states = itertools.product(*(range(state_count(kind, j, n)) for kind, j in parts))
+    nodes = sorted(states, key=lambda product: tuple(map(getitem, keys, product)))
+    name = {product: '"' + "__".join(map(getitem, names, product)) + '"' for product in nodes}
 
     graph = "_".join(["P"] + [f"{'u' if kind is Kind.UP else 'd'}{j}" for kind, j in parts])
-    return _write_dot(
-        f"{graph}_n{n}", n, nodes, start, name=product_name, status=classify, move=move
-    )
+    return _write_dot(f"{graph}_n{n}", n, nodes, start, name=name, status=classify, move=move)

@@ -31,10 +31,11 @@ BROKEN_PIPE = 141
 
 # Largest inputs the commands accept.  network enumerates S_n, so one more
 # n multiplies its work by n or more; an automaton's table has about 3n^2
-# entries; a product is drawn state by state.  A sort takes at most one step
-# per inversion (about n^2/4 for a random permutation), each O(n) but in C:
-# the pick is a min over the descent set less the blocked letters, and a
-# rendered row joins the n value strings of pi's one-line text.
+# entries; a product is drawn state by state, each drawn state named once,
+# at a cost of one product step per (state, letter).  A sort takes at most
+# one step per inversion (about n^2/4 for a random permutation), each O(n)
+# but in C: the pick is a min over the descent set less the blocked letters,
+# and a rendered row joins the n value strings of pi's one-line text.
 # Its JSON has about n^3 characters and its text table about n^4 (450 MB at
 # n = 200, 1.1 GB at n = 250), built by one join with a peak of about its
 # size.  In-process on 2 cores, sort --n 400 --output json takes 0.5 s, 0.3 s
@@ -117,7 +118,11 @@ def _parse_priority(text: str | None, n: int) -> PriorityOrder:
     if text is None or not text.strip():
         return PriorityOrder.natural(n)
     try:
-        priority = PriorityOrder(tuple(int(p) for p in text.replace(",", " ").split()))
+        letters = tuple(int(p) for p in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise UsageError(f"cannot parse priority from {text!r}") from exc
+    try:
+        priority = PriorityOrder(letters)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if priority.n != n:
@@ -141,6 +146,8 @@ def cmd_sort(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """The witness's values run together at every degree, in the text and in
+    the JSON's "values" (3102 for 3, 10, 2); its positions tell them apart."""
     orientation = _parse_orientation(args, args.n)
     pi = _parse_permutation(args.permutation, args.n)
     witness = minimality_witness(pi, orientation)

@@ -337,16 +337,12 @@ def walk_reduced_words(
     stepping to s_l * p swaps pos[l] and pos[l+1], undone on the way back.
     So pos always holds the node on top of the stack, and each node's
     descents are read lazily from it, only as far as the walk tries them.
-    A Residual would keep every node's descent set up to date at each step
-    instead, and cost more: a walker built on it listed the 768 reduced
-    words of 54321 in 4.4 ms (3.7 ms with pos), in-process, best of 36, on
-    2 cores with Python 3.11.  In the networks suite, whose one walk is that
-    list, the difference is lost in the noise (18-28 ms either way).
-    A node is the identity iff its depth is the length of pi.  Below a node
-    the walk depends only on (its position tuple, its state), which is in
-    bijection with (its entries, its state), so a pair whose subtree yielded
-    nothing is skipped when met again.  The stack is explicit: no recursion
-    limit bounds the length of pi.
+    A Residual would update every node's descent set at each step instead,
+    which costs more.  A node is the identity iff its depth is the length of
+    pi.  Below a node the walk depends only on (its position tuple, its
+    state), which is in bijection with (its entries, its state), so a pair
+    whose subtree yielded nothing is skipped when met again.  The stack is
+    explicit: no recursion limit bounds the length of pi.
     """
     length = pi.length()
     if not length:

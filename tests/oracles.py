@@ -16,16 +16,21 @@ import pytest
 
 from permutree import automata, core, coxeter, sorting, trees, verify
 from permutree.automata import (
+    STATUSES,
     Status,
     accepts,
     classify,
     exists_accepted,
     initial_product,
+    initial_state,
     label,
     product_accepts,
     product_table,
     run,
+    state_count,
+    step,
     step_product,
+    table,
 )
 from permutree.core import (
     Kind,
@@ -299,6 +304,76 @@ def oracle_export_tree_dot(tree, overlay=False):
         lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def oracle_node_name(kind, j, code):
+    column, status = label(kind, j, code)
+    return f"{'U' if kind is Kind.UP else 'D'}{j}_{column}_{status}"
+
+
+def oracle_write_dot(graph, n, nodes, start, name, status, move):
+    """The DOT writer that export_dot and export_dot_product shared when they
+    decoded a state's name again for each node line and each edge end."""
+    lines = [f'digraph "{graph}" {{', "  rankdir=LR;", '  start [shape=none, label=""];']
+    for state in nodes:
+        shape = "circle" if status(state) is Status.DEAD else "doublecircle"
+        lines.append(f"  {name(state)} [shape={shape}];")
+    lines.append(f"  start -> {name(start)};")
+    for state in nodes:
+        for letter in range(1, n):
+            target = move(state, letter)
+            if target != state:
+                lines.append(f'  {name(state)} -> {name(target)} [label="s{letter}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_export_dot(kind, j, n):
+    """export_dot naming each state by decoding its code where it is drawn."""
+    tag = "U" if kind is Kind.UP else "D"
+    return oracle_write_dot(
+        f"{tag}{j}_n{n}", n, range(state_count(kind, j, n)), initial_state(kind, j, n),
+        name=functools.partial(oracle_node_name, kind, j),
+        status=lambda code: STATUSES[code % 3],
+        move=functools.partial(step, table(kind, j, n)),
+    )
+
+
+def oracle_export_dot_product(orientation, reachable_only=False):
+    """export_dot_product decoding each component's code again for every sort
+    key, node line and edge end."""
+    n = orientation.n
+    parts = orientation.components
+    move = functools.partial(step_product, product_table(orientation))
+    start = initial_product(orientation)
+
+    def product_sort_key(product):
+        labels = (label(kind, j, code) for (kind, j), code in zip(parts, product))
+        return tuple((column, status.value) for column, status in labels)
+
+    def product_name(product):
+        names = (oracle_node_name(kind, j, code) for (kind, j), code in zip(parts, product))
+        return '"' + "__".join(names) + '"'
+
+    if reachable_only:
+        seen = {start}
+        todo = [start]
+        while todo:
+            product = todo.pop()
+            for letter in range(1, n):
+                target = move(product, letter)
+                if target not in seen:
+                    seen.add(target)
+                    todo.append(target)
+        nodes = sorted(seen, key=product_sort_key)
+    else:
+        codes = [range(state_count(kind, j, n)) for kind, j in parts]
+        nodes = sorted(itertools.product(*codes), key=product_sort_key)
+
+    graph = "_".join(["P"] + [f"{'u' if kind is Kind.UP else 'd'}{j}" for kind, j in parts])
+    return oracle_write_dot(
+        f"{graph}_n{n}", n, nodes, start, name=product_name, status=classify, move=move
+    )
 
 
 def oracle_check_networks():

@@ -33,7 +33,15 @@ from permutree.automata import (
     step_product,
     table,
 )
-from oracles import all_orientations, evaluate, slow
+from permutree.verify import disjoint_orientations
+from oracles import (
+    all_orientations,
+    assert_same_text,
+    evaluate,
+    oracle_export_dot,
+    oracle_export_dot_product,
+    slow,
+)
 
 P = Permutation.from_text
 
@@ -400,3 +408,45 @@ def test_export_dot_golden_files():
     assert export_dot(Kind.UP, 3, 4) == (golden / "automaton_u3_n4.dot").read_text()
     got = export_dot_product(Orientation({4}, {2}, 5), reachable_only=False)
     assert got == (golden / "product_u4_d2_n5.dot").read_text()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_export_dot_matches_its_oracle(n):
+    for kind in (Kind.UP, Kind.DOWN):
+        for j in range(1, n + 1):
+            assert_same_text(export_dot(kind, j, n), oracle_export_dot(kind, j, n), (kind, j))
+
+
+def two_digit_columns(n):
+    """Products whose columns run past 9, where the text order of the state
+    names is not the (column, status name) order the nodes are sorted by."""
+    return [Orientation({n - 2}, {n - 1}, n), Orientation({2}, {2}, n)]
+
+
+@pytest.mark.parametrize(
+    "n, orientations",
+    [
+        *((n, all_orientations) for n in range(2, 5)),
+        (5, disjoint_orientations),
+        (10, two_digit_columns),
+        slow(6, disjoint_orientations),
+    ],
+)
+def test_export_dot_product_matches_its_oracle(n, orientations):
+    for orientation in orientations(n):
+        for reachable_only in (False, True):
+            assert_same_text(
+                export_dot_product(orientation, reachable_only),
+                oracle_export_dot_product(orientation, reachable_only),
+                (orientation, reachable_only),
+            )
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("reachable_only", [False, True])
+def test_zero_component_product_is_one_unnamed_state(n, reachable_only):
+    got = export_dot_product(Orientation(set(), set(), n), reachable_only)
+    assert got == (
+        f'digraph "P_n{n}" {{\n  rankdir=LR;\n  start [shape=none, label=""];\n'
+        '  "" [shape=doublecircle];\n  start -> "";\n}\n'
+    )

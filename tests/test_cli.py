@@ -341,6 +341,17 @@ def test_check_json(capsys):
     )
 
 
+def test_check_witness_values_run_together_from_degree_10(capsys):
+    # pi is space-separated from degree 10 up; the witness values 3, 10, 2 are not
+    argv = ("check", "--n", "10", "--u", "3", "1,3,10,2,4,5,6,7,8,9")
+    assert run_cli(capsys, *argv) == (
+        1, "non-minimal: contains 3102 (3ki) at positions 2,3,4\n", ""
+    )
+    witness = {"j": 3, "positions": [2, 3, 4], "side": "up", "values": "3102"}
+    payload = {"minimal": False, "pi": "1 3 10 2 4 5 6 7 8 9", "witness": witness}
+    assert run_cli(capsys, *argv, "--output", "json") == (1, json.dumps(payload) + "\n", "")
+
+
 def test_count_table_json(capsys):
     rows = [
         (24, [], []), (18, [2], []), (14, [2, 3], []), (18, [3], []), (18, [], [2]),
@@ -367,6 +378,8 @@ def test_network_json(capsys):
         (("automaton", "--kind", "U", "--j", "0", "--n", "4"), "--j must lie in 1..4"),
         (("sort", "--n", "4", "--priority", "1,1,2", "1234"), "not an ordering of 1..3: (1, 1, 2)"),
         (("check", "--n", "4", "--u", "2,x", "1234"), "cannot parse set from '2,x'"),
+        (("sort", "--n", "3", "--priority", "2,x", "321"), "cannot parse priority from '2,x'"),
+        (("tree", "--n", "3", "--priority", "2,x"), "cannot parse priority from '2,x'"),
     ],
 )
 def test_malformed_values_are_usage_errors(capsys, argv, reason):

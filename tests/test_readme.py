@@ -27,8 +27,17 @@ def test_library_quick_start_prints_the_values_its_comments_state():
 def test_command_line_examples_exit_as_stated(capsys):
     lines = [line for block in fenced("") for line in block.splitlines()]
     examples = [line.split("#")[0].split()[1:] for line in lines if line.startswith("permutree ")]
-    # sort (done), sort (stuck), check (non-minimal), count
-    codes = [main(argv) for argv in examples[:4]]
-    assert [argv[0] for argv in examples[:4]] == ["sort", "sort", "check", "count"]
-    assert codes == [0, 1, 1, 0]
-    assert capsys.readouterr().out.splitlines()[-1] == "14"
+    assert [argv[0] for argv in examples] == [
+        "sort", "sort", "check", "count", "count",
+        "automaton", "automaton", "tree", "network", "verify", "verify",
+    ]
+    codes, outs = [], []
+    for argv in examples:
+        codes.append(main(argv))
+        outs.append(capsys.readouterr().out)
+    # stuck sort, non-minimal check and verify --suite all (csorting's
+    # refutation) exit 1; every other example exits 0
+    assert codes == [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1]
+    assert "contains 423 " in outs[2]
+    assert outs[3] == "14\n"
+    assert len(outs[4].splitlines()) == 9
