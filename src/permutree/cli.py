@@ -5,10 +5,13 @@ Exit codes are a contract: 0 success, 1 mathematical failure (a sort that
 gets stuck, a non-minimal permutation, a verification counterexample),
 2 usage error, 141 (128 + SIGPIPE) when stdout is closed before the output
 is written, as `| head` does.  All output is deterministic for fixed flags.
+main(argv) may be called repeatedly in one process and reuses one parser,
+built on the first call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -73,13 +76,16 @@ class UsageError(Exception):
     pass
 
 
-def _parse_set(text: str | None) -> frozenset[int]:
-    if text is None or not text.strip():
-        return frozenset()
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma- or space-separated integers of text; "" gives ()."""
     try:
-        return frozenset(int(p) for p in text.replace(",", " ").split())
+        return tuple(int(p) for p in text.replace(",", " ").split())
     except ValueError as exc:
-        raise UsageError(f"cannot parse set from {text!r}") from exc
+        raise UsageError(f"cannot parse {what} from {text!r}") from exc
+
+
+def _parse_set(text: str | None) -> frozenset[int]:
+    return frozenset(_parse_ints(text or "", "set"))
 
 
 def _parse_orientation(args, n: int, disjoint: bool = False) -> Orientation:
@@ -118,11 +124,7 @@ def _parse_priority(text: str | None, n: int) -> PriorityOrder:
     if text is None or not text.strip():
         return PriorityOrder.natural(n)
     try:
-        letters = tuple(int(p) for p in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise UsageError(f"cannot parse priority from {text!r}") from exc
-    try:
-        priority = PriorityOrder(letters)
+        priority = PriorityOrder(_parse_ints(text, "priority"))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if priority.n != n:
@@ -256,10 +258,13 @@ def cmd_network(args) -> int:
     kind = Kind.UP if u else Kind.DOWN
     j = next(iter(u or d))
     _require_at_most(args.n, MAX_NETWORK_N, "network")
-    try:
-        extension = Word.from_text(args.extend, args.n) if args.extend is not None else None
-    except ValueError as exc:
-        raise UsageError(f"cannot parse --extend {args.extend!r}: {exc}") from exc
+    extension = None
+    if args.extend is not None:
+        letters = _parse_ints(args.extend, "--extend")
+        try:
+            extension = Word(letters, args.n)
+        except ValueError as exc:
+            raise UsageError(f"cannot parse --extend {args.extend!r}: {exc}") from exc
     template = network_candidate(kind, j, args.n, extension)
     counterexample = check_sorting_network(template, orientation)
     verdict = "valid" if counterexample is None else f"refuted by {counterexample}"
@@ -301,6 +306,9 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else MATH_FAILURE
 
 
+# one parser per process: the cmd_* handlers and --suite's choices are bound
+# when main first builds it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permutree",

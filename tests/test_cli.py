@@ -1,9 +1,15 @@
+import argparse
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from permutree import verify
+import permutree
+from permutree import cli, verify
 from permutree.cli import MAX_COUNT_ALL_N, MAX_COUNT_N, MAX_TREE_NODES, main
 
 
@@ -244,7 +250,6 @@ def test_tree_json_refuses_the_dot_flags(capsys, flag):
     "extend, reason",
     [
         ("9", "letter 9 out of range 1..3"),
-        ("x", "invalid literal for int() with base 10: 'x'"),
     ],
 )
 def test_network_bad_extension_is_usage_error(capsys, extend, reason):
@@ -380,6 +385,7 @@ def test_network_json(capsys):
         (("check", "--n", "4", "--u", "2,x", "1234"), "cannot parse set from '2,x'"),
         (("sort", "--n", "3", "--priority", "2,x", "321"), "cannot parse priority from '2,x'"),
         (("tree", "--n", "3", "--priority", "2,x"), "cannot parse priority from '2,x'"),
+        (("network", "--n", "4", "--u", "2", "--extend", "2,x"), "cannot parse --extend from '2,x'"),
     ],
 )
 def test_malformed_values_are_usage_errors(capsys, argv, reason):
@@ -396,22 +402,20 @@ def test_verify_prints_each_violation_indented(capsys):
     )
 
 
-def test_module_entry_point():
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    import permutree
-
-    # the child imports the package these tests import, installed or not
+def child_env() -> dict:
+    """The environment for a child interpreter that imports the package these
+    tests import, installed or not."""
     src = str(pathlib.Path(permutree.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "permutree", "count", "--n", "3", "--u", "2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5"
@@ -427,23 +431,86 @@ def test_module_entry_point():
     ],
 )
 def test_closed_stdout_exits_141_without_traceback(argv):
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    import permutree
-
-    src = str(pathlib.Path(permutree.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "permutree", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     proc.stdout.close()  # the reader is gone before the child writes, as with `| head`
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def run_or_exit(capsys, argv):
+    """(code, out, err) of main(argv); an argparse exit gives ("exit", code)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# neighbours that differ only in a flag or a default, so that a value left
+# behind by one call would change the output of the next
+REPEATED = [
+    ("tree", "--n", "4", "--u", "2", "--overlay"),
+    ("tree", "--n", "4", "--u", "2"),
+    ("sort", "--n", "4", "--u", "3", "--d", "2", "--output", "json", "3214"),
+    ("sort", "--n", "4", "--u", "3", "--d", "2", "3214"),
+    ("sort", "--n", "0", "1"),
+    ("count", "--u", "2"),
+    ("verify", "--suite", "tables"),
+]
+
+
+def test_repeated_calls_in_one_process_are_independent(capsys):
+    first = [run_or_exit(capsys, argv) for argv in REPEATED]
+    again = [run_or_exit(capsys, argv) for argv in reversed(REPEATED)]
+    assert again[::-1] == first
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, ("exit", 2), 0]
+    assert first[0][1] != first[1][1] and first[2][1] != first[3][1]
+    assert first[4][2] == "error: --n must be at least 1, got 0\n"
+    assert "the following arguments are required: --n" in first[5][2]
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "count", "--n", "3", "--u", "2") == (0, "5\n", "")
+    assert run_cli(capsys, "count", "--n", "2") == (0, "u={} d={} count=2\n", "")
+    assert len(built) == 8  # the parser and its 7 subparsers, once
+
+    # importing the module builds nothing
+    proc = subprocess.run(
+        [sys.executable, "-c", "import permutree.cli as c; print(c.build_parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
+@pytest.mark.parametrize(
+    "command", [(), ("sort",), ("check",), ("count",), ("automaton",), ("tree",), ("network",), ("verify",)]
+)
+def test_the_cached_parser_helps_as_a_fresh_one(capsys, command):
+    helps = []
+    for parser in (cli.build_parser(), cli.build_parser.__wrapped__(), cli.build_parser()):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args([*command, "--help"])
+        assert excinfo.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0].startswith(" ".join(["usage: permutree", *command]))
+    assert helps[0] == helps[1] == helps[2]
