@@ -36,14 +36,15 @@ BROKEN_PIPE = 141
 # n multiplies its work by n or more; an automaton's table has about 3n^2
 # entries; a product is drawn state by state, each drawn state named once,
 # at a cost of one product step per (state, letter).  A sort takes at most
-# one step per inversion (about n^2/4 for a random permutation), each O(n)
-# but in C: the pick is a min over the descent set less the blocked letters,
-# and a rendered row joins the n value strings of pi's one-line text.
+# one step per inversion (about n^2/4 for a random permutation): the pick
+# reads the lowest bit of the descent mask less the blocked letters, a row
+# that moves u or d copies the moved set in O(n), in C, and a rendered row
+# joins the n value strings of pi's one-line text.
 # Its JSON has about n^3 characters and its text table about n^4 (450 MB at
 # n = 200, 1.1 GB at n = 250), built by one join with a peak of about its
-# size.  In-process on 2 cores, sort --n 400 --output json takes 0.5 s, 0.3 s
-# of it writing the JSON, and --n 200 --output text 0.3 s, nearly all of it
-# building the table, with a 440 MB peak RSS (0.6 s and 830 MB printed to a
+# size.  In-process on 2 cores, sort --n 400 --output json takes 0.6 s, 0.5 s
+# of it writing the JSON, and --n 200 --output text 0.4 s, nearly all of it
+# building the table, with a 480 MB peak RSS (0.9 s and 890 MB printed to a
 # file, which encodes the whole table at once).  count runs an O(n^2) DP
 # over the number of live insertion slots, whose cost is the big-integer
 # additions; over 3^(n-2) orientations for the table.  tree builds and

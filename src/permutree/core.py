@@ -280,39 +280,42 @@ class Residual:
     """A permutation kept for left multiplication, one descent at a time.
 
     entries is its one-line notation, pos[v] the index of the value v in
-    entries, and descents its set of left descents: l is one iff
-    pos[l+1] < pos[l].  Taking a descent l (pi becomes s_l * pi) swaps the
-    values l and l+1, which changes only the descents l-1, l and l+1.  The
-    sorts and the greedy extraction take their letters through it; a sort
-    trace replays them through it and swaps its row text at pos[l], pos[l+1].
+    entries, and descents an int whose bit r says that order[r] (1, 2, ...,
+    n-1 by default) is a left descent: l is one iff pos[l+1] < pos[l].
+    bit[l] is the bit of l, and 0 for l = 0 and l = n.  Taking a descent l
+    (pi becomes s_l * pi) swaps the values l and l+1, which clears l and
+    can only add l-1 and l+1.  The sorts and the greedy extraction take
+    their letters through it; a sort trace replays them through it and
+    swaps its row text at pos[l], pos[l+1].
     """
 
-    __slots__ = ("entries", "pos", "descents")
+    __slots__ = ("entries", "pos", "bit", "descents")
 
-    def __init__(self, pi: Permutation):
+    def __init__(self, pi: Permutation, order: Iterable[int] | None = None):
+        n = pi.n
         self.entries = list(pi.entries)
-        self.pos = pos = [0] * (pi.n + 1)
+        self.pos = pos = [0] * (n + 1)
         for at, value in enumerate(self.entries):
             pos[value] = at
-        self.descents = {l for l in range(1, pi.n) if pos[l + 1] < pos[l]}
+        self.bit = bit = [0] * (n + 1)
+        for rank, letter in enumerate(range(1, n) if order is None else order):
+            bit[letter] = 1 << rank
+        self.descents = sum(bit[l] for l in range(1, n) if pos[l + 1] < pos[l])
 
     def take(self, letter: int) -> None:
         """Left-multiply by s_letter, for a letter in descents."""
-        entries, pos, descents = self.entries, self.pos, self.descents
+        entries, pos, bit = self.entries, self.pos, self.bit
         i, j = pos[letter], pos[letter + 1]
         entries[i], entries[j] = letter + 1, letter
         pos[letter], pos[letter + 1] = j, i
-        descents.discard(letter)
-        if letter > 1:
-            if pos[letter] < pos[letter - 1]:
-                descents.add(letter - 1)
-            else:
-                descents.discard(letter - 1)
-        if letter + 2 < len(pos):
-            if pos[letter + 2] < pos[letter + 1]:
-                descents.add(letter + 1)
-            else:
-                descents.discard(letter + 1)
+        # letter moved earlier and letter + 1 later: letter - 1 and letter + 1
+        # can become descents, and neither stops being one
+        descents = self.descents ^ bit[letter]
+        if letter > 1 and j < pos[letter - 1]:
+            descents |= bit[letter - 1]
+        if letter + 2 < len(pos) and pos[letter + 2] < i:
+            descents |= bit[letter + 1]
+        self.descents = descents
 
     def fixes_prefix(self, k: int) -> bool:
         """pi([k]) == [k] setwise; vacuously true for k <= 0 and k >= n."""
@@ -337,7 +340,7 @@ def walk_reduced_words(
     stepping to s_l * p swaps pos[l] and pos[l+1], undone on the way back.
     So pos always holds the node on top of the stack, and each node's
     descents are read lazily from it, only as far as the walk tries them.
-    A Residual would update every node's descent set at each step instead,
+    A Residual would update every node's descent mask at each step instead,
     which costs more.  A node is the identity iff its depth is the length of
     pi.  Below a node the walk depends only on (its position tuple, its
     state), which is in bijection with (its entries, its state), so a pair

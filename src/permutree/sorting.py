@@ -64,8 +64,10 @@ class PriorityOrder:
     def key(self, letter: int) -> int:
         return self.rank[letter]
 
-    def pick(self, candidates) -> int | None:
-        return min(candidates, key=self.rank.__getitem__, default=None)
+    def pick(self, mask: int) -> int | None:
+        """The most preferred letter of a mask whose bit r stands for order[r]
+        (a Residual's descents in this order), or None for 0."""
+        return self.order[(mask & -mask).bit_length() - 1] if mask else None
 
     @classmethod
     @functools.lru_cache(maxsize=16)
@@ -164,6 +166,7 @@ class SortTrace:
         # the end of its prefix; formatting every cell from its letters would
         # take time quadratic in the row count.
         word = ".".join(f"s{letter}" for letter in self.word)
+        set_cell = functools.cache(lambda values: "{" + ",".join(map(str, sorted(values))) + "}")
         rows = []
         end = 0
         for _, text, (u, d, letter, checks, _, applied) in self._rows():
@@ -171,7 +174,7 @@ class SortTrace:
                 cells = [text, "", str(next(iter(u | d))), str(letter)]
             else:
                 checks_cell = ", ".join(str(k) if ok else f"x{k}" for k, ok in checks) or "."
-                cells = [text, "", _set_cell(u), _set_cell(d), str(letter), checks_cell]
+                cells = [text, "", set_cell(u), set_cell(d), str(letter), checks_cell]
             rows.append((cells, end))
             if applied:
                 end += len(f"s{letter}") + (end > 0)  # a "." before all but the first
@@ -222,19 +225,16 @@ class SortTrace:
         )
 
 
-def _set_cell(values: frozenset[int]) -> str:
-    return "{" + ",".join(str(v) for v in sorted(values)) + "}"
-
-
 @functools.lru_cache(maxsize=1024)
 def _walk_row(kind: Kind, j: int, n: int, code: int):
     """A single-automaton sort's row at a code: its sets (the code's column, as
-    u or d), its phase, and the letters that leave the code's status.  Cached,
+    u or d), its phase, and the letters that leave the code's status, as a
+    mask in a Residual's default bit order (letter l at bit l - 1).  Cached,
     since the 50,400 sorts over S_7 enter codes 161,784 times, 80 distinct."""
     delta = table(kind, j, n)
     column = frozenset({label(kind, j, code)[0]})
     sets = (column, frozenset()) if kind is Kind.UP else (frozenset(), column)
-    leaving = frozenset(l for l in range(1, n) if delta[l][code] % 3 != code % 3)
+    leaving = sum(1 << (l - 1) for l in range(1, n) if delta[l][code] % 3 != code % 3)
     return sets, "block" if code % 3 else "healthy", leaving
 
 
@@ -253,17 +253,17 @@ def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
     if not 2 <= j <= n - 1:
         raise ValueError(f"j must lie in 2..{n - 1}, got {j}")
     delta = table(kind, j, n)
+    natural = PriorityOrder.natural(n)
     decisions = []
     rest = Residual(pi)
-    descents = rest.descents
     code = initial_state(kind, j, n)
     sets, phase, leaving = _walk_row(kind, j, n, code)
     while True:
-        letter = min(descents - leaving, default=None)
+        letter = natural.pick(rest.descents & ~leaving)
         if letter is None:
-            if code % 3 or not descents:
+            if code % 3 or not rest.descents:
                 break
-            letter, phase = min(descents), "ill"
+            letter, phase = natural.pick(rest.descents), "ill"
         decisions.append((*sets, letter, (), phase, True))
         rest.take(letter)
         if delta[letter][code] != code:
@@ -279,30 +279,40 @@ def permutree_sort(
 
     At each step, prefer a swap that keeps every component automaton healthy.
     The test for l, l+1 not in u and l not in d, restates the column rule of
-    automata.table in (u, d) form at O(1) per row: l makes the UP column l+1
-    and the DOWN column l ill.  Otherwise take a swap whose endangered
-    components provably accept everything, witnessed by the prefix checks
+    automata.table in (u, d) form: l makes the UP column l+1 and the DOWN
+    column l ill.  Otherwise take a swap whose endangered components
+    provably accept everything, witnessed by the prefix checks
     pi([l+1]) = [l+1] for l+1 in u and pi([l-1]) = [l-1] for l in d,
     dropping those components.  If neither exists the sort is stuck.
     The moved sets may transiently contain n or 1; those components accept
     every word.
+
+    The residual's descents and the blocked letters are masks in the
+    priority's bit order, so a row's letter is one priority.pick of the
+    descents less the blocked ones, and the ill phase tries the descents
+    one pick at a time.  Taking l moves u and d only at l and l + 1, which
+    changes only the blocked letters l - 1, l and l + 1.
     """
     orientation.require_disjoint()
     n = pi.n
     if priority is None:
         priority = PriorityOrder.natural(n)
-    u, d = orientation.u, orientation.d
-    blocked = {j - 1 for j in u} | d  # the letters l with l+1 in u or l in d
+    rest = Residual(pi, priority.order)
+    bit = rest.bit
+    u, d = set(orientation.u), set(orientation.d)
+    frozen_u, frozen_d = orientation.u, orientation.d  # the decisions' snapshots
+    blocked = sum(bit[l] for l in range(1, n) if l + 1 in u or l in d)
     decisions = []
-    rest = Residual(pi)
-    descents = rest.descents
 
-    while descents:
-        letter = priority.pick(descents - blocked)
+    while rest.descents:
+        letter = priority.pick(rest.descents & ~blocked)
         phase, checks = "healthy", ()
         if letter is None:
             phase, attempts = "ill", []
-            for letter in sorted(descents, key=priority.key):
+            untried = rest.descents
+            while untried:
+                letter = priority.pick(untried)
+                untried ^= bit[letter]
                 checks = []  # by k: the d-check's l-1 before the u-check's l+1
                 if letter in d:
                     checks.append((letter - 1, rest.fixes_prefix(letter - 1)))
@@ -311,23 +321,37 @@ def permutree_sort(
                 checks = tuple(checks)
                 if all(ok for _, ok in checks):
                     break
-                attempts.append((u, d, letter, checks, phase, False))
+                attempts.append((frozen_u, frozen_d, letter, checks, phase, False))
             else:
                 decisions.extend(attempts)
                 break
-        decisions.append((u, d, letter, checks, phase, True))
+        decisions.append((frozen_u, frozen_d, letter, checks, phase, True))
         rest.take(letter)
-        sets = u, d
+        moved_u = moved_d = False
         if phase == "ill":  # drop the components the checks showed accept everything
-            u, d = u - {letter + 1}, d - {letter}
+            moved_u, moved_d = letter + 1 in u, letter in d
+            u.discard(letter + 1)
+            d.discard(letter)
         if letter in u:  # the sets move along the letter: l in u becomes l+1,
-            u = (u - {letter}) | {letter + 1}
+            u.remove(letter)
+            u.add(letter + 1)
+            moved_u = True
         if letter + 1 in d:  # and l+1 in d becomes l
-            d = (d - {letter + 1}) | {letter}
-        if sets != (u, d):
-            blocked = {j - 1 for j in u} | d
+            d.remove(letter + 1)
+            d.add(letter)
+            moved_d = True
+        if moved_u:
+            frozen_u = frozenset(u)
+        if moved_d:
+            frozen_d = frozenset(d)
+        if moved_u or moved_d:
+            for l in (letter - 1, letter, letter + 1):
+                if l + 1 in u or l in d:
+                    blocked |= bit[l]
+                else:
+                    blocked &= ~bit[l]
 
-    return SortTrace(pi, tuple(decisions), Permutation(tuple(rest.entries)), u, d)
+    return SortTrace(pi, tuple(decisions), Permutation(tuple(rest.entries)), frozen_u, frozen_d)
 
 
 def _greedy_extract(pi: Permutation, template: Word) -> tuple[list, Permutation]:
@@ -342,12 +366,12 @@ def _greedy_extract(pi: Permutation, template: Word) -> tuple[list, Permutation]
     if template.n != pi.n:
         raise ValueError("template degree does not match permutation")
     rest = Residual(pi)
-    descents = rest.descents
+    bit = rest.bit
     passes: list[tuple[int, ...]] = []
-    while descents:
+    while rest.descents:
         taken = []
         for letter in template.letters:
-            if letter in descents:
+            if rest.descents & bit[letter]:
                 taken.append(letter)
                 rest.take(letter)
         if not taken:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -454,14 +455,28 @@ def assert_fixes_prefix_by_definition(rest):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_residual_sorts_every_permutation_one_descent_at_a_time(n):
     # each take keeps entries, pos and descents equal to those of a Residual
-    # built afresh from the new entries, and shortens the permutation by one
-    for pi in all_permutations(n):
-        rest = Residual(pi)
-        assert rest.descents == set(left_inversions(pi))
-        assert_fixes_prefix_by_definition(rest)
-        for _ in range(pi.length()):
-            rest.take(min(rest.descents))
-            fresh = Residual(Permutation(tuple(rest.entries)))
-            assert (rest.entries, rest.pos, rest.descents) == (fresh.entries, fresh.pos, fresh.descents)
+    # built afresh from the new entries, keeps descents the mask with bit r
+    # set iff the r-th letter of the order is a left inversion, and shortens
+    # the permutation by one; under the ascending order and a shuffled one
+    shuffled = list(range(1, n))
+    random.Random(20261020 + n).shuffle(shuffled)
+    for order in (None, tuple(shuffled)):
+        ranked = list(range(1, n)) if order is None else order
+
+        def rank_bits(p):
+            inversions = set(left_inversions(p))
+            return sum(1 << r for r, letter in enumerate(ranked) if letter in inversions)
+
+        for pi in all_permutations(n):
+            rest = Residual(pi, order)
+            assert rest.descents == rank_bits(pi)
             assert_fixes_prefix_by_definition(rest)
-        assert rest.entries == list(range(1, n + 1)) and not rest.descents, pi
+            for _ in range(pi.length()):
+                lowest = rest.descents & -rest.descents
+                rest.take(ranked[lowest.bit_length() - 1])
+                now = Permutation(tuple(rest.entries))
+                fresh = Residual(now, order)
+                assert (rest.entries, rest.pos, rest.descents) == (fresh.entries, fresh.pos, fresh.descents)
+                assert rest.descents == rank_bits(now), (pi, order)
+                assert_fixes_prefix_by_definition(rest)
+            assert rest.entries == list(range(1, n + 1)) and not rest.descents, pi
