@@ -38,13 +38,13 @@ BROKEN_PIPE = 141
 # at a cost of one product step per (state, letter).  A sort takes at most
 # one step per inversion (about n^2/4 for a random permutation): the pick
 # reads the lowest bit of the descent mask less the blocked letters, a row
-# that moves u or d copies the moved set in O(n), in C, and a rendered row
-# joins the n value strings of pi's one-line text.
+# keeps u and d as two ints, and a rendered row joins pi's n value strings.
 # Its JSON has about n^3 characters and its text table about n^4 (450 MB at
 # n = 200, 1.1 GB at n = 250), built by one join with a peak of about its
-# size.  In-process on 2 cores, sort --n 400 --output json takes 0.6 s, 0.5 s
-# of it writing the JSON, and --n 200 --output text 0.4 s, nearly all of it
-# building the table, with a 480 MB peak RSS (0.9 s and 890 MB printed to a
+# size.  In-process on 2 cores, sort --n 400 --output json takes 0.35 s on a
+# random pi, and 0.8 s at a 240 MB peak RSS on a minimal pi of the
+# alternating partition (17,726 rows, sorted in 0.05 s into a 4.4 MB trace);
+# --n 200 --output text 0.3 s at 460 MB (0.9 s and 890 MB printed to a
 # file, which encodes the whole table at once).  count runs an O(n^2) DP
 # over the number of live insertion slots, whose cost is the big-integer
 # additions; over 3^(n-2) orientations for the table.  tree builds and

@@ -47,7 +47,7 @@ class Permutation:
             entries = tuple(entries)
             object.__setattr__(self, "entries", entries)
         n = len(entries)
-        if n < 1 or sorted(entries) != list(range(1, n + 1)):
+        if n < 1 or tuple(sorted(entries)) != _identity(n):
             raise ValueError(f"not a permutation of 1..{n}: {entries!r}")
 
     @property
@@ -59,7 +59,7 @@ class Permutation:
         return self.entries[position - 1]
 
     def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.entries, start=1))
+        return self.entries == _identity(len(self.entries))
 
     def length(self) -> int:
         """Number of inversions, i.e. the Coxeter length.
@@ -109,9 +109,10 @@ class Word:
         object.__setattr__(self, "letters", letters)
         if self.n < 1:
             raise ValueError("degree must be at least 1")
+        last = self.n - 1
         for letter in letters:
-            if not 1 <= letter <= self.n - 1:
-                raise ValueError(f"letter {letter} out of range 1..{self.n - 1}")
+            if not 1 <= letter <= last:
+                raise ValueError(f"letter {letter} out of range 1..{last}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -122,15 +123,6 @@ class Word:
     def __str__(self) -> str:
         return ",".join(str(letter) for letter in self.letters)
 
-    @classmethod
-    def from_text(cls, text: str, n: int) -> Word:
-        """Parse "2,1,3,2,3" (or space-separated); the empty string is the empty word."""
-        text = text.strip()
-        if not text:
-            return cls((), n)
-        parts = text.replace(",", " ").split()
-        return cls(tuple(int(p) for p in parts), n)
-
 
 @dataclass(frozen=True)
 class Orientation:
@@ -139,13 +131,15 @@ class Orientation:
     The two sets may intersect; operations that need disjointness check it
     themselves.  The boundary automata at j = n and j = 1 are never part of
     an orientation.  components lists its automata as (kind, j): u ascending
-    as UP, then d ascending as DOWN, a shared parameter once per side.
+    as UP, then d ascending as DOWN, a shared parameter once per side; masks
+    holds u and d as ints with bit v set for the value v.
     """
 
     u: frozenset[int]
     d: frozenset[int]
     n: int
     components: tuple[tuple[Kind, int], ...] = field(init=False, compare=False, repr=False)
+    masks: tuple[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         u = frozenset(self.u)
@@ -159,6 +153,7 @@ class Orientation:
                 raise ValueError(f"{name} must be a subset of {shown}, got {sorted(values)}")
         parts = [(Kind.UP, j) for j in sorted(u)] + [(Kind.DOWN, j) for j in sorted(d)]
         object.__setattr__(self, "components", tuple(parts))
+        object.__setattr__(self, "masks", (sum(1 << v for v in u), sum(1 << v for v in d)))
 
     @property
     def is_disjoint(self) -> bool:
@@ -167,6 +162,11 @@ class Orientation:
     def require_disjoint(self) -> None:
         if not self.is_disjoint:
             raise ValueError(f"u and d must be disjoint, both contain {sorted(self.u & self.d)}")
+
+
+@lru_cache(maxsize=16)
+def _identity(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n + 1))
 
 
 @lru_cache(maxsize=16)
@@ -282,7 +282,8 @@ class Residual:
     entries is its one-line notation, pos[v] the index of the value v in
     entries, and descents an int whose bit r says that order[r] (1, 2, ...,
     n-1 by default) is a left descent: l is one iff pos[l+1] < pos[l].
-    bit[l] is the bit of l, and 0 for l = 0 and l = n.  Taking a descent l
+    bit[l] is the bit of l, and 0 for l = 0 and l = n, in a tuple shared by
+    every Residual of one degree and order.  Taking a descent l
     (pi becomes s_l * pi) swaps the values l and l+1, which clears l and
     can only add l-1 and l+1.  The sorts and the greedy extraction take
     their letters through it; a sort trace replays them through it and
@@ -291,15 +292,13 @@ class Residual:
 
     __slots__ = ("entries", "pos", "bit", "descents")
 
-    def __init__(self, pi: Permutation, order: Iterable[int] | None = None):
+    def __init__(self, pi: Permutation, order: tuple[int, ...] | None = None):
         n = pi.n
         self.entries = list(pi.entries)
         self.pos = pos = [0] * (n + 1)
         for at, value in enumerate(self.entries):
             pos[value] = at
-        self.bit = bit = [0] * (n + 1)
-        for rank, letter in enumerate(range(1, n) if order is None else order):
-            bit[letter] = 1 << rank
+        self.bit = bit = _letter_bits(n, order)
         self.descents = sum(bit[l] for l in range(1, n) if pos[l + 1] < pos[l])
 
     def take(self, letter: int) -> None:
@@ -320,6 +319,15 @@ class Residual:
     def fixes_prefix(self, k: int) -> bool:
         """pi([k]) == [k] setwise; vacuously true for k <= 0 and k >= n."""
         return k <= 0 or k >= len(self.entries) or max(self.entries[:k]) == k
+
+
+@lru_cache(maxsize=16)
+def _letter_bits(n: int, order: tuple[int, ...] | None) -> tuple[int, ...]:
+    """Residual.bit: 1 << r at the r-th letter of the order, 0 at 0 and n."""
+    bit = [0] * (n + 1)
+    for rank, letter in enumerate(range(1, n) if order is None else order):
+        bit[letter] = 1 << rank
+    return tuple(bit)
 
 
 def walk_reduced_words(

@@ -24,6 +24,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import (
     Kind,
@@ -100,22 +101,50 @@ class TraceStep:
     applied: bool = True
 
 
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> bytes:
+    """The mask's bits from bit 0 up, a byte 0 or 1 each, for itertools.compress."""
+    return format(mask, "b")[::-1].encode().translate(_ZERO_ONE)
+
+
+def _values(mask: int) -> frozenset[int]:
+    """The set of the values v whose bit v the mask sets."""
+    return frozenset(itertools.compress(itertools.count(), _bits(mask)))
+
+
+def _set_writer(n: int, opening: str, separator: str, closing: str) -> Callable[[int], str]:
+    """Writes a mask of values in 0..n as sorted(values), once per distinct mask."""
+    tokens = [str(v) for v in range(n + 1)]
+    join = separator.join
+    return functools.cache(lambda mask: opening + join(itertools.compress(tokens, _bits(mask))) + closing)
+
+
 @dataclass(frozen=True)
 class SortTrace:
     """A sort's decisions: one (u, d, letter, checks, phase, applied) tuple
-    per row, a TraceStep without its pi.  A row's permutation is start after
-    the applied letters of the rows before it, which _rows() replays."""
+    per row, a TraceStep without its pi, with u and d as masks (bit v set for
+    the value v).  A row's permutation is start after the applied letters of
+    the rows before it, which _rows() replays."""
 
     start: Permutation
     decisions: tuple[tuple, ...]
     result: Permutation
-    final_u: frozenset[int]
-    final_d: frozenset[int]
+    final_masks: tuple[int, int]  # u and d after the last row
     kind: Kind | None = None  # None for the (u, d) algorithm
 
     @property
     def success(self) -> bool:
         return self.result.is_identity()
+
+    @property
+    def final_u(self) -> frozenset[int]:
+        return _values(self.final_masks[0])
+
+    @property
+    def final_d(self) -> frozenset[int]:
+        return _values(self.final_masks[1])
 
     @property
     def word(self) -> Word:
@@ -124,7 +153,10 @@ class SortTrace:
     @property
     def steps(self) -> tuple[TraceStep, ...]:
         """The rows as TraceSteps, each with its own Permutation, built at every read."""
-        return tuple(TraceStep(Permutation(tuple(entries)), *row) for entries, _, row in self._rows())
+        return tuple(
+            TraceStep(Permutation(tuple(entries)), _values(u), _values(d), *row)
+            for entries, _, (u, d, *row) in self._rows()
+        )
 
     def _rows(self):
         """Each decision with the residual's entries and pi's one-line text
@@ -166,12 +198,12 @@ class SortTrace:
         # the end of its prefix; formatting every cell from its letters would
         # take time quadratic in the row count.
         word = ".".join(f"s{letter}" for letter in self.word)
-        set_cell = functools.cache(lambda values: "{" + ",".join(map(str, sorted(values))) + "}")
+        set_cell = _set_writer(self.start.n, "{", ",", "}")
         rows = []
         end = 0
         for _, text, (u, d, letter, checks, _, applied) in self._rows():
             if single:  # the one value of u or d is the automaton's parameter
-                cells = [text, "", str(next(iter(u | d))), str(letter)]
+                cells = [text, "", str((u | d).bit_length() - 1), str(letter)]
             else:
                 checks_cell = ", ".join(str(k) if ok else f"x{k}" for k, ok in checks) or "."
                 cells = [text, "", set_cell(u), set_cell(d), str(letter), checks_cell]
@@ -211,7 +243,7 @@ class SortTrace:
         with json's default separators.  Each step is written as one string
         whose u and d lists are made once per distinct set.
         """
-        listed = functools.cache(lambda values: json.dumps(sorted(values)))
+        listed = _set_writer(self.start.n, "[", ", ", "]")  # as json.dumps(sorted(values))
         checked = functools.cache(json.dumps)  # a checks tuple of (k, ok) pairs
         steps = ", ".join(
             f'{{"applied": {"true" if applied else "false"}, "checks": {checked(checks)}, '
@@ -227,13 +259,13 @@ class SortTrace:
 
 @functools.lru_cache(maxsize=1024)
 def _walk_row(kind: Kind, j: int, n: int, code: int):
-    """A single-automaton sort's row at a code: its sets (the code's column, as
-    u or d), its phase, and the letters that leave the code's status, as a
+    """A single-automaton sort's row at a code: its set masks (the code's column,
+    as u or d), its phase, and the letters that leave the code's status, as a
     mask in a Residual's default bit order (letter l at bit l - 1).  Cached,
     since the 50,400 sorts over S_7 enter codes 161,784 times, 80 distinct."""
     delta = table(kind, j, n)
-    column = frozenset({label(kind, j, code)[0]})
-    sets = (column, frozenset()) if kind is Kind.UP else (frozenset(), column)
+    column = 1 << label(kind, j, code)[0]
+    sets = (column, 0) if kind is Kind.UP else (0, column)
     leaving = sum(1 << (l - 1) for l in range(1, n) if delta[l][code] % 3 != code % 3)
     return sets, "block" if code % 3 else "healthy", leaving
 
@@ -269,7 +301,7 @@ def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
         if delta[letter][code] != code:
             code = delta[letter][code]
             sets, phase, leaving = _walk_row(kind, j, n, code)
-    return SortTrace(pi, tuple(decisions), Permutation(tuple(rest.entries)), *sets, kind)
+    return SortTrace(pi, tuple(decisions), Permutation(tuple(rest.entries)), sets, kind)
 
 
 def permutree_sort(
@@ -287,11 +319,12 @@ def permutree_sort(
     The moved sets may transiently contain n or 1; those components accept
     every word.
 
-    The residual's descents and the blocked letters are masks in the
-    priority's bit order, so a row's letter is one priority.pick of the
-    descents less the blocked ones, and the ill phase tries the descents
-    one pick at a time.  Taking l moves u and d only at l and l + 1, which
-    changes only the blocked letters l - 1, l and l + 1.
+    u and d are masks with bit v for the value v, as rows record them; the
+    residual's descents and the blocked letters are masks in the priority's
+    bit order, so a row's letter is one priority.pick of the descents less
+    the blocked ones, and the ill phase tries the descents one pick at a
+    time.  Taking l moves u and d only at l and l + 1, which changes only
+    the blocked letters l - 1, l and l + 1.
     """
     orientation.require_disjoint()
     n = pi.n
@@ -299,9 +332,8 @@ def permutree_sort(
         priority = PriorityOrder.natural(n)
     rest = Residual(pi, priority.order)
     bit = rest.bit
-    u, d = set(orientation.u), set(orientation.d)
-    frozen_u, frozen_d = orientation.u, orientation.d  # the decisions' snapshots
-    blocked = sum(bit[l] for l in range(1, n) if l + 1 in u or l in d)
+    u, d = orientation.masks
+    blocked = sum(itertools.compress(bit, _bits(u >> 1 | d)))  # l with l + 1 in u or l in d
     decisions = []
 
     while rest.descents:
@@ -313,45 +345,37 @@ def permutree_sort(
             while untried:
                 letter = priority.pick(untried)
                 untried ^= bit[letter]
-                checks = []  # by k: the d-check's l-1 before the u-check's l+1
-                if letter in d:
-                    checks.append((letter - 1, rest.fixes_prefix(letter - 1)))
-                if letter + 1 in u:
-                    checks.append((letter + 1, rest.fixes_prefix(letter + 1)))
-                checks = tuple(checks)
-                if all(ok for _, ok in checks):
+                # every descent is blocked, so one or two checks, by k: the
+                # d-check's l-1 before the u-check's l+1
+                checks = ((letter - 1, rest.fixes_prefix(letter - 1)),) if d >> letter & 1 else ()
+                if u >> letter & 2:
+                    checks += ((letter + 1, rest.fixes_prefix(letter + 1)),)
+                if checks[0][1] and checks[-1][1]:
                     break
-                attempts.append((frozen_u, frozen_d, letter, checks, phase, False))
+                attempts.append((u, d, letter, checks, phase, False))
             else:
                 decisions.extend(attempts)
                 break
-        decisions.append((frozen_u, frozen_d, letter, checks, phase, True))
+        decisions.append((u, d, letter, checks, phase, True))
         rest.take(letter)
-        moved_u = moved_d = False
-        if phase == "ill":  # drop the components the checks showed accept everything
-            moved_u, moved_d = letter + 1 in u, letter in d
-            u.discard(letter + 1)
-            d.discard(letter)
-        if letter in u:  # the sets move along the letter: l in u becomes l+1,
-            u.remove(letter)
-            u.add(letter + 1)
-            moved_u = True
-        if letter + 1 in d:  # and l+1 in d becomes l
-            d.remove(letter + 1)
-            d.add(letter)
-            moved_d = True
-        if moved_u:
-            frozen_u = frozenset(u)
-        if moved_d:
-            frozen_d = frozenset(d)
-        if moved_u or moved_d:
-            for l in (letter - 1, letter, letter + 1):
-                if l + 1 in u or l in d:
-                    blocked |= bit[l]
-                else:
-                    blocked &= ~bit[l]
+        # l in u moves to l+1 and l+1 in d to l, onto values absent on a
+        # healthy row and dropped on an ill one (its checks passed): bits
+        # (l, l+1) of u become (0, bit l), and of d (bit l+1, 0), by one xor
+        up, down = u >> letter & 3, d >> letter & 3
+        if up:
+            u ^= (up ^ (up & 1) << 1) << letter
+        if down:
+            d ^= (down ^ down >> 1) << letter
+        if not (up or down):
+            continue
+        blocking = u >> 1 | d
+        for l in (letter - 1, letter, letter + 1):
+            if blocking >> l & 1:
+                blocked |= bit[l]
+            else:
+                blocked &= ~bit[l]
 
-    return SortTrace(pi, tuple(decisions), Permutation(tuple(rest.entries)), frozen_u, frozen_d)
+    return SortTrace(pi, tuple(decisions), Permutation(tuple(rest.entries)), (u, d))
 
 
 def _greedy_extract(pi: Permutation, template: Word) -> tuple[list, Permutation]:

@@ -95,6 +95,15 @@ def evaluate(word):
     return Permutation(tuple(entries))
 
 
+def word_from_text(text, n):
+    """Parse "2,1,3,2,3" (or space-separated); the empty string is the empty word."""
+    text = text.strip()
+    if not text:
+        return Word((), n)
+    parts = text.replace(",", " ").split()
+    return Word(tuple(int(p) for p in parts), n)
+
+
 def right_multiply(pi, letter):
     """pi * s_letter: swap the entries at positions letter and letter+1.  The
     library function that moved here once no package module called it."""

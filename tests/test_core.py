@@ -29,6 +29,7 @@ from oracles import (
     oracle_contains_pattern,
     right_multiply,
     slow,
+    word_from_text,
 )
 
 P = Permutation.from_text
@@ -341,8 +342,42 @@ def test_word_validation():
         Word((4,), 4)
     with pytest.raises(ValueError):
         Word((0,), 4)
-    assert Word.from_text("2,1,3", 4).letters == (2, 1, 3)
-    assert Word.from_text("", 4).letters == ()
+    assert word_from_text("2,1,3", 4).letters == (2, 1, 3)
+    assert word_from_text("", 4).letters == ()
+    with pytest.raises(ValueError, match=r"^letter 0 out of range 1\.\.3$"):
+        Word((2, 0, 9), 4)
+    with pytest.raises(ValueError, match=r"^letter 9 out of range 1\.\.3$"):
+        Word((2, 9, 0), 4)
+    # the first letter out of range is the one named, as a scan in order names it
+    for n in range(1, 5):
+        for length in range(4):
+            for letters in itertools.product(range(-1, n + 2), repeat=length):
+                bad = [letter for letter in letters if not 1 <= letter <= n - 1]
+                if not bad:
+                    assert Word(letters, n).letters == letters
+                    continue
+                with pytest.raises(ValueError) as excinfo:
+                    Word(letters, n)
+                assert str(excinfo.value) == f"letter {bad[0]} out of range 1..{n - 1}", letters
+
+
+def test_permutation_validation_matches_the_sorted_range_test():
+    # every tuple over {0..n+1}^n is refused exactly when its sorted entries
+    # are not 1..n, with the same message
+    for n in range(6):
+        for entries in itertools.product(range(n + 2), repeat=n):
+            if n < 1 or sorted(entries) != list(range(1, n + 1)):
+                with pytest.raises(ValueError) as excinfo:
+                    Permutation(entries)
+                assert str(excinfo.value) == f"not a permutation of 1..{n}: {entries!r}"
+            else:
+                assert Permutation(entries).entries == entries
+
+
+def test_is_identity_matches_the_fixed_point_test():
+    for n in range(1, 8):
+        for pi in all_permutations(n):
+            assert pi.is_identity() == all(v == i for i, v in enumerate(pi.entries, start=1)), pi
 
 
 def test_is_reduced():
@@ -480,3 +515,6 @@ def test_residual_sorts_every_permutation_one_descent_at_a_time(n):
                 assert rest.descents == rank_bits(now), (pi, order)
                 assert_fixes_prefix_by_definition(rest)
             assert rest.entries == list(range(1, n + 1)) and not rest.descents, pi
+        # every Residual of one degree and order shares one immutable bit table
+        first, last = Residual(identity(n), order), Residual(Permutation(tuple(range(n, 0, -1))), order)
+        assert type(first.bit) is tuple and first.bit is last.bit

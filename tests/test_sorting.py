@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import json
 import random
@@ -241,11 +242,12 @@ def test_single_sort_walks_its_automaton():
             def sets(column):
                 return ({column}, set()) if kind is Kind.UP else (set(), {column})
 
-            for (u, d, _, _, phase, _), before, after in zip(trace.decisions, states, states[1:]):
-                assert (u, d) == sets(before[0]), (pi, j, kind)
-                assert (before[1], after[1]) == PHASE_STATUSES[phase], (pi, j, kind)
+            steps = trace.steps
+            for step, before, after in zip(steps, states, states[1:]):
+                assert (step.u, step.d) == sets(before[0]), (pi, j, kind)
+                assert (before[1], after[1]) == PHASE_STATUSES[step.phase], (pi, j, kind)
             assert (trace.final_u, trace.final_d) == sets(states[-1][0]), (pi, j, kind)
-            rows += len(trace.decisions)
+            rows += len(steps)
     assert rows == 41_872
 
 
@@ -491,6 +493,46 @@ def test_rows_are_built_only_when_read(monkeypatch):
         assert built == {}, (pi, args)
         rows = len(trace.steps)
         assert rows and built == {"TraceStep": rows, "Permutation": rows}, (pi, args)
+
+
+# -- u and d as masks, bit v for the value v --------------------------------
+
+
+def oracle_set_cell(values):
+    return "{" + ",".join(map(str, sorted(values))) + "}"
+
+
+def mask_of(values):
+    return sum(1 << v for v in values)
+
+
+def test_masks_format_as_their_sorted_sets():
+    # the table's {..} cell and the JSON's list, against the sorted-set forms
+    # they replaced: every subset of 0..11, which holds the transient values
+    # 1 and n of n = 11, then seeded masks across the digit widths
+    def check(n, masks):
+        cell, listed = sorting._set_writer(n, "{", ",", "}"), sorting._set_writer(n, "[", ", ", "]")
+        for mask in masks:
+            values = sorting._values(mask)
+            assert mask_of(values) == mask
+            assert cell(mask) == oracle_set_cell(values), mask
+            assert listed(mask) == json.dumps(sorted(values)), mask
+
+    check(11, range(1 << 12))
+    rng = random.Random(20261020)
+    for n in (99, 100, 101, 400):
+        masks = [mask_of(rng.sample(range(1, n + 1), k)) for k in (1, 2, n // 3, n // 2, n - 2, n)]
+        check(n, [*masks, 1 << n, 1 << 1 | 1 << n, (1 << n + 1) - 2])
+
+
+def test_mask_and_set_round_trip():
+    for n in range(1, 7):
+        for values in itertools.chain.from_iterable(
+            itertools.combinations(range(1, n + 1), k) for k in range(n + 1)
+        ):
+            assert sorting._values(mask_of(values)) == frozenset(values)
+        for orientation in orientations(n, disjoint=False) if n > 1 else ():
+            assert orientation.masks == (mask_of(orientation.u), mask_of(orientation.d))
 
 
 # -- the trace table against the row-by-row rendering it replaced -----------
@@ -839,6 +881,36 @@ def minimal_by_insertion(orientation, rng):
     return Permutation(tuple(placed))
 
 
+def alternating_minimal(n, rng):
+    """The alternating partition, of a parity the rng draws, and a minimal pi."""
+    parity = rng.randrange(2)
+    up = {j for j in range(2, n) if j % 2 == parity}
+    orientation = Orientation(up, set(range(2, n)) - up, n)
+    return orientation, minimal_by_insertion(orientation, rng)
+
+
+def test_dense_trace_memory_per_row():
+    # Both sets move on nearly every row, and each row keeps u and d as two
+    # ints: a row's tuple and its new masks take about 200 bytes at n = 200,
+    # where frozensets took about 5 KB.  The first sort fills the
+    # per-degree caches, and a full collection empties the free lists, from
+    # which tracemalloc would not see the rows' tuples taken.
+    orientation, pi = alternating_minimal(200, random.Random(20261020 + 200))  # as the test below
+    permutree_sort(pi, orientation)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = permutree_sort(pi, orientation)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    rows = len(trace.decisions)
+    assert trace.success and rows > 200
+    moves = sum(row[:2] != before[:2] for before, row in zip(trace.decisions, trace.decisions[1:]))
+    assert moves > rows / 2
+    assert held <= 256 * rows, held / rows
+
+
 @pytest.mark.parametrize("n, dense", [(200, True), slow(400, False), slow(400, True)])
 def test_seeded_minimal_sorts_match_oracle(n, dense):
     # successful sorts at sizes the exhaustive comparisons never reach: a
@@ -849,10 +921,7 @@ def test_seeded_minimal_sorts_match_oracle(n, dense):
     # n = 400).
     rng = random.Random(20261020 + n)
     if dense:
-        parity = rng.randrange(2)
-        up = {j for j in range(2, n) if j % 2 == parity}
-        orientation = Orientation(up, set(range(2, n)) - up, n)
-        pi = minimal_by_insertion(orientation, rng)
+        orientation, pi = alternating_minimal(n, rng)
         assert not any(oracle_contains_pattern(pi, j, Kind.UP) for j in orientation.u)
         assert not any(oracle_contains_pattern(pi, j, Kind.DOWN) for j in orientation.d)
     else:

@@ -35,6 +35,7 @@ from oracles import (
     refuse_everywhere,
     right_multiply,
     slow,
+    word_from_text,
 )
 
 P = Permutation.from_text
@@ -307,7 +308,7 @@ def test_tree_json_dump():
     tree = generating_tree(Orientation({2}, frozenset(), 3))
     payload = json.loads(tree.to_json())
     assert payload[""] == "123"
-    assert all(str(evaluate(Word.from_text(k, 3))) == v for k, v in payload.items())
+    assert all(str(evaluate(word_from_text(k, 3))) == v for k, v in payload.items())
 
 
 @pytest.mark.parametrize(
