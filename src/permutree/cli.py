@@ -40,12 +40,12 @@ BROKEN_PIPE = 141
 # reads the lowest bit of the descent mask less the blocked letters, a row
 # keeps u and d as two ints, and a rendered row joins pi's n value strings.
 # Its JSON has about n^3 characters and its text table about n^4 (450 MB at
-# n = 200, 1.1 GB at n = 250), built by one join with a peak of about its
-# size.  In-process on 2 cores, sort --n 400 --output json takes 0.35 s on a
-# random pi, and 0.8 s at a 240 MB peak RSS on a minimal pi of the
-# alternating partition (17,726 rows, sorted in 0.05 s into a 4.4 MB trace);
-# --n 200 --output text 0.3 s at 460 MB (0.9 s and 890 MB printed to a
-# file, which encodes the whole table at once).  count runs an O(n^2) DP
+# n = 200, 1.1 GB at n = 250); sort writes either to stdout piece by piece
+# as it renders, so neither is held whole.  In-process on 2 cores, with
+# stdout kept as a string, sort --n 400 --output json takes 0.3 s on a
+# random pi, and 0.8 s on a minimal pi of the alternating partition
+# (17,726 rows, sorted in 0.05 s into a 4.4 MB trace); --n 200 --output
+# text 0.2 s (a 30 MB peak RSS printed to a file).  count runs an O(n^2) DP
 # over the number of live insertion slots, whose cost is the big-integer
 # additions; over 3^(n-2) orientations for the table.  tree builds and
 # renders each node once, so it is capped by its node count, which count
@@ -142,9 +142,10 @@ def cmd_sort(args) -> int:
     priority = _parse_priority(args.priority, args.n)
     trace = permutree_sort(pi, orientation, priority)
     if args.output == "json":
-        print(trace.to_json())
+        trace.to_json(file=sys.stdout)
+        print()
     else:
-        print(trace.to_table(), end="")
+        trace.to_table(file=sys.stdout)
     return 0 if trace.success else MATH_FAILURE
 
 

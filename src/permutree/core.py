@@ -299,7 +299,11 @@ class Residual:
         for at, value in enumerate(self.entries):
             pos[value] = at
         self.bit = bit = _letter_bits(n, order)
-        self.descents = sum(bit[l] for l in range(1, n) if pos[l + 1] < pos[l])
+        descents = 0
+        for l in range(1, n):
+            if pos[l + 1] < pos[l]:
+                descents |= bit[l]
+        self.descents = descents
 
     def take(self, letter: int) -> None:
         """Left-multiply by s_letter, for a letter in descents."""

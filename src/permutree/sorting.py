@@ -38,10 +38,12 @@ from .core import (
 from .automata import initial_state, label, product_accepts, state_count, table
 
 # Characters per shared piece of a trace table's w column (SortTrace.to_table):
-# rows share whole blocks, so each row adds under two blocks of its own.  The
-# tracemalloc peak of an n = 80 table is 1.25x its size with 512 and 1.66x
-# with 4,096.
-_WORD_BLOCK = 512
+# rows share whole blocks, so each row adds under two blocks of its own.  A
+# streamed table is one file.write per piece, so a larger block means fewer
+# writes but longer slices of each row's own; a stream that keeps what it is
+# given (a list of the pieces) then holds more.  The tracemalloc peak of a
+# joined n = 80 table is 1.2x its size with 1,024 and 1.35x with 2,048.
+_WORD_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ class SortTrace:
                 cells[i], cells[j] = cells[j], cells[i]
                 rest.take(row[2])
 
-    def to_table(self) -> str:
+    def to_table(self, file=None) -> str | None:
         """The trace as an aligned text table, one line per row.
 
         A header (pi | w | j | l for the single-automaton sort, pi | w | u |
@@ -185,13 +187,19 @@ class SortTrace:
         width and each line is stripped of trailing spaces.  Since the w
         column is as wide as the final word, the output has about
         rows x len(final word) characters, which grows as n^4 for a sort of
-        length about n^2.  The table is one join over a list of pieces, so
-        each of its characters is copied once, and the rows' w cells share
-        their pieces: blocks of _WORD_BLOCK characters cut once from the
-        word and from blanks, plus one shorter slice of each per row.  So
-        the rendering takes time linear in the output and memory about its
-        size.
+        length about n^2.  The rows' w cells share their pieces: blocks of
+        _WORD_BLOCK characters cut once from the word and from blanks, plus
+        one shorter slice of each per row, so the rendering takes time
+        linear in the output.  Returned, the table is one join of those
+        pieces, at a peak of about its size.  Given a file, the pieces are
+        written to it one file.write at a time and None is returned; the
+        rows' cells and the word's blocks are then held, not the table.  The
+        CLI streams it so.
         """
+        return _emit(self._table_pieces(), file)
+
+    def _table_pieces(self):
+        """to_table's pieces in order, each row's after every row's cells are known."""
         single = self.kind is not None
         header = ["pi", "w", "j", "l"] if single else ["pi", "w", "u", "d", "l", "k"]
         # Every step's w cell is a prefix of one string, so a row keeps only
@@ -223,38 +231,57 @@ class SortTrace:
         block = _WORD_BLOCK
         blocks = [word[i : i + block] for i in range(0, width - block + 1, block)]
         blank = " " * block
-        pieces = [header[0].ljust(first), " | ", "w".ljust(width), tail(header)]
-        pieces.append("-+-".join("-" * w for w in widths) + "\n")
+        yield header[0].ljust(first) + " | " + "w".ljust(width) + tail(header)
+        yield "-+-".join("-" * w for w in widths) + "\n"
         for cells, end in rows:
             whole, rest = divmod(end, block)
             pad = width - max(end, 1)
-            pieces.append(cells[0].ljust(first) + " | ")
-            pieces += blocks[:whole]
-            pieces.append(word[end - rest : end] if end else "e")
-            pieces += [blank] * (pad // block)
-            pieces.append(blank[: pad % block] + tail(cells))
-        return "".join(pieces)
+            yield cells[0].ljust(first) + " | "
+            yield from blocks[:whole]
+            yield word[end - rest : end] if end else "e"
+            yield from itertools.repeat(blank, pad // block)
+            yield blank[: pad % block] + tail(cells)
 
-    def to_json(self) -> str:
+    def to_json(self, file=None) -> str | None:
         """The trace as one JSON object, as json.dumps(..., sort_keys=True) writes it.
 
         The keys come in sorted order: result, steps, success and word at the
         top, and applied, checks, d, letter, phase, pi and u in each step,
         with json's default separators.  Each step is written as one string
-        whose u and d lists are made once per distinct set.
+        whose u and d lists are made once per distinct set.  Returned, the
+        object is one join of its head, its steps and its tail; given a
+        file, they are written to it one file.write at a time and None is
+        returned, as json.dump does.
         """
+        return _emit(self._json_pieces(), file)
+
+    def _json_pieces(self):
+        """to_json's pieces in order: the head, each step after its separator, the tail."""
         listed = _set_writer(self.start.n, "[", ", ", "]")  # as json.dumps(sorted(values))
         checked = functools.cache(json.dumps)  # a checks tuple of (k, ok) pairs
-        steps = ", ".join(
-            f'{{"applied": {"true" if applied else "false"}, "checks": {checked(checks)}, '
-            f'"d": {listed(d)}, "letter": {letter}, "phase": "{phase}", '
-            f'"pi": "{text}", "u": {listed(u)}}}'
-            for _, text, (u, d, letter, checks, phase, applied) in self._rows()
+        yield f'{{"result": "{self.result}", "steps": ['
+        separator = ""
+        for _, text, (u, d, letter, checks, phase, applied) in self._rows():
+            yield (
+                f'{separator}{{"applied": {"true" if applied else "false"}, "checks": {checked(checks)}, '
+                f'"d": {listed(d)}, "letter": {letter}, "phase": "{phase}", '
+                f'"pi": "{text}", "u": {listed(u)}}}'
+            )
+            separator = ", "
+        yield (
+            f'], "success": {"true" if self.success else "false"}, '
+            f'"word": {json.dumps(list(self.word))}}}'
         )
-        return (
-            f'{{"result": "{self.result}", "steps": [{steps}], '
-            f'"success": {"true" if self.success else "false"}, "word": {json.dumps(list(self.word))}}}'
-        )
+
+
+def _emit(pieces, file) -> str | None:
+    """The pieces joined, or, given a file, written to it in turn (None)."""
+    if file is None:
+        return "".join(pieces)
+    write = file.write
+    for piece in pieces:
+        write(piece)
+    return None
 
 
 @functools.lru_cache(maxsize=1024)

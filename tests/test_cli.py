@@ -3,13 +3,14 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import permutree
-from permutree import cli, verify
+from permutree import Orientation, Permutation, PriorityOrder, cli, permutree_sort, verify
 from permutree.cli import MAX_COUNT_ALL_N, MAX_COUNT_N, MAX_TREE_NODES, main
 
 
@@ -51,6 +52,32 @@ def test_sort_json(capsys):
     payload = json.loads(out)
     assert payload["word"] == [1, 2, 1]
     assert payload["success"] is True
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("n", [5, 12, 60])
+def test_streamed_sort_is_the_rendered_trace(capsys, n, output):
+    # sort writes the trace to stdout piece by piece; the stream is the
+    # library's string byte for byte, under the empty, a sparse and the
+    # alternating orientation, each with a seeded pi and priority
+    rng = random.Random(20261020 + n)
+    entries = list(range(1, n + 1))
+    rng.shuffle(entries)
+    pi = Permutation(tuple(entries))
+    up, down = rng.sample(range(2, n), 2)
+    parity = rng.randrange(2)
+    odd = {j for j in range(2, n) if j % 2 == parity}
+    for u, d in ((set(), set()), ({up}, {down}), (odd, set(range(2, n)) - odd)):
+        priority = PriorityOrder.shuffled(n, rng)
+        trace = permutree_sort(pi, Orientation(u, d, n), priority)
+        want = trace.to_table() if output == "text" else trace.to_json() + "\n"
+        u_text, d_text, order = (",".join(map(str, values)) for values in (u, d, priority.order))
+        code, out, err = run_cli(
+            capsys, "sort", "--n", str(n), f"--u={u_text}", f"--d={d_text}", f"--priority={order}",
+            "--output", output, str(pi),
+        )
+        assert (code, err) == (0 if trace.success else 1, "")
+        assert out == want, (u, d)
 
 
 def test_check_minimal(capsys):
@@ -428,6 +455,8 @@ def test_module_entry_point():
         # a table of 2.3 MB, more than a pipe holds, so the write fails even
         # if it starts before the read end is closed
         ["sort", "--n", "40", "--output", "text", " ".join(map(str, range(40, 0, -1)))],
+        # 1.0 MB of JSON: both formats stop in the middle of their stream
+        ["sort", "--n", "80", "--output", "json", " ".join(map(str, range(80, 0, -1)))],
     ],
 )
 def test_closed_stdout_exits_141_without_traceback(argv):
@@ -442,6 +471,39 @@ def test_closed_stdout_exits_141_without_traceback(argv):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+def test_streamed_table_keeps_a_real_stdout_small():
+    # A child sorts a random pi at n = 120 into a 51 MB table with stdout at
+    # /dev/null and reports its own peak RSS before and after the command;
+    # a table built whole, then encoded whole, raised it by about twice its size.
+    n = 120
+    entries = list(range(1, n + 1))
+    random.Random(1).shuffle(entries)
+    text = " ".join(map(str, entries))
+    size = len(permutree_sort(Permutation(tuple(entries)), Orientation(set(), set(), n)).to_table())
+    code = (
+        "import resource, sys\n"
+        "from permutree.cli import main\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+        "before = peak()\n"
+        f"code = main(['sort', '--n', '{n}', '--output', 'text', {text!r}])\n"
+        "print(before, peak(), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stderr.split())
+    assert size > 40_000_000
+    assert after - before <= 0.1 * size, (before, after, size)
 
 
 def run_or_exit(capsys, argv):

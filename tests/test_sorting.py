@@ -671,16 +671,21 @@ def test_table_word_blocks_match_oracle(monkeypatch):
             assert_same_text(trace.to_table(), want, (block, trace.start, trace.kind))
 
 
-def test_table_memory_is_linear_in_its_size():
-    # The table has about rows x len(final word) characters.  It is one join
-    # over pieces the rows share, so the peak is the table plus the list of
-    # pieces and each row's slices shorter than a block (1.25x here); a list
-    # of the lines joined afterwards holds the table twice (2.1x), and
-    # building every row's w cell from scratch costs more (3.6x).
+def n80_trace():
+    """A random pi at n = 80 sorted to the identity: a table of over 5 MB."""
     n = 80
     entries = list(range(1, n + 1))
     random.Random(80).shuffle(entries)
-    trace = permutree_sort(Permutation(tuple(entries)), Orientation(set(), set(), n))
+    return permutree_sort(Permutation(tuple(entries)), Orientation(set(), set(), n))
+
+
+def test_table_memory_is_linear_in_its_size():
+    # The table has about rows x len(final word) characters.  It is one join
+    # over pieces the rows share, so the peak is the table plus the list of
+    # pieces and each row's slices shorter than a block (1.2x here); a list
+    # of the lines joined afterwards holds the table twice (2.1x), and
+    # building every row's w cell from scratch costs more (3.6x).
+    trace = n80_trace()
     tracemalloc.start()
     try:
         table = trace.to_table()
@@ -698,6 +703,32 @@ def test_table_memory_is_linear_in_its_size():
     word = ".".join(f"s{letter}" for letter in trace.word)
     assert any(word[end] == "." for end in range(block, len(word), block))
     assert len(word) > 2 * block
+
+
+class Counter:
+    """A stream with write alone, which keeps only the length of what it gets."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, piece):
+        self.size += len(piece)
+
+
+def test_streamed_table_is_never_whole_in_memory():
+    # Written to a stream, the table's peak is its rows' cells, the word's
+    # blocks and one row's own slices, not the table.
+    trace = n80_trace()
+    size = len(trace.to_table())
+    out = Counter()
+    tracemalloc.start()
+    try:
+        assert trace.to_table(file=out) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == size
+    assert peak <= 0.1 * size, peak / size
 
 
 # -- permutree_sort against the Permutation-stepping loop it replaced -------
