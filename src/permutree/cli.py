@@ -32,36 +32,28 @@ USAGE_ERROR = 2
 MATH_FAILURE = 1
 BROKEN_PIPE = 141
 
-# Largest inputs the commands accept.  network enumerates S_n, so one more
-# n multiplies its work by n or more; an automaton's table has about 3n^2
-# entries; a product is drawn state by state, each drawn state named once,
-# at a cost of one product step per (state, letter).  A sort takes at most
-# one step per inversion (about n^2/4 for a random permutation): the pick
-# reads the lowest bit of the descent mask less the blocked letters, a row
-# keeps u and d as two ints, and a rendered row joins pi's n value strings.
-# Its JSON has about n^3 characters and its text table about n^4 (450 MB at
-# n = 200, 1.1 GB at n = 250); sort writes either to stdout piece by piece
-# as it renders, so neither is held whole.  In-process on 2 cores, with
-# stdout kept as a string, sort --n 400 --output json takes 0.3 s on a
-# random pi, and 0.8 s on a minimal pi of the alternating partition
-# (17,726 rows, sorted in 0.05 s into a 4.4 MB trace); --n 200 --output
-# text 0.2 s (a 30 MB peak RSS printed to a file).  count runs an O(n^2) DP
-# over the number of live insertion slots, whose cost is the big-integer
-# additions; over 3^(n-2) orientations for the table.  tree builds and
-# renders each node once, so it is capped by its node count, which count
-# gives first (hence tree's cap on n is count's); --overlay draws all of
-# S_n.  count's cap is the largest multiple of 500 whose worst case stays
-# under a quarter second in-process (2 cores, Python 3.11) and whose count
-# Python will print: for one orientation 0.12-0.18 s at n = 1000 (every 6th
-# to 16th value decorated; 0.02 s for the empty one), 0.37 s at n = 1500.
-# Python refuses to print an int of more than 4,300 digits, and n!, the
-# count of the empty orientation, has more from n = 1,559 on.  The count
-# table's cap bounds its 3^(n-2) rows of output, not the DP: 729 rows take
-# 0.02 s at n = 8 (6,561 would take 0.16 s at n = 10).  The tree caps
-# were set the same way and are kept: the DOT or JSON of a tree of up to
-# 6,000 nodes takes at most 0.11 s (5,760 nodes at n = 8, 4,862 at n = 9),
-# 6,776 nodes at n = 8 take 0.11 s, 6,864 at n = 9 0.14 s and 16,796 at
-# n = 10 0.26 s; --overlay takes 0.07-0.09 s at n = 7 (the empty orientation).
+# Largest inputs the commands accept: each cap is where the command's worst
+# case stops being worth the wait.  CHANGES.md holds the measured times.
+# - network enumerates S_n, so one more n multiplies its work by n or more.
+# - An automaton's table has about 3n^2 entries.  A product is drawn state by
+#   state, each drawn state named once, at one product step per (state,
+#   letter), so it is capped by its state count.
+# - A sort takes at most one step per inversion (about n^2/4 for a random
+#   permutation): the pick reads the lowest bit of the descent mask less the
+#   blocked letters, a row keeps u and d as two ints, and a rendered row
+#   joins pi's n value strings.  Its JSON has about n^3 characters and its
+#   text table about n^4, hence the lower cap on text.  sort writes either
+#   to stdout piece by piece as it renders, so neither is held whole.
+# - count runs an O(n^2) DP over the number of live insertion slots, whose
+#   cost is the big-integer additions.  Its cap is the largest multiple of
+#   500 whose worst case stays under a quarter second in-process and whose
+#   count Python will print: Python refuses to print an int of more than
+#   4,300 digits, and n!, the count of the empty orientation, has more from
+#   n = 1,559 on.  The count table's cap bounds its 3^(n-2) rows of output,
+#   not the DP.
+# - tree builds and renders each node once, so it is capped by its node
+#   count, which count gives first (hence tree's cap on n is count's).
+#   --overlay draws all of S_n.
 MAX_COUNT_ALL_N = 8  # count over every disjoint orientation
 MAX_COUNT_N = 1000  # count for one orientation
 MAX_TREE_NODES = 6_000

@@ -37,12 +37,11 @@ from .core import (
 )
 from .automata import initial_state, label, product_accepts, state_count, table
 
-# Characters per shared piece of a trace table's w column (SortTrace.to_table):
-# rows share whole blocks, so each row adds under two blocks of its own.  A
-# streamed table is one file.write per piece, so a larger block means fewer
-# writes but longer slices of each row's own; a stream that keeps what it is
-# given (a list of the pieces) then holds more.  The tracemalloc peak of a
-# joined n = 80 table is 1.2x its size with 1,024 and 1.35x with 2,048.
+# Characters in the smallest shared piece of a trace table's w column
+# (SortTrace.to_table), whose rows share runs of pieces of _WORD_BLOCK x 2^k
+# characters.  A streamed table is one file.write per piece, so a larger
+# block means a few fewer writes a row but longer slices of each row's own,
+# which a stream that keeps what it is given (a list of the pieces) holds.
 _WORD_BLOCK = 1024
 
 
@@ -116,11 +115,41 @@ def _values(mask: int) -> frozenset[int]:
     return frozenset(itertools.compress(itertools.count(), _bits(mask)))
 
 
+@functools.lru_cache(maxsize=16)
+def _tokens(n: int) -> tuple[str, ...]:
+    """The strings of the values 0..n, one tuple per degree."""
+    return tuple(map(str, range(n + 1)))
+
+
 def _set_writer(n: int, opening: str, separator: str, closing: str) -> Callable[[int], str]:
     """Writes a mask of values in 0..n as sorted(values), once per distinct mask."""
-    tokens = [str(v) for v in range(n + 1)]
+    tokens = _tokens(n)
     join = separator.join
-    return functools.cache(lambda mask: opening + join(itertools.compress(tokens, _bits(mask))) + closing)
+    written: dict[int, str] = {}
+
+    def write(mask: int) -> str:
+        text = written.get(mask)
+        if text is None:
+            text = written[mask] = opening + join(itertools.compress(tokens, _bits(mask))) + closing
+        return text
+
+    return write
+
+
+_checked = functools.lru_cache(maxsize=1024)(json.dumps)  # a row's checks, (k, ok) pairs
+
+
+def _doubling(text: str, count: int, block: int) -> list[str]:
+    """The first count x block characters of text, one piece per set bit of
+    count, the largest first: bit k gives 2^k blocks."""
+    pieces = []
+    start = 0
+    for k in reversed(range(count.bit_length())):
+        if count >> k & 1:
+            size = block << k
+            pieces.append(text[start : start + size])
+            start += size
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -187,14 +216,16 @@ class SortTrace:
         width and each line is stripped of trailing spaces.  Since the w
         column is as wide as the final word, the output has about
         rows x len(final word) characters, which grows as n^4 for a sort of
-        length about n^2.  The rows' w cells share their pieces: blocks of
-        _WORD_BLOCK characters cut once from the word and from blanks, plus
-        one shorter slice of each per row, so the rendering takes time
-        linear in the output.  Returned, the table is one join of those
-        pieces, at a peak of about its size.  Given a file, the pieces are
-        written to it one file.write at a time and None is returned; the
-        rows' cells and the word's blocks are then held, not the table.  The
-        CLI streams it so.
+        length about n^2.  The cells after w are made once per distinct
+        decision (u, d, letter, checks).  A row's w cell, its prefix of the
+        word and then blanks, is two runs of shared pieces of _WORD_BLOCK x
+        2^k characters, one per set bit of a count of whole blocks, and two
+        slices of the row's own, so the rendering takes time linear in the
+        output.  Returned, the table is one join of those pieces, at a peak
+        of about its size.  Given a file, the pieces are written to it one
+        file.write at a time and None is returned; the rows' cells and one
+        run of each kind are then held, not the table.  The CLI streams it
+        so.
         """
         return _emit(self._table_pieces(), file)
 
@@ -204,43 +235,64 @@ class SortTrace:
         header = ["pi", "w", "j", "l"] if single else ["pi", "w", "u", "d", "l", "k"]
         # Every step's w cell is a prefix of one string, so a row keeps only
         # the end of its prefix; formatting every cell from its letters would
-        # take time quadratic in the row count.
+        # take time quadratic in the row count.  The cells after w depend on
+        # the decision (u, d, letter, checks) alone, which rows repeat: each
+        # distinct one is made once, and a row keeps its index.
         word = ".".join(f"s{letter}" for letter in self.word)
         set_cell = _set_writer(self.start.n, "{", ",", "}")
+        index: dict[tuple, int] = {}
+        cells = []
         rows = []
         end = 0
         for _, text, (u, d, letter, checks, _, applied) in self._rows():
-            if single:  # the one value of u or d is the automaton's parameter
-                cells = [text, "", str((u | d).bit_length() - 1), str(letter)]
-            else:
-                checks_cell = ", ".join(str(k) if ok else f"x{k}" for k, ok in checks) or "."
-                cells = [text, "", set_cell(u), set_cell(d), str(letter), checks_cell]
-            rows.append((cells, end))
+            i = index.get(key := (u, d, letter, checks))
+            if i is None:
+                i = index[key] = len(cells)
+                if single:  # the one value of u or d is the automaton's parameter
+                    cells.append((str((u | d).bit_length() - 1), str(letter)))
+                else:
+                    checks_cell = ", ".join(str(k) if ok else f"x{k}" for k, ok in checks) or "."
+                    cells.append((set_cell(u), set_cell(d), str(letter), checks_cell))
+            rows.append((text, end, i))
             if applied:
                 end += len(f"s{letter}") + (end > 0)  # a "." before all but the first
         if self.success:  # the applied letters are the whole word
-            last = [str(next(iter(self.final_u | self.final_d))), ""] if single else [""] * 4
-            rows.append(([str(self.result), "", *last], end))
-        widths = [max(map(len, column)) for column in zip(header, *(cells for cells, _ in rows))]
-        widths[1] = width = max([1, *(end for _, end in rows)])  # "w" and "e" take one
-        first, later = widths[0], widths[2:]
+            cells.append((str(next(iter(self.final_u | self.final_d))), "") if single else ("",) * 4)
+            rows.append((str(self.result), end, len(cells) - 1))
+        first = max([len(header[0]), *(len(text) for text, _, _ in rows)])
+        width = max(1, rows[-1][1] if rows else 0)  # "w" and "e" take one; the ends only grow
+        later = [max(map(len, column)) for column in zip(header[2:], *cells)]
 
         def tail(cells):  # the cells after w: the strip stops at their first " | "
-            return (" | " + " | ".join(map(str.ljust, cells[2:], later))).rstrip() + "\n"
+            return (" | " + " | ".join(map(str.ljust, cells, later))).rstrip() + "\n"
 
+        tails = list(map(tail, cells))
+        # The prefix counts of whole blocks only grow and the blank counts
+        # only shrink, so only the last run of each is kept.  A row's own
+        # slices of its prefix and its blanks make one piece (blanks are
+        # blanks in any order), and each line's cells after w open the next
+        # line's first piece.
         block = _WORD_BLOCK
-        blocks = [word[i : i + block] for i in range(0, width - block + 1, block)]
-        blank = " " * block
-        yield header[0].ljust(first) + " | " + "w".ljust(width) + tail(header)
-        yield "-+-".join("-" * w for w in widths) + "\n"
-        for cells, end in rows:
-            whole, rest = divmod(end, block)
+        blank = " " * width
+        before = (
+            header[0].ljust(first) + " | " + "w".ljust(width) + tail(header[2:])
+            + "-+-".join("-" * w for w in (first, width, *later)) + "\n"
+        )
+        whole = fill = -1
+        for text, end, i in rows:
+            if end // block != whole:
+                whole = end // block
+                word_run = _doubling(word, whole, block)
             pad = width - max(end, 1)
-            yield cells[0].ljust(first) + " | "
-            yield from blocks[:whole]
-            yield word[end - rest : end] if end else "e"
-            yield from itertools.repeat(blank, pad // block)
-            yield blank[: pad % block] + tail(cells)
+            if pad // block != fill:
+                fill = pad // block
+                blank_run = _doubling(blank, fill, block)
+            yield before + text.ljust(first) + " | "
+            yield from word_run
+            yield (word[whole * block : end] if end else "e") + blank[: pad - fill * block]
+            yield from blank_run
+            before = tails[i]
+        yield before
 
     def to_json(self, file=None) -> str | None:
         """The trace as one JSON object, as json.dumps(..., sort_keys=True) writes it.
@@ -248,22 +300,21 @@ class SortTrace:
         The keys come in sorted order: result, steps, success and word at the
         top, and applied, checks, d, letter, phase, pi and u in each step,
         with json's default separators.  Each step is written as one string
-        whose u and d lists are made once per distinct set.  Returned, the
-        object is one join of its head, its steps and its tail; given a
-        file, they are written to it one file.write at a time and None is
-        returned, as json.dump does.
+        whose u and d lists are made once per distinct set, and its checks
+        once per distinct checks.  Returned, the object is one join of its
+        head, its steps and its tail; given a file, they are written to it
+        one file.write at a time and None is returned, as json.dump does.
         """
         return _emit(self._json_pieces(), file)
 
     def _json_pieces(self):
         """to_json's pieces in order: the head, each step after its separator, the tail."""
         listed = _set_writer(self.start.n, "[", ", ", "]")  # as json.dumps(sorted(values))
-        checked = functools.cache(json.dumps)  # a checks tuple of (k, ok) pairs
         yield f'{{"result": "{self.result}", "steps": ['
         separator = ""
         for _, text, (u, d, letter, checks, phase, applied) in self._rows():
             yield (
-                f'{separator}{{"applied": {"true" if applied else "false"}, "checks": {checked(checks)}, '
+                f'{separator}{{"applied": {"true" if applied else "false"}, "checks": {_checked(checks)}, '
                 f'"d": {listed(d)}, "letter": {letter}, "phase": "{phase}", '
                 f'"pi": "{text}", "u": {listed(u)}}}'
             )

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import permutree
 from permutree import Orientation, Permutation, PriorityOrder, cli, permutree_sort, verify
-from permutree.cli import MAX_COUNT_ALL_N, MAX_COUNT_N, MAX_TREE_NODES, main
+from permutree.cli import MAX_COUNT_ALL_N, MAX_COUNT_N, MAX_SORT_N, MAX_SORT_TEXT_N, MAX_TREE_NODES, main
 
 
 def run_cli(capsys, *argv):
@@ -576,3 +577,97 @@ def test_the_cached_parser_helps_as_a_fresh_one(capsys, command):
         helps.append(capsys.readouterr().out)
     assert helps[0].startswith(" ".join(["usage: permutree", *command]))
     assert helps[0] == helps[1] == helps[2]
+
+
+# -- the exit-code contract of sort and check, on seeded argument lists ------
+
+SORT_CAPS = (MAX_SORT_N, MAX_SORT_TEXT_N)
+
+
+def contract_argv(rng: random.Random) -> list[str]:
+    """One seeded argument list for sort or check.  Its degree is small,
+    malformed, or a sort cap or one past it; its sets are omitted, malformed,
+    out of range or overlapping; its priority, output and permutation are
+    now and then malformed or of the wrong degree.  A valid permutation of a
+    large degree is the identity after a few adjacent swaps, so that a sort
+    at a cap stays short."""
+    command = rng.choice(["sort", "check"])
+    if rng.random() < 0.15:
+        degree = rng.choice(["0", "-2", "", "x", "2.5"])
+    elif rng.random() < 0.3:
+        degree = str(rng.choice(SORT_CAPS) + rng.randrange(2))
+    else:
+        degree = str(rng.randint(1, 7))
+    n = int(degree) if degree.isdigit() and int(degree) > 0 else rng.randint(1, 7)
+    argv = [command, f"--n={degree}"]
+    for flag in ("--u", "--d"):  # both drawn from a few values near 2..n-1, so they often overlap
+        pick = rng.random()
+        if pick < 0.1:
+            argv.append(f"{flag}={rng.choice(['', '2,x', '1;2', '2..4'])}")
+        elif pick < 0.6:
+            values = {rng.randint(2, max(2, min(n - 1, 6))) for _ in range(rng.randint(1, 3))}
+            if rng.random() < 0.15:
+                values.add(rng.choice([0, 1, n, n + 1]))
+            argv.append(f"{flag}={','.join(map(str, sorted(values)))}")
+    letters = list(range(1, n))
+    rng.shuffle(letters)
+    if command == "sort" and rng.random() < 0.5:
+        pick = rng.random()
+        if pick < 0.1:
+            letters.append(n)  # one letter too many
+        priority = rng.choice(["1,1", "x", ""]) if pick > 0.9 else ",".join(map(str, letters))
+        argv.append(f"--priority={priority}")
+    if rng.random() < 0.6:
+        argv.append(f"--output={rng.choice(['text', 'json']) if rng.random() < 0.95 else 'xml'}")
+    entries = list(range(1, n + 1))
+    if n <= 7:
+        rng.shuffle(entries)
+    else:
+        for _ in range(rng.randint(0, 4)):
+            i = rng.randrange(n - 1)
+            entries[i], entries[i + 1] = entries[i + 1], entries[i]
+    pick = rng.random()
+    if pick < 0.05:
+        argv.append(rng.choice(["", "12a", "1 1", "3,x"]))
+    elif pick < 0.1:
+        argv.append(str(Permutation((*entries, n + 1))))  # one degree too many
+    else:
+        argv.append(str(Permutation(tuple(entries))))
+    return argv
+
+
+def exit_of(capsys, argv):
+    """(exit code, out, err) of main(argv), argparse's refusals included."""
+    code, out, err = run_or_exit(capsys, argv)
+    return (code[1] if isinstance(code, tuple) else code), out, err
+
+
+def test_sort_and_check_keep_their_exit_code_contract(capsys):
+    # Every list exits 0, 1 or 2 without a traceback; a refusal (2) prints
+    # one error line and nothing on stdout, and the same list prints the same
+    # twice.  A sort past a cap is refused before it sorts: its exit is 2.
+    rng = random.Random(20261020)
+    seen = collections.Counter()
+    for _ in range(800):
+        argv = contract_argv(rng)
+        code, out, err = exit_of(capsys, argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        else:
+            assert out and err == "", argv
+        assert exit_of(capsys, argv) == (code, out, err), argv
+        degree = argv[1].partition("=")[2]
+        n = int(degree) if degree.isdigit() else None
+        text = "--output=json" not in argv
+        if argv[0] == "sort" and n is not None and (n > MAX_SORT_N or text and n > MAX_SORT_TEXT_N):
+            assert code == 2, argv
+        seen[argv[0], code, "capped" in err, n in SORT_CAPS] += 1
+    # the draw reaches each outcome of both commands, refusals by a cap, and
+    # sorts run at a cap
+    for command in ("sort", "check"):
+        for code in (0, 1, 2):
+            assert any(key[:2] == (command, code) for key in seen), (command, code)
+    assert any(key[:3] == ("sort", 2, True) for key in seen)
+    assert any(key[0] == "sort" and key[1] != 2 and key[3] for key in seen)

@@ -731,6 +731,32 @@ def test_streamed_table_is_never_whole_in_memory():
     assert peak <= 0.1 * size, peak / size
 
 
+class Writes:
+    """A stream with write alone, which keeps every piece it gets."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, piece):
+        self.pieces.append(piece)
+
+
+def test_table_rows_are_written_in_few_pieces(monkeypatch):
+    # A row's word prefix and its blanks are each one shared piece per set
+    # bit of its count of whole blocks, and its own slices go in two more
+    # pieces.  At a block of 7 the n = 80 word is hundreds of blocks long, so
+    # one piece per whole block would take hundreds of writes a row.
+    trace = n80_trace()
+    monkeypatch.setattr(sorting, "_WORD_BLOCK", 7)
+    out = Writes()
+    assert trace.to_table(file=out) is None
+    assert_same_text("".join(out.pieces), oracle_table(trace))
+    rows = len(trace.decisions) + trace.success
+    width = len(".".join(f"s{letter}" for letter in trace.word))
+    assert width // 7 > 500
+    assert len(out.pieces) <= rows * (2 * (width // 7).bit_length() + 5), len(out.pieces) / rows
+
+
 # -- permutree_sort against the Permutation-stepping loop it replaced -------
 
 
