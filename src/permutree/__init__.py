@@ -4,6 +4,7 @@ from .core import (
     Kind,
     Orientation,
     Permutation,
+    PriorityOrder,
     Word,
     all_permutations,
     all_reduced_words,
@@ -27,7 +28,6 @@ from .automata import (
     step,
 )
 from .sorting import (
-    PriorityOrder,
     SortTrace,
     check_sorting_network,
     permutree_sort,

@@ -17,14 +17,9 @@ import math
 import os
 import sys
 
-from .core import Kind, Orientation, Permutation, Word, minimality_witness
+from .core import Kind, Orientation, Permutation, PriorityOrder, Word, minimality_witness
 from .automata import export_dot, export_dot_product, state_count
-from .sorting import (
-    PriorityOrder,
-    check_sorting_network,
-    network_candidate,
-    permutree_sort,
-)
+from .sorting import check_sorting_network, network_candidate, permutree_sort
 from .trees import count_minimal, export_tree_dot, generating_tree
 from .verify import SUITES, disjoint_orientations, run_suite, suite_bound
 
@@ -34,6 +29,8 @@ BROKEN_PIPE = 141
 
 # Largest inputs the commands accept: each cap is where the command's worst
 # case stops being worth the wait.  CHANGES.md holds the measured times.
+# Each command checks its caps on n before it parses anything else, since an
+# orientation, a priority and a permutation each take memory linear in n.
 # - network enumerates S_n, so one more n multiplies its work by n or more.
 # - An automaton's table has about 3n^2 entries.  A product is drawn state by
 #   state, each drawn state named once, at one product step per (state,
@@ -44,6 +41,10 @@ BROKEN_PIPE = 141
 #   joins pi's n value strings.  Its JSON has about n^3 characters and its
 #   text table about n^4, hence the lower cap on text.  sort writes either
 #   to stdout piece by piece as it renders, so neither is held whole.
+# - check scans one side of each value of u and d for its witness, so its
+#   worst case, u and d both {2..n-1} (they may overlap), grows as n^2.  Its
+#   cap is the largest multiple of 500 whose worst case stays under a quarter
+#   second in-process, by count's rule.
 # - count runs an O(n^2) DP over the number of live insertion slots, whose
 #   cost is the big-integer additions.  Its cap is the largest multiple of
 #   500 whose worst case stays under a quarter second in-process and whose
@@ -63,6 +64,7 @@ MAX_AUTOMATON_N = 1000
 MAX_PRODUCT_STATES = 100_000
 MAX_SORT_N = 400
 MAX_SORT_TEXT_N = 200  # sort --output text
+MAX_CHECK_N = 2500
 
 
 class UsageError(Exception):
@@ -77,13 +79,9 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise UsageError(f"cannot parse {what} from {text!r}") from exc
 
 
-def _parse_set(text: str | None) -> frozenset[int]:
-    return frozenset(_parse_ints(text or "", "set"))
-
-
 def _parse_orientation(args, n: int, disjoint: bool = False) -> Orientation:
     try:
-        orientation = Orientation(_parse_set(args.u), _parse_set(args.d), n)
+        orientation = Orientation(_parse_ints(args.u or "", "set"), _parse_ints(args.d or "", "set"), n)
         if disjoint:
             orientation.require_disjoint()
     except ValueError as exc:
@@ -126,10 +124,10 @@ def _parse_priority(text: str | None, n: int) -> PriorityOrder:
 
 
 def cmd_sort(args) -> int:
-    orientation = _parse_orientation(args, args.n, disjoint=True)
     if args.output == "text":
         _require_at_most(args.n, MAX_SORT_TEXT_N, "sort --output text")
     _require_at_most(args.n, MAX_SORT_N, "sort")
+    orientation = _parse_orientation(args, args.n, disjoint=True)
     pi = _parse_permutation(args.permutation, args.n)
     priority = _parse_priority(args.priority, args.n)
     trace = permutree_sort(pi, orientation, priority)
@@ -144,6 +142,7 @@ def cmd_sort(args) -> int:
 def cmd_check(args) -> int:
     """The witness's values run together at every degree, in the text and in
     the JSON's "values" (3102 for 3, 10, 2); its positions tell them apart."""
+    _require_at_most(args.n, MAX_CHECK_N, "check")
     orientation = _parse_orientation(args, args.n)
     pi = _parse_permutation(args.permutation, args.n)
     witness = minimality_witness(pi, orientation)
@@ -193,8 +192,8 @@ def cmd_count(args) -> int:
                 d = "{" + ",".join(map(str, row["d"])) + "}"
                 print(f"u={u} d={d} count={row['count']}")
         return 0
-    orientation = _parse_orientation(args, n, disjoint=True)
     _require_at_most(n, MAX_COUNT_N, "count")
+    orientation = _parse_orientation(args, n, disjoint=True)
     count = count_minimal(orientation)
     if args.output == "json":
         print(json.dumps({"n": n, "u": sorted(orientation.u), "d": sorted(orientation.d), "count": count}))
@@ -228,11 +227,11 @@ def cmd_automaton(args) -> int:
 def cmd_tree(args) -> int:
     if args.output == "json":
         _refuse_given(args, "does not apply to --output json", "--overlay", "--dot")
-    orientation = _parse_orientation(args, args.n, disjoint=True)
-    priority = _parse_priority(args.priority, args.n)
     _require_at_most(args.n, MAX_COUNT_N, "tree")
     if args.overlay:
         _require_at_most(args.n, MAX_TREE_OVERLAY_N, "tree --overlay")
+    orientation = _parse_orientation(args, args.n, disjoint=True)
+    priority = _parse_priority(args.priority, args.n)
     nodes = count_minimal(orientation)
     if nodes > MAX_TREE_NODES:
         raise UsageError(f"the tree has {nodes} nodes, more than the cap of {MAX_TREE_NODES}")
@@ -245,13 +244,13 @@ def cmd_tree(args) -> int:
 
 
 def cmd_network(args) -> int:
+    _require_at_most(args.n, MAX_NETWORK_N, "network")
     orientation = _parse_orientation(args, args.n)
     u, d = orientation.u, orientation.d
     if len(u) + len(d) != 1:
         raise UsageError("the candidate generator is defined only for a single automaton")
     kind = Kind.UP if u else Kind.DOWN
     j = next(iter(u or d))
-    _require_at_most(args.n, MAX_NETWORK_N, "network")
     extension = None
     if args.extend is not None:
         letters = _parse_ints(args.extend, "--extend")

@@ -17,6 +17,7 @@ Conventions, used consistently across the package:
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -192,7 +193,9 @@ def left_multiply(letter: int, pi: Permutation) -> Permutation:
     '152436'
     """
     entries = pi.entries
-    _check_letter(letter, len(entries))
+    n = len(entries)
+    if not 1 <= letter <= n - 1:
+        raise ValueError(f"letter {letter} out of range 1..{n - 1}")
     swapped = list(entries)
     swapped[entries.index(letter)], swapped[entries.index(letter + 1)] = letter + 1, letter
     return Permutation(tuple(swapped))
@@ -276,18 +279,54 @@ def ninv_stats(pi: Permutation, j: int) -> tuple[int, int]:
     return (above, below)
 
 
+@dataclass(frozen=True)
+class PriorityOrder:
+    """A total order on the generator indices 1..n-1; earlier means preferred."""
+
+    order: tuple[int, ...]
+    rank: dict[int, int] = field(init=False, compare=False, repr=False)  # letter -> index in order
+
+    def __post_init__(self):
+        order = tuple(self.order)
+        object.__setattr__(self, "order", order)
+        if sorted(order) != list(range(1, len(order) + 1)):
+            raise ValueError(f"not an ordering of 1..{len(order)}: {order!r}")
+        object.__setattr__(self, "rank", {letter: i for i, letter in enumerate(order)})
+
+    @property
+    def n(self) -> int:
+        return len(self.order) + 1
+
+    def pick(self, mask: int) -> int | None:
+        """The most preferred letter of a mask whose bit r stands for order[r]
+        (a Residual's descents in this order), or None for 0."""
+        return self.order[(mask & -mask).bit_length() - 1] if mask else None
+
+    @classmethod
+    @lru_cache(maxsize=16)
+    def natural(cls, n: int) -> PriorityOrder:
+        """The order 1, 2, ..., n-1; one shared instance per n (it is immutable)."""
+        return cls(tuple(range(1, n)))
+
+    @classmethod
+    def shuffled(cls, n: int, rng: random.Random) -> PriorityOrder:
+        letters = list(range(1, n))
+        rng.shuffle(letters)
+        return cls(tuple(letters))
+
+
 class Residual:
     """A permutation kept for left multiplication, one descent at a time.
 
     entries is its one-line notation, pos[v] the index of the value v in
     entries, and descents an int whose bit r says that order[r] (1, 2, ...,
-    n-1 by default) is a left descent: l is one iff pos[l+1] < pos[l].
-    bit[l] is the bit of l, and 0 for l = 0 and l = n, in a tuple shared by
-    every Residual of one degree and order.  Taking a descent l
-    (pi becomes s_l * pi) swaps the values l and l+1, which clears l and
-    can only add l-1 and l+1.  The sorts and the greedy extraction take
-    their letters through it; a sort trace replays them through it and
-    swaps its row text at pos[l], pos[l+1].
+    n-1 by default, or a PriorityOrder's) is a left descent: l is one iff
+    pos[l+1] < pos[l].  bit[l] is the bit of l, and 0 for l = 0 and l = n, in
+    a tuple shared by every Residual of one degree and order.  Taking a
+    descent l (pi becomes s_l * pi) swaps the values l and l+1, which clears
+    l and can only add l-1 and l+1.  The sorts, the greedy extraction and the
+    reduced-word walk take their letters through it; a sort trace replays
+    them through it and swaps its row text at pos[l], pos[l+1].
     """
 
     __slots__ = ("entries", "pos", "bit", "descents")
@@ -306,7 +345,8 @@ class Residual:
         self.descents = descents
 
     def take(self, letter: int) -> None:
-        """Left-multiply by s_letter, for a letter in descents."""
+        """Left-multiply by s_letter, for a letter in descents.  Taking it
+        again swaps its two values back, but leaves descents to the caller."""
         entries, pos, bit = self.entries, self.pos, self.bit
         i, j = pos[letter], pos[letter + 1]
         entries[i], entries[j] = letter + 1, letter
@@ -336,45 +376,45 @@ def _letter_bits(n: int, order: tuple[int, ...] | None) -> tuple[int, ...]:
 
 def walk_reduced_words(
     pi: Permutation,
-    key: Callable[[int], int] | None = None,
+    priority: PriorityOrder | None = None,
     state: Hashable = (),
     advance: Callable[[Hashable, int], Hashable | None] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield the letters of pi's reduced expressions, depth first.
 
     A reduced expression of p starts with a left descent l of p and goes on
-    with one of s_l * p; the children of a node are tried in ascending order
-    of l, or of key(l).  With advance, the child reached by l carries
-    advance(state, l), and the branch is cut where that is None.
+    with one of s_l * p; the children of a node are tried in the priority's
+    order (ascending l by default).  With advance, the child reached by l
+    carries advance(state, l), and the branch is cut where that is None.
 
-    The walk keeps one position array, pos[v] = the position of the value v
-    (pos[0] is unused): l is a left descent iff pos[l+1] < pos[l], and
-    stepping to s_l * p swaps pos[l] and pos[l+1], undone on the way back.
-    So pos always holds the node on top of the stack, and each node's
-    descents are read lazily from it, only as far as the walk tries them.
-    A Residual would update every node's descent mask at each step instead,
-    which costs more.  A node is the identity iff its depth is the length of
-    pi.  Below a node the walk depends only on (its position tuple, its
-    state), which is in bijection with (its entries, its state), so a pair
-    whose subtree yielded nothing is skipped when met again.  The stack is
-    explicit: no recursion limit bounds the length of pi.
+    One Residual holds the current node, whose untried children are its
+    descent bits, read lowest first as PriorityOrder.pick reads them:
+    stepping down takes the letter, and stepping back up takes it again and
+    restores the node's descents.  A node is the identity iff its depth is
+    the length of pi.  Below a node the walk depends only on (its entries,
+    its state), so a pair whose subtree yielded nothing is skipped when met
+    again.  The stack is explicit: no recursion limit bounds the length of
+    pi.
     """
     length = pi.length()
     if not length:
         yield ()
         return
-    pos = [0] * (pi.n + 1)
-    for at, value in enumerate(pi.entries, start=1):
-        pos[value] = at
-    order = range(1, pi.n) if key is None else sorted(range(1, pi.n), key=key)
+    order = (priority or PriorityOrder.natural(pi.n)).order
+    rest = Residual(pi, order)
+    take = rest.take
     yields = 0
     failed: set[tuple[tuple[int, ...], Hashable]] = set()
     path: list[int] = []
-    # frames: (state, untried descents, words yielded before the node)
-    stack = [(state, (l for l in order if pos[l + 1] < pos[l]), 0)]
+    # the current node's state, untried descents, descents and the words
+    # yielded before it; each ancestor's four wait on the stack
+    current, todo, descents, before = state, rest.descents, rest.descents, 0
+    stack: list[tuple[Hashable, int, int, int]] = []
     while True:
-        current, todo, before = stack[-1]
-        for letter in todo:
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            letter = order[low.bit_length() - 1]
             nxt = current if advance is None else advance(current, letter)
             if nxt is None:
                 continue
@@ -382,21 +422,21 @@ def walk_reduced_words(
                 yields += 1
                 yield (*path, letter)
                 continue
-            pos[letter], pos[letter + 1] = pos[letter + 1], pos[letter]
-            if failed and (tuple(pos), nxt) in failed:
-                pos[letter], pos[letter + 1] = pos[letter + 1], pos[letter]
+            take(letter)
+            if failed and (tuple(rest.entries), nxt) in failed:
+                take(letter)
+                rest.descents = descents
                 continue
+            stack.append((current, todo, descents, before))
             path.append(letter)
-            stack.append((nxt, (l for l in order if pos[l + 1] < pos[l]), yields))
-            break
-        else:
-            stack.pop()
-            if not stack:
-                return
-            if yields == before:
-                failed.add((tuple(pos), current))
-            letter = path.pop()
-            pos[letter], pos[letter + 1] = pos[letter + 1], pos[letter]
+            current, todo, descents, before = nxt, rest.descents, rest.descents, yields
+        if not stack:
+            return
+        if yields == before:
+            failed.add((tuple(rest.entries), current))
+        take(path.pop())
+        current, todo, descents, before = stack.pop()
+        rest.descents = descents
 
 
 def iter_reduced_words(pi: Permutation) -> Iterator[Word]:
@@ -446,7 +486,3 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     for entries in itertools.permutations(range(1, n + 1)):
         yield Permutation(entries)
 
-
-def _check_letter(letter: int, n: int) -> None:
-    if not 1 <= letter <= n - 1:
-        raise ValueError(f"letter {letter} out of range 1..{n - 1}")

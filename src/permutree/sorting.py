@@ -22,16 +22,17 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
     Kind,
     Orientation,
     Permutation,
+    PriorityOrder,
     Residual,
     Word,
+    _letter_bits,
     all_permutations,
     is_minimal,
 )
@@ -43,45 +44,6 @@ from .automata import initial_state, label, product_accepts, state_count, table
 # block means a few fewer writes a row but longer slices of each row's own,
 # which a stream that keeps what it is given (a list of the pieces) holds.
 _WORD_BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class PriorityOrder:
-    """A total order on the generator indices 1..n-1; earlier means preferred."""
-
-    order: tuple[int, ...]
-    rank: dict[int, int] = field(init=False, compare=False, repr=False)  # letter -> index in order
-
-    def __post_init__(self):
-        order = tuple(self.order)
-        object.__setattr__(self, "order", order)
-        if sorted(order) != list(range(1, len(order) + 1)):
-            raise ValueError(f"not an ordering of 1..{len(order)}: {order!r}")
-        object.__setattr__(self, "rank", {letter: i for i, letter in enumerate(order)})
-
-    @property
-    def n(self) -> int:
-        return len(self.order) + 1
-
-    def key(self, letter: int) -> int:
-        return self.rank[letter]
-
-    def pick(self, mask: int) -> int | None:
-        """The most preferred letter of a mask whose bit r stands for order[r]
-        (a Residual's descents in this order), or None for 0."""
-        return self.order[(mask & -mask).bit_length() - 1] if mask else None
-
-    @classmethod
-    @functools.lru_cache(maxsize=16)
-    def natural(cls, n: int) -> PriorityOrder:
-        """The order 1, 2, ..., n-1; one shared instance per n (it is immutable)."""
-        return cls(tuple(range(1, n)))
-
-    @classmethod
-    def shuffled(cls, n: int, rng: random.Random) -> PriorityOrder:
-        letters = list(range(1, n))
-        rng.shuffle(letters)
-        return cls(tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -339,12 +301,13 @@ def _emit(pieces, file) -> str | None:
 def _walk_row(kind: Kind, j: int, n: int, code: int):
     """A single-automaton sort's row at a code: its set masks (the code's column,
     as u or d), its phase, and the letters that leave the code's status, as a
-    mask in a Residual's default bit order (letter l at bit l - 1).  Cached,
-    since the 50,400 sorts over S_7 enter codes 161,784 times, 80 distinct."""
+    mask in a Residual's default bit order.  Cached, since the 50,400 sorts
+    over S_7 enter codes 161,784 times, 80 distinct."""
     delta = table(kind, j, n)
     column = 1 << label(kind, j, code)[0]
     sets = (column, 0) if kind is Kind.UP else (0, column)
-    leaving = sum(1 << (l - 1) for l in range(1, n) if delta[l][code] % 3 != code % 3)
+    bit = _letter_bits(n, None)
+    leaving = sum(bit[l] for l in range(1, n) if delta[l][code] % 3 != code % 3)
     return sets, "block" if code % 3 else "healthy", leaving
 
 

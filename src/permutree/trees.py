@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from .core import (
     Orientation,
     Permutation,
+    PriorityOrder,
     Word,
     one_line_writer,
     walk_reduced_words,
 )
 from .automata import initial_product, product_table, step_alive
-from .sorting import PriorityOrder
 
 # tree edge colors by letter, cycling beyond the palette
 EDGE_COLORS = ("blue", "red", "green", "orange", "purple", "brown", "cyan", "magenta")
@@ -50,10 +50,8 @@ def lexmin_word(
     the weak order, so nothing in the package calls it: it is kept as the
     public brute-force route to one word.
     """
-    if priority is None:
-        priority = PriorityOrder.natural(pi.n)
     advance = functools.partial(step_alive, product_table(orientation))
-    words = walk_reduced_words(pi, priority.key, initial_product(orientation), advance)
+    words = walk_reduced_words(pi, priority, initial_product(orientation), advance)
     letters = next(words, None)
     return Word(letters, pi.n) if letters is not None else None
 
@@ -103,7 +101,6 @@ def generating_tree(
     if priority is None:
         priority = PriorityOrder.natural(n)
     advance = functools.partial(step_alive, product_table(orientation))
-    order = sorted(range(1, n), key=priority.key)
     root = tuple(range(1, n + 1))
     seen = {root}
     level = [((), root, initial_product(orientation))]
@@ -113,7 +110,7 @@ def generating_tree(
         perms.extend(entries for _, entries, _ in level)
         children = []
         for letters, entries, state in level:
-            for l in order:
+            for l in priority.order:
                 low, high = entries[l - 1], entries[l]
                 if low > high:
                     continue

@@ -19,6 +19,7 @@ from .core import (
     Kind,
     Orientation,
     Permutation,
+    PriorityOrder,
     Word,
     all_permutations,
     all_reduced_words,
@@ -48,7 +49,6 @@ from .coxeter import (
     orientation_of,
 )
 from .sorting import (
-    PriorityOrder,
     check_sorting_network,
     network_mismatch,
     permutree_sort,

@@ -199,7 +199,7 @@ def oracle_generating_tree(orientation, priority=None):
             word = lexmin_word(pi, orientation, priority)
             assert word is not None
             words.append(word)
-    words.sort(key=lambda w: (len(w), tuple(priority.key(l) for l in w)))
+    words.sort(key=lambda w: (len(w), tuple(priority.rank[l] for l in w)))
     node_set = set(words)
     for word in words:
         if len(word) and Word(word.letters[:-1], n) not in node_set:

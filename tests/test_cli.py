@@ -12,7 +12,20 @@ import pytest
 
 import permutree
 from permutree import Orientation, Permutation, PriorityOrder, cli, permutree_sort, verify
-from permutree.cli import MAX_COUNT_ALL_N, MAX_COUNT_N, MAX_SORT_N, MAX_SORT_TEXT_N, MAX_TREE_NODES, main
+from permutree.cli import (
+    MAX_AUTOMATON_N,
+    MAX_CHECK_N,
+    MAX_COUNT_ALL_N,
+    MAX_COUNT_N,
+    MAX_NETWORK_N,
+    MAX_SORT_N,
+    MAX_SORT_TEXT_N,
+    MAX_TREE_NODES,
+    MAX_TREE_OVERLAY_N,
+    main,
+)
+from permutree.trees import count_minimal
+from oracles import slow
 
 
 def run_cli(capsys, *argv):
@@ -239,11 +252,35 @@ CAPPED = "is capped at n={}; beyond that it is not worth the wait"
         (("sort", "--n", "401", "--output", "text", "1"), "sort --output text " + CAPPED.format(200)),
         (("tree", "--n", "8", "--u", "2"), "the tree has 25200 nodes, more than the cap of 6000"),
         (("tree", "--n", "8", "--u", "2,3,4,5,6,7", "--overlay"), "tree --overlay " + CAPPED.format(7)),
+        (("check", "--n", "2501", "--u", "2", "1"), "check " + CAPPED.format(2500)),
     ],
 )
 def test_oversized_inputs_are_refused(capsys, argv, reason):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sort", "--n", "401", "--output", "json", "--u", "2", "--priority", "1", "1"),
+        ("sort", "--n", "201", "--d", "2", "1"),
+        ("check", "--n", "2501", "--u", "2", "1"),
+        ("count", "--n", "1001", "--u", "2"),
+        ("tree", "--n", "1001", "--u", "2", "--priority", "1"),
+        ("tree", "--n", "8", "--overlay"),
+        ("network", "--n", "9", "--u", "2"),
+    ],
+)
+def test_caps_are_checked_before_anything_is_parsed(capsys, monkeypatch, argv):
+    # the sets, a priority and a permutation each take memory linear in n
+    def parsed(*args):
+        raise AssertionError(f"parsed past a cap: {args}")
+
+    for name in ("_parse_orientation", "_parse_priority", "_parse_permutation"):
+        monkeypatch.setattr(cli, name, parsed)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "is capped at" in err
 
 
 @pytest.mark.parametrize(
@@ -579,28 +616,18 @@ def test_the_cached_parser_helps_as_a_fresh_one(capsys, command):
     assert helps[0] == helps[1] == helps[2]
 
 
-# -- the exit-code contract of sort and check, on seeded argument lists ------
+# -- the exit-code contract of every command, on seeded argument lists -------
 
 SORT_CAPS = (MAX_SORT_N, MAX_SORT_TEXT_N)
+CONTRACT_CAPS = (*SORT_CAPS, MAX_CHECK_N)
+MALFORMED_DEGREES = ["0", "-2", "", "x", "2.5"]
 
 
-def contract_argv(rng: random.Random) -> list[str]:
-    """One seeded argument list for sort or check.  Its degree is small,
-    malformed, or a sort cap or one past it; its sets are omitted, malformed,
-    out of range or overlapping; its priority, output and permutation are
-    now and then malformed or of the wrong degree.  A valid permutation of a
-    large degree is the identity after a few adjacent swaps, so that a sort
-    at a cap stays short."""
-    command = rng.choice(["sort", "check"])
-    if rng.random() < 0.15:
-        degree = rng.choice(["0", "-2", "", "x", "2.5"])
-    elif rng.random() < 0.3:
-        degree = str(rng.choice(SORT_CAPS) + rng.randrange(2))
-    else:
-        degree = str(rng.randint(1, 7))
-    n = int(degree) if degree.isdigit() and int(degree) > 0 else rng.randint(1, 7)
-    argv = [command, f"--n={degree}"]
-    for flag in ("--u", "--d"):  # both drawn from a few values near 2..n-1, so they often overlap
+def drawn_sets(rng: random.Random, n: int, flags=("--u", "--d")) -> list[str]:
+    """Each flag omitted, malformed, or a few values near 2..n-1, now and
+    then out of range; u and d often overlap."""
+    argv = []
+    for flag in flags:
         pick = rng.random()
         if pick < 0.1:
             argv.append(f"{flag}={rng.choice(['', '2,x', '1;2', '2..4'])}")
@@ -609,6 +636,25 @@ def contract_argv(rng: random.Random) -> list[str]:
             if rng.random() < 0.15:
                 values.add(rng.choice([0, 1, n, n + 1]))
             argv.append(f"{flag}={','.join(map(str, sorted(values)))}")
+    return argv
+
+
+def contract_argv(rng: random.Random) -> list[str]:
+    """One seeded argument list for sort or check.  Its degree is small,
+    malformed, or a sort or check cap or one past it; its sets are drawn by
+    drawn_sets; its priority, output and permutation are
+    now and then malformed or of the wrong degree.  A valid permutation of a
+    large degree is the identity after a few adjacent swaps, so that a sort
+    at a cap stays short."""
+    command = rng.choice(["sort", "check"])
+    if rng.random() < 0.15:
+        degree = rng.choice(MALFORMED_DEGREES)
+    elif rng.random() < 0.3:
+        degree = str(rng.choice(CONTRACT_CAPS) + rng.randrange(2))
+    else:
+        degree = str(rng.randint(1, 7))
+    n = int(degree) if degree.isdigit() and int(degree) > 0 else rng.randint(1, 7)
+    argv = [command, f"--n={degree}", *drawn_sets(rng, n)]
     letters = list(range(1, n))
     rng.shuffle(letters)
     if command == "sort" and rng.random() < 0.5:
@@ -642,6 +688,21 @@ def exit_of(capsys, argv):
     return (code[1] if isinstance(code, tuple) else code), out, err
 
 
+def assert_keeps_the_contract(capsys, argv):
+    """main(argv) exits 0, 1 or 2 without a traceback; a refusal (2) prints one
+    error line and nothing on stdout, and a second run prints the same.
+    Returns the exit code and stderr."""
+    code, out, err = exit_of(capsys, argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+    else:
+        assert out and err == "", argv
+    assert exit_of(capsys, argv) == (code, out, err), argv
+    return code, err
+
+
 def test_sort_and_check_keep_their_exit_code_contract(capsys):
     # Every list exits 0, 1 or 2 without a traceback; a refusal (2) prints
     # one error line and nothing on stdout, and the same list prints the same
@@ -650,24 +711,170 @@ def test_sort_and_check_keep_their_exit_code_contract(capsys):
     seen = collections.Counter()
     for _ in range(800):
         argv = contract_argv(rng)
-        code, out, err = exit_of(capsys, argv)
-        assert code in (0, 1, 2), argv
-        assert "Traceback" not in err, argv
-        if code == 2:
-            assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
-        else:
-            assert out and err == "", argv
-        assert exit_of(capsys, argv) == (code, out, err), argv
+        code, err = assert_keeps_the_contract(capsys, argv)
         degree = argv[1].partition("=")[2]
         n = int(degree) if degree.isdigit() else None
         text = "--output=json" not in argv
         if argv[0] == "sort" and n is not None and (n > MAX_SORT_N or text and n > MAX_SORT_TEXT_N):
             assert code == 2, argv
-        seen[argv[0], code, "capped" in err, n in SORT_CAPS] += 1
+        if argv[0] == "check" and n is not None and n > MAX_CHECK_N:
+            assert code == 2, argv
+        seen[argv[0], code, "capped" in err, n in CONTRACT_CAPS] += 1
     # the draw reaches each outcome of both commands, refusals by a cap, and
-    # sorts run at a cap
+    # sorts and checks run at a cap
     for command in ("sort", "check"):
         for code in (0, 1, 2):
             assert any(key[:2] == (command, code) for key in seen), (command, code)
-    assert any(key[:3] == ("sort", 2, True) for key in seen)
-    assert any(key[0] == "sort" and key[1] != 2 and key[3] for key in seen)
+        assert any(key[:3] == (command, 2, True) for key in seen), command
+        assert any(key[0] == command and key[1] != 2 and key[3] for key in seen), command
+
+
+# products just within and just past MAX_PRODUCT_STATES (99,968 and 100,100
+# states)
+PRODUCT_AT_CAP = ["--n=25", "--u=2,11,15"]
+PRODUCT_PAST_CAP = ["--n=10", "--u=2,6,9", "--d=2,4"]
+
+
+def trees_around_the_node_cap() -> tuple[list[str], list[str]]:
+    """The set flags of the largest tree of S_8 within MAX_TREE_NODES and of
+    the smallest one past it."""
+    counts = {(tuple(sorted(o.u)), tuple(sorted(o.d))): count_minimal(o) for o in verify.disjoint_orientations(8)}
+    within = max((c, sets) for sets, c in counts.items() if c <= MAX_TREE_NODES)[1]
+    past = min((c, sets) for sets, c in counts.items() if c > MAX_TREE_NODES)[1]
+    return tuple([f"--u={','.join(map(str, u))}", f"--d={','.join(map(str, d))}"] for u, d in (within, past))
+
+
+TREE_WITHIN_CAP, TREE_PAST_CAP = trees_around_the_node_cap()
+
+
+def drawn_degree(rng: random.Random, small: int, past: list[int]) -> tuple[str, int]:
+    """A degree (malformed, one past a cap, or in 1..small) and a usable n."""
+    if rng.random() < 0.1:
+        return rng.choice(MALFORMED_DEGREES), rng.randint(1, small)
+    if rng.random() < 0.2:
+        n = rng.choice(past)
+        return str(n), n
+    n = rng.randint(1, small)
+    return str(n), n
+
+
+def command_argv(rng: random.Random) -> tuple[list[str], bool]:
+    """One seeded argument list for count, tree, automaton, network or
+    verify, and whether it is past one of the command's caps.  Degrees are
+    small, malformed or one past a cap, and no list runs at a cap."""
+    command = rng.choice(["count", "tree", "automaton", "network", "verify"])
+    output = [f"--output={rng.choice(['text', 'json', 'dot', 'xml'])}"] if rng.random() < 0.4 else []
+    if command == "count":
+        degree, n = drawn_degree(rng, 7, [MAX_COUNT_ALL_N + 1, MAX_COUNT_N + 1])
+        sets = drawn_sets(rng, n)
+        if n == MAX_COUNT_N + 1:
+            sets = sets or ["--u="]
+        elif n > MAX_COUNT_ALL_N:
+            sets = []
+        past = degree.isdigit() and (n > MAX_COUNT_N or not sets and n > MAX_COUNT_ALL_N)
+        return ["count", f"--n={degree}", *sets, *output], past
+    if command == "tree":
+        if rng.random() < 0.1:  # just past the node cap
+            return ["tree", "--n=8", *TREE_PAST_CAP, *output], True
+        degree, n = drawn_degree(rng, 6, [MAX_COUNT_N + 1, MAX_TREE_OVERLAY_N + 1])
+        argv = ["tree", f"--n={degree}", *drawn_sets(rng, n), *output]
+        overlay = n == MAX_TREE_OVERLAY_N + 1 or rng.random() < 0.2
+        argv += ["--overlay"] * overlay + ["--dot"] * (rng.random() < 0.1)
+        if rng.random() < 0.3:
+            letters = list(range(1, n))
+            rng.shuffle(letters)
+            argv.append(f"--priority={rng.choice(['1,1', 'x', '']) if rng.random() < 0.2 else ','.join(map(str, letters))}")
+        past = degree.isdigit() and (n > MAX_COUNT_N or overlay and n > MAX_TREE_OVERLAY_N)
+        return argv, past
+    if command == "automaton":
+        if rng.random() < 0.5:
+            if rng.random() < 0.1:
+                return ["automaton", "--product", *PRODUCT_PAST_CAP], True
+            degree, n = drawn_degree(rng, 6, [MAX_AUTOMATON_N + 1])
+            argv = ["automaton", "--product", f"--n={degree}", *drawn_sets(rng, n)]
+            argv += ["--reachable-only"] * (rng.random() < 0.3) + [f"--j={rng.randint(0, n)}"] * (rng.random() < 0.1)
+        else:
+            degree, n = drawn_degree(rng, 7, [MAX_AUTOMATON_N + 1])
+            argv = ["automaton", f"--n={degree}"]
+            if rng.random() < 0.9:
+                argv.append(f"--kind={rng.choice(['U', 'D', 'u', 'd', 'X'])}")
+            if rng.random() < 0.9:
+                argv.append(f"--j={rng.randint(0, n + 1)}")
+            argv += drawn_sets(rng, n, ("--u",)) if rng.random() < 0.1 else []
+        argv += ["--dot"] * (rng.random() < 0.2) + output
+        return argv, degree.isdigit() and n > MAX_AUTOMATON_N
+    if command == "network":
+        degree, n = drawn_degree(rng, 6, [MAX_NETWORK_N + 1])
+        # the candidate needs one automaton: mostly one value of u or d
+        one = [f"--{rng.choice('ud')}={rng.randint(2, max(2, n - 1))}"]
+        argv = ["network", f"--n={degree}", *(one if rng.random() < 0.7 else drawn_sets(rng, n)), *output]
+        if rng.random() < 0.3:
+            extension = [rng.randint(0, n) for _ in range(rng.randint(0, 4))]
+            argv.append(f"--extend={rng.choice(['x', '1;2']) if rng.random() < 0.2 else ','.join(map(str, extension))}")
+        return argv, degree.isdigit() and n > MAX_NETWORK_N
+    # verify: a bounded suite is run at most at its default bound 5 (all of
+    # them at most at 4), or one past its cap, and a fixed-size one with or
+    # without a bound it ignores; all is capped by the lowest cap, and an
+    # unknown suite is refused whatever its bound
+    suite = rng.choice([*verify.SUITES, "all", "bogus"])
+    argv = ["verify", f"--suite={suite}"]
+    if suite in verify.SUITES:
+        _, default, cap = verify.SUITES[suite]
+    else:
+        default, cap = 5, min(cap for _, _, cap in verify.SUITES.values() if cap)
+    past = False
+    if rng.random() < 0.1:
+        argv.append(f"--n={rng.choice(MALFORMED_DEGREES)}")
+    elif cap is not None and rng.random() < 0.3:
+        argv.append(f"--n={cap + 1}")
+        past = True
+    elif default is not None:
+        argv.append(f"--n={rng.randint(1, 4 if suite == 'all' else 5)}")
+    elif rng.random() < 0.5:
+        argv.append(f"--n={rng.randint(1, 9)}")
+    return argv, past
+
+
+@pytest.mark.parametrize("draws", [400, slow(3000)])
+def test_other_commands_keep_their_exit_code_contract(capsys, draws):
+    # as for sort and check: an argument list past a cap is refused (exit 2)
+    # before the work, which the empty stdout shows
+    rng = random.Random(20261021)
+    seen = collections.Counter()
+    for _ in range(draws):
+        argv, past = command_argv(rng)
+        code, err = assert_keeps_the_contract(capsys, argv)
+        if past:
+            assert code == 2, argv
+        seen[argv[0], code, past] += 1
+    for command in ("count", "tree", "automaton", "network", "verify"):
+        for code in (0, 2):
+            assert any(key[:2] == (command, code) for key in seen), (command, code)
+        assert any(key[0] == command and key[2] for key in seen), command
+    assert ("network", 1, False) in seen
+
+
+def worst_check(n: int) -> list[str]:
+    """check's worst case: the identity, with u and d both {2..n-1}."""
+    sets = ",".join(map(str, range(2, n)))
+    return ["check", f"--n={n}", f"--u={sets}", f"--d={sets}", " ".join(map(str, range(1, n + 1)))]
+
+
+AT_THE_CAPS = [
+    ["count", f"--n={MAX_COUNT_ALL_N}"],
+    ["count", f"--n={MAX_COUNT_N}", "--u="],
+    ["count", f"--n={MAX_COUNT_N}", f"--u={','.join(map(str, range(2, MAX_COUNT_N, 7)))}"],
+    ["tree", f"--n={MAX_TREE_OVERLAY_N}", "--overlay"],
+    ["automaton", f"--n={MAX_AUTOMATON_N}", "--kind=U", f"--j={MAX_AUTOMATON_N // 2}"],
+    ["automaton", "--product", *PRODUCT_AT_CAP],
+    ["network", f"--n={MAX_NETWORK_N}", "--u=4"],
+    *(["verify", f"--suite={name}", f"--n={cap}"] for name, (_, _, cap) in verify.SUITES.items() if cap),
+    ["tree", "--n=8", *TREE_WITHIN_CAP],
+    worst_check(MAX_CHECK_N),
+]
+
+
+@pytest.mark.parametrize("argv", [slow(argv) for argv in AT_THE_CAPS], ids=lambda argv: " ".join(argv)[:40])
+def test_commands_at_their_caps_keep_the_contract(capsys, argv):
+    code, _ = assert_keeps_the_contract(capsys, argv)
+    assert code in (0, 1), argv

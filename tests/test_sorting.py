@@ -162,6 +162,7 @@ def oracle_sort_single(pi, j, kind, priority=None):
     n = pi.n
     if priority is None:
         priority = PriorityOrder.natural(n)
+    rank = priority.rank.__getitem__
     up = kind is Kind.UP
     param = j
     steps = []
@@ -176,7 +177,7 @@ def oracle_sort_single(pi, j, kind, priority=None):
 
     while True:
         forbidden = param - 1 if up else param
-        letter = min((l for l in left_inversions(pi) if l != forbidden), key=priority.key, default=None)
+        letter = min((l for l in left_inversions(pi) if l != forbidden), key=rank, default=None)
         if letter is None:
             break
         record(letter, "healthy")
@@ -192,7 +193,7 @@ def oracle_sort_single(pi, j, kind, priority=None):
         for block in (range(1, cut), range(cut + 1, n)):
             allowed = set(block)
             while True:
-                letter = min((l for l in left_inversions(pi) if l in allowed), key=priority.key, default=None)
+                letter = min((l for l in left_inversions(pi) if l in allowed), key=rank, default=None)
                 if letter is None:
                     break
                 record(letter, "block")
@@ -786,6 +787,7 @@ def oracle_permutree_sort(pi, orientation, priority=None):
     n = pi.n
     if priority is None:
         priority = PriorityOrder.natural(n)
+    rank = priority.rank.__getitem__
     u, d = orientation.u, orientation.d
     steps = []
     taken = []
@@ -794,7 +796,7 @@ def oracle_permutree_sort(pi, orientation, priority=None):
         descents = left_inversions(pi)
         if not descents:
             break
-        letter = min((l for l in descents if l + 1 not in u and l not in d), key=priority.key, default=None)
+        letter = min((l for l in descents if l + 1 not in u and l not in d), key=rank, default=None)
         if letter is not None:
             steps.append(TraceStep(pi, u, d, letter, (), "healthy"))
             taken.append(letter)
@@ -803,7 +805,7 @@ def oracle_permutree_sort(pi, orientation, priority=None):
             continue
         chosen = None
         attempts = []
-        for l in sorted(descents, key=priority.key):
+        for l in sorted(descents, key=rank):
             checks = []
             if l + 1 in u:
                 checks.append((l + 1, oracle_fixes_prefix(pi, l + 1)))

@@ -101,7 +101,7 @@ def test_lexmin_word_matches_enumeration():
                 if product_accepts(orientation, w)
             ]
             expected = (
-                min(accepted, key=lambda w: tuple(priority.key(l) for l in w))
+                min(accepted, key=lambda w: tuple(priority.rank[l] for l in w))
                 if accepted
                 else None
             )

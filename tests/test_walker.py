@@ -1,6 +1,6 @@
 """The left-descent walker and the greedy extractor against the definitions
 they replaced, which are kept here as oracles: the recursive ones, and the
-Permutation-stepping bodies that the position-array loops replaced.
+Permutation-stepping bodies that the Residual-stepping loops replaced.
 
 Every comparison is exhaustive over the stated degrees; nothing is sampled.
 """
@@ -157,7 +157,7 @@ def oracle_lexmin_word(pi, orientation, priority):
         descents = left_inversions(p)
         if not descents:
             return ()
-        for letter in sorted(descents, key=priority.key):
+        for letter in sorted(descents, key=priority.rank.__getitem__):
             nxt = step_product(rows, product, letter)
             if classify(nxt) is Status.DEAD:
                 continue
@@ -246,8 +246,8 @@ def test_walk_reduced_words_matches_oracle_with_priorities(n):
         state, advance = walker_arguments(orientation)
         for priority in priorities:
             for pi in perms:
-                got = list(walk_reduced_words(pi, priority.key, state, advance))
-                want = list(oracle_walk_reduced_words(pi, priority.key, state, advance))
+                got = list(walk_reduced_words(pi, priority, state, advance))
+                want = list(oracle_walk_reduced_words(pi, priority.rank.__getitem__, state, advance))
                 assert got == want, (pi, orientation, priority)
 
 
