@@ -177,13 +177,12 @@ def product_accepts(orientation: Orientation, word: Word) -> bool:
 def exists_accepted(pi: Permutation, orientation: Orientation) -> bool:
     """Does some reduced expression of pi pass every automaton of the orientation?
 
-    Always a search over the reduced expressions themselves, for any u and d.
-    For disjoint u, d the answer equals core.is_minimal, the O(n) subword
-    test, and the tests compare it with the suites' final_vectors route.
-
-    The search walks the left-descent tree of the reduced expressions,
-    threading the product state along and cutting dead subtrees (dead is
-    absorbing, so nothing down there can be accepted).
+    A walk of pi's left-descent tree for any u and d, threading the product
+    state along and cutting a subtree whose state is dead (dead is
+    absorbing) or already led nowhere, so its work is bounded by the product
+    states it meets.  For disjoint u, d the answer equals core.is_minimal,
+    the O(n) subword test, and the tests compare it with the suites'
+    final_vectors route.
     """
     advance = functools.partial(step_alive, product_table(orientation))
     words = walk_reduced_words(pi, state=initial_product(orientation), advance=advance)

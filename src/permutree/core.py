@@ -143,13 +143,12 @@ class Orientation:
     masks: tuple[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        u = frozenset(self.u)
-        d = frozenset(self.d)
+        u, d = frozenset(self.u), frozenset(self.d)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "d", d)
-        allowed = set(range(2, self.n))
+        allowed = range(2, self.n)  # a range tests membership without holding its values
         for name, values in (("u", u), ("d", d)):
-            if not values <= allowed:
+            if not all(v in allowed for v in values):
                 shown = f"{{2,..,{self.n - 1}}}" if self.n > 3 else "{2}" if self.n == 3 else "{}"
                 raise ValueError(f"{name} must be a subset of {shown}, got {sorted(values)}")
         parts = [(Kind.UP, j) for j in sorted(u)] + [(Kind.DOWN, j) for j in sorted(d)]
@@ -171,18 +170,22 @@ def _identity(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=16)
-def one_line_writer(n: int) -> Callable[[Iterable[int]], str]:
-    """A function writing the entries of a degree-n permutation as str() does.
+def one_line_parts(n: int) -> tuple[tuple[str, ...], str]:
+    """The strings of the values 0..n and the separator of a degree-n
+    one-line text: none up to n = 9, a space above."""
+    return tuple(map(str, range(n + 1))), "" if n <= 9 else " "
 
-    The values run together up to n = 9 and are space-separated above.  The
-    value strings are made once per degree, so rendering a permutation costs
-    one join.
+
+@lru_cache(maxsize=16)
+def one_line_writer(n: int) -> Callable[[Iterable[int]], str]:
+    """A function writing the entries of a degree-n permutation as str() does,
+    with one join.
 
     >>> one_line_writer(4)((3, 4, 2, 1)), one_line_writer(10)(range(10, 0, -1))
     ('3421', '10 9 8 7 6 5 4 3 2 1')
     """
-    join = ("" if n <= 9 else " ").join
-    token = [str(v) for v in range(n + 1)].__getitem__
+    tokens, separator = one_line_parts(n)
+    join, token = separator.join, tokens.__getitem__
     return lambda entries: join(map(token, entries))
 
 
@@ -384,17 +387,28 @@ def walk_reduced_words(
 
     A reduced expression of p starts with a left descent l of p and goes on
     with one of s_l * p; the children of a node are tried in the priority's
-    order (ascending l by default).  With advance, the child reached by l
-    carries advance(state, l), and the branch is cut where that is None.
-
+    order (ascending l by default).  With advance, a product's step_alive
+    as every caller's is, the child reached by l carries advance(state, l).
     One Residual holds the current node, whose untried children are its
     descent bits, read lowest first as PriorityOrder.pick reads them:
     stepping down takes the letter, and stepping back up takes it again and
     restores the node's descents.  A node is the identity iff its depth is
-    the length of pi.  Below a node the walk depends only on (its entries,
-    its state), so a pair whose subtree yielded nothing is skipped when met
-    again.  The stack is explicit: no recursion limit bounds the length of
-    pi.
+    the length of pi; the stack is explicit, so no recursion limit binds.
+
+    A child is skipped, before its letter is taken, if its state is None (a
+    component died) or a state whose subtree yielded nothing, so the walk is
+    bounded by the number of product states, which multiplies across
+    components.  The state alone decides a subtree: let tau be a node's
+    prefix, pi = tau * sigma.  UP j healthy at column m puts j at position m
+    of tau after every smaller value; UP at m accepts some word of sigma iff
+    sigma avoids m..k..i, iff pi avoids j..k..i.  Ill at m accepts the words
+    without m, so sigma succeeds iff sigma([m]) = [m] (parabolic subgroups,
+    Bjorner-Brenti ch. 2), iff tau([m]) = pi([m]); as tau([m]) is [j] and
+    m - j values above j that precede j in pi, iff [j] lies in pi([m]).
+    DOWN is the mirror image.  For disjoint u and d the ill components then
+    accept every word of sigma and the healthy ones sit at distinct columns,
+    so theorem 2 on sigma makes joint success the conjunction.  Unproven for
+    an overlapping u and d; the tests check those walks exhaustively.
     """
     length = pi.length()
     if not length:
@@ -404,7 +418,7 @@ def walk_reduced_words(
     rest = Residual(pi, order)
     take = rest.take
     yields = 0
-    failed: set[tuple[tuple[int, ...], Hashable]] = set()
+    failed: set[Hashable] = set()
     path: list[int] = []
     # the current node's state, untried descents, descents and the words
     # yielded before it; each ancestor's four wait on the stack
@@ -416,24 +430,20 @@ def walk_reduced_words(
             todo ^= low
             letter = order[low.bit_length() - 1]
             nxt = current if advance is None else advance(current, letter)
-            if nxt is None:
+            if nxt is None or nxt in failed:
                 continue
             if len(path) + 1 == length:
                 yields += 1
                 yield (*path, letter)
                 continue
             take(letter)
-            if failed and (tuple(rest.entries), nxt) in failed:
-                take(letter)
-                rest.descents = descents
-                continue
             stack.append((current, todo, descents, before))
             path.append(letter)
             current, todo, descents, before = nxt, rest.descents, rest.descents, yields
         if not stack:
             return
         if yields == before:
-            failed.add((tuple(rest.entries), current))
+            failed.add(current)
         take(path.pop())
         current, todo, descents, before = stack.pop()
         rest.descents = descents

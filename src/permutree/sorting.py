@@ -35,6 +35,7 @@ from .core import (
     _letter_bits,
     all_permutations,
     is_minimal,
+    one_line_parts,
 )
 from .automata import initial_state, label, product_accepts, state_count, table
 
@@ -77,16 +78,9 @@ def _values(mask: int) -> frozenset[int]:
     return frozenset(itertools.compress(itertools.count(), _bits(mask)))
 
 
-@functools.lru_cache(maxsize=16)
-def _tokens(n: int) -> tuple[str, ...]:
-    """The strings of the values 0..n, one tuple per degree."""
-    return tuple(map(str, range(n + 1)))
-
-
 def _set_writer(n: int, opening: str, separator: str, closing: str) -> Callable[[int], str]:
     """Writes a mask of values in 0..n as sorted(values), once per distinct mask."""
-    tokens = _tokens(n)
-    join = separator.join
+    tokens, join = one_line_parts(n)[0], separator.join
     written: dict[int, str] = {}
 
     def write(mask: int) -> str:
@@ -158,8 +152,8 @@ class SortTrace:
         one-line order: taking a letter l swaps the strings at rest.pos[l]
         and rest.pos[l + 1], as Residual.take swaps the values there."""
         rest = Residual(self.start)
-        cells = list(map(str, rest.entries))
-        join = ("" if self.start.n <= 9 else " ").join  # as str(Permutation) writes it
+        tokens, separator = one_line_parts(self.start.n)
+        cells, join = [tokens[v] for v in rest.entries], separator.join
         for row in self.decisions:
             yield rest.entries, join(cells), row
             if row[5]:  # applied: take its letter

@@ -40,15 +40,12 @@ def lexmin_word(
     """Priority-least reduced expression of pi accepted by every automaton.
 
     Depth-first search over left descents in priority order, cutting any
-    branch whose product state dies; the first completed word is the
-    lexicographic minimum.  None iff no reduced expression is accepted.
-
-    This is the brute-force route, exponential in the length of pi: the
-    failure memo skips repeated dead ends, but on w0 of S_60 (u = {2}, say)
-    the search does not finish.  generating_tree reaches the same words
-    without it, and the prefix suite in verify reads them off a pass over
-    the weak order, so nothing in the package calls it: it is kept as the
-    public brute-force route to one word.
+    branch whose product state dies or already led nowhere, so bounded by
+    the product states it meets, which multiply across components; the
+    first completed word is the lexicographic minimum, None iff no reduced
+    expression is accepted.  generating_tree and the prefix suite in
+    verify reach the same words without it, so nothing in the package calls
+    it: it is kept as the public search for one word.
     """
     advance = functools.partial(step_alive, product_table(orientation))
     words = walk_reduced_words(pi, priority, initial_product(orientation), advance)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -445,6 +446,32 @@ def test_orientation_validation():
     with pytest.raises(ValueError):
         o.require_disjoint()
     Orientation(frozenset(), frozenset(), 2)  # the n=2 constraint set is empty
+
+
+def test_orientation_range_messages():
+    cases = [
+        (({1}, frozenset(), 5), "u must be a subset of {2,..,4}, got [1]"),
+        ((frozenset(), {0, 2}, 3), "d must be a subset of {2}, got [0, 2]"),
+        (({2}, frozenset(), 2), "u must be a subset of {}, got [2]"),
+        (({2.5}, frozenset(), 5), "u must be a subset of {2,..,4}, got [2.5]"),
+        (({"2"}, frozenset(), 5), "u must be a subset of {2,..,4}, got ['2']"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as caught:
+            Orientation(*args)
+        assert str(caught.value) == message
+
+
+def test_orientation_check_does_not_hold_its_range():
+    # the check asks each value's range; a set of 2..n-1 would take hundreds of MB
+    tracemalloc.start()
+    try:
+        orientation = Orientation({2}, frozenset(), 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orientation.masks == (4, 0)
+    assert peak < 2**20
 
 
 def test_orientation_components_are_derived():

@@ -7,6 +7,7 @@ Every comparison is exhaustive over the stated degrees; nothing is sampled.
 import ast
 import collections
 import functools
+import itertools
 import pathlib
 import random
 
@@ -14,6 +15,7 @@ import pytest
 
 from permutree import automata, core, coxeter, sorting, trees, verify
 from permutree.core import (
+    Kind,
     Orientation,
     Permutation,
     Word,
@@ -27,6 +29,7 @@ from permutree.core import (
 )
 from permutree.automata import (
     Status,
+    accepts,
     classify,
     exists_accepted,
     initial_product,
@@ -263,6 +266,65 @@ def test_walk_reduced_words_matches_oracle_on_every_orientation(n):
             assert got == want, (pi, orientation)
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_accepting_automata(pi):
+    """Each reduced word of pi with the set of its degree's automata (kind, j)
+    that accept it."""
+    machines = [(kind, j) for kind in Kind for j in range(2, pi.n)]
+    return [
+        (word.letters, {(kind, j) for kind, j in machines if accepts(kind, j, word)})
+        for word in oracle_reduced_words(pi)
+    ]
+
+
+def memo_free_walk(pi, orientation, priority):
+    """The accepted reduced words of pi in the walk's order, with no memo: every
+    reduced word whose product steps stay alive at every prefix, sorted by the
+    priority's ranks.  Dead is absorbing, so that is every word that each of
+    the orientation's automata accepts."""
+    components = set(orientation.components)
+    verdicts = oracle_accepting_automata(pi)
+    words = [letters for letters, accepting in verdicts if components <= accepting]
+    return sorted(words, key=lambda letters: [priority.rank[l] for l in letters])
+
+
+def reference_priorities(n, which):
+    """Every order of the letters, the natural one, or it and three seeded shuffles."""
+    if which == "every":
+        return [PriorityOrder(order) for order in itertools.permutations(range(1, n))]
+    rng = random.Random(20261018 + n)
+    shuffled = [PriorityOrder.shuffled(n, rng) for _ in range(3 if which == "seeded" else 0)]
+    return [PriorityOrder.natural(n)] + shuffled
+
+
+@pytest.mark.parametrize(
+    "n, which",
+    [(1, "every"), (2, "every"), (3, "every"), (4, "every"), (5, "natural"), slow(5, "seeded")],
+)
+def test_walk_reduced_words_matches_memo_free_reference(n, which):
+    # pins the memo's key: a state that led nowhere is skipped wherever met again,
+    # on every orientation, overlapping u and d included
+    perms = list(all_permutations(n))
+    for orientation in all_orientations(n):
+        state, advance = walker_arguments(orientation)
+        for priority in reference_priorities(n, which):
+            for pi in perms:
+                got = list(walk_reduced_words(pi, priority, state, advance))
+                assert got == memo_free_walk(pi, orientation, priority), (pi, orientation, priority)
+
+
+@pytest.mark.parametrize("n", [SLOW_DEGREE])
+def test_first_words_match_entries_keyed_walk_on_every_orientation(n):
+    # the oracle walk keys its memo on (entries, state), which is exact
+    perms = list(all_permutations(n))
+    for orientation in all_orientations(n):
+        state, advance = walker_arguments(orientation)
+        for pi in perms:
+            want = next(oracle_walk_reduced_words(pi, state=state, advance=advance), None)
+            assert next(walk_reduced_words(pi, state=state, advance=advance), None) == want
+            assert exists_accepted(pi, orientation) == (want is not None), (pi, orientation)
+
+
 def greedy_templates(n):
     """Every Coxeter word of S_n, and each with one generator left out."""
     for c in all_coxeter_words(n):
@@ -395,6 +457,41 @@ def test_exists_accepted_on_a_long_permutation():
     assert exists_accepted(W0_60, FULL_DOWN_60)
 
 
+# A count of Residual.take calls, not a time, bounds the searches below; the
+# walk takes 66,903 letters per search on w0 with u = {2} and 13,311 with
+# u = {30}, d = {31}.
+TAKE_BUDGET = 200_000
+
+
+@pytest.fixture
+def take_budget(monkeypatch):
+    """Make Residual.take raise once called more than TAKE_BUDGET times;
+    clear() the returned counter to start a new budget."""
+    calls = collections.Counter()
+    take = core.Residual.take
+
+    def counted(self, letter):
+        calls["take"] += 1
+        if calls["take"] > TAKE_BUDGET:
+            raise AssertionError(f"Residual.take called more than {TAKE_BUDGET:,} times")
+        return take(self, letter)
+
+    monkeypatch.setattr(core.Residual, "take", counted)
+    return calls
+
+
+@pytest.mark.parametrize("u, d", [({2}, set()), ({30}, {31})])
+def test_searches_on_a_long_permutation_stay_within_a_work_bound(take_budget, u, d):
+    # few components: the walk meets few product states, however long pi is
+    orientation = Orientation(u, d, 60)
+    word = lexmin_word(W0_60, orientation)
+    assert len(word) == 60 * 59 // 2 and take_budget["take"] > 0
+    assert evaluate(word) == W0_60
+    assert product_accepts(orientation, word)
+    take_budget.clear()
+    assert exists_accepted(W0_60, orientation)
+
+
 def test_stack_sort_of_a_long_permutation():
     assert stack_sort(Permutation(tuple(range(2000, 0, -1)))).is_identity()
 
@@ -443,9 +540,9 @@ KEPT_WITHOUT_CALLER: dict[str, str] = {
     "left_inversions": "perfbench/worker.py reads its traced call count "
     "(core.left_inversions.calls); delete with the next benchmark refresh",
     "exists_accepted": "perfbench/worker.py reads its traced call count "
-    "(automata.exists_accepted.calls); the reference route the walker oracle tests and "
-    "the final-state suite oracles compare against",
-    "lexmin_word": "the public brute-force route to one lexmin word; perfbench/worker.py reads "
+    "(automata.exists_accepted.calls); the product-state-pruned search the walker oracle "
+    "tests and the final-state suite oracles compare against",
+    "lexmin_word": "the public search for one lexmin word; perfbench/worker.py reads "
     "its traced call count (trees.lexmin_word.calls); move to tests/oracles.py with the next "
     "benchmark refresh",
 }
