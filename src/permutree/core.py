@@ -185,7 +185,7 @@ def one_line_writer(n: int) -> Callable[[Iterable[int]], str]:
     ('3421', '10 9 8 7 6 5 4 3 2 1')
     """
     tokens, separator = one_line_parts(n)
-    join, token = separator.join, tokens.__getitem__
+    join, token = separator.join, list(tokens).__getitem__  # a faster call than tuple's
     return lambda entries: join(map(token, entries))
 
 
@@ -396,19 +396,19 @@ def walk_reduced_words(
     the length of pi; the stack is explicit, so no recursion limit binds.
 
     A child is skipped, before its letter is taken, if its state is None (a
-    component died) or a state whose subtree yielded nothing, so the walk is
-    bounded by the number of product states, which multiplies across
-    components.  The state alone decides a subtree: let tau be a node's
-    prefix, pi = tau * sigma.  UP j healthy at column m puts j at position m
-    of tau after every smaller value; UP at m accepts some word of sigma iff
-    sigma avoids m..k..i, iff pi avoids j..k..i.  Ill at m accepts the words
-    without m, so sigma succeeds iff sigma([m]) = [m] (parabolic subgroups,
-    Bjorner-Brenti ch. 2), iff tau([m]) = pi([m]); as tau([m]) is [j] and
-    m - j values above j that precede j in pi, iff [j] lies in pi([m]).
-    DOWN is the mirror image.  For disjoint u and d the ill components then
-    accept every word of sigma and the healthy ones sit at distinct columns,
-    so theorem 2 on sigma makes joint success the conjunction.  Unproven for
-    an overlapping u and d; the tests check those walks exhaustively.
+    component died) or a state whose subtree yielded nothing, so a search
+    for one word is bounded by the number of product states, which
+    multiplies across components.  The state alone decides a subtree: let
+    tau be a node's prefix, pi = tau * sigma.  UP j healthy at column m puts
+    j at position m of tau after every smaller value; UP at m accepts some
+    word of sigma iff sigma avoids m..k..i, iff pi avoids j..k..i.  Ill at m
+    accepts the words without m, so sigma succeeds iff sigma([m]) = [m]
+    (parabolic subgroups, Bjorner-Brenti ch. 2), iff tau([m]) = pi([m]); as
+    tau([m]) is [j] and m - j values above j that precede j in pi, iff [j]
+    lies in pi([m]).  DOWN is the mirror image.  For disjoint u and d the
+    ill components then accept every word of sigma and the healthy ones sit
+    at distinct columns, so theorem 2 on sigma makes joint success the
+    conjunction.  Unproven for overlapping u and d, checked by the tests.
     """
     length = pi.length()
     if not length:
