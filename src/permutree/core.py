@@ -336,6 +336,8 @@ class Residual:
 
     def __init__(self, pi: Permutation, order: tuple[int, ...] | None = None):
         n = pi.n
+        if order is not None and len(order) != n - 1:
+            raise ValueError(f"priority of degree {len(order) + 1} for a permutation of degree {n}")
         self.entries = list(pi.entries)
         self.pos = pos = [0] * (n + 1)
         for at, value in enumerate(self.entries):
@@ -410,12 +412,12 @@ def walk_reduced_words(
     at distinct columns, so theorem 2 on sigma makes joint success the
     conjunction.  Unproven for overlapping u and d, checked by the tests.
     """
+    order = (priority or PriorityOrder.natural(pi.n)).order
+    rest = Residual(pi, order)
     length = pi.length()
     if not length:
         yield ()
         return
-    order = (priority or PriorityOrder.natural(pi.n)).order
-    rest = Residual(pi, order)
     take = rest.take
     yields = 0
     failed: set[Hashable] = set()

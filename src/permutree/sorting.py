@@ -39,11 +39,12 @@ from .core import (
 )
 from .automata import initial_state, label, product_accepts, state_count, table
 
-# Characters in the smallest shared piece of a trace table's w column
-# (SortTrace.to_table), whose rows share runs of pieces of _WORD_BLOCK x 2^k
-# characters.  A streamed table is one file.write per piece, so a larger
-# block means a few fewer writes a row but longer slices of each row's own,
-# which a stream that keeps what it is given (a list of the pieces) holds.
+# Characters in a block of a trace table's w column (SortTrace.to_table).  A
+# stream that keeps what it is given holds every row's own slices, under a
+# block each, and every distinct run of whole blocks, about width / block.
+# On the benchmark's n = 200 text sort of seed 1 (2 cores, Python 3.11.7),
+# blocks of 256, 1024 and 4096 kept 17.5, 19.4 and 47.9 MB and took at best
+# 0.047-0.049, 0.047-0.049 and 0.054 s: none beat 1024 on both.
 _WORD_BLOCK = 1024
 
 
@@ -95,19 +96,6 @@ def _set_writer(n: int, opening: str, separator: str, closing: str) -> Callable[
 _checked = functools.lru_cache(maxsize=1024)(json.dumps)  # a row's checks, (k, ok) pairs
 
 
-def _doubling(text: str, count: int, block: int) -> list[str]:
-    """The first count x block characters of text, one piece per set bit of
-    count, the largest first: bit k gives 2^k blocks."""
-    pieces = []
-    start = 0
-    for k in reversed(range(count.bit_length())):
-        if count >> k & 1:
-            size = block << k
-            pieces.append(text[start : start + size])
-            start += size
-    return pieces
-
-
 @dataclass(frozen=True)
 class SortTrace:
     """A sort's decisions: one (u, d, letter, checks, phase, applied) tuple
@@ -124,14 +112,6 @@ class SortTrace:
     @property
     def success(self) -> bool:
         return self.result.is_identity()
-
-    @property
-    def final_u(self) -> frozenset[int]:
-        return _values(self.final_masks[0])
-
-    @property
-    def final_d(self) -> frozenset[int]:
-        return _values(self.final_masks[1])
 
     @property
     def word(self) -> Word:
@@ -172,82 +152,87 @@ class SortTrace:
         width and each line is stripped of trailing spaces.  Since the w
         column is as wide as the final word, the output has about
         rows x len(final word) characters, which grows as n^4 for a sort of
-        length about n^2.  The cells after w are made once per distinct
-        decision (u, d, letter, checks).  A row's w cell, its prefix of the
-        word and then blanks, is two runs of shared pieces of _WORD_BLOCK x
-        2^k characters, one per set bit of a count of whole blocks, and two
-        slices of the row's own, so the rendering takes time linear in the
-        output.  Returned, the table is one join of those pieces, at a peak
-        of about its size.  Given a file, the pieces are written to it one
-        file.write at a time and None is returned; the rows' cells and one
-        run of each kind are then held, not the table.  The CLI streams it
-        so.
+        length about n^2.  The widths are read off the decisions, and the
+        cells after w are made once per distinct decision (u, d, letter,
+        checks).  A row is four pieces: its one-line text, a run of the
+        word's whole _WORD_BLOCK-character blocks, a piece of the row's own
+        slices, and a run of whole blocks of blanks; each run is shared by
+        the rows with as many blocks, so the rendering takes time linear in
+        the output.  Returned, the table is one join of the pieces, at a peak
+        of about its size.  Given a file, the pieces are written to it one at
+        a time as the rows are replayed, and None is returned, having held
+        the distinct cells, the word and one run of each kind, not the table
+        or the rows' texts.  The CLI streams it so.
         """
         return _emit(self._table_pieces(), file)
 
     def _table_pieces(self):
-        """to_table's pieces in order, each row's after every row's cells are known."""
+        """to_table's pieces in order: the widths read off the decisions, then
+        each row written as _rows() replays it."""
         single = self.kind is not None
         header = ["pi", "w", "j", "l"] if single else ["pi", "w", "u", "d", "l", "k"]
-        # Every step's w cell is a prefix of one string, so a row keeps only
-        # the end of its prefix; formatting every cell from its letters would
-        # take time quadratic in the row count.  The cells after w depend on
-        # the decision (u, d, letter, checks) alone, which rows repeat: each
-        # distinct one is made once, and a row keeps its index.
-        word = ".".join(f"s{letter}" for letter in self.word)
+        # Each distinct decision's cells after w are made once.  A row's w
+        # cell is a prefix of the word, so a row needs only its prefix's end,
+        # and the last row's end is the column's width.  A sort that succeeded
+        # ends on a row with the whole word and no letter, whose checks are None.
         set_cell = _set_writer(self.start.n, "{", ",", "}")
         index: dict[tuple, int] = {}
         cells = []
-        rows = []
-        end = 0
-        for _, text, (u, d, letter, checks, _, applied) in self._rows():
-            i = index.get(key := (u, d, letter, checks))
-            if i is None:
-                i = index[key] = len(cells)
+        width = end = 0
+        final = ((*self.final_masks, 0, None, "", False),) if self.success else ()
+        for u, d, letter, checks, _, applied in self.decisions + final:
+            if (key := (u, d, letter, checks)) not in index:
+                index[key] = len(cells)
                 if single:  # the one value of u or d is the automaton's parameter
-                    cells.append((str((u | d).bit_length() - 1), str(letter)))
+                    cells.append((str((u | d).bit_length() - 1), "" if checks is None else str(letter)))
+                elif checks is None:
+                    cells.append(("",) * 4)
                 else:
                     checks_cell = ", ".join(str(k) if ok else f"x{k}" for k, ok in checks) or "."
                     cells.append((set_cell(u), set_cell(d), str(letter), checks_cell))
-            rows.append((text, end, i))
+            width = end
             if applied:
                 end += len(f"s{letter}") + (end > 0)  # a "." before all but the first
-        if self.success:  # the applied letters are the whole word
-            cells.append((str(next(iter(self.final_u | self.final_d))), "") if single else ("",) * 4)
-            rows.append((str(self.result), end, len(cells) - 1))
-        first = max([len(header[0]), *(len(text) for text, _, _ in rows)])
-        width = max(1, rows[-1][1] if rows else 0)  # "w" and "e" take one; the ends only grow
+        first = max(len(header[0]), len(str(self.start)))  # every row's one-line text is as long
+        width = max(1, width)  # "w" and "e" take one
         later = [max(map(len, column)) for column in zip(header[2:], *cells)]
 
         def tail(cells):  # the cells after w: the strip stops at their first " | "
             return (" | " + " | ".join(map(str.ljust, cells, later))).rstrip() + "\n"
 
         tails = list(map(tail, cells))
-        # The prefix counts of whole blocks only grow and the blank counts
-        # only shrink, so only the last run of each is kept.  A row's own
-        # slices of its prefix and its blanks make one piece (blanks are
-        # blanks in any order), and each line's cells after w open the next
-        # line's first piece.
+        # A row's prefix and its blanks are each a shared run of whole blocks
+        # and a slice of its own, both slices in one piece (blanks are blanks
+        # in any order).  The prefixes' counts of blocks only grow and the
+        # blanks' only shrink, so a run is sliced again only when its count
+        # changes; a count of 0 writes "".  Each line's cells after w open the
+        # next line's first piece.
         block = _WORD_BLOCK
+        word = ".".join(f"s{letter}" for letter in self.word)
         blank = " " * width
         before = (
             header[0].ljust(first) + " | " + "w".ljust(width) + tail(header[2:])
             + "-+-".join("-" * w for w in (first, width, *later)) + "\n"
         )
-        whole = fill = -1
-        for text, end, i in rows:
+        replayed = ((text, row) for _, text, row in self._rows())
+        end, whole, fill = 0, -1, -1
+        for text, (u, d, letter, checks, _, applied) in itertools.chain(
+            replayed, [(str(self.result), row) for row in final]
+        ):
             if end // block != whole:
                 whole = end // block
-                word_run = _doubling(word, whole, block)
+                word_run = word[: whole * block]
             pad = width - max(end, 1)
             if pad // block != fill:
                 fill = pad // block
-                blank_run = _doubling(blank, fill, block)
+                blank_run = blank[: fill * block]
             yield before + text.ljust(first) + " | "
-            yield from word_run
+            yield word_run
             yield (word[whole * block : end] if end else "e") + blank[: pad - fill * block]
-            yield from blank_run
-            before = tails[i]
+            yield blank_run
+            before = tails[index[u, d, letter, checks]]
+            if applied:
+                end += len(f"s{letter}") + (end > 0)
         yield before
 
     def to_json(self, file=None) -> str | None:

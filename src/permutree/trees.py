@@ -97,6 +97,8 @@ def generating_tree(
     n = orientation.n
     if priority is None:
         priority = PriorityOrder.natural(n)
+    if priority.n != n:
+        raise ValueError(f"priority of degree {priority.n} for an orientation of degree {n}")
     advance = functools.partial(step_alive, product_table(orientation))
     root = tuple(range(1, n + 1))
     seen = {root}

@@ -1,5 +1,6 @@
 import argparse
 import collections
+import hashlib
 import json
 import math
 import os
@@ -92,6 +93,52 @@ def test_streamed_sort_is_the_rendered_trace(capsys, n, output):
         )
         assert (code, err) == (0 if trace.success else 1, "")
         assert out == want, (u, d)
+
+
+class Hashing:
+    """A stdout stand-in that keeps only the sha256 and the length of what it gets."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self.size = 0
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        self.size += len(text)
+
+    def flush(self):
+        pass
+
+
+CAP_SIZE_PI = list(range(1, 201))
+random.Random(1).shuffle(CAP_SIZE_PI)
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest, size",
+    [
+        (
+            ["sort", "--n", "200", "--output", "text"], 0,
+            "fe6342fc90f17b6047f3001a99754fe9220c2f677b2df35ad9f720124ff3fb23", 420_618_471,
+        ),
+        (
+            ["sort", "--n", "200", "--output", "json"], 0,
+            "b099af2b2f68624088f2bd215c6b000507bfe4273ae30d74fc7424b99261c5a0", 7_662_138,
+        ),
+        (["verify", "--suite", "all"], 1, "6b715840b71ab71bfcdc96606972215d586807fc84cad586025c956e67125559", 355),
+    ],
+    ids=["sort-text", "sort-json", "verify-all"],
+)
+def test_cap_size_outputs_keep_their_digests(monkeypatch, argv, code, digest, size):
+    # The n = 200 table is 420 MB, so stdout is hashed as it is written and
+    # never held.  Its word is about 42 blocks of sorting._WORD_BLOCK wide, so
+    # its rows cross block boundaries at the real block size.
+    if argv[0] == "sort":
+        argv = [*argv, ",".join(map(str, CAP_SIZE_PI))]
+    out = Hashing()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == code
+    assert (out.hash.hexdigest(), out.size) == (digest, size)
 
 
 def test_check_minimal(capsys):
