@@ -164,6 +164,7 @@ def step_alive(rows: ProductTable, product: tuple[int, ...], letter: int) -> tup
 
 
 def product_accepts(orientation: Orientation, word: Word) -> bool:
+    orientation.require_degree(word.n, "word")
     # dead is absorbing, so stop at the first death
     rows = product_table(orientation)
     product = initial_product(orientation)
@@ -184,6 +185,7 @@ def exists_accepted(pi: Permutation, orientation: Orientation) -> bool:
     the O(n) subword test, and the tests compare it with the suites'
     final_vectors route.
     """
+    orientation.require_degree(pi.n)
     advance = functools.partial(step_alive, product_table(orientation))
     words = walk_reduced_words(pi, state=initial_product(orientation), advance=advance)
     return next(words, None) is not None

@@ -163,6 +163,10 @@ class Orientation:
         if not self.is_disjoint:
             raise ValueError(f"u and d must be disjoint, both contain {sorted(self.u & self.d)}")
 
+    def require_degree(self, n: int, of: str = "permutation") -> None:
+        if self.n != n:
+            raise ValueError(f"orientation of degree {self.n} for a {of} of degree {n}")
+
 
 @lru_cache(maxsize=16)
 def _identity(n: int) -> tuple[int, ...]:

@@ -141,8 +141,8 @@ class SortTrace:
                 cells[i], cells[j] = cells[j], cells[i]
                 rest.take(row[2])
 
-    def to_table(self, file=None) -> str | None:
-        """The trace as an aligned text table, one line per row.
+    def to_table(self, file) -> None:
+        """Write the trace to file as an aligned text table, one line per row.
 
         A header (pi | w | j | l for the single-automaton sort, pi | w | u |
         d | l | k for the (u, d) sort) and a rule of dashes come first, then
@@ -154,21 +154,15 @@ class SortTrace:
         rows x len(final word) characters, which grows as n^4 for a sort of
         length about n^2.  The widths are read off the decisions, and the
         cells after w are made once per distinct decision (u, d, letter,
-        checks).  A row is four pieces: its one-line text, a run of the
-        word's whole _WORD_BLOCK-character blocks, a piece of the row's own
-        slices, and a run of whole blocks of blanks; each run is shared by
-        the rows with as many blocks, so the rendering takes time linear in
-        the output.  Returned, the table is one join of the pieces, at a peak
-        of about its size.  Given a file, the pieces are written to it one at
-        a time as the rows are replayed, and None is returned, having held
-        the distinct cells, the word and one run of each kind, not the table
-        or the rows' texts.  The CLI streams it so.
+        checks).  As the rows are replayed, each is four file.write calls: its
+        one-line text, a run of the word's whole _WORD_BLOCK-character blocks,
+        a piece of the row's own slices, and a run of whole blocks of blanks.
+        Rows with as many blocks share a run, so the rendering takes time
+        linear in the output and holds the distinct cells, the word and one
+        run of each kind, not the table or the rows' texts.  For a string,
+        pass an io.StringIO.
         """
-        return _emit(self._table_pieces(), file)
-
-    def _table_pieces(self):
-        """to_table's pieces in order: the widths read off the decisions, then
-        each row written as _rows() replays it."""
+        write = file.write
         single = self.kind is not None
         header = ["pi", "w", "j", "l"] if single else ["pi", "w", "u", "d", "l", "k"]
         # Each distinct decision's cells after w are made once.  A row's w
@@ -176,31 +170,29 @@ class SortTrace:
         # and the last row's end is the column's width.  A sort that succeeded
         # ends on a row with the whole word and no letter, whose checks are None.
         set_cell = _set_writer(self.start.n, "{", ",", "}")
-        index: dict[tuple, int] = {}
-        cells = []
+        cells: dict[tuple, tuple[str, ...]] = {}
         width = end = 0
         final = ((*self.final_masks, 0, None, "", False),) if self.success else ()
         for u, d, letter, checks, _, applied in self.decisions + final:
-            if (key := (u, d, letter, checks)) not in index:
-                index[key] = len(cells)
+            if (key := (u, d, letter, checks)) not in cells:
                 if single:  # the one value of u or d is the automaton's parameter
-                    cells.append((str((u | d).bit_length() - 1), "" if checks is None else str(letter)))
+                    cells[key] = (str((u | d).bit_length() - 1), "" if checks is None else str(letter))
                 elif checks is None:
-                    cells.append(("",) * 4)
+                    cells[key] = ("",) * 4
                 else:
                     checks_cell = ", ".join(str(k) if ok else f"x{k}" for k, ok in checks) or "."
-                    cells.append((set_cell(u), set_cell(d), str(letter), checks_cell))
+                    cells[key] = (set_cell(u), set_cell(d), str(letter), checks_cell)
             width = end
             if applied:
                 end += len(f"s{letter}") + (end > 0)  # a "." before all but the first
         first = max(len(header[0]), len(str(self.start)))  # every row's one-line text is as long
         width = max(1, width)  # "w" and "e" take one
-        later = [max(map(len, column)) for column in zip(header[2:], *cells)]
+        later = [max(map(len, column)) for column in zip(header[2:], *cells.values())]
 
         def tail(cells):  # the cells after w: the strip stops at their first " | "
             return (" | " + " | ".join(map(str.ljust, cells, later))).rstrip() + "\n"
 
-        tails = list(map(tail, cells))
+        tails = {key: tail(row) for key, row in cells.items()}
         # A row's prefix and its blanks are each a shared run of whole blocks
         # and a slice of its own, both slices in one piece (blanks are blanks
         # in any order).  The prefixes' counts of blocks only grow and the
@@ -214,11 +206,9 @@ class SortTrace:
             header[0].ljust(first) + " | " + "w".ljust(width) + tail(header[2:])
             + "-+-".join("-" * w for w in (first, width, *later)) + "\n"
         )
-        replayed = ((text, row) for _, text, row in self._rows())
         end, whole, fill = 0, -1, -1
-        for text, (u, d, letter, checks, _, applied) in itertools.chain(
-            replayed, [(str(self.result), row) for row in final]
-        ):
+        last = [(None, str(self.result), row) for row in final]
+        for _, text, (u, d, letter, checks, _, applied) in itertools.chain(self._rows(), last):
             if end // block != whole:
                 whole = end // block
                 word_run = word[: whole * block]
@@ -226,54 +216,40 @@ class SortTrace:
             if pad // block != fill:
                 fill = pad // block
                 blank_run = blank[: fill * block]
-            yield before + text.ljust(first) + " | "
-            yield word_run
-            yield (word[whole * block : end] if end else "e") + blank[: pad - fill * block]
-            yield blank_run
-            before = tails[index[u, d, letter, checks]]
+            write(before + text.ljust(first) + " | ")
+            write(word_run)
+            write((word[whole * block : end] if end else "e") + blank[: pad - fill * block])
+            write(blank_run)
+            before = tails[u, d, letter, checks]
             if applied:
                 end += len(f"s{letter}") + (end > 0)
-        yield before
+        write(before)
 
-    def to_json(self, file=None) -> str | None:
-        """The trace as one JSON object, as json.dumps(..., sort_keys=True) writes it.
+    def to_json(self, file) -> None:
+        """Write the trace to file as one JSON object, the text of json.dumps(..., sort_keys=True).
 
         The keys come in sorted order: result, steps, success and word at the
         top, and applied, checks, d, letter, phase, pi and u in each step,
-        with json's default separators.  Each step is written as one string
-        whose u and d lists are made once per distinct set, and its checks
-        once per distinct checks.  Returned, the object is one join of its
-        head, its steps and its tail; given a file, they are written to it
-        one file.write at a time and None is returned, as json.dump does.
+        with json's default separators.  Each step is one file.write of a
+        string whose u and d lists are made once per distinct set, and its
+        checks once per distinct checks; the head and the tail are one more
+        each.  For a string, pass an io.StringIO.
         """
-        return _emit(self._json_pieces(), file)
-
-    def _json_pieces(self):
-        """to_json's pieces in order: the head, each step after its separator, the tail."""
+        write = file.write
         listed = _set_writer(self.start.n, "[", ", ", "]")  # as json.dumps(sorted(values))
-        yield f'{{"result": "{self.result}", "steps": ['
+        write(f'{{"result": "{self.result}", "steps": [')
         separator = ""
         for _, text, (u, d, letter, checks, phase, applied) in self._rows():
-            yield (
+            write(
                 f'{separator}{{"applied": {"true" if applied else "false"}, "checks": {_checked(checks)}, '
                 f'"d": {listed(d)}, "letter": {letter}, "phase": "{phase}", '
                 f'"pi": "{text}", "u": {listed(u)}}}'
             )
             separator = ", "
-        yield (
+        write(
             f'], "success": {"true" if self.success else "false"}, '
             f'"word": {json.dumps(list(self.word))}}}'
         )
-
-
-def _emit(pieces, file) -> str | None:
-    """The pieces joined, or, given a file, written to it in turn (None)."""
-    if file is None:
-        return "".join(pieces)
-    write = file.write
-    for piece in pieces:
-        write(piece)
-    return None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -347,6 +323,7 @@ def permutree_sort(
     the blocked letters l - 1, l and l + 1.
     """
     orientation.require_disjoint()
+    orientation.require_degree(pi.n)
     n = pi.n
     if priority is None:
         priority = PriorityOrder.natural(n)
@@ -463,6 +440,8 @@ def network_candidate(kind: Kind, j: int, n: int, extension: Word | None = None)
     """
     if not 2 <= j <= n - 1:
         raise ValueError(f"j must lie in 2..{n - 1}, got {j}")
+    if extension is not None and extension.n != n:
+        raise ValueError(f"extension of degree {extension.n} for a template of degree {n}")
     delta = table(kind, j, n)
     letters: list[int] = []
     for healthy in range(0, state_count(kind, j, n) - 2, 3):  # the boundary's healthy code is size - 2
@@ -470,7 +449,5 @@ def network_candidate(kind: Kind, j: int, n: int, extension: Word | None = None)
         loops = [letter for letter, target in enumerate(targets, 1) if target == healthy]
         letters.extend(loops * len(loops))
         letters.append(targets.index(healthy + 3) + 1)
-    if extension is None:
-        extension = Word(tuple(range(n - 1, 0, -1)), n)
-    letters.extend(extension)
+    letters.extend(range(n - 1, 0, -1) if extension is None else extension)
     return Word(tuple(letters), n)

@@ -47,6 +47,7 @@ def lexmin_word(
     verify reach the same words without it, so nothing in the package calls
     it: it is kept as the public search for one word.
     """
+    orientation.require_degree(pi.n)
     advance = functools.partial(step_alive, product_table(orientation))
     words = walk_reduced_words(pi, priority, initial_product(orientation), advance)
     letters = next(words, None)

@@ -1,13 +1,14 @@
 """Definitions the package no longer needs that the test oracles still use,
 the bodies that faster routes replaced, kept to compare against, the
 opt-in marker of the slow parameter sets, a guard that refuses calls
-to package functions, and a text comparison that says where two long texts
-first differ.
+to package functions, a text comparison that says where two long texts
+first differ, and the string a trace renders to a stream.
 
 The suite oracles look the predicates they compare against (contains_pattern,
 is_minimal, ninv_stats) up on the verify module, as the suites do, so a test
 patching one there patches both."""
 import functools
+import io
 import itertools
 import os
 import random
@@ -132,6 +133,13 @@ def assert_same_text(got, want, context=None):
         f"(got {len(got_lines)} lines, want {len(want_lines)}): "
         f"got {mine[window]!r}, want {theirs[window]!r}"
     )
+
+
+def written(render):
+    """The text that render (a trace's to_table or to_json) writes to a stream."""
+    out = io.StringIO()
+    render(out)
+    return out.getvalue()
 
 
 def refuse_everywhere(monkeypatch, *names, modules=PACKAGE_MODULES):

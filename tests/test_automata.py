@@ -278,6 +278,16 @@ def test_exists_accepted():
     assert not exists_accepted(pi, Orientation({2}, {2}, 4))
 
 
+def test_product_searches_refuse_an_orientation_of_another_degree():
+    # exists_accepted found an accepted word of 4321 under a degree-5
+    # orientation, and product_accepts raised IndexError under a degree-3 one
+    for pi in (P("4321"), P("1234")):
+        with pytest.raises(ValueError, match="orientation of degree 5 for a permutation of degree 4"):
+            exists_accepted(pi, Orientation({4}, frozenset(), 5))
+    with pytest.raises(ValueError, match="orientation of degree 3 for a word of degree 4"):
+        product_accepts(Orientation({2}, frozenset(), 3), Word((3, 2, 1), 4))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_acceptance_matches_avoidance(n):
     for pi in all_permutations(n):

@@ -26,7 +26,7 @@ from permutree.cli import (
     main,
 )
 from permutree.trees import count_minimal
-from oracles import slow
+from oracles import slow, written
 
 
 def run_cli(capsys, *argv):
@@ -85,7 +85,7 @@ def test_streamed_sort_is_the_rendered_trace(capsys, n, output):
     for u, d in ((set(), set()), ({up}, {down}), (odd, set(range(2, n)) - odd)):
         priority = PriorityOrder.shuffled(n, rng)
         trace = permutree_sort(pi, Orientation(u, d, n), priority)
-        want = trace.to_table() if output == "text" else trace.to_json() + "\n"
+        want = written(trace.to_table) if output == "text" else written(trace.to_json) + "\n"
         u_text, d_text, order = (",".join(map(str, values)) for values in (u, d, priority.order))
         code, out, err = run_cli(
             capsys, "sort", "--n", str(n), f"--u={u_text}", f"--d={d_text}", f"--priority={order}",
@@ -567,7 +567,7 @@ def test_streamed_table_keeps_a_real_stdout_small():
     entries = list(range(1, n + 1))
     random.Random(1).shuffle(entries)
     text = " ".join(map(str, entries))
-    size = len(permutree_sort(Permutation(tuple(entries)), Orientation(set(), set(), n)).to_table())
+    size = len(written(permutree_sort(Permutation(tuple(entries)), Orientation(set(), set(), n)).to_table))
     code = (
         "import resource, sys\n"
         "from permutree.cli import main\n"

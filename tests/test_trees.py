@@ -131,6 +131,13 @@ def test_searches_refuse_a_priority_of_another_degree(order):
         generating_tree(orientation, priority)
 
 
+def test_lexmin_word_refuses_an_orientation_of_another_degree():
+    # under a degree-3 orientation, lexmin_word of 4321 raised IndexError
+    for pi in (P("4321"), P("1234")):
+        with pytest.raises(ValueError, match="orientation of degree 3 for a permutation of degree 4"):
+            lexmin_word(pi, Orientation({2}, frozenset(), 3))
+
+
 def test_generating_tree_golden_u2():
     tree = generating_tree(Orientation({2}, frozenset(), 4))
     assert len(tree.nodes) == 18
