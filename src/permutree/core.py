@@ -256,6 +256,7 @@ def minimality_witness(
     pi: Permutation, orientation: Orientation
 ) -> tuple[int, Kind, tuple[int, int, int]] | None:
     """A violating (j, kind, positions) triple, or None when minimal."""
+    orientation.require_degree(pi.n)
     for kind, j in orientation.components:
         witness = pattern_witness(pi, j, kind)
         if witness is not None:
@@ -288,10 +289,12 @@ def ninv_stats(pi: Permutation, j: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PriorityOrder:
-    """A total order on the generator indices 1..n-1; earlier means preferred."""
+    """A total order on the generator indices 1..n-1; earlier means preferred.
+    bit[l], 1 << rank[l] (0 at 0 and n), is l's bit in a Residual's descents."""
 
     order: tuple[int, ...]
     rank: dict[int, int] = field(init=False, compare=False, repr=False)  # letter -> index in order
+    bit: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         order = tuple(self.order)
@@ -299,6 +302,7 @@ class PriorityOrder:
         if sorted(order) != list(range(1, len(order) + 1)):
             raise ValueError(f"not an ordering of 1..{len(order)}: {order!r}")
         object.__setattr__(self, "rank", {letter: i for i, letter in enumerate(order)})
+        object.__setattr__(self, "bit", (0, *(1 << self.rank[l] for l in range(1, self.n)), 0))
 
     @property
     def n(self) -> int:
@@ -326,10 +330,10 @@ class Residual:
     """A permutation kept for left multiplication, one descent at a time.
 
     entries is its one-line notation, pos[v] the index of the value v in
-    entries, and descents an int whose bit r says that order[r] (1, 2, ...,
-    n-1 by default, or a PriorityOrder's) is a left descent: l is one iff
-    pos[l+1] < pos[l].  bit[l] is the bit of l, and 0 for l = 0 and l = n, in
-    a tuple shared by every Residual of one degree and order.  Taking a
+    entries, and descents an int whose bit r says that the r-th letter of
+    its priority (PriorityOrder.natural(n) by default) is a left descent: l
+    is one iff pos[l+1] < pos[l].  bit is the priority's own bit table, so
+    every Residual of one priority shares it.  Taking a
     descent l (pi becomes s_l * pi) swaps the values l and l+1, which clears
     l and can only add l-1 and l+1.  The sorts, the greedy extraction and the
     reduced-word walk take their letters through it; a sort trace replays
@@ -338,15 +342,17 @@ class Residual:
 
     __slots__ = ("entries", "pos", "bit", "descents")
 
-    def __init__(self, pi: Permutation, order: tuple[int, ...] | None = None):
+    def __init__(self, pi: Permutation, priority: PriorityOrder | None = None):
         n = pi.n
-        if order is not None and len(order) != n - 1:
-            raise ValueError(f"priority of degree {len(order) + 1} for a permutation of degree {n}")
+        if priority is None:
+            priority = PriorityOrder.natural(n)
+        elif priority.n != n:
+            raise ValueError(f"priority of degree {priority.n} for a permutation of degree {n}")
         self.entries = list(pi.entries)
         self.pos = pos = [0] * (n + 1)
         for at, value in enumerate(self.entries):
             pos[value] = at
-        self.bit = bit = _letter_bits(n, order)
+        self.bit = bit = priority.bit
         descents = 0
         for l in range(1, n):
             if pos[l + 1] < pos[l]:
@@ -372,15 +378,6 @@ class Residual:
     def fixes_prefix(self, k: int) -> bool:
         """pi([k]) == [k] setwise; vacuously true for k <= 0 and k >= n."""
         return k <= 0 or k >= len(self.entries) or max(self.entries[:k]) == k
-
-
-@lru_cache(maxsize=16)
-def _letter_bits(n: int, order: tuple[int, ...] | None) -> tuple[int, ...]:
-    """Residual.bit: 1 << r at the r-th letter of the order, 0 at 0 and n."""
-    bit = [0] * (n + 1)
-    for rank, letter in enumerate(range(1, n) if order is None else order):
-        bit[letter] = 1 << rank
-    return tuple(bit)
 
 
 def walk_reduced_words(
@@ -417,7 +414,7 @@ def walk_reduced_words(
     conjunction.  Unproven for overlapping u and d, checked by the tests.
     """
     order = (priority or PriorityOrder.natural(pi.n)).order
-    rest = Residual(pi, order)
+    rest = Residual(pi, priority)
     length = pi.length()
     if not length:
         yield ()

@@ -32,7 +32,6 @@ from .core import (
     PriorityOrder,
     Residual,
     Word,
-    _letter_bits,
     all_permutations,
     is_minimal,
     one_line_parts,
@@ -261,7 +260,7 @@ def _walk_row(kind: Kind, j: int, n: int, code: int):
     delta = table(kind, j, n)
     column = 1 << label(kind, j, code)[0]
     sets = (column, 0) if kind is Kind.UP else (0, column)
-    bit = _letter_bits(n, None)
+    bit = PriorityOrder.natural(n).bit
     leaving = sum(bit[l] for l in range(1, n) if delta[l][code] % 3 != code % 3)
     return sets, "block" if code % 3 else "healthy", leaving
 
@@ -327,7 +326,7 @@ def permutree_sort(
     n = pi.n
     if priority is None:
         priority = PriorityOrder.natural(n)
-    rest = Residual(pi, priority.order)
+    rest = Residual(pi, priority)
     bit = rest.bit
     u, d = orientation.masks
     blocked = sum(itertools.compress(bit, _bits(u >> 1 | d)))  # l with l + 1 in u or l in d

@@ -89,27 +89,34 @@ def component_mask(orientation: Orientation) -> int:
     return sum(1 << component_index(kind, j, orientation.n) for kind, j in orientation.components)
 
 
+def weak_order(n: int):
+    """The rows and start state of the vector of all 2(n-2) automata (u = d =
+    2..n-1), S_n in order, and the covers (entries of pi, l, entries of pi * s_l)
+    over the right descents l of each pi, pi outward from the identity: the reduced
+    words of pi are those of pi * s_l followed by l (Bjorner and Brenti, ch. 3)."""
+    full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
+    perms = list(all_permutations(n))
+    outward = (pi.entries for pi in sorted(perms[1:], key=Permutation.length))
+    descents = ((e, l) for e in outward for l in range(1, n) if e[l - 1] > e[l])
+    covers = ((e, l, (*e[: l - 1], e[l], e[l - 1], *e[l + 1 :])) for e, l in descents)
+    return product_table(full), initial_product(full), perms, covers
+
+
 def final_vectors(n: int) -> Iterator[tuple[Permutation, dict[tuple[int, ...], int]]]:
     """Each pi of S_n in order, with {final vector: its number of reduced words
-    ending there}, a vector holding the states of all 2(n-2) automata.  The
-    reduced words of pi are those of pi * s_l followed by l, over its right
-    descents l (Bjorner and Brenti, ch. 3), so no word is built.
+    ending there}, a vector holding the states of all 2(n-2) automata, read
+    off one weak_order pass.
 
     >>> sum(dict(final_vectors(4))[Permutation.from_text("4321")].values())
     16
     """
-    full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
-    rows = product_table(full)
-    perms = list(all_permutations(n))  # the identity first
-    finals = {perms[0].entries: {initial_product(full): 1}}
-    for pi in sorted(perms[1:], key=Permutation.length):  # outward from the identity
-        e = pi.entries
-        counts = finals[e] = {}
-        for l in range(1, n):
-            if e[l - 1] > e[l]:
-                for vector, count in finals[(*e[: l - 1], e[l], e[l - 1], *e[l + 1 :])].items():
-                    stepped = step_product(rows, vector, l)
-                    counts[stepped] = counts.get(stepped, 0) + count
+    rows, start, perms, covers = weak_order(n)
+    finals = {perms[0].entries: {start: 1}}
+    for e, l, below in covers:
+        counts = finals.setdefault(e, {})
+        for vector, count in finals[below].items():
+            stepped = step_product(rows, vector, l)
+            counts[stepped] = counts.get(stepped, 0) + count
     for pi in perms:
         yield pi, finals[pi.entries]
 
@@ -490,10 +497,9 @@ def check_prefix_closure(max_n: int) -> Violations:
 
     Checked as: w.l, a reduced word of pi, is accepted iff w is and pi is minimal.
     Each prefix is a reduced word of its own permutation, so induction does the rest.
-    Words are stepped through the vector of all 2(n-2) automata (u = d = 2..n-1),
-    where an orientation is a bitmask that rejects a word iff it meets the word's
-    dead mask.  As in final_vectors, one pass steps each final vector of pi * s_l
-    by each right descent l of pi.  It keeps pi's pairs of dead masks (of a word's
+    As in final_vectors, one pass steps each final vector of pi * s_l by l over
+    weak_order's covers, and an orientation is a bitmask that rejects a word iff it
+    meets the word's dead mask.  The pass keeps pi's pairs of dead masks (of a word's
     head, of the whole word), tested once per orientation; only where a pair fails
     are pi's words enumerated, so each violation names its word.  It also keeps,
     per final vector and priority, the ranks of the least word ending there.  One
@@ -508,23 +514,18 @@ def check_prefix_closure(max_n: int) -> Violations:
         shuffles = [PriorityOrder.shuffled(n, rng) for _ in range(PREFIX_SHUFFLES)]
         priorities = list(dict.fromkeys([PriorityOrder.natural(n), *shuffles]))
         orientations = [(o, component_mask(o)) for o in disjoint_orientations(n)]
-        full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
-        rows, start = product_table(full), initial_product(full)
-        perms = list(all_permutations(n))  # the identity first
+        rows, start, perms, covers = weak_order(n)
         # least[e]: final vector -> the ranks of the least word ending there, per priority
         least = {perms[0].entries: {start: ((),) * len(priorities)}}
         pairs = {perms[0].entries: {(0, 0)}}  # the empty word's: nothing is dead at the start
-        for pi in sorted(perms[1:], key=Permutation.length):  # outward from the identity
-            e = pi.entries
-            ends, dead_pairs = least[e], pairs[e] = {}, set()
-            for l in range(1, n):
-                if e[l - 1] > e[l]:
-                    rank = [(priority.rank[l],) for priority in priorities]
-                    for vector, heads in least[(*e[: l - 1], e[l], e[l - 1], *e[l + 1 :])].items():
-                        stepped = step_product(rows, vector, l)
-                        dead_pairs.add((dead_mask(vector), dead_mask(stepped)))
-                        grown = tuple(head + r for head, r in zip(heads, rank))
-                        ends[stepped] = tuple(map(min, ends.get(stepped, grown), grown))
+        for e, l, below in covers:
+            ends, dead_pairs = least.setdefault(e, {}), pairs.setdefault(e, set())
+            rank = [(priority.rank[l],) for priority in priorities]
+            for vector, heads in least[below].items():
+                stepped = step_product(rows, vector, l)
+                dead_pairs.add((dead_mask(vector), dead_mask(stepped)))
+                grown = tuple(head + r for head, r in zip(heads, rank))
+                ends[stepped] = tuple(map(min, ends.get(stepped, grown), grown))
         for pi in perms:
             for orientation, mask in orientations:
                 minimal = is_minimal(pi, orientation)

@@ -248,6 +248,23 @@ def test_prefix_suite_steps_each_final_vector_once_per_descent(monkeypatch):
     assert len(calls) == steps == 55
 
 
+def test_both_weak_order_passes_take_their_covers_from_one_walk(monkeypatch):
+    # final_vectors and the prefix suite each read verify.weak_order once per
+    # degree, rather than writing out the recurrence over the weak order again
+    walked = []
+    weak_order = verify.weak_order
+
+    def counted(n):
+        walked.append(n)
+        return weak_order(n)
+
+    monkeypatch.setattr(verify, "weak_order", counted)
+    assert len(list(final_vectors(4))) == 24
+    assert walked == [4]
+    assert check_prefix_closure(4) == []
+    assert walked == [4, 2, 3, 4]
+
+
 def test_prefix_suite_reads_minimality(monkeypatch):
     # acceptance of w.l is tied to the minimality of its permutation, so a
     # wrong minimality test shows up as words whose verdicts disagree

@@ -9,6 +9,7 @@ from permutree.core import (
     Kind,
     Orientation,
     Permutation,
+    PriorityOrder,
     Residual,
     Word,
     all_permutations,
@@ -519,29 +520,32 @@ def test_residual_sorts_every_permutation_one_descent_at_a_time(n):
     # each take keeps entries, pos and descents equal to those of a Residual
     # built afresh from the new entries, keeps descents the mask with bit r
     # set iff the r-th letter of the order is a left inversion, and shortens
-    # the permutation by one; under the ascending order and a shuffled one
+    # the permutation by one; under the natural priority and a shuffled one
     shuffled = list(range(1, n))
     random.Random(20261020 + n).shuffle(shuffled)
-    for order in (None, tuple(shuffled)):
-        ranked = list(range(1, n)) if order is None else order
+    for priority in (PriorityOrder.natural(n), PriorityOrder(tuple(shuffled))):
+        ranked = priority.order
 
         def rank_bits(p):
             inversions = set(left_inversions(p))
             return sum(1 << r for r, letter in enumerate(ranked) if letter in inversions)
 
         for pi in all_permutations(n):
-            rest = Residual(pi, order)
+            rest = Residual(pi, priority)
             assert rest.descents == rank_bits(pi)
             assert_fixes_prefix_by_definition(rest)
             for _ in range(pi.length()):
                 lowest = rest.descents & -rest.descents
                 rest.take(ranked[lowest.bit_length() - 1])
                 now = Permutation(tuple(rest.entries))
-                fresh = Residual(now, order)
+                fresh = Residual(now, priority)
                 assert (rest.entries, rest.pos, rest.descents) == (fresh.entries, fresh.pos, fresh.descents)
-                assert rest.descents == rank_bits(now), (pi, order)
+                assert rest.descents == rank_bits(now), (pi, priority)
                 assert_fixes_prefix_by_definition(rest)
             assert rest.entries == list(range(1, n + 1)) and not rest.descents, pi
-        # every Residual of one degree and order shares one immutable bit table
-        first, last = Residual(identity(n), order), Residual(Permutation(tuple(range(n, 0, -1))), order)
-        assert type(first.bit) is tuple and first.bit is last.bit
+        # every Residual of one priority reads that priority's immutable bit table
+        w0 = Permutation(tuple(range(n, 0, -1)))
+        first, last = Residual(identity(n), priority), Residual(w0, priority)
+        assert type(first.bit) is tuple and first.bit is last.bit is priority.bit
+    # and one built without a priority reads the natural priority's table
+    assert Residual(identity(n)).bit is PriorityOrder.natural(n).bit

@@ -447,6 +447,16 @@ def test_minimality_witness():
     assert minimality_witness(identity(4), Orientation({2, 3}, frozenset(), 4)) is None
 
 
+@pytest.mark.parametrize("test", [is_minimal, minimality_witness])
+def test_minimality_refuses_an_orientation_of_another_degree(test):
+    # of 4321, ({2}, {}) of degree 3 got an answer about another degree, and
+    # ({4}, {}) of degree 5 raised "j must lie in 2..3, got 4", naming neither
+    for degree, u in ((3, {2}), (5, {4})):
+        message = f"orientation of degree {degree} for a permutation of degree 4"
+        with pytest.raises(ValueError, match=message):
+            test(P("4321"), Orientation(u, frozenset(), degree))
+
+
 def test_greedy_extract_cycles_the_template():
     # one pass of this template leaves 3421 unsorted; the cycled extraction
     # is its sorting-procedure word

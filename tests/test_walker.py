@@ -576,3 +576,24 @@ def test_package_has_no_dead_definition():
     dead = {name: where for name, where in functions.items() if name not in names | attributes}
     dead.update((name, where) for name, where in methods.items() if name not in attributes)
     assert dead.keys() <= KEPT_WITHOUT_CALLER.keys(), dead
+
+
+# Private names one module may import from another, with the reason.
+PRIVATE_IMPORTS: dict[tuple[str, str], str] = {
+    ("coxeter.py", "_greedy_extract"): "perfbench/tracer.py binds sorting._greedy_extract "
+    "in its PRIVATE list; make it public or fold it in once cProfile replaces the tracer",
+}
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name with a leading underscore stays inside its module: each
+    # `from .module import ...` in src/ names public definitions only
+    imported = {
+        (path.name, alias.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert imported <= PRIVATE_IMPORTS.keys(), imported - PRIVATE_IMPORTS.keys()
