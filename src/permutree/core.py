@@ -193,6 +193,15 @@ def one_line_writer(n: int) -> Callable[[Iterable[int]], str]:
     return lambda entries: join(map(token, entries))
 
 
+def right_swap(entries: tuple[int, ...], l: int) -> tuple[int, ...]:
+    """pi * s_l on one-line entries, positions l and l+1 swapped, with no Permutation built.
+
+    >>> right_swap((3, 4, 2, 1), 2)
+    (3, 2, 4, 1)
+    """
+    return (*entries[: l - 1], entries[l], entries[l - 1], *entries[l + 1 :])
+
+
 def left_multiply(letter: int, pi: Permutation) -> Permutation:
     """s_letter * pi: swap the entries with values letter and letter+1.
 
@@ -231,14 +240,19 @@ def contains_pattern(pi: Permutation, j: int, kind: Kind) -> bool:
     return pattern_witness(pi, j, kind) is not None
 
 
+def require_middle(j: int, n: int) -> None:
+    """Refuse a j outside 2..n-1, the values that can sit between an i and a k."""
+    if not 2 <= j <= n - 1:
+        raise ValueError(f"j must lie in 2..{n - 1}, got {j}")
+
+
 def pattern_witness(pi: Permutation, j: int, kind: Kind) -> tuple[int, int, int] | None:
     """Positions (p, q, r) of one jki (UP) / kij (DOWN) occurrence, or None.
 
     The package's one scan of j's side (after j for UP, before j for DOWN):
     k is the first value above j there and i the first value below j after k.
     """
-    if not 2 <= j <= pi.n - 1:
-        raise ValueError(f"j must lie in 2..{pi.n - 1}, got {j}")
+    require_middle(j, pi.n)
     entries = pi.entries
     pos_j = entries.index(j)
     high = None

@@ -35,6 +35,7 @@ from .core import (
     all_permutations,
     is_minimal,
     one_line_parts,
+    require_middle,
 )
 from .automata import initial_state, label, product_accepts, state_count, table
 
@@ -156,10 +157,11 @@ class SortTrace:
         checks).  As the rows are replayed, each is four file.write calls: its
         one-line text, a run of the word's whole _WORD_BLOCK-character blocks,
         a piece of the row's own slices, and a run of whole blocks of blanks.
-        Rows with as many blocks share a run, so the rendering takes time
-        linear in the output and holds the distinct cells, the word and one
-        run of each kind, not the table or the rows' texts.  For a string,
-        pass an io.StringIO.
+        Rows with as many blocks share a run, each made once before the first
+        row, so the rendering takes time linear in the output and holds the
+        distinct cells, the word and every run, about width^2 / (2 x block)
+        characters of each kind (about 1 MB each at the n = 200 text cap),
+        not the table or the rows' texts.  For a string, pass an io.StringIO.
         """
         write = file.write
         single = self.kind is not None
@@ -170,7 +172,7 @@ class SortTrace:
         # ends on a row with the whole word and no letter, whose checks are None.
         set_cell = _set_writer(self.start.n, "{", ",", "}")
         cells: dict[tuple, tuple[str, ...]] = {}
-        width = end = 0
+        ends, end = [], 0  # each row's prefix end, in row order
         final = ((*self.final_masks, 0, None, "", False),) if self.success else ()
         for u, d, letter, checks, _, applied in self.decisions + final:
             if (key := (u, d, letter, checks)) not in cells:
@@ -181,11 +183,11 @@ class SortTrace:
                 else:
                     checks_cell = ", ".join(str(k) if ok else f"x{k}" for k, ok in checks) or "."
                     cells[key] = (set_cell(u), set_cell(d), str(letter), checks_cell)
-            width = end
+            ends.append(end)
             if applied:
                 end += len(f"s{letter}") + (end > 0)  # a "." before all but the first
         first = max(len(header[0]), len(str(self.start)))  # every row's one-line text is as long
-        width = max(1, width)  # "w" and "e" take one
+        width = max([1, *ends[-1:]])  # "w" and "e" take one
         later = [max(map(len, column)) for column in zip(header[2:], *cells.values())]
 
         def tail(cells):  # the cells after w: the strip stops at their first " | "
@@ -194,34 +196,25 @@ class SortTrace:
         tails = {key: tail(row) for key, row in cells.items()}
         # A row's prefix and its blanks are each a shared run of whole blocks
         # and a slice of its own, both slices in one piece (blanks are blanks
-        # in any order).  The prefixes' counts of blocks only grow and the
-        # blanks' only shrink, so a run is sliced again only when its count
-        # changes; a count of 0 writes "".  Each line's cells after w open the
-        # next line's first piece.
+        # in any order).  Every count of whole blocks up to the width's has
+        # its run of each kind made once, before any row; a count of 0 writes
+        # "".  Each line's cells after w open the next line's first piece.
         block = _WORD_BLOCK
         word = ".".join(f"s{letter}" for letter in self.word)
-        blank = " " * width
+        runs = [word[: k * block] for k in range(width // block + 1)]
+        blanks = [" " * (k * block) for k in range(width // block + 1)]
         before = (
             header[0].ljust(first) + " | " + "w".ljust(width) + tail(header[2:])
             + "-+-".join("-" * w for w in (first, width, *later)) + "\n"
         )
-        end, whole, fill = 0, -1, -1
-        last = [(None, str(self.result), row) for row in final]
-        for _, text, (u, d, letter, checks, _, applied) in itertools.chain(self._rows(), last):
-            if end // block != whole:
-                whole = end // block
-                word_run = word[: whole * block]
+        rows = itertools.chain(self._rows(), [(None, str(self.result), row) for row in final])
+        for end, (_, text, (u, d, letter, checks, *_)) in zip(ends, rows):
             pad = width - max(end, 1)
-            if pad // block != fill:
-                fill = pad // block
-                blank_run = blank[: fill * block]
             write(before + text.ljust(first) + " | ")
-            write(word_run)
-            write((word[whole * block : end] if end else "e") + blank[: pad - fill * block])
-            write(blank_run)
+            write(runs[end // block])
+            write((word[end - end % block : end] if end else "e") + " " * (pad % block))
+            write(blanks[pad // block])
             before = tails[u, d, letter, checks]
-            if applied:
-                end += len(f"s{letter}") + (end > 0)
         write(before)
 
     def to_json(self, file) -> None:
@@ -277,8 +270,7 @@ def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
     the identity iff pi avoids the corresponding subword pattern.
     """
     n = pi.n
-    if not 2 <= j <= n - 1:
-        raise ValueError(f"j must lie in 2..{n - 1}, got {j}")
+    require_middle(j, n)
     delta = table(kind, j, n)
     natural = PriorityOrder.natural(n)
     decisions = []
@@ -437,8 +429,7 @@ def network_candidate(kind: Kind, j: int, n: int, extension: Word | None = None)
     to code + 3); append the extension (default: the decreasing staircase).
     No claim is made beyond what check_sorting_network reports for the result.
     """
-    if not 2 <= j <= n - 1:
-        raise ValueError(f"j must lie in 2..{n - 1}, got {j}")
+    require_middle(j, n)
     if extension is not None and extension.n != n:
         raise ValueError(f"extension of degree {extension.n} for a template of degree {n}")
     delta = table(kind, j, n)

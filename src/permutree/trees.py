@@ -22,6 +22,7 @@ from .core import (
     PriorityOrder,
     Word,
     one_line_writer,
+    right_swap,
     walk_reduced_words,
 )
 from .automata import initial_product, product_table, step_alive
@@ -111,10 +112,9 @@ def generating_tree(
         children = []
         for letters, entries, state in level:
             for l in priority.order:
-                low, high = entries[l - 1], entries[l]
-                if low > high:
+                if entries[l - 1] > entries[l]:
                     continue
-                swapped = (*entries[: l - 1], high, low, *entries[l + 1 :])
+                swapped = right_swap(entries, l)
                 if swapped in seen:
                     continue
                 child = advance(state, l)
@@ -168,8 +168,9 @@ def export_tree_dot(tree: GeneratingTree, overlay: bool = False) -> str:
     """Deterministic DOT: tree edges colored by their letter, bold; with the
     overlay, the rest of S_n and its weak-order covers in gray.
 
-    Nodes are keyed by their letters, so a node's parent is the node at its
-    letters without the last one, and each permutation drawn is named once.
+    A node's parent is its permutation times s_l, l its word's last letter,
+    so each tree edge is read off its child's entries, and each permutation
+    drawn is named once.
     The overlay draws S_n in lex order and, from each pi, the cover
     pi -> pi * s_l for each ascent l, running l down so the covers come out
     in entries order; a cover is a tree edge iff the tree has that edge.
@@ -177,16 +178,15 @@ def export_tree_dot(tree: GeneratingTree, overlay: bool = False) -> str:
     names are single digits (n <= 9).
     """
     n = tree.n
-    perms = {word.letters: entries for word, entries in zip(tree.nodes, tree.entries)}
     tree_edges = {
-        (perms[letters[:-1]], entries): letters[-1]
-        for letters, entries in perms.items()
-        if letters
+        (right_swap(entries, word.letters[-1]), entries): word.letters[-1]
+        for word, entries in zip(tree.nodes, tree.entries)
+        if word.letters
     }
     if overlay:
         nodes = list(itertools.permutations(range(1, n + 1)))
         covers = (
-            (low, (*low[: l - 1], low[l], low[l - 1], *low[l + 1 :]))
+            (low, right_swap(low, l))
             for low in nodes
             for l in range(n - 1, 0, -1)
             if low[l - 1] < low[l]

@@ -26,6 +26,7 @@ from .core import (
     contains_pattern,
     is_minimal,
     ninv_stats,
+    right_swap,
     stack_sort,
 )
 from .automata import (
@@ -97,8 +98,7 @@ def weak_order(n: int):
     full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
     perms = list(all_permutations(n))
     outward = (pi.entries for pi in sorted(perms[1:], key=Permutation.length))
-    descents = ((e, l) for e in outward for l in range(1, n) if e[l - 1] > e[l])
-    covers = ((e, l, (*e[: l - 1], e[l], e[l - 1], *e[l + 1 :])) for e, l in descents)
+    covers = ((e, l, right_swap(e, l)) for e in outward for l in range(1, n) if e[l - 1] > e[l])
     return product_table(full), initial_product(full), perms, covers
 
 
@@ -579,8 +579,7 @@ def table_violations(table: dict, orientation: Orientation, priority: PriorityOr
         # built from a list, since tuple() of an iterator resizes and free lists hoard the results
         letters = tuple([order[r] for r in ranks])
         if letters:
-            l = letters[-1]
-            owner = (*e[: l - 1], e[l], e[l - 1], *e[l + 1 :])
+            owner = right_swap(e, letters[-1])
             if table.get(owner) != ranks[:-1]:
                 violations.append(
                     f"{where}: prefix {Word(letters[:-1], n)} of {Word(letters, n)} "

@@ -21,6 +21,7 @@ from permutree.core import (
     left_multiply,
     ninv_stats,
     pattern_witness,
+    right_swap,
     stack_sort,
 )
 from oracles import (
@@ -191,6 +192,15 @@ def test_right_multiply_swaps_positions():
     assert str(right_multiply(P("4321"), 3)) == "4312"
     with pytest.raises(ValueError):
         right_multiply(identity(4), 0)
+
+
+def test_right_swap_is_right_multiply_on_entries():
+    # every pi of S_n, n <= 6, and every letter: the package's one body of
+    # pi * s_l on one-line entries, against the oracle on Permutations
+    for n in range(2, 7):
+        for pi in all_permutations(n):
+            for l in range(1, n):
+                assert right_swap(pi.entries, l) == right_multiply(pi, l).entries, (pi, l)
 
 
 def test_inversion_set():

@@ -756,8 +756,10 @@ class Counter:
 
 def test_streamed_table_is_never_whole_in_memory():
     # Written to a stream, the table's peak is the distinct decisions' cells,
-    # the word, one run of each kind and one row's own slices: not the table,
-    # and not the rows' one-line texts, which are written as they are replayed.
+    # the word, every run of each kind (about width^2 / (2 x block)
+    # characters, about 1 MB each at the n = 200 text cap) and one row's own
+    # slices: not the table, and not the rows' one-line texts, which are
+    # written as they are replayed.
     trace = n80_trace()
     out = Counter()
     tracemalloc.start()
@@ -796,6 +798,26 @@ def test_table_rows_are_written_in_few_pieces(monkeypatch):
     width = len(".".join(f"s{letter}" for letter in trace.word))
     assert width // 7 > 500
     assert len(out.pieces) <= 4 * rows + 1, len(out.pieces) / rows
+
+
+@pytest.mark.parametrize("block", [7, sorting._WORD_BLOCK])
+def test_rows_with_as_many_whole_blocks_share_one_run(monkeypatch, block):
+    # A stream that keeps its pieces holds each distinct run once: every row
+    # with the same count of whole blocks is given the same run object, of
+    # the word's prefix and of the blanks.  A fresh slice per row would write
+    # the same pieces and hold each run once per row.
+    trace = n80_trace()
+    monkeypatch.setattr(sorting, "_WORD_BLOCK", block)
+    out = Writes()
+    assert trace.to_table(file=out) is None
+    rows = len(trace.decisions) + trace.success
+    assert len(out.pieces) == 4 * rows + 1
+    for runs in (out.pieces[1::4], out.pieces[3::4]):  # each row's word run, blank run
+        shared = {}
+        for run in runs:
+            assert len(run) % block == 0
+            assert shared.setdefault(len(run), run) is run
+        assert len(shared) > 2  # rows share several distinct runs
 
 
 # -- permutree_sort against the Permutation-stepping loop it replaced -------
