@@ -183,7 +183,9 @@ def exists_accepted(pi: Permutation, orientation: Orientation) -> bool:
     absorbing) or already led nowhere, so its work is bounded by the product
     states it meets.  For disjoint u, d the answer equals core.is_minimal,
     the O(n) subword test, and the tests compare it with the suites'
-    final_vectors route.
+    final_vectors route.  With trees.lexmin_word it is one of the package's
+    two public searches; final_vectors answers the same question for all of
+    S_n, so nothing in the package calls either.
     """
     orientation.require_degree(pi.n)
     advance = functools.partial(step_alive, product_table(orientation))

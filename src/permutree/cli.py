@@ -111,9 +111,9 @@ def _refuse_given(args, why: str, *flags: str) -> None:
             raise UsageError(f"{flag} {why}")
 
 
-def _parse_priority(text: str | None, n: int) -> PriorityOrder:
+def _parse_priority(text: str | None, n: int) -> PriorityOrder | None:
     if text is None or not text.strip():
-        return PriorityOrder.natural(n)
+        return None  # the library's default, the natural order
     try:
         priority = PriorityOrder(_parse_ints(text, "priority"))
     except ValueError as exc:

@@ -164,8 +164,15 @@ class Orientation:
             raise ValueError(f"u and d must be disjoint, both contain {sorted(self.u & self.d)}")
 
     def require_degree(self, n: int, of: str = "permutation") -> None:
-        if self.n != n:
-            raise ValueError(f"orientation of degree {self.n} for a {of} of degree {n}")
+        require_same_degree("orientation", self.n, of, n)
+
+
+def require_same_degree(what: str, degree: int, thing: str, n: int) -> None:
+    """Refuse a what of one degree given for a thing of another, naming both;
+    the package's one check that two inputs share their degree."""
+    if degree != n:
+        article = "an" if thing[0] in "aeiou" else "a"
+        raise ValueError(f"{what} of degree {degree} for {article} {thing} of degree {n}")
 
 
 @lru_cache(maxsize=16)
@@ -334,6 +341,15 @@ class PriorityOrder:
         return cls(tuple(range(1, n)))
 
     @classmethod
+    def resolve(cls, priority: PriorityOrder | None, n: int, of: str) -> PriorityOrder:
+        """The order to use for an input (named by of) on n values: the natural
+        order when priority is None, else priority itself, refused at another degree."""
+        if priority is None:
+            return cls.natural(n)
+        require_same_degree("priority", priority.n, of, n)
+        return priority
+
+    @classmethod
     def shuffled(cls, n: int, rng: random.Random) -> PriorityOrder:
         letters = list(range(1, n))
         rng.shuffle(letters)
@@ -345,7 +361,7 @@ class Residual:
 
     entries is its one-line notation, pos[v] the index of the value v in
     entries, and descents an int whose bit r says that the r-th letter of
-    its priority (PriorityOrder.natural(n) by default) is a left descent: l
+    its priority (PriorityOrder.resolve's, natural by default) is a left descent: l
     is one iff pos[l+1] < pos[l].  bit is the priority's own bit table, so
     every Residual of one priority shares it.  Taking a
     descent l (pi becomes s_l * pi) swaps the values l and l+1, which clears
@@ -354,14 +370,11 @@ class Residual:
     them through it and swaps its row text at pos[l], pos[l+1].
     """
 
-    __slots__ = ("entries", "pos", "bit", "descents")
+    __slots__ = ("entries", "pos", "priority", "bit", "descents")
 
     def __init__(self, pi: Permutation, priority: PriorityOrder | None = None):
         n = pi.n
-        if priority is None:
-            priority = PriorityOrder.natural(n)
-        elif priority.n != n:
-            raise ValueError(f"priority of degree {priority.n} for a permutation of degree {n}")
+        self.priority = priority = PriorityOrder.resolve(priority, n, "permutation")
         self.entries = list(pi.entries)
         self.pos = pos = [0] * (n + 1)
         for at, value in enumerate(self.entries):
@@ -427,8 +440,8 @@ def walk_reduced_words(
     at distinct columns, so theorem 2 on sigma makes joint success the
     conjunction.  Unproven for overlapping u and d, checked by the tests.
     """
-    order = (priority or PriorityOrder.natural(pi.n)).order
     rest = Residual(pi, priority)
+    order = rest.priority.order
     length = pi.length()
     if not length:
         yield ()

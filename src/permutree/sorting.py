@@ -36,6 +36,7 @@ from .core import (
     is_minimal,
     one_line_parts,
     require_middle,
+    require_same_degree,
 )
 from .automata import initial_state, label, product_accepts, state_count, table
 
@@ -272,17 +273,17 @@ def sort_single(pi: Permutation, j: int, kind: Kind) -> SortTrace:
     n = pi.n
     require_middle(j, n)
     delta = table(kind, j, n)
-    natural = PriorityOrder.natural(n)
     decisions = []
     rest = Residual(pi)
+    pick = rest.priority.pick
     code = initial_state(kind, j, n)
     sets, phase, leaving = _walk_row(kind, j, n, code)
     while True:
-        letter = natural.pick(rest.descents & ~leaving)
+        letter = pick(rest.descents & ~leaving)
         if letter is None:
             if code % 3 or not rest.descents:
                 break
-            letter, phase = natural.pick(rest.descents), "ill"
+            letter, phase = pick(rest.descents), "ill"
         decisions.append((*sets, letter, (), phase, True))
         rest.take(letter)
         if delta[letter][code] != code:
@@ -315,11 +316,8 @@ def permutree_sort(
     """
     orientation.require_disjoint()
     orientation.require_degree(pi.n)
-    n = pi.n
-    if priority is None:
-        priority = PriorityOrder.natural(n)
     rest = Residual(pi, priority)
-    bit = rest.bit
+    priority, bit = rest.priority, rest.bit
     u, d = orientation.masks
     blocked = sum(itertools.compress(bit, _bits(u >> 1 | d)))  # l with l + 1 in u or l in d
     decisions = []
@@ -375,8 +373,7 @@ def _greedy_extract(pi: Permutation, template: Word) -> tuple[list, Permutation]
     and the final residual.  A letter shortens the residual iff it is one
     of its left descents.
     """
-    if template.n != pi.n:
-        raise ValueError("template degree does not match permutation")
+    require_same_degree("template", template.n, "permutation", pi.n)
     rest = Residual(pi)
     bit = rest.bit
     passes: list[tuple[int, ...]] = []
@@ -412,8 +409,7 @@ def check_sorting_network(template: Word, orientation: Orientation) -> Permutati
     None means the template is a valid sorting network for the orientation:
     its greedy extraction decides minimality for every permutation of S_n.
     """
-    if template.n != orientation.n:
-        raise ValueError("template and orientation must agree on the degree")
+    require_same_degree("template", template.n, "orientation", orientation.n)
     for pi in all_permutations(orientation.n):
         if network_mismatch(template, orientation, pi):
             return pi
@@ -430,8 +426,8 @@ def network_candidate(kind: Kind, j: int, n: int, extension: Word | None = None)
     No claim is made beyond what check_sorting_network reports for the result.
     """
     require_middle(j, n)
-    if extension is not None and extension.n != n:
-        raise ValueError(f"extension of degree {extension.n} for a template of degree {n}")
+    if extension is not None:
+        require_same_degree("extension", extension.n, "template", n)
     delta = table(kind, j, n)
     letters: list[int] = []
     for healthy in range(0, state_count(kind, j, n) - 2, 3):  # the boundary's healthy code is size - 2

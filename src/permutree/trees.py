@@ -44,9 +44,10 @@ def lexmin_word(
     branch whose product state dies or already led nowhere, so bounded by
     the product states it meets, which multiply across components; the
     first completed word is the lexicographic minimum, None iff no reduced
-    expression is accepted.  generating_tree and the prefix suite in
+    expression is accepted.  With automata.exists_accepted it is one of the
+    package's two public searches; generating_tree and the prefix suite in
     verify reach the same words without it, so nothing in the package calls
-    it: it is kept as the public search for one word.
+    either.
     """
     orientation.require_degree(pi.n)
     advance = functools.partial(step_alive, product_table(orientation))
@@ -97,10 +98,7 @@ def generating_tree(
     """
     orientation.require_disjoint()
     n = orientation.n
-    if priority is None:
-        priority = PriorityOrder.natural(n)
-    if priority.n != n:
-        raise ValueError(f"priority of degree {priority.n} for an orientation of degree {n}")
+    priority = PriorityOrder.resolve(priority, n, "orientation")
     advance = functools.partial(step_alive, product_table(orientation))
     root = tuple(range(1, n + 1))
     seen = {root}

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -20,10 +21,15 @@ from permutree.core import (
     left_inversions,
     left_multiply,
     ninv_stats,
+    minimality_witness,
     pattern_witness,
     right_swap,
     stack_sort,
 )
+from permutree.automata import exists_accepted, product_accepts
+from permutree.coxeter import CoxeterWord, c_sorting_word
+from permutree.sorting import check_sorting_network, network_candidate, permutree_sort
+from permutree.trees import generating_tree, lexmin_word
 from oracles import (
     all_orientations,
     evaluate,
@@ -559,3 +565,58 @@ def test_residual_sorts_every_permutation_one_descent_at_a_time(n):
         assert type(first.bit) is tuple and first.bit is last.bit is priority.bit
     # and one built without a priority reads the natural priority's table
     assert Residual(identity(n)).bit is PriorityOrder.natural(n).bit
+    # it keeps the priority it resolved: the natural one itself when given none
+    kept = (Residual(identity(n)).priority, Residual(identity(n), priority).priority)
+    assert kept[0] is PriorityOrder.natural(n) and kept[1] is priority
+
+
+
+# (entry point, arguments, the refusal): one case per library route that
+# takes inputs of two degrees, each refused through core.require_same_degree
+EMPTY_3 = Orientation(set(), set(), 3)
+DEGREE_REFUSALS = [
+    # an orientation
+    (permutree_sort, (P("4321"), Orientation({3}, {4}, 5)),
+     "orientation of degree 5 for a permutation of degree 4"),
+    (product_accepts, (Orientation({2}, set(), 3), Word((3, 2, 1), 4)),
+     "orientation of degree 3 for a word of degree 4"),
+    (exists_accepted, (P("4321"), Orientation({4}, set(), 5)),
+     "orientation of degree 5 for a permutation of degree 4"),
+    (lexmin_word, (P("4321"), Orientation({2}, set(), 3)),
+     "orientation of degree 3 for a permutation of degree 4"),
+    (minimality_witness, (P("4321"), Orientation({4}, set(), 5)),
+     "orientation of degree 5 for a permutation of degree 4"),
+    # a priority
+    (permutree_sort, (P("321"), EMPTY_3, PriorityOrder((1,))),
+     "priority of degree 2 for a permutation of degree 3"),
+    (lexmin_word, (P("321"), EMPTY_3, PriorityOrder((1, 2, 3))),
+     "priority of degree 4 for a permutation of degree 3"),
+    (generating_tree, (EMPTY_3, PriorityOrder((1, 2, 3))),
+     "priority of degree 4 for an orientation of degree 3"),
+    # an extension
+    (network_candidate, (Kind.UP, 2, 4, Word((1,), 3)),
+     "extension of degree 3 for a template of degree 4"),
+    # a template
+    (c_sorting_word, (P("4213"), CoxeterWord(Word((2, 1), 3))),
+     "template of degree 3 for a permutation of degree 4"),
+    (check_sorting_network, (Word((2, 1), 3), Orientation({2}, set(), 4)),
+     "template of degree 3 for an orientation of degree 4"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, args, message",
+    DEGREE_REFUSALS,
+    ids=[f"{entry.__name__}-{message.split()[0]}" for entry, _, message in DEGREE_REFUSALS],
+)
+def test_an_input_of_another_degree_is_refused_before_a_permutation_is_built(
+    entry, args, message, monkeypatch
+):
+    # the arguments are built at collection; the refusal comes first, so
+    # check_sorting_network, for one, never starts on S_n
+    def refuse_to_build(self):
+        raise AssertionError(f"built {self.entries} before refusing")
+
+    monkeypatch.setattr(Permutation, "__post_init__", refuse_to_build)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(*args)

@@ -57,7 +57,7 @@ def test_c_sorting_word_examples():
 def oracle_greedy_subword(pi, template):
     """sorting.greedy_subword(pi, template, repeat=True) as it was, extraction inlined."""
     if template.n != pi.n:
-        raise ValueError("template degree does not match permutation")
+        raise ValueError(f"template of degree {template.n} for a permutation of degree {pi.n}")
     missing = set(range(1, pi.n)) - set(template)
     if missing:
         raise ValueError(f"template must contain every generator, missing {sorted(missing)}")
@@ -87,7 +87,7 @@ def test_c_sorting_word_matches_oracle(n):
 
 @pytest.mark.parametrize("extract", [c_sorting_word, c_factorization, is_c_sortable])
 def test_coxeter_word_of_another_degree_is_refused(extract):
-    with pytest.raises(ValueError, match="template degree does not match permutation"):
+    with pytest.raises(ValueError, match="^template of degree 3 for a permutation of degree 4$"):
         extract(P("4213"), CoxeterWord(Word((2, 1), 3)))
 
 

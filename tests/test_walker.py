@@ -112,7 +112,7 @@ def oracle_walk_reduced_words(pi, key=None, state=(), advance=None):
 def oracle_greedy_extract(pi, template):
     """sorting._greedy_extract as it was, stepping through validated Permutations."""
     if template.n != pi.n:
-        raise ValueError("template degree does not match permutation")
+        raise ValueError(f"template of degree {template.n} for a permutation of degree {pi.n}")
     residual = pi
     passes = []
     while not residual.is_identity():
@@ -357,7 +357,7 @@ def test_greedy_extract_matches_oracle_on_the_reduced_words_of_w0():
 
 
 def test_greedy_extract_refuses_a_template_of_another_degree():
-    with pytest.raises(ValueError, match="template degree does not match permutation"):
+    with pytest.raises(ValueError, match="^template of degree 3 for a permutation of degree 4$"):
         _greedy_extract(Permutation((4, 2, 1, 3)), Word((2, 1), 3))
 
 
