@@ -38,9 +38,10 @@ BROKEN_PIPE = 141
 # - A sort takes at most one step per inversion (about n^2/4 for a random
 #   permutation): the pick reads the lowest bit of the descent mask less the
 #   blocked letters, a row keeps u and d as two ints, and a rendered row
-#   joins pi's n value strings.  Its JSON has about n^3 characters and its
-#   text table about n^4, hence the lower cap on text.  sort writes either
-#   to stdout piece by piece as it renders, so neither is held whole.
+#   joins about sqrt(n) blocks of pi's value strings, rejoining one or two
+#   blocks a step.  Its JSON has about n^3 characters and its text table
+#   about n^4, hence the lower cap on text.  sort writes either to stdout
+#   piece by piece as it renders, so neither is held whole.
 # - check scans one side of each value of u and d for its witness, so its
 #   worst case, u and d both {2..n-1} (they may overlap), grows as n^2.  Its
 #   cap is the largest multiple of 500 whose worst case stays under a quarter

@@ -366,8 +366,9 @@ class Residual:
     every Residual of one priority shares it.  Taking a
     descent l (pi becomes s_l * pi) swaps the values l and l+1, which clears
     l and can only add l-1 and l+1.  The sorts, the greedy extraction and the
-    reduced-word walk take their letters through it; a sort trace replays
-    them through it and swaps its row text at pos[l], pos[l+1].
+    reduced-word walk take their letters through it.  A sort trace's replay
+    reads no descents, so it keeps its own entries and pos and swaps them
+    without a Residual (SortTrace._rows).
     """
 
     __slots__ = ("entries", "pos", "priority", "bit", "descents")

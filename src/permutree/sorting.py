@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -127,20 +128,36 @@ class SortTrace:
         )
 
     def _rows(self):
-        """Each decision with the residual's entries and pi's one-line text
-        when it was made; the entries are a live list, changed after the
-        caller has read the row.  The text joins the values' strings, kept in
-        one-line order: taking a letter l swaps the strings at rest.pos[l]
-        and rest.pos[l + 1], as Residual.take swaps the values there."""
-        rest = Residual(self.start)
-        tokens, separator = one_line_parts(self.start.n)
-        cells, join = [tokens[v] for v in rest.entries], separator.join
+        """Each decision with pi's entries and one-line text when it was made;
+        the entries are a live list, changed after the caller has read the row.
+
+        The values' strings are kept in one-line order, in blocks of isqrt(n)
+        of them, each block joined once, so a row's text is one join of about
+        sqrt(n) blocks.  An applied letter l swaps the values l and l + 1 and
+        their strings at pos[l] and pos[l + 1] (pos[v] is the index of v), and
+        joins again only the one or two blocks that hold those positions.
+        Descents are never needed, so no Residual is stepped."""
+        n = self.start.n
+        entries = list(self.start.entries)
+        pos = [0] * (n + 1)
+        for at, value in enumerate(entries):
+            pos[value] = at
+        tokens, separator = one_line_parts(n)
+        size, join = max(1, math.isqrt(n)), separator.join
+        cells = [tokens[v] for v in entries]
+        blocks = [join(cells[at : at + size]) for at in range(0, n, size)]
         for row in self.decisions:
-            yield rest.entries, join(cells), row
-            if row[5]:  # applied: take its letter
-                i, j = rest.pos[row[2]], rest.pos[row[2] + 1]
+            yield entries, join(blocks), row
+            if row[5]:  # applied: swap the values l and l + 1
+                l = row[2]
+                i, j = pos[l], pos[l + 1]
+                entries[i], entries[j] = l + 1, l
+                pos[l], pos[l + 1] = j, i
                 cells[i], cells[j] = cells[j], cells[i]
-                rest.take(row[2])
+                i, j = i - i % size, j - j % size  # the blocks' first positions
+                blocks[i // size] = join(cells[i : i + size])
+                if j != i:
+                    blocks[j // size] = join(cells[j : j + size])
 
     def to_table(self, file) -> None:
         """Write the trace to file as an aligned text table, one line per row.
@@ -156,8 +173,9 @@ class SortTrace:
         length about n^2.  The widths are read off the decisions, and the
         cells after w are made once per distinct decision (u, d, letter,
         checks).  As the rows are replayed, each is four file.write calls: its
-        one-line text, a run of the word's whole _WORD_BLOCK-character blocks,
-        a piece of the row's own slices, and a run of whole blocks of blanks.
+        one-line text (one join of about sqrt(n) blocks, see _rows), a run of
+        the word's whole _WORD_BLOCK-character blocks, a piece of the row's
+        own slices, and a run of whole blocks of blanks.
         Rows with as many blocks share a run, each made once before the first
         row, so the rendering takes time linear in the output and holds the
         distinct cells, the word and every run, about width^2 / (2 x block)

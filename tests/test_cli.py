@@ -110,8 +110,11 @@ class Hashing:
         pass
 
 
-CAP_SIZE_PI = list(range(1, 201))
-random.Random(1).shuffle(CAP_SIZE_PI)
+def cap_size_pi(n):
+    """The sorts' permutation at these sizes: a shuffle of 1..n, seeded with 1."""
+    entries = list(range(1, n + 1))
+    random.Random(1).shuffle(entries)
+    return ",".join(map(str, entries))
 
 
 @pytest.mark.parametrize(
@@ -126,15 +129,21 @@ random.Random(1).shuffle(CAP_SIZE_PI)
             "b099af2b2f68624088f2bd215c6b000507bfe4273ae30d74fc7424b99261c5a0", 7_662_138,
         ),
         (["verify", "--suite", "all"], 1, "6b715840b71ab71bfcdc96606972215d586807fc84cad586025c956e67125559", 355),
+        (
+            ["sort", "--n", str(MAX_SORT_N), "--output", "json"], 0,
+            "679d52ffbc7a9d7e49659c718c3308a9af4322c06fa69a245ba2ce913e874307", 65_688_958,
+        ),
     ],
-    ids=["sort-text", "sort-json", "verify-all"],
+    ids=["sort-text", "sort-json", "verify-all", "sort-json-cap"],
 )
 def test_cap_size_outputs_keep_their_digests(monkeypatch, argv, code, digest, size):
     # The n = 200 table is 420 MB, so stdout is hashed as it is written and
     # never held.  Its word is about 42 blocks of sorting._WORD_BLOCK wide, so
-    # its rows cross block boundaries at the real block size.
+    # its rows cross block boundaries at the real block size.  The JSON at
+    # sort's cap, n = 400, is 66 MB, and each of its rows' pi texts joins 20
+    # blocks of 20 values.
     if argv[0] == "sort":
-        argv = [*argv, ",".join(map(str, CAP_SIZE_PI))]
+        argv = [*argv, cap_size_pi(int(argv[2]))]
     out = Hashing()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(argv) == code

@@ -27,8 +27,8 @@ from permutree.core import (
     stack_sort,
 )
 from permutree.automata import exists_accepted, product_accepts
-from permutree.coxeter import CoxeterWord, c_sorting_word
-from permutree.sorting import check_sorting_network, network_candidate, permutree_sort
+from permutree.coxeter import CoxeterWord, c_factorization, c_sorting_word, is_c_sortable
+from permutree.sorting import _greedy_extract, check_sorting_network, network_candidate, permutree_sort
 from permutree.trees import generating_tree, lexmin_word
 from oracles import (
     all_orientations,
@@ -572,8 +572,11 @@ def test_residual_sorts_every_permutation_one_descent_at_a_time(n):
 
 
 # (entry point, arguments, the refusal): one case per library route that
-# takes inputs of two degrees, each refused through core.require_same_degree
+# takes inputs of two degrees, each refused through core.require_same_degree,
+# with a second degree or the identity beside 4321 where a route once
+# answered one of them and not the other
 EMPTY_3 = Orientation(set(), set(), 3)
+C_3 = CoxeterWord(Word((2, 1), 3))
 DEGREE_REFUSALS = [
     # an orientation
     (permutree_sort, (P("4321"), Orientation({3}, {4}, 5)),
@@ -582,25 +585,51 @@ DEGREE_REFUSALS = [
      "orientation of degree 3 for a word of degree 4"),
     (exists_accepted, (P("4321"), Orientation({4}, set(), 5)),
      "orientation of degree 5 for a permutation of degree 4"),
+    (exists_accepted, (P("1234"), Orientation({4}, set(), 5)),
+     "orientation of degree 5 for a permutation of degree 4"),
     (lexmin_word, (P("4321"), Orientation({2}, set(), 3)),
+     "orientation of degree 3 for a permutation of degree 4"),
+    (lexmin_word, (P("1234"), Orientation({2}, set(), 3)),
      "orientation of degree 3 for a permutation of degree 4"),
     (minimality_witness, (P("4321"), Orientation({4}, set(), 5)),
      "orientation of degree 5 for a permutation of degree 4"),
+    (minimality_witness, (P("4321"), Orientation({2}, set(), 3)),
+     "orientation of degree 3 for a permutation of degree 4"),
+    (is_minimal, (P("4321"), Orientation({4}, set(), 5)),
+     "orientation of degree 5 for a permutation of degree 4"),
+    (is_minimal, (P("4321"), Orientation({2}, set(), 3)),
+     "orientation of degree 3 for a permutation of degree 4"),
     # a priority
     (permutree_sort, (P("321"), EMPTY_3, PriorityOrder((1,))),
      "priority of degree 2 for a permutation of degree 3"),
+    (permutree_sort, (P("321"), EMPTY_3, PriorityOrder((1, 2, 3))),
+     "priority of degree 4 for a permutation of degree 3"),
     (lexmin_word, (P("321"), EMPTY_3, PriorityOrder((1, 2, 3))),
      "priority of degree 4 for a permutation of degree 3"),
+    (lexmin_word, (P("321"), EMPTY_3, PriorityOrder((1,))),
+     "priority of degree 2 for a permutation of degree 3"),
+    (lexmin_word, (P("123"), EMPTY_3, PriorityOrder((1, 2, 3))),
+     "priority of degree 4 for a permutation of degree 3"),
+    (lexmin_word, (P("123"), EMPTY_3, PriorityOrder((1,))),
+     "priority of degree 2 for a permutation of degree 3"),
     (generating_tree, (EMPTY_3, PriorityOrder((1, 2, 3))),
      "priority of degree 4 for an orientation of degree 3"),
+    (generating_tree, (EMPTY_3, PriorityOrder((1,))),
+     "priority of degree 2 for an orientation of degree 3"),
     # an extension
     (network_candidate, (Kind.UP, 2, 4, Word((1,), 3)),
      "extension of degree 3 for a template of degree 4"),
     # a template
-    (c_sorting_word, (P("4213"), CoxeterWord(Word((2, 1), 3))),
+    (c_sorting_word, (P("4213"), C_3),
      "template of degree 3 for a permutation of degree 4"),
     (check_sorting_network, (Word((2, 1), 3), Orientation({2}, set(), 4)),
      "template of degree 3 for an orientation of degree 4"),
+    (c_factorization, (P("4213"), C_3),
+     "template of degree 3 for a permutation of degree 4"),
+    (is_c_sortable, (P("4213"), C_3),
+     "template of degree 3 for a permutation of degree 4"),
+    (_greedy_extract, (P("4213"), Word((2, 1), 3)),
+     "template of degree 3 for a permutation of degree 4"),
 ]
 
 

@@ -85,12 +85,6 @@ def test_c_sorting_word_matches_oracle(n):
             assert c_sorting_word(pi, c) == oracle_greedy_subword(pi, c.word), (pi, c)
 
 
-@pytest.mark.parametrize("extract", [c_sorting_word, c_factorization, is_c_sortable])
-def test_coxeter_word_of_another_degree_is_refused(extract):
-    with pytest.raises(ValueError, match="^template of degree 3 for a permutation of degree 4$"):
-        extract(P("4213"), CoxeterWord(Word((2, 1), 3)))
-
-
 def test_c_factorization():
     c = CoxeterWord(Word((2, 1, 3), 4))
     blocks = c_factorization(P("4213"), c)

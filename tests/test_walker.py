@@ -356,11 +356,6 @@ def test_greedy_extract_matches_oracle_on_the_reduced_words_of_w0():
             assert _greedy_extract(pi, template) == oracle_greedy_extract(pi, template)
 
 
-def test_greedy_extract_refuses_a_template_of_another_degree():
-    with pytest.raises(ValueError, match="^template of degree 3 for a permutation of degree 4$"):
-        _greedy_extract(Permutation((4, 2, 1, 3)), Word((2, 1), 3))
-
-
 # The names whose calls the guard counts, besides Permutation.__post_init__.
 SLOW_PATH = ("left_multiply", "left_inversions")
 
