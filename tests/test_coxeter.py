@@ -85,6 +85,14 @@ def test_c_sorting_word_matches_oracle(n):
             assert c_sorting_word(pi, c) == oracle_greedy_subword(pi, c.word), (pi, c)
 
 
+# c_factorization and is_c_sortable of the same input are cases of
+# test_core.py::test_an_input_of_another_degree_is_refused_before_a_permutation_is_built
+@pytest.mark.parametrize("extract", [c_sorting_word])
+def test_coxeter_word_of_another_degree_is_refused(extract):
+    with pytest.raises(ValueError, match="^template of degree 3 for a permutation of degree 4$"):
+        extract(P("4213"), CoxeterWord(Word((2, 1), 3)))
+
+
 def test_c_factorization():
     c = CoxeterWord(Word((2, 1, 3), 4))
     blocks = c_factorization(P("4213"), c)

@@ -344,6 +344,22 @@ def test_product_sort_rejects_overlap():
         permutree_sort(P("3214"), Orientation({2}, {2}, 4))
 
 
+@pytest.mark.parametrize("order", [(1,), (1, 2, 3)])
+def test_product_sort_refuses_a_priority_of_another_degree(order):
+    # 321 is minimal for the empty orientation; a priority of degree 2 left
+    # the letter 2 out of every pick and made the sort stick
+    degree = len(order) + 1
+    with pytest.raises(ValueError, match=f"priority of degree {degree} for a permutation of degree 3"):
+        permutree_sort(P("321"), Orientation(set(), set(), 3), PriorityOrder(order))
+
+
+def test_product_sort_refuses_an_orientation_of_another_degree():
+    # 4 is not in {2, 3}, yet under ({3}, {4}) of degree 5 the sort of 4321
+    # succeeded with the word 1,3,2,1,3,2
+    with pytest.raises(ValueError, match="orientation of degree 5 for a permutation of degree 4"):
+        permutree_sort(P("4321"), Orientation({3}, {4}, 5))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_product_sort_accepted_and_decides_minimality(n):
     for orientation in orientations(n):
@@ -433,6 +449,18 @@ def test_minimality_witness():
     assert minimality_witness(identity(4), Orientation({2, 3}, frozenset(), 4)) is None
 
 
+# is_minimal of the same inputs is a case of
+# test_core.py::test_an_input_of_another_degree_is_refused_before_a_permutation_is_built
+@pytest.mark.parametrize("test", [minimality_witness])
+def test_minimality_refuses_an_orientation_of_another_degree(test):
+    # of 4321, ({2}, {}) of degree 3 got an answer about another degree, and
+    # ({4}, {}) of degree 5 raised "j must lie in 2..3, got 4", naming neither
+    for degree, u in ((3, {2}), (5, {4})):
+        message = f"orientation of degree {degree} for a permutation of degree 4"
+        with pytest.raises(ValueError, match=message):
+            test(P("4321"), Orientation(u, frozenset(), degree))
+
+
 def test_greedy_extract_cycles_the_template():
     # one pass of this template leaves 3421 unsorted; the cycled extraction
     # is its sorting-procedure word
@@ -473,6 +501,12 @@ def test_network_candidate_prefix():
     # the default extension also validates for this case
     default = network_candidate(Kind.UP, 2, 4)
     assert check_sorting_network(default, Orientation({2}, frozenset(), 4)) is None
+
+
+def test_network_candidate_refuses_an_extension_of_another_degree():
+    # it returned 3,2,1,3,1, a word of degree 4 ending in one of degree 3
+    with pytest.raises(ValueError, match="extension of degree 3 for a template of degree 4"):
+        network_candidate(Kind.UP, 2, 4, Word((1,), 3))
 
 
 def test_trace_json_round_trip():

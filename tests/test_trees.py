@@ -116,6 +116,28 @@ def test_lexmin_word_respects_priority():
     assert evaluate(natural) == evaluate(flipped) == pi
 
 
+@pytest.mark.parametrize("order", [(1,), (1, 2, 3)])
+def test_searches_refuse_a_priority_of_another_degree(order):
+    # with a priority of degree 2 on S_3, lexmin_word missed the word of the
+    # minimal 321 and the tree had 2 of its 6 nodes; one of degree 4 raised
+    # IndexError from the tree
+    orientation = Orientation(frozenset(), frozenset(), 3)
+    priority = PriorityOrder(order)
+    degree = len(order) + 1
+    for pi in (P("321"), P("123")):
+        with pytest.raises(ValueError, match=f"priority of degree {degree} for a permutation of degree 3"):
+            lexmin_word(pi, orientation, priority)
+    with pytest.raises(ValueError, match=f"priority of degree {degree} for an orientation of degree 3"):
+        generating_tree(orientation, priority)
+
+
+def test_lexmin_word_refuses_an_orientation_of_another_degree():
+    # under a degree-3 orientation, lexmin_word of 4321 raised IndexError
+    for pi in (P("4321"), P("1234")):
+        with pytest.raises(ValueError, match="orientation of degree 3 for a permutation of degree 4"):
+            lexmin_word(pi, Orientation({2}, frozenset(), 3))
+
+
 def test_generating_tree_golden_u2():
     tree = generating_tree(Orientation({2}, frozenset(), 4))
     assert len(tree.nodes) == 18
