@@ -22,7 +22,9 @@ The boundary column comes last and has no dead state, so the codes of an
 automaton are 0 .. 3*columns - 2.  The intersection of several automata
 runs lazily: a product state is the tuple of its component codes, stepped
 through the component tables, and the product's own table (as many states
-as the product of the component sizes) is never built.
+as the product of the component sizes) is never built.  Whether a single
+word is accepted needs no product state at all: product_accepts runs each
+component on its own.
 """
 from __future__ import annotations
 
@@ -164,13 +166,20 @@ def step_alive(rows: ProductTable, product: tuple[int, ...], letter: int) -> tup
 
 
 def product_accepts(orientation: Orientation, word: Word) -> bool:
+    """Does the word pass every automaton of the orientation?
+
+    An intersection accepts iff each component does, and dead is absorbing,
+    so each component runs alone through its own table, and no product
+    tuple is built.
+    """
     orientation.require_degree(word.n, "word")
-    # dead is absorbing, so stop at the first death
-    rows = product_table(orientation)
-    product = initial_product(orientation)
-    for letter in word:
-        product = step_alive(rows, product, letter)
-        if product is None:
+    letters = word.letters
+    for kind, j in orientation.components:
+        delta = table(kind, j, orientation.n)
+        code = 0
+        for letter in letters:
+            code = delta[letter][code]
+        if code % 3 == 2:
             return False
     return True
 

@@ -238,13 +238,53 @@ def contains_pattern(pi: Permutation, j: int, kind: Kind) -> bool:
     """Does pi contain a subword jki (UP) or kij (DOWN) with i < j < k?
 
     The value j is fixed; i and k range over all values below and above it.
+    The answer is bit j of one of pattern_masks(pi).
 
     >>> contains_pattern(Permutation.from_text("42135"), 3, Kind.DOWN)
     True
     >>> contains_pattern(Permutation.from_text("42135"), 3, Kind.UP)
     False
     """
-    return pattern_witness(pi, j, kind) is not None
+    require_middle(j, pi.n)
+    return pattern_masks(pi)[kind is Kind.DOWN] >> j & 1 == 1
+
+
+def pattern_masks(pi: Permutation) -> tuple[int, int]:
+    """(up, down): bit j of up is set iff pi contains jki, and bit j of down
+    iff pi contains kij, for some i < j < k.
+
+    One pass each way.  From the right, a k at position q puts every value
+    strictly between k and the least value after q within reach of a j
+    before q; from the left, an i at q puts every value strictly between i
+    and the greatest value before q within reach of a j after q.  The masks
+    are kept in pi's instance dict after the first call (pi is immutable);
+    they are no dataclass field, so building a Permutation pays nothing.
+
+    >>> pattern_masks(Permutation.from_text("42135"))
+    (0, 8)
+    """
+    masks = pi.__dict__.get("_pattern_masks")
+    if masks is not None:
+        return masks
+    entries = pi.entries
+    up = down = 0
+    reach, low = 0, len(entries) + 1
+    for value in reversed(entries):
+        if value < low:  # every interval in reach starts above low
+            low = value
+        else:
+            bit = 1 << value
+            up |= reach & bit
+            reach |= bit - (2 << low)
+    reach, high = 0, 0
+    for value in entries:
+        if value > high:  # every interval in reach ends below high
+            high = value
+        else:
+            down |= reach & 1 << value
+            reach |= (1 << high) - (2 << value)
+    masks = pi.__dict__["_pattern_masks"] = (up, down)
+    return masks
 
 
 def require_middle(j: int, n: int) -> None:
@@ -256,8 +296,9 @@ def require_middle(j: int, n: int) -> None:
 def pattern_witness(pi: Permutation, j: int, kind: Kind) -> tuple[int, int, int] | None:
     """Positions (p, q, r) of one jki (UP) / kij (DOWN) occurrence, or None.
 
-    The package's one scan of j's side (after j for UP, before j for DOWN):
-    k is the first value above j there and i the first value below j after k.
+    A scan of j's side (after j for UP, before j for DOWN): k is the first
+    value above j there and i the first value below j after k.  It gives the
+    witnesses that check prints, and the tests check pattern_masks against it.
     """
     require_middle(j, pi.n)
     entries = pi.entries
@@ -286,8 +327,13 @@ def minimality_witness(
 
 
 def is_minimal(pi: Permutation, orientation: Orientation) -> bool:
-    """Subword-avoidance test: no jki for j in u, no kij for j in d."""
-    return minimality_witness(pi, orientation) is None
+    """Subword-avoidance test: no jki for j in u, no kij for j in d, read as
+    one AND of pi's pattern_masks with the orientation's masks."""
+    if orientation.n != len(pi.entries):  # the call would cost as much as the test below
+        orientation.require_degree(pi.n)
+    up, down = pattern_masks(pi)
+    u, d = orientation.masks
+    return not (up & u or down & d)
 
 
 def ninv_stats(pi: Permutation, j: int) -> tuple[int, int]:

@@ -465,7 +465,7 @@ def check_networks() -> Violations:
 def check_stack_sort(max_n: int) -> Violations:
     """Stack sortability, 231-avoidance, full-up-orientation minimality, and
     sorting success all coincide; counts are Catalan.  The 231 test scans
-    every triple of entries, independently of the subword scan behind
+    every triple of entries, independently of the pattern masks behind
     is_minimal."""
     violations = []
     for n in range(2, max_n + 1):

@@ -25,11 +25,11 @@ from permutree.automata import (
     initial_product,
     initial_state,
     label,
-    product_accepts,
     product_table,
     run,
     state_count,
     step,
+    step_alive,
     step_product,
     table,
 )
@@ -192,6 +192,19 @@ def oracle_contains_pattern(pi, j, kind):
         elif seen_high:  # j is not on its own side, so val < j
             return True
     return False
+
+
+def oracle_product_accepts(orientation, word):
+    """product_accepts by stepping the product tuple one letter at a time,
+    stopping at the first death (dead is absorbing)."""
+    orientation.require_degree(word.n, "word")
+    rows = product_table(orientation)
+    product = initial_product(orientation)
+    for letter in word:
+        product = step_alive(rows, product, letter)
+        if product is None:
+            return False
+    return True
 
 
 def oracle_generating_tree(orientation, priority=None):
@@ -613,7 +626,7 @@ def oracle_check_csorting(max_n):
                 blocks, word = c_sorting(pi, c)
                 conditions = (
                     is_decreasing(blocks),
-                    product_accepts(orientation, word),
+                    oracle_product_accepts(orientation, word),
                     *orientation_conditions,
                 )
                 sortable += all(conditions)

@@ -188,7 +188,7 @@ def test_stack_sort_suite_scans_231_independently(monkeypatch):
         patch.setattr(verify, "is_minimal", lambda pi, orientation: True)
         wrong_minimal = check_stack_sort(4)
     with monkeypatch.context() as patch:
-        patch.setattr(core, "pattern_witness", lambda pi, j, kind: None)
+        patch.setattr(core, "pattern_masks", lambda pi: (0, 0))
         wrong_scan = check_stack_sort(4)
     for violations in (wrong_minimal, wrong_scan):
         # 231 itself and the ten 231-containers of S_4
@@ -480,19 +480,16 @@ def test_end_state_suite_builds_the_final_states_once_per_degree(monkeypatch):
 
 
 def test_csorting_suite_line_formats(monkeypatch):
-    # a subword scan that answers wrongly for 2413 and 3142 flips condition 5
+    # a minimality test that answers wrongly for 2413 and 3142 flips condition 5
     # alone for them: each Coxeter word reports both, in the order of S_4,
     # and then its count wherever a sortable one lost condition 5
     wrong = {P("2413"), P("3142")}
-    witness = core.minimality_witness
+    minimal = verify.is_minimal
 
     def flipped(pi, orientation):
-        found = witness(pi, orientation)
-        if pi not in wrong:
-            return found
-        return None if found is not None else (0, None, ())
+        return minimal(pi, orientation) != (pi in wrong)
 
-    monkeypatch.setattr(core, "minimality_witness", flipped)
+    monkeypatch.setattr(verify, "is_minimal", flipped)
     sortable = "(True, True, True, True, False)"
     unsortable = "(False, False, False, False, True)"
     assert check_csorting(4) == [

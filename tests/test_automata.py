@@ -1,4 +1,5 @@
 import functools
+import itertools
 from dataclasses import dataclass
 
 import pytest
@@ -40,6 +41,7 @@ from oracles import (
     evaluate,
     oracle_export_dot,
     oracle_export_dot_product,
+    oracle_product_accepts,
     slow,
 )
 
@@ -223,6 +225,24 @@ def test_empty_product_accepts_everything():
     advance = functools.partial(step_product, product_table(o))
     for word in all_reduced_words(P("4231")):
         assert classify(functools.reduce(advance, word, initial_product(o))) is Status.HEALTHY
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_product_accepts_matches_the_product_step_oracle(n):
+    # every (u, d), overlapping ones included; every word up to length 6,
+    # reduced or not, for n <= 4, and every reduced word of S_5
+    if n <= 4:
+        letters = range(1, n)
+        words = [Word(w, n) for size in range(7) for w in itertools.product(letters, repeat=size)]
+    else:
+        words = [w for pi in all_permutations(n) for w in all_reduced_words(pi)]
+    answers = set()
+    for o in all_orientations(n):
+        for word in words:
+            want = oracle_product_accepts(o, word)
+            assert product_accepts(o, word) == want, (o, word)
+            answers.add(want)
+    assert answers == ({True} if n == 2 else {True, False})
 
 
 def successors(orientation):

@@ -22,6 +22,7 @@ from permutree.core import (
     left_multiply,
     ninv_stats,
     minimality_witness,
+    pattern_masks,
     pattern_witness,
     right_swap,
     stack_sort,
@@ -275,20 +276,25 @@ def test_folded_scans_match_the_two_loop_oracles(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_contains_pattern_and_witness_match_the_own_scan_oracle(n):
-    # contains_pattern now asks pattern_witness, so both are checked against
-    # the scan contains_pattern used to run itself
+    # contains_pattern reads a bit of pattern_masks, so the masks, the
+    # witness and contains_pattern are all checked against the scan
+    # contains_pattern used to run itself; the masks hold no other bit
     for pi in all_permutations(n):
+        masks = pattern_masks(pi)
+        found = [0, 0]
         for j in range(2, n):
             for kind in (Kind.UP, Kind.DOWN):
                 witness = pattern_witness(pi, j, kind)
                 want = oracle_contains_pattern(pi, j, kind)
                 assert contains_pattern(pi, j, kind) == want == (witness is not None)
+                found[kind is Kind.DOWN] |= want << j
                 if witness is not None:
                     assert witness[0] < witness[1] < witness[2]
                     values = [pi.value_at(p) for p in witness]
                     # jki for UP, kij for DOWN
                     middle, k, i = values if kind is Kind.UP else (values[2], *values[:2])
                     assert middle == j and i < j < k
+        assert masks == tuple(found), pi
 
 
 def test_is_aligned():
