@@ -57,6 +57,8 @@ STATUSES = (Status.HEALTHY, Status.ILL, Status.DEAD)  # the status of code c is 
 Table = tuple[tuple[int, ...], ...]
 # rows[letter][i] is the row table[letter] of the i-th component of a product
 ProductTable = tuple[tuple[tuple[int, ...], ...], ...]
+# the automata (kind, j) of a product, in its order; an orientation's components
+Components = tuple[tuple[Kind, int], ...]
 
 
 def state_count(kind: Kind, j: int, n: int) -> int:
@@ -131,14 +133,15 @@ def accepts(kind: Kind, j: int, word: Word) -> bool:
 
 
 @functools.lru_cache(maxsize=256)
-def product_table(orientation: Orientation) -> ProductTable:
-    deltas = [table(kind, j, orientation.n) for kind, j in orientation.components]
-    return tuple(tuple(delta[letter] for delta in deltas) for letter in range(orientation.n))
+def product_table(components: Components, n: int) -> ProductTable:
+    """The rows of the product of the degree-n automata components, in their order."""
+    deltas = [table(kind, j, n) for kind, j in components]
+    return tuple(tuple(delta[letter] for delta in deltas) for letter in range(n))
 
 
-def initial_product(orientation: Orientation) -> tuple[int, ...]:
+def initial_product(components: Components) -> tuple[int, ...]:
     """Every component starts at its initial state, code 0."""
-    return (0,) * len(orientation.components)
+    return (0,) * len(components)
 
 
 def classify(product: tuple[int, ...]) -> Status:
@@ -187,18 +190,18 @@ def product_accepts(orientation: Orientation, word: Word) -> bool:
 def exists_accepted(pi: Permutation, orientation: Orientation) -> bool:
     """Does some reduced expression of pi pass every automaton of the orientation?
 
-    A walk of pi's left-descent tree for any u and d, threading the product
-    state along and cutting a subtree whose state is dead (dead is
-    absorbing) or already led nowhere, so its work is bounded by the product
-    states it meets.  For disjoint u, d the answer equals core.is_minimal,
-    the O(n) subword test, and the tests compare it with the suites'
-    final_vectors route.  With trees.lexmin_word it is one of the package's
-    two public searches; final_vectors answers the same question for all of
-    S_n, so nothing in the package calls either.
+    A walk of pi's left-descent tree, threading the product state along and
+    cutting a subtree whose state is dead (dead is absorbing) or already led
+    nowhere, so its work is bounded by the product states it meets.  The
+    answer equals core.is_minimal, the O(n) subword test, and the tests
+    compare it with the suites' final_vectors route.  With trees.lexmin_word
+    it is one of the package's two public searches; final_vectors answers
+    the same question for all of S_n, so nothing in the package calls either.
     """
     orientation.require_degree(pi.n)
-    advance = functools.partial(step_alive, product_table(orientation))
-    words = walk_reduced_words(pi, state=initial_product(orientation), advance=advance)
+    parts = orientation.components
+    advance = functools.partial(step_alive, product_table(parts, pi.n))
+    words = walk_reduced_words(pi, state=initial_product(parts), advance=advance)
     return next(words, None) is not None
 
 
@@ -254,8 +257,8 @@ def export_dot_product(orientation: Orientation, reachable_only: bool = False) -
     """
     n = orientation.n
     parts = orientation.components
-    move = functools.partial(step_product, product_table(orientation))
-    start = initial_product(orientation)
+    move = functools.partial(step_product, product_table(parts, n))
+    start = initial_product(parts)
     decoded = [_labels(kind, j, n) for kind, j in parts]
     names, keys = [d[0] for d in decoded], [d[1] for d in decoded]
 

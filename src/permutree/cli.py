@@ -43,7 +43,7 @@ BROKEN_PIPE = 141
 #   about n^4, hence the lower cap on text.  sort writes either to stdout
 #   piece by piece as it renders, so neither is held whole.
 # - check scans one side of each value of u and d for its witness, so its
-#   worst case, u and d both {2..n-1} (they may overlap), grows as n^2.  Its
+#   worst case, u and d a partition of {2..n-1}, grows as n^2.  Its
 #   cap is the largest multiple of 500 whose worst case stays under a quarter
 #   second in-process, by count's rule.
 # - count runs an O(n^2) DP over the number of live insertion slots, whose
@@ -80,14 +80,11 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise UsageError(f"cannot parse {what} from {text!r}") from exc
 
 
-def _parse_orientation(args, n: int, disjoint: bool = False) -> Orientation:
+def _parse_orientation(args, n: int) -> Orientation:
     try:
-        orientation = Orientation(_parse_ints(args.u or "", "set"), _parse_ints(args.d or "", "set"), n)
-        if disjoint:
-            orientation.require_disjoint()
+        return Orientation(_parse_ints(args.u or "", "set"), _parse_ints(args.d or "", "set"), n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return orientation
 
 
 def _parse_permutation(text: str, n: int) -> Permutation:
@@ -128,7 +125,7 @@ def cmd_sort(args) -> int:
     if args.output == "text":
         _require_at_most(args.n, MAX_SORT_TEXT_N, "sort --output text")
     _require_at_most(args.n, MAX_SORT_N, "sort")
-    orientation = _parse_orientation(args, args.n, disjoint=True)
+    orientation = _parse_orientation(args, args.n)
     pi = _parse_permutation(args.permutation, args.n)
     priority = _parse_priority(args.priority, args.n)
     trace = permutree_sort(pi, orientation, priority)
@@ -194,7 +191,7 @@ def cmd_count(args) -> int:
                 print(f"u={u} d={d} count={row['count']}")
         return 0
     _require_at_most(n, MAX_COUNT_N, "count")
-    orientation = _parse_orientation(args, n, disjoint=True)
+    orientation = _parse_orientation(args, n)
     count = count_minimal(orientation)
     if args.output == "json":
         print(json.dumps({"n": n, "u": sorted(orientation.u), "d": sorted(orientation.d), "count": count}))
@@ -231,7 +228,7 @@ def cmd_tree(args) -> int:
     _require_at_most(args.n, MAX_COUNT_N, "tree")
     if args.overlay:
         _require_at_most(args.n, MAX_TREE_OVERLAY_N, "tree --overlay")
-    orientation = _parse_orientation(args, args.n, disjoint=True)
+    orientation = _parse_orientation(args, args.n)
     priority = _parse_priority(args.priority, args.n)
     nodes = count_minimal(orientation)
     if nodes > MAX_TREE_NODES:

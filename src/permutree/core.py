@@ -127,13 +127,13 @@ class Word:
 
 @dataclass(frozen=True)
 class Orientation:
-    """A pair (u, d) of subsets of {2, ..., n-1}, the permutree parameter.
+    """A pair (u, d) of disjoint subsets of {2, ..., n-1}, the permutree
+    parameter; overlapping sets are refused.
 
-    The two sets may intersect; operations that need disjointness check it
-    themselves.  The boundary automata at j = n and j = 1 are never part of
-    an orientation.  components lists its automata as (kind, j): u ascending
-    as UP, then d ascending as DOWN, a shared parameter once per side; masks
-    holds u and d as ints with bit v set for the value v.
+    The boundary automata at j = n and j = 1 are never part of an
+    orientation.  components lists its automata as (kind, j): u ascending as
+    UP, then d ascending as DOWN; masks holds u and d as ints with bit v set
+    for the value v.
     """
 
     u: frozenset[int]
@@ -151,17 +151,11 @@ class Orientation:
             if not all(v in allowed for v in values):
                 shown = f"{{2,..,{self.n - 1}}}" if self.n > 3 else "{2}" if self.n == 3 else "{}"
                 raise ValueError(f"{name} must be a subset of {shown}, got {sorted(values)}")
+        if u & d:
+            raise ValueError(f"u and d must be disjoint, both contain {sorted(u & d)}")
         parts = [(Kind.UP, j) for j in sorted(u)] + [(Kind.DOWN, j) for j in sorted(d)]
         object.__setattr__(self, "components", tuple(parts))
         object.__setattr__(self, "masks", (sum(1 << v for v in u), sum(1 << v for v in d)))
-
-    @property
-    def is_disjoint(self) -> bool:
-        return not (self.u & self.d)
-
-    def require_disjoint(self) -> None:
-        if not self.is_disjoint:
-            raise ValueError(f"u and d must be disjoint, both contain {sorted(self.u & self.d)}")
 
     def require_degree(self, n: int, of: str = "permutation") -> None:
         require_same_degree("orientation", self.n, of, n)
@@ -482,10 +476,10 @@ def walk_reduced_words(
     accepts the words without m, so sigma succeeds iff sigma([m]) = [m]
     (parabolic subgroups, Bjorner-Brenti ch. 2), iff tau([m]) = pi([m]); as
     tau([m]) is [j] and m - j values above j that precede j in pi, iff [j]
-    lies in pi([m]).  DOWN is the mirror image.  For disjoint u and d the
-    ill components then accept every word of sigma and the healthy ones sit
-    at distinct columns, so theorem 2 on sigma makes joint success the
-    conjunction.  Unproven for overlapping u and d, checked by the tests.
+    lies in pi([m]).  DOWN is the mirror image.  An orientation's u and d
+    are disjoint, so the ill components then accept every word of sigma and
+    the healthy ones sit at distinct columns, and theorem 2 on sigma makes
+    joint success the conjunction.
     """
     rest = Residual(pi, priority)
     order = rest.priority.order

@@ -332,7 +332,6 @@ def permutree_sort(
     time.  Taking l moves u and d only at l and l + 1, which changes only
     the blocked letters l - 1, l and l + 1.
     """
-    orientation.require_disjoint()
     orientation.require_degree(pi.n)
     rest = Residual(pi, priority)
     priority, bit = rest.priority, rest.bit

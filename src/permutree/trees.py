@@ -50,8 +50,9 @@ def lexmin_word(
     either.
     """
     orientation.require_degree(pi.n)
-    advance = functools.partial(step_alive, product_table(orientation))
-    words = walk_reduced_words(pi, priority, initial_product(orientation), advance)
+    parts = orientation.components
+    advance = functools.partial(step_alive, product_table(parts, pi.n))
+    words = walk_reduced_words(pi, priority, initial_product(parts), advance)
     letters = next(words, None)
     return Word(letters, pi.n) if letters is not None else None
 
@@ -96,13 +97,12 @@ def generating_tree(
     ascents in priority order, so the first candidate to reach sigma is its
     word, and every level comes out in (length, priority-lex) order.
     """
-    orientation.require_disjoint()
-    n = orientation.n
+    n, parts = orientation.n, orientation.components
     priority = PriorityOrder.resolve(priority, n, "orientation")
-    advance = functools.partial(step_alive, product_table(orientation))
+    advance = functools.partial(step_alive, product_table(parts, n))
     root = tuple(range(1, n + 1))
     seen = {root}
-    level = [((), root, initial_product(orientation))]
+    level = [((), root, initial_product(parts))]
     words, perms = [], []
     while level:
         words.extend(Word(letters, n) for letters, _, _ in level)
@@ -149,7 +149,6 @@ def count_minimal(orientation: Orientation) -> int:
     >>> count_minimal(alternating) == math.comb(400, 200) // 201
     True
     """
-    orientation.require_disjoint()
     decorated = orientation.u | orientation.d
     ways = [0, 1]  # ways[a]: insertions so far that leave a live slots
     for v in range(orientation.n, 0, -1):

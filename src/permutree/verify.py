@@ -91,15 +91,15 @@ def component_mask(orientation: Orientation) -> int:
 
 
 def weak_order(n: int):
-    """The rows and start state of the vector of all 2(n-2) automata (u = d =
-    2..n-1), S_n in order, and the covers (entries of pi, l, entries of pi * s_l)
-    over the right descents l of each pi, pi outward from the identity: the reduced
-    words of pi are those of pi * s_l followed by l (Bjorner and Brenti, ch. 3)."""
-    full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
+    """The rows and start state of the vector of all 2(n-2) automata, in component_index
+    order, S_n in order, and the covers (entries of pi, l, entries of pi * s_l) over the
+    right descents l of each pi, pi outward from the identity: the reduced words of pi
+    are those of pi * s_l followed by l (Bjorner and Brenti, ch. 3)."""
+    every = tuple((kind, j) for kind in Kind for j in range(2, n))
     perms = list(all_permutations(n))
     outward = (pi.entries for pi in sorted(perms[1:], key=Permutation.length))
     covers = ((e, l, right_swap(e, l)) for e in outward for l in range(1, n) if e[l - 1] > e[l])
-    return product_table(full), initial_product(full), perms, covers
+    return product_table(every, n), initial_product(every), perms, covers
 
 
 def final_vectors(n: int) -> Iterator[tuple[Permutation, dict[tuple[int, ...], int]]]:

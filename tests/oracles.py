@@ -157,14 +157,47 @@ def refuse_everywhere(monkeypatch, *names, modules=PACKAGE_MODULES):
 
 
 def all_orientations(n):
-    """Every pair (u, d) of subsets of 2..n-1, disjoint or not."""
+    """Every pair (u, d) of subsets of 2..n-1, disjoint or not, as the
+    component list an Orientation would hold: u ascending as UP, then d
+    ascending as DOWN.  An overlapping pair is no Orientation, but its
+    product still steps."""
     values = range(2, n)
-    subsets = [
-        frozenset(s) for size in range(n - 1) for s in itertools.combinations(values, size)
-    ]
+    subsets = [s for size in range(n - 1) for s in itertools.combinations(values, size)]
     for u in subsets:
         for d in subsets:
-            yield Orientation(u, d, n)
+            yield tuple((Kind.UP, j) for j in u) + tuple((Kind.DOWN, j) for j in d)
+
+
+def every_component(n):
+    """All 2(n-2) automata of degree n in final_vectors' order: UP 2..n-1, then DOWN 2..n-1."""
+    return tuple((kind, j) for kind in Kind for j in range(2, n))
+
+
+def congruence_classes(u, d, n):
+    """The (u, d)-permutree congruence classes of S_n (Pilaud and Pons,
+    Permutrees), by union-find: pi is joined with pi * s_q when positions q
+    and q+1 hold i < k and some j with i < j < k stands before them with j
+    in u, or after them with j in d.  It takes the sets, not an Orientation,
+    and reads no automaton and no pattern mask."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    parent = {p: p for p in perms}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        return p
+
+    for p in perms:
+        for q in range(n - 1):
+            i, k = p[q], p[q + 1]
+            if i < k and (
+                any(i < j < k for j in p[:q] if j in u) or any(i < j < k for j in p[q + 2 :] if j in d)
+            ):
+                parent[find(p)] = find((*p[:q], k, i, *p[q + 2 :]))
+    classes = {}
+    for p in perms:
+        classes.setdefault(find(p), []).append(Permutation(p))
+    return list(classes.values())
 
 
 def is_left_inversion(pi, letter):
@@ -198,8 +231,8 @@ def oracle_product_accepts(orientation, word):
     """product_accepts by stepping the product tuple one letter at a time,
     stopping at the first death (dead is absorbing)."""
     orientation.require_degree(word.n, "word")
-    rows = product_table(orientation)
-    product = initial_product(orientation)
+    rows = product_table(orientation.components, orientation.n)
+    product = initial_product(orientation.components)
     for letter in word:
         product = step_alive(rows, product, letter)
         if product is None:
@@ -210,7 +243,6 @@ def oracle_product_accepts(orientation, word):
 def oracle_generating_tree(orientation, priority=None):
     """generating_tree by enumeration: scan S_n, search each minimal
     permutation's lexmin word, and sort the words by length and priority."""
-    orientation.require_disjoint()
     n = orientation.n
     if priority is None:
         priority = PriorityOrder.natural(n)
@@ -243,7 +275,6 @@ def oracle_count_minimal_subsets(orientation):
     ways[S | {v}] sums ways[S] over the allowed v, visiting only the sets
     some prefix reaches: O(2^n * (n + |u| + |d|)) time and O(2^n) space.
     """
-    orientation.require_disjoint()
     n = orientation.n
     # bit v-1 of a set stands for the value v
     rules = []
@@ -374,8 +405,8 @@ def oracle_export_dot_product(orientation, reachable_only=False):
     key, node line and edge end."""
     n = orientation.n
     parts = orientation.components
-    move = functools.partial(step_product, product_table(orientation))
-    start = initial_product(orientation)
+    move = functools.partial(step_product, product_table(parts, n))
+    start = initial_product(parts)
 
     def product_sort_key(product):
         labels = (label(kind, j, code) for (kind, j), code in zip(parts, product))
@@ -441,10 +472,10 @@ def oracle_check_prefix_closure(max_n):
         shuffles = [PriorityOrder.shuffled(n, rng) for _ in range(PREFIX_SHUFFLES)]
         priorities = dict.fromkeys([PriorityOrder.natural(n), *shuffles])
         orientations = list(disjoint_orientations(n))
-        steppers = [
-            (o, functools.partial(step_product, product_table(o)), initial_product(o))
-            for o in orientations
-        ]
+        steppers = []
+        for o in orientations:
+            rows = product_table(o.components, n)
+            steppers.append((o, functools.partial(step_product, rows), initial_product(o.components)))
         for pi in all_permutations(n):
             words = all_reduced_words(pi)
             for orientation, advance, start in steppers:
@@ -499,12 +530,11 @@ def oracle_final_vectors(pi):
     """{final vector: count} of pi's reduced words, each stepped on its own
     through all 2(n-2) automata of its degree: what final_vectors reads off
     the weak order."""
-    n = pi.n
-    full = Orientation(frozenset(range(2, n)), frozenset(range(2, n)), n)
-    advance = functools.partial(step_product, product_table(full))
+    every = every_component(pi.n)
+    advance = functools.partial(step_product, product_table(every, pi.n))
     finals = {}
     for word in all_reduced_words(pi):
-        vector = functools.reduce(advance, word.letters, initial_product(full))
+        vector = functools.reduce(advance, word.letters, initial_product(every))
         finals[vector] = finals.get(vector, 0) + 1
     return finals
 

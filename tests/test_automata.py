@@ -14,6 +14,7 @@ from permutree.core import (
     contains_pattern,
     left_multiply,
     ninv_stats,
+    pattern_masks,
 )
 from permutree.automata import (
     Status,
@@ -34,11 +35,11 @@ from permutree.automata import (
     step_product,
     table,
 )
-from permutree.verify import disjoint_orientations
+from permutree.verify import disjoint_orientations, final_vectors
 from oracles import (
     all_orientations,
     assert_same_text,
-    evaluate,
+    every_component,
     oracle_export_dot,
     oracle_export_dot_product,
     oracle_product_accepts,
@@ -197,8 +198,8 @@ def test_run_examples():
 
 def test_classify():
     o = Orientation({2}, {3}, 5)
-    rows = product_table(o)
-    start = initial_product(o)
+    rows = product_table(o.components, 5)
+    start = initial_product(o.components)
     assert classify(start) is Status.HEALTHY
     assert o.components == ((Kind.UP, 2), (Kind.DOWN, 3))
     assert label(Kind.UP, 2, start[0]) == (2, Status.HEALTHY)
@@ -211,33 +212,35 @@ def test_classify():
 
 
 def test_run_product_conflicting_sides():
+    # both automata of one j, which no Orientation holds, still make a product
     for j, n in [(2, 4), (3, 5)]:
-        o = Orientation({j}, {j}, n)
-        assert not product_accepts(o, Word((j - 1, j, j - 1), n))
-        assert not product_accepts(o, Word((j, j - 1, j), n))
+        both = ((Kind.UP, j), (Kind.DOWN, j))
+        advance = functools.partial(step_product, product_table(both, n))
+        for letters in [(j - 1, j, j - 1), (j, j - 1, j)]:
+            final = functools.reduce(advance, letters, initial_product(both))
+            assert classify(final) is Status.DEAD, letters
         # each side alone accepts one of the two expressions
         assert accepts(Kind.DOWN, j, Word((j - 1, j, j - 1), n))
         assert accepts(Kind.UP, j, Word((j, j - 1, j), n))
 
 
 def test_empty_product_accepts_everything():
-    o = Orientation(frozenset(), frozenset(), 4)
-    advance = functools.partial(step_product, product_table(o))
+    advance = functools.partial(step_product, product_table((), 4))
     for word in all_reduced_words(P("4231")):
-        assert classify(functools.reduce(advance, word, initial_product(o))) is Status.HEALTHY
+        assert classify(functools.reduce(advance, word, initial_product(()))) is Status.HEALTHY
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_product_accepts_matches_the_product_step_oracle(n):
-    # every (u, d), overlapping ones included; every word up to length 6,
-    # reduced or not, for n <= 4, and every reduced word of S_5
+    # every orientation; every word up to length 6, reduced or not, for
+    # n <= 4, and every reduced word of S_5
     if n <= 4:
         letters = range(1, n)
         words = [Word(w, n) for size in range(7) for w in itertools.product(letters, repeat=size)]
     else:
         words = [w for pi in all_permutations(n) for w in all_reduced_words(pi)]
     answers = set()
-    for o in all_orientations(n):
+    for o in disjoint_orientations(n):
         for word in words:
             want = oracle_product_accepts(o, word)
             assert product_accepts(o, word) == want, (o, word)
@@ -245,14 +248,14 @@ def test_product_accepts_matches_the_product_step_oracle(n):
     assert answers == ({True} if n == 2 else {True, False})
 
 
-def successors(orientation):
+def successors(components, n):
     """Each product state reachable from the start, with its target under each letter."""
-    rows = product_table(orientation)
-    targets, todo = {}, [initial_product(orientation)]
+    rows = product_table(components, n)
+    targets, todo = {}, [initial_product(components)]
     while todo:
         product = todo.pop()
         if product not in targets:
-            targets[product] = [step_product(rows, product, l) for l in range(1, orientation.n)]
+            targets[product] = [step_product(rows, product, l) for l in range(1, n)]
             todo += targets[product]
     return targets
 
@@ -264,25 +267,24 @@ def successors(orientation):
         (3, 9, False),
         (4, 62, False),
         (5, 645, False),
-        # the 81 disjoint orientations of degree 6 take about 9 s on two
+        # the 81 disjoint component lists of degree 6 take about 9 s on two
         # cores, and all 4^4 of them would take about three times as long
         pytest.param(6, 9137, True, marks=SLOW_DEGREE.marks),
     ],
 )
 def test_dead_mask_reads_every_orientation_off_the_full_vector(n, vectors, disjoint_only):
     # a product state is the tuple of its components' states: projecting the
-    # full vector onto an orientation's components commutes with stepping, and
-    # the orientation is dead iff the vector's dead mask meets its bitmask
-    inner = frozenset(range(2, n))
-    full = Orientation(inner, inner, n)
-    reachable = successors(full)
+    # full vector onto a component list commutes with stepping, and the list,
+    # overlapping or not, is dead iff the vector's dead mask meets its bitmask
+    full = every_component(n)
+    reachable = successors(full, n)
     assert len(reachable) == vectors
-    for o in all_orientations(n):
-        if disjoint_only and not o.is_disjoint:
-            continue
-        places = [full.components.index(part) for part in o.components]
+    for components in all_orientations(n):
+        if disjoint_only and len({j for _, j in components}) < len(components):
+            continue  # some j is on both sides
+        places = [full.index(part) for part in components]
         mask = sum(1 << i for i in places)
-        rows = product_table(o)
+        rows = product_table(components, n)
         for v, targets in reachable.items():
             projected = tuple(v[i] for i in places)
             assert (not dead_mask(v) & mask) == (classify(projected) is not Status.DEAD)
@@ -290,12 +292,45 @@ def test_dead_mask_reads_every_orientation_off_the_full_vector(n, vectors, disjo
                 assert tuple(target[i] for i in places) == step_product(rows, projected, letter)
 
 
+@pytest.mark.parametrize(
+    "n, disagreements, by_automata, by_masks", [(3, 1, 3, 4), (4, 23, 5, 8), (5, 401, 8, 16)]
+)
+def test_overlapping_sets_part_the_automata_from_the_patterns(n, disagreements, by_automata, by_masks):
+    # Why an Orientation refuses u & d: over every (u, d) as raw bitmasks
+    # (bit j for the value j), "some reduced word passes every automaton of
+    # (u, d)" (final_vectors' dead masks, UP j at bit j - 2 and DOWN j at
+    # bit n + j - 4) and the pattern masks agree on every disjoint pair and
+    # part on overlapping ones.  With every j on both sides the automata
+    # accept Fibonacci many permutations and the masks 2^(n-1), the count
+    # of Pilaud and Pons's doubly decorated permutrees.
+    subsets = (s for size in range(n - 1) for s in itertools.combinations(range(2, n), size))
+    sets = [sum(1 << j for j in s) for s in subsets]
+    everything = sets[-1]
+    wrong = {False: 0, True: 0}  # by overlap
+    accepted = [0, 0]  # with everything on both sides: by the automata, by the masks
+    for pi, finals in final_vectors(n):
+        deads = {dead_mask(vector) for vector in finals}
+        up, down = pattern_masks(pi)
+        for u in sets:
+            for d in sets:
+                components = u >> 2 | d >> 2 << (n - 2)
+                automata = any(not dead & components for dead in deads)
+                masks = not (up & u or down & d)
+                wrong[bool(u & d)] += automata != masks
+                if u == d == everything:
+                    accepted[0] += automata
+                    accepted[1] += masks
+    assert len(sets) ** 2 == 4 ** (n - 2)
+    assert wrong == {False: 0, True: disagreements}
+    assert accepted == [by_automata, by_masks]
+
+
 def test_exists_accepted():
     assert exists_accepted(P("3421"), Orientation({2}, frozenset(), 4))
     assert not exists_accepted(P("4231"), Orientation({2}, frozenset(), 4))
-    # overlapping sides: no reduced expression satisfies both automata
-    pi = evaluate(Word((1, 2, 1), 4))
-    assert not exists_accepted(pi, Orientation({2}, {2}, 4))
+    # 4213 contains 423 (k i j with j = 3 in d); 3214 avoids both patterns
+    assert not exists_accepted(P("4213"), Orientation({2}, {3}, 4))
+    assert exists_accepted(P("3214"), Orientation({2}, {3}, 4))
 
 
 def test_product_searches_refuse_an_orientation_of_another_degree():
@@ -353,9 +388,9 @@ def test_dead_is_absorbing_along_runs(n):
             Orientation({2}, frozenset(), n),
             Orientation({2}, {n - 1} if n > 3 else frozenset(), n),
         ]:
-            rows = product_table(orientation)
+            rows = product_table(orientation.components, n)
             for word in all_reduced_words(pi):
-                product = initial_product(orientation)
+                product = initial_product(orientation.components)
                 seen_dead = False
                 for letter in word:
                     product = step_product(rows, product, letter)
@@ -450,14 +485,13 @@ def test_export_dot_matches_its_oracle(n):
 def two_digit_columns(n):
     """Products whose columns run past 9, where the text order of the state
     names is not the (column, status name) order the nodes are sorted by."""
-    return [Orientation({n - 2}, {n - 1}, n), Orientation({2}, {2}, n)]
+    return [Orientation({n - 2}, {n - 1}, n), Orientation({2}, {3}, n)]
 
 
 @pytest.mark.parametrize(
     "n, orientations",
     [
-        *((n, all_orientations) for n in range(2, 5)),
-        (5, disjoint_orientations),
+        *((n, disjoint_orientations) for n in range(2, 6)),
         (10, two_digit_columns),
         slow(6, disjoint_orientations),
     ],

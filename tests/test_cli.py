@@ -209,9 +209,31 @@ def test_count_table(capsys):
     assert "u={} d={} count=24" in lines
 
 
+OVERLAP_ERROR = "error: u and d must be disjoint, both contain [2]\n"
+
+
 def test_count_overlap_rejected(capsys):
-    code, _, err = run_cli(capsys, "count", "--n", "4", "--u", "2", "--d", "2")
-    assert code == 2
+    # count, sort and tree refused overlapping sets before every command did,
+    # with the same line
+    for argv in (
+        ("count", "--n", "4", "--u", "2", "--d", "2"),
+        ("sort", "--n", "4", "--u=2", "--d=2", "4321"),
+        ("tree", "--n", "4", "--u=2", "--d=2"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", OVERLAP_ERROR), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--n", "4", "--u=2", "--d=2", "4321"),
+        ("automaton", "--n", "4", "--product", "--u=2", "--d=2"),
+    ],
+)
+def test_overlapping_sets_are_refused(capsys, argv):
+    # check answered 4321 "minimal" here, by the patterns, though no reduced
+    # word of 4321 passes both automata of 2; both commands exited 0
+    assert run_cli(capsys, *argv) == (2, "", OVERLAP_ERROR)
 
 
 def test_automaton_single(capsys):
@@ -300,7 +322,7 @@ CAPPED = "is capped at n={}; beyond that it is not worth the wait"
             "the product has 192476776960 states, more than the cap of 100000",
         ),
         (
-            ("automaton", "--product", "--n", "10", "--u", "2,6,9", "--d", "2,4", "--reachable-only"),
+            ("automaton", "--product", "--n", "11", "--u", "7,8,10", "--d", "2,9", "--reachable-only"),
             "the product has 100100 states, more than the cap of 100000",
         ),
         (("sort", "--n", "201", "1"), "sort --output text " + CAPPED.format(200)),
@@ -681,7 +703,7 @@ MALFORMED_DEGREES = ["0", "-2", "", "x", "2.5"]
 
 def drawn_sets(rng: random.Random, n: int, flags=("--u", "--d")) -> list[str]:
     """Each flag omitted, malformed, or a few values near 2..n-1, now and
-    then out of range; u and d often overlap."""
+    then out of range; u and d often overlap, which is refused."""
     argv = []
     for flag in flags:
         pick = rng.random()
@@ -788,7 +810,7 @@ def test_sort_and_check_keep_their_exit_code_contract(capsys):
 # products just within and just past MAX_PRODUCT_STATES (99,968 and 100,100
 # states)
 PRODUCT_AT_CAP = ["--n=25", "--u=2,11,15"]
-PRODUCT_PAST_CAP = ["--n=10", "--u=2,6,9", "--d=2,4"]
+PRODUCT_PAST_CAP = ["--n=11", "--u=7,8,10", "--d=2,9"]
 
 
 def trees_around_the_node_cap() -> tuple[list[str], list[str]]:
@@ -911,9 +933,11 @@ def test_other_commands_keep_their_exit_code_contract(capsys, draws):
 
 
 def worst_check(n: int) -> list[str]:
-    """check's worst case: the identity, with u and d both {2..n-1}."""
-    sets = ",".join(map(str, range(2, n)))
-    return ["check", f"--n={n}", f"--u={sets}", f"--d={sets}", " ".join(map(str, range(1, n + 1)))]
+    """check's worst case: the identity, with each j of 2..n-1 on the side
+    whose witness scan is longer, up below the middle and down above it."""
+    up = ",".join(str(j) for j in range(2, n) if 2 * j < n + 1)
+    down = ",".join(str(j) for j in range(2, n) if 2 * j >= n + 1)
+    return ["check", f"--n={n}", f"--u={up}", f"--d={down}", " ".join(map(str, range(1, n + 1)))]
 
 
 AT_THE_CAPS = [

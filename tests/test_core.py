@@ -32,7 +32,6 @@ from permutree.coxeter import CoxeterWord, c_factorization, c_sorting_word, is_c
 from permutree.sorting import _greedy_extract, check_sorting_network, network_candidate, permutree_sort
 from permutree.trees import generating_tree, lexmin_word
 from oracles import (
-    all_orientations,
     evaluate,
     identity,
     is_left_inversion,
@@ -304,9 +303,10 @@ def test_is_aligned():
 
 
 def disjoint_orientations(n):
-    for assign in itertools.product((0, 1, 2), repeat=n - 2):
-        u = frozenset(j for j, a in zip(range(2, n), assign) if a == 1)
-        d = frozenset(j for j, a in zip(range(2, n), assign) if a == 2)
+    values = range(2, n)
+    for assign in itertools.product((0, 1, 2), repeat=len(values)):
+        u = frozenset(j for j, a in zip(values, assign) if a == 1)
+        d = frozenset(j for j, a in zip(values, assign) if a == 2)
         yield Orientation(u, d, n)
 
 
@@ -321,8 +321,9 @@ def test_alignment_equivalent_to_avoidance(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=SLOW_DEGREE.marks)])
 def test_is_minimal_matches_the_two_loop_oracle(n):
-    # every (u, d), overlapping ones included, up to n = 6; every disjoint one at n = 7
-    orientations = list(all_orientations(n) if n <= 6 else disjoint_orientations(n))
+    # every orientation; every bit of the masks, overlapping pairs' too, is
+    # checked against the scan by the pattern-mask test above
+    orientations = list(disjoint_orientations(n))
     for o in orientations:
         assert o.components == tuple(oracle_components(o))
     for pi in all_permutations(n):
@@ -464,10 +465,10 @@ def test_orientation_validation():
         Orientation({1}, frozenset(), 4)
     with pytest.raises(ValueError):
         Orientation(frozenset(), {4}, 4)
-    o = Orientation({2}, {2}, 4)
-    assert not o.is_disjoint
-    with pytest.raises(ValueError):
-        o.require_disjoint()
+    with pytest.raises(ValueError, match=r"^u and d must be disjoint, both contain \[2\]$"):
+        Orientation({2}, {2}, 4)
+    with pytest.raises(ValueError, match=r"both contain \[2, 4\]$"):
+        Orientation({2, 3, 4}, {2, 4}, 6)
     Orientation(frozenset(), frozenset(), 2)  # the n=2 constraint set is empty
 
 
@@ -498,12 +499,12 @@ def test_orientation_check_does_not_hold_its_range():
 
 
 def test_orientation_components_are_derived():
-    o = Orientation({4, 2}, {3, 2}, 5)
-    assert o.components == ((Kind.UP, 2), (Kind.UP, 4), (Kind.DOWN, 2), (Kind.DOWN, 3))
+    o = Orientation({4, 2}, {5, 3}, 6)
+    assert o.components == ((Kind.UP, 2), (Kind.UP, 4), (Kind.DOWN, 3), (Kind.DOWN, 5))
     # equality, hash and repr read u, d and n only
-    same = Orientation(frozenset({2, 4}), frozenset({2, 3}), 5)
+    same = Orientation(frozenset({2, 4}), frozenset({3, 5}), 6)
     assert o == same and hash(o) == hash(same)
-    assert repr(o) == "Orientation(u=frozenset({2, 4}), d=frozenset({2, 3}), n=5)"
+    assert repr(o) == "Orientation(u=frozenset({2, 4}), d=frozenset({3, 5}), n=6)"
     with pytest.raises(TypeError):
         Orientation({2}, frozenset(), 4, components=())
 

@@ -47,13 +47,11 @@ from oracles import (
 P = Permutation.from_text
 
 
-def orientations(n, disjoint=True):
+def orientations(n):
     values = range(2, n)
     for assign in itertools.product((0, 1, 2), repeat=n - 2):
         u = frozenset(j for j, a in zip(values, assign) if a == 1)
         d = frozenset(j for j, a in zip(values, assign) if a == 2)
-        if disjoint and (u & d):
-            continue
         yield Orientation(u, d, n)
 
 
@@ -340,7 +338,8 @@ def test_product_sort_golden_15342():
 
 
 def test_product_sort_rejects_overlap():
-    with pytest.raises(ValueError):
+    # the Orientation refuses the sets before the sort is reached
+    with pytest.raises(ValueError, match="disjoint"):
         permutree_sort(P("3214"), Orientation({2}, {2}, 4))
 
 
@@ -587,7 +586,7 @@ def test_mask_and_set_round_trip():
             itertools.combinations(range(1, n + 1), k) for k in range(n + 1)
         ):
             assert sorting._values(mask_of(values)) == frozenset(values)
-        for orientation in orientations(n, disjoint=False) if n > 1 else ():
+        for orientation in orientations(n) if n > 1 else ():
             assert orientation.masks == (mask_of(orientation.u), mask_of(orientation.d))
 
 
@@ -851,7 +850,6 @@ def oracle_fixes_prefix(pi, k):
 
 def oracle_permutree_sort(pi, orientation, priority=None):
     """permutree_sort as it was: left_inversions and left_multiply at every step."""
-    orientation.require_disjoint()
     n = pi.n
     if priority is None:
         priority = PriorityOrder.natural(n)

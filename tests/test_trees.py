@@ -26,6 +26,7 @@ from permutree.verify import disjoint_orientations
 from oracles import (
     PACKAGE_MODULES,
     assert_same_text,
+    congruence_classes,
     evaluate,
     identity,
     oracle_count_minimal_subsets,
@@ -219,7 +220,6 @@ def test_count_minimal_examples():
 
 def oracle_count_minimal(orientation):
     """count_minimal by enumeration: scan S_n, test each permutation."""
-    orientation.require_disjoint()
     return sum(1 for pi in all_permutations(orientation.n) if is_minimal(pi, orientation))
 
 
@@ -245,6 +245,22 @@ def test_count_minimal_depends_only_on_the_decorated_values(n):
         assert count_minimal(orientation) == count_minimal(all_up), orientation
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, slow(6)])
+def test_congruence_classes_each_hold_one_minimal_permutation(n):
+    # a route to minimality and to the count through neither automata nor
+    # pattern masks: each class of the (u, d)-permutree congruence holds
+    # exactly one minimal permutation, its unique shortest element, so the
+    # classes number count_minimal
+    for orientation in disjoint_orientations(n):
+        classes = congruence_classes(orientation.u, orientation.d, n)
+        for members in classes:
+            minimal = [pi for pi in members if is_minimal(pi, orientation)]
+            shortest = min(pi.length() for pi in members)
+            assert len(minimal) == 1, (orientation, members)
+            assert [pi for pi in members if pi.length() == shortest] == minimal, (orientation, members)
+        assert len(classes) == count_minimal(orientation), orientation
+
+
 def test_count_minimal_enumerates_nothing(monkeypatch):
     refuse_everywhere(monkeypatch, "is_minimal", "all_permutations")
     assert count_minimal(Orientation(frozenset(), frozenset(), 9)) == math.factorial(9)
@@ -252,6 +268,7 @@ def test_count_minimal_enumerates_nothing(monkeypatch):
 
 
 def test_count_minimal_refuses_overlapping_sets():
+    # the Orientation refuses the sets before the count is reached
     with pytest.raises(ValueError, match="disjoint"):
         count_minimal(Orientation({2}, {2}, 4))
 
