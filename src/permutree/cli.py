@@ -42,10 +42,10 @@ BROKEN_PIPE = 141
 #   blocks a step.  Its JSON has about n^3 characters and its text table
 #   about n^4, hence the lower cap on text.  sort writes either to stdout
 #   piece by piece as it renders, so neither is held whole.
-# - check scans one side of each value of u and d for its witness, so its
-#   worst case, u and d a partition of {2..n-1}, grows as n^2.  Its
-#   cap is the largest multiple of 500 whose worst case stays under a quarter
-#   second in-process, by count's rule.
+# - check reads pi's two pattern masks and scans one side of one j for its
+#   witness, in O(n).  Its cap was set by count's rule when it scanned a side
+#   per value of u and d (n^2 at a partition of {2..n-1}), and is kept, since
+#   raising it would change which inputs check accepts.
 # - count runs an O(n^2) DP over the number of live insertion slots, whose
 #   cost is the big-integer additions.  Its cap is the largest multiple of
 #   500 whose worst case stays under a quarter second in-process and whose

@@ -287,37 +287,28 @@ def require_middle(j: int, n: int) -> None:
         raise ValueError(f"j must lie in 2..{n - 1}, got {j}")
 
 
-def pattern_witness(pi: Permutation, j: int, kind: Kind) -> tuple[int, int, int] | None:
-    """Positions (p, q, r) of one jki (UP) / kij (DOWN) occurrence, or None.
-
-    A scan of j's side (after j for UP, before j for DOWN): k is the first
-    value above j there and i the first value below j after k.  It gives the
-    witnesses that check prints, and the tests check pattern_masks against it.
-    """
-    require_middle(j, pi.n)
-    entries = pi.entries
-    pos_j = entries.index(j)
-    high = None
-    for val in entries[pos_j + 1 :] if kind is Kind.UP else entries[:pos_j]:
-        if val > j:
-            if high is None:
-                high = val
-        elif high is not None:  # j is not on its own side, so val < j
-            found = (entries.index(high) + 1, entries.index(val) + 1)
-            return (pos_j + 1, *found) if kind is Kind.UP else (*found, pos_j + 1)
-    return None
-
-
 def minimality_witness(
     pi: Permutation, orientation: Orientation
 ) -> tuple[int, Kind, tuple[int, int, int]] | None:
-    """A violating (j, kind, positions) triple, or None when minimal."""
+    """A violating (j, kind, positions) triple, or None when minimal.
+
+    j is the least value that pattern_masks(pi) hits in u (UP), else in d
+    (DOWN): the first failing component.  One scan of j's side then takes k,
+    the first value above j there, and i, the first value below j after k.
+    """
     orientation.require_degree(pi.n)
-    for kind, j in orientation.components:
-        witness = pattern_witness(pi, j, kind)
-        if witness is not None:
-            return (j, kind, witness)
-    return None
+    up, down = pattern_masks(pi)
+    u, d = orientation.masks
+    hit, kind = (up & u, Kind.UP) if up & u else (down & d, Kind.DOWN)
+    if not hit:
+        return None
+    j = (hit & -hit).bit_length() - 1
+    entries = pi.entries
+    at = entries.index(j)
+    start, stop = (at + 1, len(entries)) if kind is Kind.UP else (0, at)
+    q = next(q for q in range(start, stop) if entries[q] > j)
+    r = next(r for r in range(q + 1, stop) if entries[r] < j)
+    return j, kind, ((at + 1, q + 1, r + 1) if kind is Kind.UP else (q + 1, r + 1, at + 1))
 
 
 def is_minimal(pi: Permutation, orientation: Orientation) -> bool:

@@ -227,6 +227,40 @@ def oracle_contains_pattern(pi, j, kind):
     return False
 
 
+def oracle_pattern_witness(pi, j, kind):
+    if not 2 <= j <= pi.n - 1:
+        raise ValueError(f"j must lie in 2..{pi.n - 1}, got {j}")
+    pos_j = pi.entries.index(j) + 1
+    if kind is Kind.UP:
+        high_pos = None
+        for pos in range(pos_j + 1, pi.n + 1):
+            val = pi.value_at(pos)
+            if val > j and high_pos is None:
+                high_pos = pos
+            elif val < j and high_pos is not None:
+                return (pos_j, high_pos, pos)
+        return None
+    high_pos = None
+    for pos in range(1, pos_j):
+        val = pi.value_at(pos)
+        if val > j and high_pos is None:
+            high_pos = pos
+        elif val < j and high_pos is not None:
+            return (high_pos, pos, pos_j)
+    return None
+
+
+def oracle_minimality_witness(pi, orientation):
+    """minimality_witness as the loop it replaced: the first component of
+    orientation.components (u ascending, then d) whose own scan finds a
+    pattern, with that pattern's positions."""
+    for kind, j in orientation.components:
+        witness = oracle_pattern_witness(pi, j, kind)
+        if witness is not None:
+            return j, kind, witness
+    return None
+
+
 def oracle_product_accepts(orientation, word):
     """product_accepts by stepping the product tuple one letter at a time,
     stopping at the first death (dead is absorbing)."""

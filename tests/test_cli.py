@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import permutree
-from permutree import Orientation, Permutation, PriorityOrder, cli, permutree_sort, verify
+from permutree import Kind, Orientation, Permutation, PriorityOrder, cli, permutree_sort, verify
 from permutree.cli import (
     MAX_AUTOMATON_N,
     MAX_CHECK_N,
@@ -26,7 +26,7 @@ from permutree.cli import (
     main,
 )
 from permutree.trees import count_minimal
-from oracles import slow, written
+from oracles import oracle_minimality_witness, slow, written
 
 
 def run_cli(capsys, *argv):
@@ -933,11 +933,38 @@ def test_other_commands_keep_their_exit_code_contract(capsys, draws):
 
 
 def worst_check(n: int) -> list[str]:
-    """check's worst case: the identity, with each j of 2..n-1 on the side
-    whose witness scan is longer, up below the middle and down above it."""
+    """check's worst case while it scanned one side of each j of u and d in
+    turn: the identity, with each j of 2..n-1 on the side whose scan is
+    longer, up below the middle and down above it.  check now reads two
+    pattern masks and scans at most one side, whatever the input; this
+    stays its at-cap input."""
     up = ",".join(str(j) for j in range(2, n) if 2 * j < n + 1)
     down = ",".join(str(j) for j in range(2, n) if 2 * j >= n + 1)
     return ["check", f"--n={n}", f"--u={up}", f"--d={down}", " ".join(map(str, range(1, n + 1)))]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_check_at_the_cap_prints_the_oracle_witness(capsys, seed):
+    # worst_check's partition on non-minimal draws: a shuffle (a j of u
+    # fails first) and a shuffle of the upper values followed by the lower
+    # ones ascending (no j of u fails, so a j of d does)
+    n = MAX_CHECK_N
+    *options, _ = worst_check(n)
+    u, d = ({int(j) for j in option.split("=")[1].split(",")} for option in options[2:])
+    rng = random.Random(20261022 + seed)
+    middle = min(d)
+    shuffled, upper = rng.sample(range(1, n + 1), n), rng.sample(range(middle, n + 1), n + 1 - middle)
+    for entries, kind in ((shuffled, Kind.UP), (upper + list(range(1, middle)), Kind.DOWN)):
+        pi = Permutation(tuple(entries))
+        j, side, positions = oracle_minimality_witness(pi, Orientation(u, d, n))
+        assert side is kind
+        values = "".join(str(pi.value_at(p)) for p in positions)
+        label = f"{j}ki" if kind is Kind.UP else f"ki{j}"
+        text = f"non-minimal: contains {values} ({label}) at positions {','.join(map(str, positions))}\n"
+        assert run_cli(capsys, *options, str(pi)) == (1, text, "")
+        witness = {"j": j, "positions": list(positions), "side": kind.value, "values": values}
+        payload = {"minimal": False, "pi": str(pi), "witness": witness}
+        assert run_cli(capsys, *options, "--output=json", str(pi)) == (1, json.dumps(payload) + "\n", "")
 
 
 AT_THE_CAPS = [

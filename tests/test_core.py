@@ -23,7 +23,6 @@ from permutree.core import (
     ninv_stats,
     minimality_witness,
     pattern_masks,
-    pattern_witness,
     right_swap,
     stack_sort,
 )
@@ -31,11 +30,14 @@ from permutree.automata import exists_accepted, product_accepts
 from permutree.coxeter import CoxeterWord, c_factorization, c_sorting_word, is_c_sortable
 from permutree.sorting import _greedy_extract, check_sorting_network, network_candidate, permutree_sort
 from permutree.trees import generating_tree, lexmin_word
+from permutree.verify import disjoint_orientations
 from oracles import (
     evaluate,
     identity,
     is_left_inversion,
     oracle_contains_pattern,
+    oracle_minimality_witness,
+    oracle_pattern_witness,
     right_multiply,
     slow,
     word_from_text,
@@ -108,29 +110,6 @@ def oracle_two_loop_contains_pattern(pi, j, kind):
         elif val < j and seen_high:
             return True
     return False
-
-
-def oracle_pattern_witness(pi, j, kind):
-    if not 2 <= j <= pi.n - 1:
-        raise ValueError(f"j must lie in 2..{pi.n - 1}, got {j}")
-    pos_j = pi.entries.index(j) + 1
-    if kind is Kind.UP:
-        high_pos = None
-        for pos in range(pos_j + 1, pi.n + 1):
-            val = pi.value_at(pos)
-            if val > j and high_pos is None:
-                high_pos = pos
-            elif val < j and high_pos is not None:
-                return (pos_j, high_pos, pos)
-        return None
-    high_pos = None
-    for pos in range(1, pos_j):
-        val = pi.value_at(pos)
-        if val > j and high_pos is None:
-            high_pos = pos
-        elif val < j and high_pos is not None:
-            return (high_pos, pos, pos_j)
-    return None
 
 
 def oracle_is_minimal(pi, orientation):
@@ -245,13 +224,23 @@ def test_pattern_scan_matches_cubic_oracle(n):
                 assert contains_pattern(pi, j, kind) == brute_contains(pi, j, kind)
 
 
+def component_witness(pi, j, kind):
+    """check's witness positions for the one automaton (kind, j), or None."""
+    sets = ({j}, frozenset()) if kind is Kind.UP else (frozenset(), {j})
+    witness = minimality_witness(pi, Orientation(*sets, pi.n))
+    if witness is None:
+        return None
+    assert witness[:2] == (j, kind)
+    return witness[2]
+
+
 def test_pattern_witness_positions():
-    assert pattern_witness(P("42135"), 3, Kind.DOWN) == (1, 2, 4)
-    assert pattern_witness(P("42135"), 2, Kind.UP) is None
+    assert component_witness(P("42135"), 3, Kind.DOWN) == (1, 2, 4)
+    assert component_witness(P("42135"), 2, Kind.UP) is None
     for pi in all_permutations(4):
         for j in (2, 3):
             for kind in (Kind.UP, Kind.DOWN):
-                witness = pattern_witness(pi, j, kind)
+                witness = component_witness(pi, j, kind)
                 assert (witness is not None) == contains_pattern(pi, j, kind)
                 if witness:
                     p, q, r = witness
@@ -270,7 +259,7 @@ def test_folded_scans_match_the_two_loop_oracles(n):
             for kind in (Kind.UP, Kind.DOWN):
                 want = oracle_two_loop_contains_pattern(pi, j, kind)
                 assert contains_pattern(pi, j, kind) == want
-                assert pattern_witness(pi, j, kind) == oracle_pattern_witness(pi, j, kind)
+                assert component_witness(pi, j, kind) == oracle_pattern_witness(pi, j, kind)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -283,7 +272,7 @@ def test_contains_pattern_and_witness_match_the_own_scan_oracle(n):
         found = [0, 0]
         for j in range(2, n):
             for kind in (Kind.UP, Kind.DOWN):
-                witness = pattern_witness(pi, j, kind)
+                witness = component_witness(pi, j, kind)
                 want = oracle_contains_pattern(pi, j, kind)
                 assert contains_pattern(pi, j, kind) == want == (witness is not None)
                 found[kind is Kind.DOWN] |= want << j
@@ -300,14 +289,6 @@ def test_is_aligned():
     assert is_aligned(identity(4), Orientation({2, 3}, frozenset(), 4))
     assert not is_aligned(P("4231"), Orientation({2}, frozenset(), 4))
     assert is_aligned(P("3421"), Orientation({2}, frozenset(), 4))
-
-
-def disjoint_orientations(n):
-    values = range(2, n)
-    for assign in itertools.product((0, 1, 2), repeat=len(values)):
-        u = frozenset(j for j, a in zip(values, assign) if a == 1)
-        d = frozenset(j for j, a in zip(values, assign) if a == 2)
-        yield Orientation(u, d, n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, SLOW_DEGREE])
@@ -329,6 +310,16 @@ def test_is_minimal_matches_the_two_loop_oracle(n):
     for pi in all_permutations(n):
         for o in orientations:
             assert is_minimal(pi, o) == oracle_is_minimal(pi, o), (pi, o)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=SLOW_DEGREE.marks)])
+def test_minimality_witness_matches_the_two_loop_oracle(n):
+    # every disjoint orientation: the least j hit by the masks is the first
+    # component whose own scan finds a pattern, and its witness is that scan's
+    orientations = list(disjoint_orientations(n))
+    for pi in all_permutations(n):
+        for o in orientations:
+            assert minimality_witness(pi, o) == oracle_minimality_witness(pi, o), (pi, o)
 
 
 def test_ninv_stats():

@@ -34,6 +34,7 @@ from permutree.sorting import (
     permutree_sort,
     sort_single,
 )
+from permutree.verify import disjoint_orientations
 from oracles import (
     assert_same_text,
     evaluate,
@@ -45,14 +46,6 @@ from oracles import (
 )
 
 P = Permutation.from_text
-
-
-def orientations(n):
-    values = range(2, n)
-    for assign in itertools.product((0, 1, 2), repeat=n - 2):
-        u = frozenset(j for j, a in zip(values, assign) if a == 1)
-        d = frozenset(j for j, a in zip(values, assign) if a == 2)
-        yield Orientation(u, d, n)
 
 
 def test_priority_order():
@@ -361,7 +354,7 @@ def test_product_sort_refuses_an_orientation_of_another_degree():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_product_sort_accepted_and_decides_minimality(n):
-    for orientation in orientations(n):
+    for orientation in disjoint_orientations(n):
         for pi in all_permutations(n):
             trace = permutree_sort(pi, orientation)
             assert len(trace.word) == evaluate(trace.word).length()
@@ -372,7 +365,7 @@ def test_product_sort_accepted_and_decides_minimality(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_product_sort_prefixes_accepted(n):
-    for orientation in orientations(n):
+    for orientation in disjoint_orientations(n):
         for pi in all_permutations(n):
             trace = permutree_sort(pi, orientation)
             for cut in range(len(trace.word) + 1):
@@ -383,7 +376,7 @@ def test_product_sort_prefixes_accepted(n):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_product_sort_preserves_minimality_of_intermediates(n):
     # along a successful run, each intermediate is minimal for the moved sets
-    for orientation in orientations(n):
+    for orientation in disjoint_orientations(n):
         for pi in all_permutations(n):
             if not is_minimal(pi, orientation):
                 continue
@@ -586,7 +579,7 @@ def test_mask_and_set_round_trip():
             itertools.combinations(range(1, n + 1), k) for k in range(n + 1)
         ):
             assert sorting._values(mask_of(values)) == frozenset(values)
-        for orientation in orientations(n) if n > 1 else ():
+        for orientation in disjoint_orientations(n):
             assert orientation.masks == (mask_of(orientation.u), mask_of(orientation.d))
 
 
@@ -649,8 +642,7 @@ def assert_tables_match_oracle(traces):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, slow(6)])
 def test_product_sort_table_matches_oracle(n):
-    every = orientations(n) if n > 1 else [Orientation(frozenset(), frozenset(), 1)]
-    traces = [permutree_sort(pi, o) for o in every for pi in all_permutations(n)]
+    traces = [permutree_sort(pi, o) for o in disjoint_orientations(n) for pi in all_permutations(n)]
     if n >= 4:
         # stuck sorts end in rows that were considered and not applied
         assert any(not s.applied for trace in traces for s in trace.steps)
@@ -709,7 +701,7 @@ def test_table_word_blocks_match_oracle(monkeypatch):
     product = (
         permutree_sort(pi, o)
         for n in range(1, 6)
-        for o in (orientations(n) if n > 1 else [Orientation(frozenset(), frozenset(), 1)])
+        for o in disjoint_orientations(n)
         for pi in all_permutations(n)
     )
     single = (
@@ -958,8 +950,7 @@ def test_product_sort_matches_oracle(n, seed):
         priority = PriorityOrder.natural(n)
     else:
         priority = PriorityOrder.shuffled(n, random.Random(20261018 + 10 * n + seed))
-    every = list(orientations(n)) if n > 1 else [Orientation(frozenset(), frozenset(), 1)]
-    for orientation in every:
+    for orientation in disjoint_orientations(n):
         for pi in all_permutations(n):
             assert_sort_matches_oracle(pi, orientation, priority)
 

@@ -168,15 +168,7 @@ def test_generating_tree_free_orientation():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_tree_nodes_biject_with_minimal_permutations(n):
-    import itertools
-
-    values = range(2, n)
-    for assign in itertools.product((0, 1, 2), repeat=n - 2):
-        u = frozenset(j for j, a in zip(values, assign) if a == 1)
-        d = frozenset(j for j, a in zip(values, assign) if a == 2)
-        if u & d:
-            continue
-        orientation = Orientation(u, d, n)
+    for orientation in disjoint_orientations(n):
         tree = generating_tree(orientation)
         perms = {evaluate(w) for w in tree.nodes}
         assert len(perms) == len(tree.nodes)
