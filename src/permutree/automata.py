@@ -158,6 +158,19 @@ def dead_mask(product: tuple[int, ...]) -> int:
     return sum(1 << i for i, code in enumerate(product) if code % 3 == 2)
 
 
+def merge_dead(rows: ProductTable) -> ProductTable:
+    """The rows with every dead code sent to 2, the first column's dead code.
+
+    Dead states loop on every letter, 2 among them, so products that differ
+    only in where a component died step alike once merged, and each keeps
+    its dead_mask.
+    """
+    return tuple(
+        tuple(tuple(2 if code % 3 == 2 else code for code in row) for row in letter_rows)
+        for letter_rows in rows
+    )
+
+
 def step_product(rows: ProductTable, product: tuple[int, ...], letter: int) -> tuple[int, ...]:
     return tuple(map(getitem, rows[letter], product))
 

@@ -84,8 +84,15 @@ class GeneratingTree:
 def generating_tree(
     orientation: Orientation, priority: PriorityOrder | None = None
 ) -> GeneratingTree:
-    """One node per minimal permutation of S_n, n the orientation's degree,
-    built breadth first by length.
+    """The generating tree of one priority: generating_trees(orientation, [priority])[0]."""
+    return generating_trees(orientation, [priority])[0]
+
+
+def generating_trees(
+    orientation: Orientation, priorities: list[PriorityOrder | None]
+) -> list[GeneratingTree]:
+    """One tree per priority, each with one node per minimal permutation of
+    S_n, n the orientation's degree, built breadth first by length.
 
     A node tau holds its word w, its entries and its product state.  For an
     ascent l of tau (positions l, l+1), w.l is a reduced word of
@@ -96,31 +103,60 @@ def generating_tree(
     are expanded in priority-lex order of their words and each node's
     ascents in priority order, so the first candidate to reach sigma is its
     word, and every level comes out in (length, priority-lex) order.
+
+    The node set and each node's node children do not depend on the
+    priority, so only the first priority steps the product.  When more
+    follow, it notes the children of each node; a child already seen is
+    noted without a step, as sigma is then a node and w.l is accepted.
+    Each further priority runs the same breadth-first order over the notes.
     """
     n, parts = orientation.n, orientation.components
-    priority = PriorityOrder.resolve(priority, n, "orientation")
+    first, *others = [PriorityOrder.resolve(p, n, "orientation") for p in priorities]
     advance = functools.partial(step_alive, product_table(parts, n))
     root = tuple(range(1, n + 1))
     seen = {root}
     level = [((), root, initial_product(parts))]
     words, perms = [], []
+    noted = {}  # entries -> {ascent l: entries of the node tau * s_l}, when others follow
     while level:
         words.extend(Word(letters, n) for letters, _, _ in level)
         perms.extend(entries for _, entries, _ in level)
         children = []
         for letters, entries, state in level:
-            for l in priority.order:
+            if others:
+                kids = noted[entries] = {}
+            for l in first.order:
                 if entries[l - 1] > entries[l]:
                     continue
                 swapped = right_swap(entries, l)
-                if swapped in seen:
-                    continue
-                child = advance(state, l)
-                if child is not None:
+                if swapped not in seen:
+                    child = advance(state, l)
+                    if child is None:
+                        continue
                     seen.add(swapped)
                     children.append(((*letters, l), swapped, child))
+                if others:
+                    kids[l] = swapped
         level = children
-    return GeneratingTree(tuple(words), tuple(perms), orientation, priority)
+    trees = [GeneratingTree(tuple(words), tuple(perms), orientation, first)]
+    for priority in others:
+        seen = {root}
+        level = [((), root)]
+        words, perms = [], []
+        while level:
+            words.extend(Word(letters, n) for letters, _ in level)
+            perms.extend(entries for _, entries in level)
+            children = []
+            for letters, entries in level:
+                kids = noted[entries]
+                for l in priority.order:
+                    swapped = kids.get(l)
+                    if swapped is not None and swapped not in seen:
+                        seen.add(swapped)
+                        children.append(((*letters, l), swapped))
+            level = children
+        trees.append(GeneratingTree(tuple(words), tuple(perms), orientation, priority))
+    return trees
 
 
 def count_minimal(orientation: Orientation) -> int:

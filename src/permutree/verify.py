@@ -10,6 +10,7 @@ assert on.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -36,6 +37,7 @@ from .automata import (
     dead_mask,
     initial_product,
     label,
+    merge_dead,
     product_accepts,
     product_table,
     step_product,
@@ -55,7 +57,7 @@ from .sorting import (
     permutree_sort,
     sort_single,
 )
-from .trees import count_minimal, generating_tree
+from .trees import GeneratingTree, count_minimal, generating_trees
 
 Violations = list[str]
 
@@ -492,20 +494,43 @@ PREFIX_SHUFFLES = 3
 PREFIX_SEED = 20260809
 
 
+def prefix_pass(n: int, priorities: list[PriorityOrder]):
+    """check_prefix_closure's one pass over weak_order's covers, stepping
+    merge_dead's rows: those rows, the start vector and S_n in order, then two
+    dicts keyed by each pi's entries, {final vector: the ranks of the least word
+    ending there, one tuple per priority} and the set of (dead mask of a word's
+    head, of the whole word) over pi's reduced words."""
+    rows, start, perms, covers = weak_order(n)
+    rows, masks = merge_dead(rows), functools.cache(dead_mask)
+    least = {perms[0].entries: {start: ((),) * len(priorities)}}
+    pairs = {perms[0].entries: {(0, 0)}}  # the empty word's: nothing is dead at the start
+    for e, l, below in covers:
+        ends, dead_pairs = least.setdefault(e, {}), pairs.setdefault(e, set())
+        rank = [(priority.rank[l],) for priority in priorities]
+        for vector, heads in least[below].items():
+            stepped = step_product(rows, vector, l)
+            dead_pairs.add((masks(vector), masks(stepped)))
+            grown = tuple(head + r for head, r in zip(heads, rank))
+            ends[stepped] = tuple(map(min, ends.get(stepped, grown), grown))
+    return rows, start, perms, least, pairs
+
+
 def check_prefix_closure(max_n: int) -> Violations:
     """A reduced word is accepted iff every prefix is sortable; lexmin words are prefix-closed.
 
     Checked as: w.l, a reduced word of pi, is accepted iff w is and pi is minimal.
     Each prefix is a reduced word of its own permutation, so induction does the rest.
-    As in final_vectors, one pass steps each final vector of pi * s_l by l over
-    weak_order's covers, and an orientation is a bitmask that rejects a word iff it
-    meets the word's dead mask.  The pass keeps pi's pairs of dead masks (of a word's
-    head, of the whole word), tested once per orientation; only where a pair fails
-    are pi's words enumerated, so each violation names its word.  It also keeps,
-    per final vector and priority, the ranks of the least word ending there.  One
-    (priority, orientation) at a time, the lexmin table is read off those ranks as
-    rank tuples keyed by one-line entries, checked by table_violations, and dropped
-    before the next.  Besides S_n and the trees' nodes, objects are built only to print.
+    prefix_pass steps each final vector of pi * s_l by l once, over weak_order's
+    covers and with dead codes merged, and an orientation is a bitmask that rejects a
+    word iff it meets the word's dead mask.  So each dead mask stands for the bitset
+    of orientations it misses, and pi's pairs of dead masks (of a word's head, of the
+    whole word) are tested against all orientations at once; only where a pair fails
+    are pi's words enumerated, so each violation names its word.  The same bitsets
+    give the orientations pi has an accepted end for, and an orientation's lexmin
+    table, rank tuples keyed by one-line entries, is read over those pi alone.  One
+    orientation at a time, its trees come from one generating_trees call and each
+    priority's table is checked by table_violations; the lines are reported priority
+    by priority.  Besides S_n and the trees' nodes, objects are built only to print.
     """
     violations = []
     rng = random.Random(PREFIX_SEED)
@@ -514,25 +539,26 @@ def check_prefix_closure(max_n: int) -> Violations:
         shuffles = [PriorityOrder.shuffled(n, rng) for _ in range(PREFIX_SHUFFLES)]
         priorities = list(dict.fromkeys([PriorityOrder.natural(n), *shuffles]))
         orientations = [(o, component_mask(o)) for o in disjoint_orientations(n)]
-        rows, start, perms, covers = weak_order(n)
-        # least[e]: final vector -> the ranks of the least word ending there, per priority
-        least = {perms[0].entries: {start: ((),) * len(priorities)}}
-        pairs = {perms[0].entries: {(0, 0)}}  # the empty word's: nothing is dead at the start
-        for e, l, below in covers:
-            ends, dead_pairs = least.setdefault(e, {}), pairs.setdefault(e, set())
-            rank = [(priority.rank[l],) for priority in priorities]
-            for vector, heads in least[below].items():
-                stepped = step_product(rows, vector, l)
-                dead_pairs.add((dead_mask(vector), dead_mask(stepped)))
-                grown = tuple(head + r for head, r in zip(heads, rank))
-                ends[stepped] = tuple(map(min, ends.get(stepped, grown), grown))
+        rows, start, perms, least, pairs = prefix_pass(n, priorities)
+        # misses[dead]: bit k set iff the dead mask misses the k-th orientation's
+        misses = [
+            sum(1 << k for k, (_, mask) in enumerate(orientations) if not dead & mask)
+            for dead in range(1 << 2 * (n - 2))
+        ]
+        every = (1 << len(orientations)) - 1
         for pi in perms:
-            for orientation, mask in orientations:
+            # the orientations where every pair's head and whole word agree, and
+            # where every word is rejected: w.l checks out there if pi is minimal,
+            # and if it is not; where both hold, whatever it is
+            agree = reject = every
+            for head_dead, last_dead in pairs[pi.entries]:
+                agree &= ~(misses[head_dead] ^ misses[last_dead])
+                reject &= ~misses[last_dead]
+            for k, (orientation, mask) in enumerate(orientations):
+                if (agree & reject) >> k & 1:
+                    continue
                 minimal = is_minimal(pi, orientation)
-                if all(
-                    (not last_dead & mask) == (not head_dead & mask and minimal)
-                    for head_dead, last_dead in pairs[pi.entries]
-                ):
+                if (agree if minimal else reject) >> k & 1:
                     continue
                 for word in all_reduced_words(pi):
                     head = last = start
@@ -544,38 +570,53 @@ def check_prefix_closure(max_n: int) -> Violations:
                             f"n={n} {orientation} word {word}: accepted={accepted} "
                             f"prefix accepted={head_ok} minimal={minimal}"
                         )
-        for i, priority in enumerate(priorities):
-            # each pi's final vectors as (ranks of the least word ending there, dead
-            # mask), least first: all of pi's words have its length, so the first
-            # whose mask misses an orientation's is the least word it accepts
-            kept = [
-                (pi, sorted((ranks[i], dead_mask(v)) for v, ranks in least[pi.entries].items()))
-                for pi in perms
-            ]
-            for orientation, mask in orientations:
+        # each pi with an accepted end: its entries, the bits of the orientations it
+        # has one for, and per priority its (ranks of the least word ending at a dead
+        # mask, that mask) pairs, least first: all of pi's words have its length, so
+        # the first whose mask misses an orientation's is its lexmin word
+        kept = []
+        for pi in perms:
+            firsts = {}  # dead mask -> the ranks of the least word ending there, per priority
+            for v, ranks in least[pi.entries].items():
+                dead = dead_mask(v)
+                firsts[dead] = tuple(map(min, firsts.get(dead, ranks), ranks))
+            reached = 0
+            for dead in firsts:
+                reached |= misses[dead]
+            if reached:
+                orders = [sorted((r[i], d) for d, r in firsts.items()) for i in range(len(priorities))]
+                kept.append((pi.entries, reached, orders))
+        buffered = [[] for _ in priorities]
+        for k, (orientation, mask) in enumerate(orientations):
+            reachable = [(e, orders) for e, reached, orders in kept if reached >> k & 1]
+            trees = generating_trees(orientation, priorities)
+            for i, (priority, tree) in enumerate(zip(priorities, trees)):
                 table = {}  # entries -> the ranks of their lexmin word, in the order of S_n
-                for pi, ends in kept:
-                    for ranks, dead in ends:
+                for e, orders in reachable:
+                    for ranks, dead in orders[i]:
                         if not dead & mask:
-                            table[pi.entries] = ranks
+                            table[e] = ranks
                             break
-                violations += table_violations(table, orientation, priority)
+                buffered[i] += table_violations(table, orientation, priority, tree)
+        violations += itertools.chain.from_iterable(buffered)
     return violations
 
 
-def table_violations(table: dict, orientation: Orientation, priority: PriorityOrder) -> Violations:
+def table_violations(
+    table: dict, orientation: Orientation, priority: PriorityOrder, tree: GeneratingTree
+) -> Violations:
     """Where a lexmin table (one-line entries -> the ranks of their lexmin words) fails.
     Each word's parent must be the word of pi * s_last: by induction on length, every
     prefix is then the word of its own permutation.  A word whose parent is right must
-    be its node's word in generating_tree, which is built without the table and must
-    hold no other permutation.  A Word or Permutation is built only to print a line."""
+    be its node's word in the generating tree of the orientation and priority, which
+    is built without the table and must hold no other permutation.  A Word or
+    Permutation is built only to print a line."""
     n, order = priority.n, priority.order
     where = f"n={n} priority={order} u={sorted(orientation.u)} d={sorted(orientation.d)}"
-    built = generating_tree(orientation, priority)
-    tree = dict(zip(built.entries, built.nodes))
+    nodes = dict(zip(tree.entries, tree.nodes))
     violations, mismatches = [], []
     for e, ranks in table.items():
-        node = tree.pop(e, None)
+        node = nodes.pop(e, None)
         # built from a list, since tuple() of an iterator resizes and free lists hoard the results
         letters = tuple([order[r] for r in ranks])
         if letters:
@@ -588,7 +629,7 @@ def table_violations(table: dict, orientation: Orientation, priority: PriorityOr
                 continue
         if node is None or node.letters != letters:
             mismatches.append((e, node, Word(letters, n)))
-    mismatches += [(entries, node, None) for entries, node in tree.items()]
+    mismatches += [(entries, node, None) for entries, node in nodes.items()]
     return violations + [
         f"{where}: tree word {node} of {Permutation(e)} is not its lexmin word {word}"
         for e, node, word in mismatches
@@ -606,7 +647,7 @@ SUITES: dict[str, tuple[Callable[..., Violations], int | None, int | None]] = {
     "csorting": (check_csorting, 5, 6),
     "networks": (check_networks, None, None),
     "stacksort": (check_stack_sort, 7, 7),
-    "prefix": (check_prefix_closure, 5, 6),
+    "prefix": (check_prefix_closure, 5, 7),
 }
 
 

@@ -21,6 +21,7 @@ from permutree.automata import (
     Status,
     accepts,
     classify,
+    dead_mask,
     exists_accepted,
     initial_product,
     initial_state,
@@ -558,6 +559,24 @@ def oracle_check_prefix_closure(max_n):
                     for pi, node, word in mismatches
                 ]
     return violations
+
+
+def oracle_prefix_pass(n, priorities):
+    """verify.prefix_pass on weak_order's own rows, before dead codes were
+    merged: a component's dead code stays the one of the column it died in.
+    Returns its two dicts, the least ranks per final vector and the dead-mask
+    pairs, keyed by each permutation's entries."""
+    rows, start, perms, covers = verify.weak_order(n)
+    least = {perms[0].entries: {start: ((),) * len(priorities)}}
+    pairs = {perms[0].entries: {(0, 0)}}
+    for e, l, below in covers:
+        ends, dead_pairs = least.setdefault(e, {}), pairs.setdefault(e, set())
+        for vector, heads in least[below].items():
+            stepped = step_product(rows, vector, l)
+            dead_pairs.add((dead_mask(vector), dead_mask(stepped)))
+            grown = tuple(head + (p.rank[l],) for head, p in zip(heads, priorities))
+            ends[stepped] = tuple(map(min, ends.get(stepped, grown), grown))
+    return least, pairs
 
 
 def oracle_final_vectors(pi):

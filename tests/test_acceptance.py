@@ -11,7 +11,7 @@ import random
 import pytest
 
 import oracles
-from permutree import core, sorting, trees, verify
+from permutree import automata, core, sorting, trees, verify
 from permutree.automata import Status
 from permutree.core import Permutation, Word
 from permutree.sorting import PriorityOrder
@@ -45,6 +45,7 @@ from oracles import (
     oracle_check_theorem_single,
     oracle_check_unique_final_state,
     oracle_final_vectors,
+    oracle_prefix_pass,
     refuse_everywhere,
     slow,
 )
@@ -196,6 +197,15 @@ def test_stack_sort_suite_scans_231_independently(monkeypatch):
         assert all("stack=False avoid=False minimal=True" in line for line in violations)
 
 
+def suite_priorities(n):
+    # the distinct priorities the prefix suite tries at degree n: it draws
+    # its shuffles degree by degree from one seeded generator
+    rng = random.Random(verify.PREFIX_SEED)
+    for degree in range(2, n + 1):
+        shuffles = [PriorityOrder.shuffled(degree, rng) for _ in range(verify.PREFIX_SHUFFLES)]
+    return list(dict.fromkeys([PriorityOrder.natural(n), *shuffles]))
+
+
 def test_criterion_10_prefix_closure():
     report(
         "10 accepted iff every prefix sortable; lexmin words prefix-closed (n<=5)",
@@ -228,7 +238,8 @@ def test_prefix_suite_matches_the_oracle_under_a_wrong_minimality(monkeypatch, m
 
 def test_prefix_suite_steps_each_final_vector_once_per_descent(monkeypatch):
     # the pass steps the final vectors of pi * s_l by l once, over the right
-    # descents l of pi, not once per orientation or per reduced word
+    # descents l of pi, not once per orientation or per reduced word; no dead
+    # codes merge below n = 5, so these are final_vectors' finals
     finals = {pi: finals for n in range(2, 5) for pi, finals in final_vectors(n)}
     steps = sum(
         len(finals[oracles.right_multiply(pi, l)])
@@ -246,6 +257,33 @@ def test_prefix_suite_steps_each_final_vector_once_per_descent(monkeypatch):
     monkeypatch.setattr(verify, "step_product", counted)
     check_prefix_closure(4)
     assert len(calls) == steps == 55
+
+
+@pytest.mark.parametrize(
+    "n, merged, unmerged",
+    [(2, 2, 2), (3, 7, 7), (4, 43, 43), (5, 347, 452), (6, 3226, 7574), slow(7, 33197, 187231)],
+)
+def test_prefix_pass_merges_dead_codes_keeping_every_dead_mask_and_least_word(n, merged, unmerged):
+    # with each dead code sent to 2, vectors that differ only in where a
+    # component died merge (nothing merges below n = 5); every permutation
+    # keeps its (head, word) dead-mask pairs, and per priority the least
+    # ranks of each dead mask its words end at
+    priorities = suite_priorities(n)
+    *_, perms, least, pairs = verify.prefix_pass(n, priorities)
+    unmerged_least, unmerged_pairs = oracle_prefix_pass(n, priorities)
+
+    def least_per_dead(ends, i):
+        first = {}
+        for ranks, dead in sorted((heads[i], automata.dead_mask(v)) for v, heads in ends.items()):
+            first.setdefault(dead, ranks)
+        return list(first.items())
+
+    for pi in perms:
+        assert pairs[pi.entries] == unmerged_pairs[pi.entries], pi
+        for i in range(len(priorities)):
+            assert least_per_dead(least[pi.entries], i) == least_per_dead(unmerged_least[pi.entries], i)
+    assert sum(map(len, least.values())) == merged
+    assert sum(map(len, unmerged_least.values())) == unmerged
 
 
 def test_both_weak_order_passes_take_their_covers_from_one_walk(monkeypatch):
@@ -284,11 +322,17 @@ def empty_tree(orientation, priority):
     return trees.GeneratingTree((), (), orientation, priority)
 
 
+def per_priority(tree):
+    # generating_trees as the suite calls it, one tree per priority, from a
+    # function of one priority (the oracle's generating_tree)
+    return lambda orientation, priorities: [tree(orientation, p) for p in priorities]
+
+
 def test_prefix_suite_reports_each_violation_once(monkeypatch):
     # under 2,1 the natural tree gives 321 the word 1,2,1.  S_3 has two orders
     # of its letters, so the seeded shuffles repeat one, and each distinct
     # priority must be checked, and its violations reported, once
-    monkeypatch.setattr(verify, "generating_tree", natural_tree)
+    monkeypatch.setattr(verify, "generating_trees", per_priority(natural_tree))
     violations = check_prefix_closure(3)
     line = "n=3 priority=(2, 1) u=[] d=[]: tree word 1,2,1 of 321 is not its lexmin word 2,1,2"
     assert violations.count(line) == 1, violations
@@ -302,10 +346,10 @@ def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
     last = max(core.iter_reduced_words(w0), key=lambda word: word.letters)
     table_violations = verify.table_violations
 
-    def wrong(table, orientation, priority):
+    def wrong(table, orientation, priority, tree):
         if w0.entries in table:
             table[w0.entries] = tuple(map(priority.rank.__getitem__, last.letters))
-        return table_violations(table, orientation, priority)
+        return table_violations(table, orientation, priority, tree)
 
     monkeypatch.setattr(verify, "table_violations", wrong)
     violations = check_prefix_closure(4)
@@ -325,24 +369,34 @@ def test_prefix_suite_checks_each_word_against_its_parent(monkeypatch):
 
 
 def test_prefix_suite_grows_one_tree_per_table(monkeypatch):
-    # each (priority, orientation) table is compared with its own tree, grown
-    # once, in the order the suite draws them, and never once per permutation
-    grown = []
+    # each orientation's trees are grown by one generating_trees call for all
+    # the suite's distinct priorities, in the order the suite draws the
+    # orientations, never once per permutation; each (priority, orientation)
+    # table is compared with its own tree, each tree with one table
+    grown, compared = [], []
 
-    def counted(orientation, priority):
-        grown.append((priority, orientation))
-        return trees.generating_tree(orientation, priority)
+    def counted(orientation, priorities):
+        built = trees.generating_trees(orientation, priorities)
+        grown.append((orientation, list(priorities), built))
+        return built
 
-    monkeypatch.setattr(verify, "generating_tree", counted)
+    table_violations = verify.table_violations
+
+    def checked(table, orientation, priority, tree):
+        compared.append((priority, orientation, tree))
+        return table_violations(table, orientation, priority, tree)
+
+    monkeypatch.setattr(verify, "generating_trees", counted)
+    monkeypatch.setattr(verify, "table_violations", checked)
     assert check_prefix_closure(4) == []
-    rng = random.Random(verify.PREFIX_SEED)
-    expected = []
-    for n in range(2, 5):
-        shuffles = [PriorityOrder.shuffled(n, rng) for _ in range(verify.PREFIX_SHUFFLES)]
-        priorities = dict.fromkeys([PriorityOrder.natural(n), *shuffles])
-        expected += [(p, o) for p in priorities for o in verify.disjoint_orientations(n)]
-    assert grown == expected
-    assert len(grown) == 1 + 2 * 3 + 3 * 9
+    expected = [(o, suite_priorities(n)) for n in range(2, 5) for o in verify.disjoint_orientations(n)]
+    assert [(o, priorities) for o, priorities, _ in grown] == expected
+    assert len(grown) == 1 + 3 + 9
+    # id of each tree grown -> the (priority, orientation) it was grown for
+    built = {id(tree): (p, o) for o, ps, built in grown for p, tree in zip(ps, built)}
+    assert sorted(id(tree) for *_, tree in compared) == sorted(built)
+    assert all(built[id(tree)] == (p, o) for p, o, tree in compared)
+    assert len(compared) == 1 + 2 * 3 + 3 * 9
 
 
 def test_prefix_suite_builds_no_object_it_does_not_print(monkeypatch):
@@ -359,12 +413,12 @@ def test_prefix_suite_builds_no_object_it_does_not_print(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
     nodes = []
 
-    def grown(orientation, priority):
-        tree = trees.generating_tree(orientation, priority)
-        nodes.append(len(tree.nodes))
-        return tree
+    def grown(orientation, priorities):
+        built = trees.generating_trees(orientation, priorities)
+        nodes.extend(len(tree.nodes) for tree in built)
+        return built
 
-    monkeypatch.setattr(verify, "generating_tree", grown)
+    monkeypatch.setattr(verify, "generating_trees", grown)
     assert check_prefix_closure(4) == []
     assert built[Permutation] == 2 + 6 + 24
     assert built[Word] == sum(nodes) == 490
@@ -375,14 +429,16 @@ def test_prefix_suite_reads_the_entries_the_tree_keeps(monkeypatch):
     # their words: a tree whose first two children swap their entries while
     # their words stay right shows as the two lines of that swap, for every
     # priority and orientation of S_3 (S_2's trees have one child, and stay whole)
-    def swapped_tree(orientation, priority):
-        tree = trees.generating_tree(orientation, priority)
+    def swapped(tree):
         entries = list(tree.entries)
         if len(entries) > 2:
             entries[1], entries[2] = entries[2], entries[1]
-        return trees.GeneratingTree(tree.nodes, tuple(entries), orientation, priority)
+        return trees.GeneratingTree(tree.nodes, tuple(entries), tree.orientation, tree.priority)
 
-    monkeypatch.setattr(verify, "generating_tree", swapped_tree)
+    def swapped_trees(orientation, priorities):
+        return [swapped(tree) for tree in trees.generating_trees(orientation, priorities)]
+
+    monkeypatch.setattr(verify, "generating_trees", swapped_trees)
     violations = check_prefix_closure(3)
     swap = ["tree word 1 of 132 is not its lexmin word 2", "tree word 2 of 213 is not its lexmin word 1"]
     assert len(violations) >= 2 * 3
@@ -405,7 +461,7 @@ def test_prefix_suite_searches_no_reduced_word(monkeypatch):
 )
 def test_prefix_suite_matches_the_oracle_under_a_wrong_tree(monkeypatch, tree, n, lines):
     # the table the pass reads off the weak order is the one lexmin_word searches
-    monkeypatch.setattr(verify, "generating_tree", tree)
+    monkeypatch.setattr(verify, "generating_trees", per_priority(tree))
     monkeypatch.setattr(oracles, "generating_tree", tree)
     violations = check_prefix_closure(n)
     assert violations == oracle_check_prefix_closure(n)
@@ -416,14 +472,11 @@ def test_prefix_suite_matches_the_oracle_under_a_wrong_tree(monkeypatch, tree, n
 def test_prefix_suite_tables_every_lexmin_word(monkeypatch, n):
     # under an empty tree each table entry prints as a line: at n = 6 they are
     # lexmin_word's 77,184 answers, without the oracle's per-word half
-    monkeypatch.setattr(verify, "generating_tree", empty_tree)
-    rng = random.Random(verify.PREFIX_SEED)
-    for degree in range(2, n + 1):  # the suite draws its priorities degree by degree
-        shuffles = [PriorityOrder.shuffled(degree, rng) for _ in range(verify.PREFIX_SHUFFLES)]
+    monkeypatch.setattr(verify, "generating_trees", per_priority(empty_tree))
     expected = [
         f"n={n} priority={priority.order} u={sorted(orientation.u)} d={sorted(orientation.d)}: "
         f"tree word None of {pi} is not its lexmin word {word}"
-        for priority in dict.fromkeys([PriorityOrder.natural(n), *shuffles])
+        for priority in suite_priorities(n)
         for orientation in verify.disjoint_orientations(n)
         for pi in core.all_permutations(n)
         if (word := trees.lexmin_word(pi, orientation, priority)) is not None
@@ -432,7 +485,7 @@ def test_prefix_suite_tables_every_lexmin_word(monkeypatch, n):
     assert [line for line in check_prefix_closure(n) if line.startswith(f"n={n} ")] == expected
 
 
-@pytest.mark.parametrize("n", [slow(6)])
+@pytest.mark.parametrize("n", [slow(6), slow(7)])
 def test_prefix_suite_at_its_opt_in_bound(n):
     assert verify.run_suite("prefix", n) == []
 

@@ -331,6 +331,7 @@ CAPPED = "is capped at n={}; beyond that it is not worth the wait"
         (("tree", "--n", "8", "--u", "2"), "the tree has 25200 nodes, more than the cap of 6000"),
         (("tree", "--n", "8", "--u", "2,3,4,5,6,7", "--overlay"), "tree --overlay " + CAPPED.format(7)),
         (("check", "--n", "2501", "--u", "2", "1"), "check " + CAPPED.format(2500)),
+        (("verify", "--suite", "prefix", "--n", "8"), "suite prefix " + CAPPED.format(7)),
     ],
 )
 def test_oversized_inputs_are_refused(capsys, argv, reason):

@@ -29,7 +29,7 @@ from permutree.core import (
 from permutree.automata import exists_accepted, product_accepts
 from permutree.coxeter import CoxeterWord, c_factorization, c_sorting_word, is_c_sortable
 from permutree.sorting import _greedy_extract, check_sorting_network, network_candidate, permutree_sort
-from permutree.trees import generating_tree, lexmin_word
+from permutree.trees import generating_tree, generating_trees, lexmin_word
 from permutree.verify import disjoint_orientations
 from oracles import (
     evaluate,
@@ -613,6 +613,9 @@ DEGREE_REFUSALS = [
     (generating_tree, (EMPTY_3, PriorityOrder((1, 2, 3))),
      "priority of degree 4 for an orientation of degree 3"),
     (generating_tree, (EMPTY_3, PriorityOrder((1,))),
+     "priority of degree 2 for an orientation of degree 3"),
+    # a later priority is refused too, before the first one's tree is grown
+    (generating_trees, (EMPTY_3, [None, PriorityOrder((1,))]),
      "priority of degree 2 for an orientation of degree 3"),
     # an extension
     (network_candidate, (Kind.UP, 2, 4, Word((1,), 3)),

@@ -20,6 +20,7 @@ from permutree.trees import (
     count_minimal,
     export_tree_dot,
     generating_tree,
+    generating_trees,
     lexmin_word,
 )
 from permutree.verify import disjoint_orientations
@@ -308,13 +309,29 @@ def test_generating_tree_matches_oracle(n):
         PriorityOrder.shuffled(n, rng) for _ in range(TREE_SHUFFLES)
     ]
     for orientation in disjoint_orientations(n):
-        for priority in priorities:
-            tree = generating_tree(orientation, priority)
+        # one call grows all four: the first by product steps, the rest over its notes
+        for priority, tree in zip(priorities, generating_trees(orientation, priorities)):
             expected = oracle_generating_tree(orientation, priority)
             assert tree == expected, (orientation, priority)
             assert tree.to_json() == expected.to_json()
             assert export_tree_dot(tree) == oracle_export_tree_dot(expected)
             assert export_tree_dot(tree, overlay=True) == oracle_export_tree_dot(expected, overlay=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, SLOW_DEGREE])
+def test_generating_trees_match_the_tree_of_each_priority_alone(n):
+    # a priority that follows the first grows its tree over the first one's
+    # notes, with no product step: it equals the tree it grows alone, with
+    # each of the four priorities in turn taking the first, stepping, place
+    rng = random.Random(n)
+    priorities = [PriorityOrder.natural(n)] + [
+        PriorityOrder.shuffled(n, rng) for _ in range(TREE_SHUFFLES)
+    ]
+    for orientation in disjoint_orientations(n):
+        alone = [generating_trees(orientation, [priority])[0] for priority in priorities]
+        for turn in range(len(priorities)):
+            together = generating_trees(orientation, priorities[turn:] + priorities[:turn])
+            assert together == alone[turn:] + alone[:turn], (orientation, turn)
 
 
 def test_heavy_tail_tree_matches_oracle():
