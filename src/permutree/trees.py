@@ -61,11 +61,12 @@ def lexmin_word(
 class GeneratingTree:
     """Prefix-closed set of words, one per minimal permutation; parent drops the last letter.
 
-    entries[i] is the one-line notation of the permutation nodes[i] evaluates
-    to, so a node's permutation is read, never recomputed from its word.
+    words[i] is the letters of the i-th node's word and entries[i] the
+    one-line notation of the permutation it evaluates to, so a node's
+    permutation is read, never recomputed from its word.
     """
 
-    nodes: tuple[Word, ...]
+    words: tuple[tuple[int, ...], ...]
     entries: tuple[tuple[int, ...], ...]
     orientation: Orientation
     priority: PriorityOrder
@@ -74,10 +75,16 @@ class GeneratingTree:
     def n(self) -> int:
         return self.orientation.n
 
+    @property
+    def nodes(self) -> tuple[Word, ...]:
+        """The nodes' words as Words, built at every read."""
+        return tuple(Word(letters, self.n) for letters in self.words)
+
     def to_json(self) -> str:
         write = one_line_writer(self.n)
         return json.dumps(
-            {str(w): write(e) for w, e in zip(self.nodes, self.entries)}, sort_keys=True
+            {",".join(map(str, w)): write(e) for w, e in zip(self.words, self.entries)},
+            sort_keys=True,
         )
 
 
@@ -104,6 +111,8 @@ def generating_trees(
     ascents in priority order, so the first candidate to reach sigma is its
     word, and every level comes out in (length, priority-lex) order.
 
+    Many nodes share a product state, so each distinct (state, ascent) is
+    stepped once and its answer, death included, read again after that.
     The node set and each node's node children do not depend on the
     priority, so only the first priority steps the product.  When more
     follow, it notes the children of each node; a child already seen is
@@ -117,9 +126,10 @@ def generating_trees(
     seen = {root}
     level = [((), root, initial_product(parts))]
     words, perms = [], []
+    stepped = {}  # (product state, l) -> advance(state, l), None when it dies
     noted = {}  # entries -> {ascent l: entries of the node tau * s_l}, when others follow
     while level:
-        words.extend(Word(letters, n) for letters, _, _ in level)
+        words.extend(letters for letters, _, _ in level)
         perms.extend(entries for _, entries, _ in level)
         children = []
         for letters, entries, state in level:
@@ -130,7 +140,10 @@ def generating_trees(
                     continue
                 swapped = right_swap(entries, l)
                 if swapped not in seen:
-                    child = advance(state, l)
+                    key = (state, l)
+                    if key not in stepped:
+                        stepped[key] = advance(state, l)
+                    child = stepped[key]
                     if child is None:
                         continue
                     seen.add(swapped)
@@ -144,7 +157,7 @@ def generating_trees(
         level = [((), root)]
         words, perms = [], []
         while level:
-            words.extend(Word(letters, n) for letters, _ in level)
+            words.extend(letters for letters, _ in level)
             perms.extend(entries for _, entries in level)
             children = []
             for letters, entries in level:
@@ -211,10 +224,11 @@ def export_tree_dot(tree: GeneratingTree, overlay: bool = False) -> str:
     names are single digits (n <= 9).
     """
     n = tree.n
+    styles = {l: f"color={edge_color(l)}, penwidth=2" for l in range(1, n)}
     tree_edges = {
-        (right_swap(entries, word.letters[-1]), entries): word.letters[-1]
-        for word, entries in zip(tree.nodes, tree.entries)
-        if word.letters
+        (right_swap(entries, letters[-1]), entries): styles[letters[-1]]
+        for letters, entries in zip(tree.words, tree.entries)
+        if letters
     }
     if overlay:
         nodes = list(itertools.permutations(range(1, n + 1)))
@@ -227,14 +241,16 @@ def export_tree_dot(tree: GeneratingTree, overlay: bool = False) -> str:
     else:
         nodes, covers = sorted(tree.entries), sorted(tree_edges)
     names = dict(zip(nodes, map(one_line_writer(n), nodes)))
-    kept = set(tree.entries)
-    bold, gray = (", style=bold", ", color=gray, fontcolor=gray") if overlay else ("", "")
     lines = ["digraph tree {", "  rankdir=BT;"]
-    for entries in nodes:
-        lines.append(f'  "{names[entries]}" [shape=box{bold if entries in kept else gray}];')
+    if overlay:
+        kept = set(tree.entries)
+        for entries, name in names.items():
+            style = ", style=bold" if entries in kept else ", color=gray, fontcolor=gray"
+            lines.append(f'  "{name}" [shape=box{style}];')
+    else:  # every node drawn is the tree's
+        lines += [f'  "{name}" [shape=box];' for name in names.values()]
     for low, high in covers:
-        letter = tree_edges.get((low, high))
-        style = "color=gray" if letter is None else f"color={edge_color(letter)}, penwidth=2"
+        style = tree_edges.get((low, high), "color=gray")
         lines.append(f'  "{names[low]}" -> "{names[high]}" [{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

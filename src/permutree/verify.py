@@ -609,11 +609,12 @@ def table_violations(
     Each word's parent must be the word of pi * s_last: by induction on length, every
     prefix is then the word of its own permutation.  A word whose parent is right must
     be its node's word in the generating tree of the orientation and priority, which
-    is built without the table and must hold no other permutation.  A Word or
-    Permutation is built only to print a line."""
+    is built without the table and must hold no other permutation.  Words are
+    compared as letter tuples; a Word or Permutation is built only to print a line,
+    and a missing word prints as None."""
     n, order = priority.n, priority.order
     where = f"n={n} priority={order} u={sorted(orientation.u)} d={sorted(orientation.d)}"
-    nodes = dict(zip(tree.entries, tree.nodes))
+    nodes = dict(zip(tree.entries, tree.words))
     violations, mismatches = [], []
     for e, ranks in table.items():
         node = nodes.pop(e, None)
@@ -627,11 +628,15 @@ def table_violations(
                     f"is not the word of {Permutation(owner)}"
                 )
                 continue
-        if node is None or node.letters != letters:
-            mismatches.append((e, node, Word(letters, n)))
+        if node != letters:
+            mismatches.append((e, node, letters))
     mismatches += [(entries, node, None) for entries, node in nodes.items()]
+
+    def shown(letters):
+        return None if letters is None else Word(letters, n)
+
     return violations + [
-        f"{where}: tree word {node} of {Permutation(e)} is not its lexmin word {word}"
+        f"{where}: tree word {shown(node)} of {Permutation(e)} is not its lexmin word {shown(word)}"
         for e, node, word in mismatches
     ]
 

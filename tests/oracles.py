@@ -293,7 +293,7 @@ def oracle_generating_tree(orientation, priority=None):
         if len(word) and Word(word.letters[:-1], n) not in node_set:
             raise AssertionError(f"node set is not prefix-closed at {word}")
     entries = tuple(evaluate(word).entries for word in words)
-    return GeneratingTree(tuple(words), entries, orientation, priority)
+    return GeneratingTree(tuple(word.letters for word in words), entries, orientation, priority)
 
 
 def oracle_count_minimal_subsets(orientation):
@@ -338,11 +338,11 @@ def oracle_count_minimal_subsets(orientation):
     return ways[full]
 
 
-def oracle_tree_edges(tree):
-    """(parent, child, last letter) for every non-root node, the parent
-    built as a Word: the GeneratingTree.edges the tree's stored entries
-    replaced."""
-    return tuple((Word(w.letters[:-1], w.n), w, w.letters[-1]) for w in tree.nodes if len(w))
+def oracle_tree_edges(nodes):
+    """(parent, child, last letter) for every non-root node of a tree, given
+    its nodes' Words, the parent built as a Word: the GeneratingTree.edges
+    the tree's stored entries replaced."""
+    return tuple((Word(w.letters[:-1], w.n), w, w.letters[-1]) for w in nodes if len(w))
 
 
 @functools.cache
@@ -368,10 +368,11 @@ def oracle_export_tree_dot(tree, overlay=False):
     their letters from oracle_weak_order_hasse."""
     n = tree.n
     lines = ["digraph tree {", "  rankdir=BT;"]
-    perm_of = {word: evaluate(word) for word in tree.nodes}
+    nodes = tree.nodes  # built once: each read of the property builds them again
+    perm_of = {word: evaluate(word) for word in nodes}
     tree_perms = set(perm_of.values())
     tree_edges = {
-        (perm_of[parent], perm_of[child], letter) for parent, child, letter in oracle_tree_edges(tree)
+        (perm_of[parent], perm_of[child], letter) for parent, child, letter in oracle_tree_edges(nodes)
     }
 
     if overlay:

@@ -400,8 +400,9 @@ def test_prefix_suite_grows_one_tree_per_table(monkeypatch):
 
 
 def test_prefix_suite_builds_no_object_it_does_not_print(monkeypatch):
-    # a passing run keeps its tables as rank tuples keyed by entries: the only
-    # Permutations are those of all_permutations, and the only Words the trees' nodes
+    # a passing run keeps its tables as rank tuples keyed by entries, and its
+    # trees' words as letter tuples: the only Permutations are those of
+    # all_permutations, and no Word is built
     built = {Permutation: 0, Word: 0}
     for cls in built:
         post_init = cls.__post_init__
@@ -415,13 +416,14 @@ def test_prefix_suite_builds_no_object_it_does_not_print(monkeypatch):
 
     def grown(orientation, priorities):
         built = trees.generating_trees(orientation, priorities)
-        nodes.extend(len(tree.nodes) for tree in built)
+        nodes.extend(len(tree.words) for tree in built)
         return built
 
     monkeypatch.setattr(verify, "generating_trees", grown)
     assert check_prefix_closure(4) == []
     assert built[Permutation] == 2 + 6 + 24
-    assert built[Word] == sum(nodes) == 490
+    assert built[Word] == 0
+    assert sum(nodes) == 490
 
 
 def test_prefix_suite_reads_the_entries_the_tree_keeps(monkeypatch):
@@ -433,7 +435,7 @@ def test_prefix_suite_reads_the_entries_the_tree_keeps(monkeypatch):
         entries = list(tree.entries)
         if len(entries) > 2:
             entries[1], entries[2] = entries[2], entries[1]
-        return trees.GeneratingTree(tree.nodes, tuple(entries), tree.orientation, tree.priority)
+        return trees.GeneratingTree(tree.words, tuple(entries), tree.orientation, tree.priority)
 
     def swapped_trees(orientation, priorities):
         return [swapped(tree) for tree in trees.generating_trees(orientation, priorities)]

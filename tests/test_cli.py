@@ -133,15 +133,28 @@ def cap_size_pi(n):
             ["sort", "--n", str(MAX_SORT_N), "--output", "json"], 0,
             "679d52ffbc7a9d7e49659c718c3308a9af4322c06fa69a245ba2ce913e874307", 65_688_958,
         ),
+        (
+            ["tree", "--n", "9", "--u=2,3,4,5,6,7,8"], 0,
+            "706ca83e3eb7047c39bd23541370c0b6a11c9a577a9d8650486277637e7adc5a", 405_720,
+        ),
+        (
+            ["tree", "--n", "9", "--u=2,3,4,5,6,7,8", "--output", "json"], 0,
+            "2eef939ed5e959767b1cebb55565ab6833280adfced79fa7dcf3882a711b2c30", 203_802,
+        ),
+        (
+            ["tree", "--n", "7", "--u=2,3", "--overlay"], 0,
+            "de35f2cb207a77be06cfd534eeac8d5469efa4fc4a271ab812538403bceded31", 851_685,
+        ),
     ],
-    ids=["sort-text", "sort-json", "verify-all", "sort-json-cap"],
+    ids=["sort-text", "sort-json", "verify-all", "sort-json-cap", "tree-dot", "tree-json", "tree-overlay"],
 )
 def test_cap_size_outputs_keep_their_digests(monkeypatch, argv, code, digest, size):
     # The n = 200 table is 420 MB, so stdout is hashed as it is written and
     # never held.  Its word is about 42 blocks of sorting._WORD_BLOCK wide, so
     # its rows cross block boundaries at the real block size.  The JSON at
     # sort's cap, n = 400, is 66 MB, and each of its rows' pi texts joins 20
-    # blocks of 20 values.
+    # blocks of 20 values.  The n = 9 tree has 4,862 nodes, under the tree
+    # cap, and the n = 7 overlay draws all of S_7 and its 15,120 covers.
     if argv[0] == "sort":
         argv = [*argv, cap_size_pi(int(argv[2]))]
     out = Hashing()

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from permutree import cli
+from permutree import cli, trees
 from permutree.core import (
     Orientation,
     Permutation,
@@ -14,7 +14,7 @@ from permutree.core import (
     all_permutations,
     all_reduced_words,
 )
-from permutree.automata import product_accepts
+from permutree.automata import product_accepts, step_alive
 from permutree.sorting import PriorityOrder, is_minimal
 from permutree.trees import (
     count_minimal,
@@ -75,7 +75,7 @@ TREE_N4_U23_EDGES = {
 def tree_edge_set(tree):
     return {
         (str(evaluate(parent)), str(evaluate(child)), letter)
-        for parent, child, letter in oracle_tree_edges(tree)
+        for parent, child, letter in oracle_tree_edges(tree.nodes)
     }
 
 
@@ -171,12 +171,13 @@ def test_generating_tree_free_orientation():
 def test_tree_nodes_biject_with_minimal_permutations(n):
     for orientation in disjoint_orientations(n):
         tree = generating_tree(orientation)
-        perms = {evaluate(w) for w in tree.nodes}
-        assert len(perms) == len(tree.nodes)
+        nodes = tree.nodes
+        perms = {evaluate(w) for w in nodes}
+        assert len(perms) == len(nodes)
         assert perms == {pi for pi in all_permutations(n) if is_minimal(pi, orientation)}
-        assert len(tree.nodes) == count_minimal(orientation)
+        assert len(nodes) == count_minimal(orientation)
         # every edge is a length-increasing right multiplication
-        for parent, child, letter in oracle_tree_edges(tree):
+        for parent, child, letter in oracle_tree_edges(nodes):
             low, high = evaluate(parent), evaluate(child)
             assert high.length() == low.length() + 1
             assert low.value_at(letter) < low.value_at(letter + 1)
@@ -276,9 +277,9 @@ def test_generating_tree_searches_nothing(monkeypatch):
 
 
 def test_tree_outputs_evaluate_nothing(monkeypatch, capsys):
-    # every node keeps its entries, and --overlay builds S_n unvalidated, so
-    # no output of tree evaluates a word or validates a permutation; the
-    # package has no evaluate left to call
+    # every node keeps its entries and its letters, and --overlay builds S_n
+    # unvalidated, so no output of tree evaluates a word, validates a
+    # permutation or builds a Word; the package has no evaluate left to call
     base = ("tree", "--n", "6", "--u=3,5", "--d=", "--priority=5,2,4,3,1")
     forms = [(), ("--overlay",), ("--output", "json")]
     expected = []
@@ -288,9 +289,10 @@ def test_tree_outputs_evaluate_nothing(monkeypatch, capsys):
     assert not any("evaluate" in vars(module) for module in PACKAGE_MODULES)
 
     def refuse(self):
-        raise AssertionError("Permutation.__post_init__ must not be called")
+        raise AssertionError(f"{type(self).__name__}.__post_init__ must not be called")
 
     monkeypatch.setattr(Permutation, "__post_init__", refuse)
+    monkeypatch.setattr(Word, "__post_init__", refuse)
     for extra, want in zip(forms, expected):
         assert cli.main([*base, *extra]) == 0
         assert capsys.readouterr().out == want
@@ -332,6 +334,25 @@ def test_generating_trees_match_the_tree_of_each_priority_alone(n):
         for turn in range(len(priorities)):
             together = generating_trees(orientation, priorities[turn:] + priorities[:turn])
             assert together == alone[turn:] + alone[:turn], (orientation, turn)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, SLOW_DEGREE])
+def test_generating_trees_step_each_state_letter_pair_once(monkeypatch, n):
+    # nodes share product states, so one generating_trees call steps each
+    # distinct (state, letter) once, however many (node, ascent) pairs reach it
+    rng = random.Random(n)
+    priorities = [PriorityOrder.natural(n), PriorityOrder.shuffled(n, rng)]
+    stepped = []
+
+    def counted(rows, state, letter):
+        stepped.append((state, letter))
+        return step_alive(rows, state, letter)
+
+    monkeypatch.setattr(trees, "step_alive", counted)
+    for orientation in disjoint_orientations(n):
+        stepped.clear()
+        generating_trees(orientation, priorities)
+        assert stepped and len(stepped) == len(set(stepped)), orientation
 
 
 def test_heavy_tail_tree_matches_oracle():

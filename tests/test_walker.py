@@ -546,6 +546,8 @@ KEPT_WITHOUT_CALLER: dict[str, str] = {
     "lexmin_word": "the public search for one lexmin word; perfbench/worker.py reads "
     "its traced call count (trees.lexmin_word.calls); move to tests/oracles.py with the next "
     "benchmark refresh",
+    "nodes": "GeneratingTree's nodes as Words, built on each read for README's quick start "
+    "and the tests; every reader in the package takes the letter tuples of GeneratingTree.words",
 }
 
 
